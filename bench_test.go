@@ -326,6 +326,57 @@ func BenchmarkTraceReplayMIPS(b *testing.B) {
 	})
 }
 
+// BenchmarkReplayModes reports the fused timing core's throughput, in
+// millions of retired records per second, replaying the eight train
+// traces through uarch.ReplayModes. The {none} leg is the timing core
+// with one meter; the others add the meters the evaluation accrues
+// together ({software}, the cooperative pair of Figure 15) up to all six
+// modes, so the step between legs prices the table-driven meter bank.
+func BenchmarkReplayModes(b *testing.B) {
+	var traces []*emu.Trace
+	var events int64
+	for _, w := range workload.All() {
+		p, err := w.Build(workload.Train)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := emu.NewTraceRecorder(p)
+		m := emu.New(p)
+		m.Sink = rec
+		if err := m.Run(); err != nil {
+			b.Fatal(err)
+		}
+		tr, err := rec.Trace()
+		if err != nil {
+			b.Fatal(err)
+		}
+		traces = append(traces, tr)
+		events += tr.Len()
+	}
+	cfg := uarch.DefaultConfig()
+	params := power.DefaultParams()
+	for _, leg := range []struct {
+		name  string
+		modes []power.GatingMode
+	}{
+		{"none", []power.GatingMode{power.GateNone}},
+		{"software", []power.GatingMode{power.GateSoftware}},
+		{"coop-pair", []power.GatingMode{power.GateCooperative, power.GateCooperativeSig}},
+		{"all6", power.Modes()},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, tr := range traces {
+					if _, err := uarch.ReplayModes(tr, cfg, params, leg.modes); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(events*int64(b.N))/b.Elapsed().Seconds()/1e6, "MIPS")
+		})
+	}
+}
+
 // benchFigureMatrix runs a cold suite experiment fused and unfused.
 func benchFigureMatrix(b *testing.B, run func(s *harness.Suite) error) {
 	for _, cfg := range []struct {

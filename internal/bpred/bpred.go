@@ -5,6 +5,8 @@
 // predicts returns.
 package bpred
 
+import "fmt"
+
 // counter is a 2-bit saturating counter.
 type counter uint8
 
@@ -30,6 +32,28 @@ type Config struct {
 	BimodalEntries int
 	ChooserEntries int
 	RASEntries     int
+}
+
+// Validate reports a configuration the predictor cannot index: table
+// sizes must be positive powers of two and the return-address stack must
+// hold at least one entry.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"GshareEntries", c.GshareEntries},
+		{"BimodalEntries", c.BimodalEntries},
+		{"ChooserEntries", c.ChooserEntries},
+	} {
+		if f.v <= 0 || f.v&(f.v-1) != 0 {
+			return fmt.Errorf("bpred: %s must be a positive power of two, got %d", f.name, f.v)
+		}
+	}
+	if c.RASEntries <= 0 {
+		return fmt.Errorf("bpred: RASEntries must be positive, got %d", c.RASEntries)
+	}
+	return nil
 }
 
 // DefaultConfig returns the paper's Table 2 configuration.

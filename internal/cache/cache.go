@@ -2,7 +2,10 @@
 // replacement, composed into the two-level hierarchy of Table 2.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -23,31 +26,45 @@ type line struct {
 
 // Cache is one set-associative level.
 type Cache struct {
-	cfg   Config
-	sets  [][]line
-	nsets int
-	stamp int64
+	cfg       Config
+	lines     []line // set-major: set i holds lines[i*Assoc : (i+1)*Assoc]
+	lineShift uint   // log2(LineBytes)
+	setShift  uint   // log2(nsets)
+	setMask   int64  // nsets - 1
+	stamp     int64
 
 	Hits       int64
 	Misses     int64
 	Writebacks int64
 }
 
-// New builds a cache; the configuration must divide evenly.
+// New builds a cache; the configuration must divide evenly, and the line
+// size and set count must be powers of two (Access indexes by shift and
+// mask).
 func New(cfg Config) (*Cache, error) {
 	if cfg.LineBytes <= 0 || cfg.Assoc <= 0 || cfg.SizeBytes <= 0 {
 		return nil, fmt.Errorf("cache %s: bad geometry", cfg.Name)
+	}
+	if !isPow2(cfg.LineBytes) {
+		return nil, fmt.Errorf("cache %s: LineBytes %d is not a power of two", cfg.Name, cfg.LineBytes)
 	}
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
 	if nsets <= 0 || cfg.SizeBytes%(cfg.LineBytes*cfg.Assoc) != 0 {
 		return nil, fmt.Errorf("cache %s: size %d not divisible by assoc*line", cfg.Name, cfg.SizeBytes)
 	}
-	sets := make([][]line, nsets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Assoc)
+	if !isPow2(nsets) {
+		return nil, fmt.Errorf("cache %s: SizeBytes %d gives %d sets, not a power of two", cfg.Name, cfg.SizeBytes, nsets)
 	}
-	return &Cache{cfg: cfg, sets: sets, nsets: nsets}, nil
+	return &Cache{
+		cfg:       cfg,
+		lines:     make([]line, nsets*cfg.Assoc),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setShift:  uint(bits.TrailingZeros(uint(nsets))),
+		setMask:   int64(nsets - 1),
+	}, nil
 }
+
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
@@ -64,9 +81,10 @@ type AccessResult struct {
 // evicted, reporting any required writeback.
 func (c *Cache) Access(addr int64, write bool) AccessResult {
 	c.stamp++
-	set := int((addr / int64(c.cfg.LineBytes)) % int64(c.nsets))
-	tag := addr / int64(c.cfg.LineBytes) / int64(c.nsets)
-	lines := c.sets[set]
+	block := addr >> c.lineShift
+	set := int(block & c.setMask)
+	tag := block >> c.setShift
+	lines := c.lines[set*c.cfg.Assoc:][:c.cfg.Assoc]
 
 	for i := range lines {
 		if lines[i].valid && lines[i].tag == tag {
@@ -95,7 +113,7 @@ func (c *Cache) Access(addr int64, write bool) AccessResult {
 	if lines[victim].valid && lines[victim].dirty {
 		c.Writebacks++
 		res.Writeback = true
-		res.VictimAddr = (lines[victim].tag*int64(c.nsets) + int64(set)) * int64(c.cfg.LineBytes)
+		res.VictimAddr = (lines[victim].tag<<c.setShift | int64(set)) << c.lineShift
 	}
 	lines[victim] = line{tag: tag, valid: true, dirty: write, lru: c.stamp}
 	return res

@@ -74,6 +74,17 @@ func TestGeometryValidation(t *testing.T) {
 	if _, err := New(Config{SizeBytes: 0, Assoc: 1, LineBytes: 32}); err == nil {
 		t.Error("accepted zero size")
 	}
+	// Access indexes by shift and mask, so line sizes and set counts
+	// must be powers of two even when the geometry divides evenly.
+	if _, err := New(Config{SizeBytes: 48 * 8, Assoc: 1, LineBytes: 48}); err == nil {
+		t.Error("accepted a 48-byte line")
+	}
+	if _, err := New(Config{SizeBytes: 32 * 2 * 3, Assoc: 2, LineBytes: 32}); err == nil {
+		t.Error("accepted 3 sets")
+	}
+	if _, err := New(Config{SizeBytes: 32 * 3 * 4, Assoc: 3, LineBytes: 32}); err != nil {
+		t.Errorf("rejected a 3-way cache with 4 sets: %v", err)
+	}
 }
 
 func TestMissRateSmallWorkingSet(t *testing.T) {

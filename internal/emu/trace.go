@@ -24,8 +24,9 @@ import (
 //
 // Invariant: Trace.Replay must deliver the exact Event stream of the live
 // run it captured — same values in every field, same batching shape — so
-// any Sink (the timing model included) can consume a replay in place of an
-// emulation without observable difference.
+// any Sink can consume a replay in place of an emulation without
+// observable difference. Record consumers (the timing model among them)
+// read the packed rows directly through Records.
 
 // TraceChunkEvents is the number of events per packed-trace chunk
 // (a multiple of BatchSize, so replay batch boundaries match a live run).
@@ -172,6 +173,9 @@ type TraceRecorder struct {
 	fill     int        // records in the last chunk
 	events   int64
 	overflow bool
+
+	rider RecSink // consumes every packed row as it is captured
+	spill *packer // the rider's feed once an over-budget capture is dropped
 }
 
 // NewTraceRecorder returns a recorder for programs executing p, with the
@@ -187,25 +191,41 @@ func (r *TraceRecorder) SetBudget(bytes int64) {
 	}
 }
 
+// SetRider makes rs consume the recorder's packed rows as they are
+// captured, so one live emulation feeds the trace and its first record
+// consumer together. Rows keep flowing to rs, through a reusable batch,
+// after an over-budget capture is abandoned.
+func (r *TraceRecorder) SetRider(rs RecSink) { r.rider = rs }
+
 // Consume implements Sink: it packs the batch onto the current chunk,
 // growing chunk-by-chunk until the budget is hit, after which the capture
 // is abandoned (and its memory released).
 func (r *TraceRecorder) Consume(batch []Event) {
-	if r.overflow {
-		return
-	}
 	for len(batch) > 0 {
+		if r.overflow {
+			if r.spill != nil {
+				r.spill.Consume(batch)
+			}
+			return
+		}
 		if len(r.chunks) == 0 || r.fill == TraceChunkEvents {
 			if r.bytes+TraceChunkEvents*recBytes > r.budget {
 				r.overflow = true
 				r.chunks = nil // release what was captured
-				return
+				if r.rider != nil {
+					r.spill = &packer{meta: r.meta, rs: r.rider, buf: newRecBatch(BatchSize)}
+				}
+				continue
 			}
 			r.chunks = append(r.chunks, newRecBatch(TraceChunkEvents))
 			r.bytes += TraceChunkEvents * recBytes
 			r.fill = 0
 		}
-		n := packRecs(&r.chunks[len(r.chunks)-1], r.fill, batch, r.meta)
+		c := &r.chunks[len(r.chunks)-1]
+		n := packRecs(c, r.fill, batch, r.meta)
+		if r.rider != nil {
+			r.rider.ConsumeRecs(c.slice(r.fill, r.fill+n))
+		}
 		r.fill += n
 		r.events += int64(n)
 		batch = batch[n:]
@@ -306,21 +326,6 @@ func (t *Trace) Replay(sink Sink) {
 		sink.Consume(buf[:n])
 	}
 }
-
-// tee fans one retirement stream out to several sinks, in order.
-type tee []Sink
-
-// Consume implements Sink.
-func (t tee) Consume(batch []Event) {
-	for _, s := range t {
-		s.Consume(batch)
-	}
-}
-
-// Tee returns a Sink that delivers every batch to each sink in order —
-// e.g. a TraceRecorder capturing the stream while a simulator consumes
-// the same live pass.
-func Tee(sinks ...Sink) Sink { return tee(sinks) }
 
 // packer adapts a live Event stream to a RecSink: each batch is packed
 // into a reusable RecBatch and forwarded. It lets packed-record consumers

@@ -17,7 +17,7 @@ func recordTrace(t *testing.T, p *prog.Program) (*emu.Trace, *collector) {
 	var live collector
 	rec := emu.NewTraceRecorder(p)
 	m := emu.New(p)
-	m.Sink = emu.Tee(rec, &live)
+	m.Sink = tee{rec, &live}
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +143,64 @@ func TestPackerMatchesTraceRecords(t *testing.T) {
 	}
 	if !reflect.DeepEqual(livePacked, fromTrace) {
 		t.Fatal("live-packed record stream differs from trace records")
+	}
+}
+
+// tee fans one retirement stream out to several sinks, in order.
+type tee []emu.Sink
+
+func (t tee) Consume(batch []emu.Event) {
+	for _, s := range t {
+		s.Consume(batch)
+	}
+}
+
+// TestRecorderRiderSeesEveryRow: a recorder's rider must see exactly the
+// record stream a live packer produces, whether the capture completes or
+// outgrows its budget partway (rows keep flowing after the drop).
+func TestRecorderRiderSeesEveryRow(t *testing.T) {
+	w, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.Build(workload.Train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want recCollector
+	m := emu.New(p)
+	m.Sink = emu.NewPacker(p, &want)
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(want.idx) <= emu.TraceChunkEvents {
+		t.Fatalf("workload retires %d instructions, too few to overflow after one chunk", len(want.idx))
+	}
+	// 0 keeps the default budget; one chunk's worth overflows mid-run.
+	for _, budget := range []int64{0, emu.TraceChunkEvents * 43} {
+		var got recCollector
+		rec := emu.NewTraceRecorder(p)
+		rec.SetBudget(budget)
+		rec.SetRider(&got)
+		m := emu.New(p)
+		m.Sink = rec
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := rec.Trace()
+		if overflowed := budget > 0; overflowed != errors.Is(err, emu.ErrTraceBudget) {
+			t.Fatalf("budget %d: Trace() error %v", budget, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("budget %d: rider rows differ from the live-packed stream", budget)
+		}
+		if tr != nil {
+			var fromTrace recCollector
+			tr.Records(&fromTrace)
+			if !reflect.DeepEqual(fromTrace, want) {
+				t.Fatal("trace records differ from the live-packed stream")
+			}
+		}
 	}
 }
 

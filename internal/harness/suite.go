@@ -388,8 +388,8 @@ func (s *Suite) Sim(name, variant string, mode power.GatingMode) (*uarch.Result,
 // everyone after replays the cached trace.
 func (s *Suite) simModes(name, variant string, modes []power.GatingMode) ([]*uarch.Result, error) {
 	var rode *uarch.Sim
-	tr, err := s.traceWith(name, variant, func(*prog.Program) (emu.Sink, error) {
-		sim, err := uarch.NewMulti(s.Uarch, s.Power, modes)
+	tr, err := s.traceWith(name, variant, func(p *prog.Program) (emu.RecSink, error) {
+		sim, err := uarch.NewMulti(p, s.Uarch, s.Power, modes)
 		if err != nil {
 			return nil, err
 		}
@@ -424,11 +424,12 @@ func (s *Suite) simModes(name, variant string, modes []power.GatingMode) ([]*uar
 // traceWith returns (cached) the packed retirement trace of a variant, or
 // nil when the capture exceeded the trace budget (the miss is cached too:
 // callers fall back to live emulation, once per call site). If this call
-// is the one that performs the capture, the rider factory's sink consumes
-// the same live pass — the variant's only emulation feeds the recorder
-// and its first consumer together. Callers detect whether their rider ran
-// via state captured in the factory closure.
-func (s *Suite) traceWith(name, variant string, rider func(*prog.Program) (emu.Sink, error)) (*emu.Trace, error) {
+// is the one that performs the capture, the rider factory's record sink
+// consumes the recorder's packed rows of the same live pass — the
+// variant's only emulation feeds the recorder and its first consumer
+// together. Callers detect whether their rider ran via state captured in
+// the factory closure.
+func (s *Suite) traceWith(name, variant string, rider func(*prog.Program) (emu.RecSink, error)) (*emu.Trace, error) {
 	return s.traces.do(variantKey{name, variant}, func() (*emu.Trace, error) {
 		if workload.IsTrace(name) {
 			// Imported traces are hit-or-error: there is no emulation to
@@ -463,11 +464,11 @@ func (s *Suite) traceWith(name, variant string, rider func(*prog.Program) (emu.S
 		m := emu.New(p)
 		m.Sink = rec
 		if rider != nil {
-			sink, err := rider(p)
+			rs, err := rider(p)
 			if err != nil {
 				return nil, err
 			}
-			m.Sink = emu.Tee(rec, sink)
+			rec.SetRider(rs)
 		}
 		s.emuRuns.Add(1)
 		if err := m.Run(); err != nil {
@@ -509,9 +510,9 @@ func (s *Suite) recordsOf(name, variant string, rs emu.RecSink) error {
 	}
 	if !s.Unfused {
 		rode := false
-		tr, err := s.traceWith(name, variant, func(p *prog.Program) (emu.Sink, error) {
+		tr, err := s.traceWith(name, variant, func(*prog.Program) (emu.RecSink, error) {
 			rode = true
-			return emu.NewPacker(p, rs), nil
+			return rs, nil
 		})
 		if err != nil {
 			return err

@@ -1,0 +1,103 @@
+package power
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// sigValues returns one value per SignificantBytes class, plus zero and a
+// negative value per class.
+func sigValues() []int64 {
+	vals := []int64{0, -1}
+	for k := 1; k <= 8; k++ {
+		top := int64(1)<<(8*k-1) - 1 // largest k-byte value
+		if k == 8 {
+			top = math.MaxInt64
+		}
+		vals = append(vals, top, -top-1)
+	}
+	return vals
+}
+
+// TestBankTableMatchesMeter is the bank's exactness oracle: every
+// precomputed entry must equal, bit for bit, what Meter.AccessValue and
+// Meter.AccessCacheValue add to a fresh meter for the same access, over
+// every mode, structure, software width 0-8 and significant-byte class,
+// with and without SignExtendToCache.
+func TestBankTableMatchesMeter(t *testing.T) {
+	params := DefaultParams()
+	modes := Modes()
+	vals := sigValues()
+	for _, sext := range []bool{false, true} {
+		b := NewBank(params, modes, sext)
+		for i, mode := range modes {
+			for s := Structure(0); s < NumStructures; s++ {
+				for sw := 0; sw < bankWidths; sw++ {
+					for _, v := range vals {
+						sig := SignificantBytes(v)
+						m := NewMeter(params, mode)
+						m.SignExtendToCache = sext
+						m.AccessValue(s, sw, v)
+						if got, want := b.tabs[i].value[s][sw][sig], m.Energy[s]; math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("sext=%v %v %v sw=%d v=%d: value entry %v, meter adds %v", sext, mode, s, sw, v, got, want)
+						}
+						m = NewMeter(params, mode)
+						m.SignExtendToCache = sext
+						m.AccessCacheValue(s, sw, v)
+						got := b.tabs[i].value[s][sw][sig]
+						if sext {
+							got = b.tabs[i].full[s]
+						}
+						if want := m.Energy[s]; math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("sext=%v %v %v sw=%d v=%d: cache entry %v, meter adds %v", sext, mode, s, sw, v, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBankMatchesMeters: a random access sequence accrued by one bank
+// leaves every meter exactly as feeding a Meter per mode the same calls.
+func TestBankMatchesMeters(t *testing.T) {
+	params := DefaultParams()
+	modes := Modes()
+	vals := sigValues()
+	rng := rand.New(rand.NewSource(1))
+	for _, sext := range []bool{false, true} {
+		b := NewBank(params, modes, sext)
+		solo := make([]*Meter, len(modes))
+		for i, mode := range modes {
+			solo[i] = NewMeter(params, mode)
+			solo[i].SignExtendToCache = sext
+		}
+		for range 20000 {
+			s := Structure(rng.Intn(int(NumStructures)))
+			sw := []int{0, 1, 2, 4, 8}[rng.Intn(5)]
+			v := vals[rng.Intn(len(vals))] >> rng.Intn(64)
+			switch rng.Intn(3) {
+			case 0:
+				b.AccessFixed(s)
+				for _, m := range solo {
+					m.AccessFixed(s)
+				}
+			case 1:
+				b.AccessValue(s, sw, v)
+				for _, m := range solo {
+					m.AccessValue(s, sw, v)
+				}
+			case 2:
+				b.AccessCacheSig(s, sw, SignificantBytes(v))
+				for _, m := range solo {
+					m.AccessCacheValue(s, sw, v)
+				}
+			}
+		}
+		if got := b.Meters(); !reflect.DeepEqual(got, solo) {
+			t.Errorf("sext=%v: bank meters differ from per-mode meters", sext)
+		}
+	}
+}

@@ -96,21 +96,31 @@ func (m *Meter) AccessFixed(s Structure) {
 // opcode width in bytes; value is the datum (for the hardware tags).
 func (m *Meter) AccessValue(s Structure, swWidth int, value int64) {
 	m.Accesses[s]++
-	// ActiveBytes always lands in [1,8], so the width profile is a direct
-	// table hit (this is the hottest call in a fused simulation).
-	k := ActiveBytes(m.Mode, swWidth, value)
+	m.Energy[s] += m.valueEnergy(s, ActiveBytes(m.Mode, swWidth, value))
+}
+
+// valueEnergy is the energy of one value access to s with k active bytes.
+// ActiveBytes always lands in [0,8], so the width profile is a direct
+// table hit. Bank precomputes its tables through this same expression, so
+// table-driven sums are bit-identical to per-meter ones.
+func (m *Meter) valueEnergy(s Structure, k int) float64 {
 	e := m.Params.Fixed[s] + m.Params.Gated[s]*widthProfileTab[k]
 	e += m.tagE[s]
-	m.Energy[s] += e
+	return e
 }
 
 // AccessBytes records an access with an explicit active-byte count
 // (addresses, cache lines).
 func (m *Meter) AccessBytes(s Structure, bytes int) {
 	m.Accesses[s]++
+	m.Energy[s] += m.bytesEnergy(s, bytes)
+}
+
+// bytesEnergy is the energy AccessBytes adds for an access to s.
+func (m *Meter) bytesEnergy(s Structure, bytes int) float64 {
 	e := m.Params.Fixed[s] + m.Params.Gated[s]*WidthProfile(bytes)
 	e += m.tagE[s]
-	m.Energy[s] += e
+	return e
 }
 
 // Tick charges idle energy for n cycles across all structures.

@@ -185,22 +185,13 @@ func SignificantBytes(v int64) int {
 	return k
 }
 
-// Wider returns the operand with the most significant bytes (a on ties).
-// Dual-operand structures (instruction queue, functional units) are gated
-// by their widest operand; the power model consumes operands only through
-// SignificantBytes/SizeClass, so moving the wider value models that.
-func Wider(a, b int64) int64 {
-	if SignificantBytes(a) >= SignificantBytes(b) {
-		return a
-	}
-	return b
-}
-
 // SizeClass quantises a value's significant bytes to the 2-bit encoding
 // {1, 2, 5, 8} chosen in §4.6 from the SpecInt size distribution (the
 // 5-byte class exists because memory addresses are 33–40 bits).
-func SizeClass(v int64) int {
-	s := SignificantBytes(v)
+func SizeClass(v int64) int { return sizeClassOf(SignificantBytes(v)) }
+
+// sizeClassOf quantises a significant-byte count to its size class.
+func sizeClassOf(s int) int {
 	switch {
 	case s <= 1:
 		return 1
@@ -217,29 +208,28 @@ func SizeClass(v int64) int {
 // swWidth is the opcode width in bytes (8 when the instruction carries no
 // width or under hardware-only modes).
 func ActiveBytes(mode GatingMode, swWidth int, value int64) int {
+	return activeBytesSig(mode, swWidth, SignificantBytes(value))
+}
+
+// activeBytesSig is ActiveBytes for a value of sig significant bytes: no
+// mode looks at a value beyond its significant-byte count, which is what
+// lets Bank tabulate every access by (structure, software width, sig).
+func activeBytesSig(mode GatingMode, swWidth, sig int) int {
 	switch mode {
 	case GateNone:
 		return 8
 	case GateSoftware:
 		return swWidth
 	case GateHWSignificance:
-		return SignificantBytes(value)
+		return sig
 	case GateHWSize:
-		return SizeClass(value)
+		return sizeClassOf(sig)
 	case GateCooperative:
 		// The hardware tag can only express {1,2,5,8}; the software
 		// width further bounds the moved bytes.
-		hw := SizeClass(value)
-		if swWidth < hw {
-			return swWidth
-		}
-		return hw
+		return min(swWidth, sizeClassOf(sig))
 	case GateCooperativeSig:
-		hw := SignificantBytes(value)
-		if swWidth < hw {
-			return swWidth
-		}
-		return hw
+		return min(swWidth, sig)
 	}
 	return 8
 }

@@ -1,6 +1,7 @@
 // Package uarch is the trace-driven out-of-order processor model of
 // Table 2. The functional emulator (internal/emu) supplies the retired
-// instruction stream; this model replays it through fetch, rename,
+// instruction stream as packed records, live or from a captured trace;
+// this model replays it through fetch, rename,
 // a 64-entry instruction window, functional units, a load/store queue and
 // the cache hierarchy, producing a cycle count and per-structure energy via
 // the operand-gated power model (internal/power).
@@ -12,6 +13,7 @@ package uarch
 
 import (
 	"fmt"
+	"math"
 
 	"opgate/internal/bpred"
 	"opgate/internal/cache"
@@ -78,50 +80,28 @@ type Result struct {
 	IPC            float64
 }
 
-// powerBank is the pluggable power-accounting stage: it fans every
-// per-event accounting call out to one meter per requested gating mode.
-// The timing core above it is mode-independent — it describes each access
-// as (structure, software width, value) and never consults a gating mode —
-// so one traversal of the retirement stream can accrue any number of
-// modes, each meter seeing exactly the call sequence a solo run would
-// produce (fused results are bit-identical to per-mode runs).
-type powerBank struct {
-	meters []*power.Meter
-}
-
-func (b *powerBank) accessFixed(s power.Structure) {
-	for _, m := range b.meters {
-		m.AccessFixed(s)
-	}
-}
-
-func (b *powerBank) accessValue(s power.Structure, swWidth int, value int64) {
-	for _, m := range b.meters {
-		m.AccessValue(s, swWidth, value)
-	}
-}
-
-func (b *powerBank) accessCacheValue(s power.Structure, swWidth int, value int64) {
-	for _, m := range b.meters {
-		m.AccessCacheValue(s, swWidth, value)
-	}
-}
-
-// Sim consumes a retirement trace once and produces timing plus energy for
-// every gating mode in its bank.
+// Sim consumes a retirement record stream once and produces timing plus
+// energy for every gating mode in its bank. The timing core is
+// mode-independent: it describes each access as (structure, software
+// width, value) to a power.Bank, which accrues all modes at once.
 type Sim struct {
-	cfg  Config
-	bank powerBank
-	pred *bpred.Predictor
-	hier *cache.Hierarchy
+	cfg   Config
+	bank  *power.Bank
+	pred  *bpred.Predictor
+	hier  *cache.Hierarchy
+	stat  []static // predecoded program, one entry per static instruction
+	waste int      // wrong-path front-end accesses charged per mispredict
 
-	regReady        [isa.NumRegs]int64 // cycle each architectural value is ready
+	// regReady[r] is the cycle architectural register r's value is ready.
+	// The zero register is never written, so it is always ready; slot
+	// noReg absorbs the writeback of instructions without a destination.
+	regReady        [isa.NumRegs + 1]int64
 	fetchCycle      int64
 	fetchedInCycle  int
 	lastFetchLine   int64
 	pendingRedirect int64 // earliest fetch cycle after a mispredict
 
-	// Issue-bandwidth ring: issued[c % ringSize] counts issues in cycle
+	// Issue-bandwidth ring: issued[c & ringMask] counts issues in cycle
 	// c; epochs detect stale slots.
 	issued     []int8
 	issueEpoch []int64
@@ -140,6 +120,7 @@ type Sim struct {
 	aluFree []int64
 	mulFree []int64
 
+	l1iHit         int64 // L1I hit latency: fetch stalls only beyond it
 	lastRetire     int64
 	retiredInCycle int
 	retired        int64
@@ -147,40 +128,149 @@ type Sim struct {
 	results []*Result // built once by FinishAll
 }
 
-const ringSize = 1 << 14
+const (
+	ringSize = 1 << 14
+	ringMask = ringSize - 1
+	noReg    = isa.NumRegs
+)
 
-// New builds a simulator with the given gating mode and power parameters.
-func New(cfg Config, params power.Params, mode power.GatingMode) (*Sim, error) {
-	return NewMulti(cfg, params, []power.GatingMode{mode})
+// Branch kinds of a static instruction.
+const (
+	brNone   uint8 = iota
+	brUncond       // direct jump: a predictor access, never mispredicted
+	brCond
+	brCall
+	brReturn
+)
+
+// static is the predecoded form of one static instruction: everything
+// the core needs per retirement, resolved once at construction so the
+// per-record loop reads only this entry and the record columns.
+type static struct {
+	line   int64    // I-cache line holding the instruction
+	lat    int64    // functional-unit latency
+	uses   [3]uint8 // registers read; unused slots hold the zero register
+	dest   uint8    // register written, or noReg
+	wbytes uint8    // operand width in bytes (the software gating width)
+	readsA bool     // the first operand is a register read (of SrcA)
+	readsB uint8    // register reads of SrcB (a conditional move may read it twice)
+	writes bool     // allocates a physical register
+	mul    bool     // issues to the multiply/divide unit
+	mem    bool
+	store  bool
+	fu     bool // charges a functional-unit access
+	branch uint8
 }
 
-// NewMulti builds a fused simulator whose power bank accrues every listed
-// gating mode in one traversal of the retirement stream. FinishAll returns
-// one Result per mode, in the given order.
-func NewMulti(cfg Config, params power.Params, modes []power.GatingMode) (*Sim, error) {
+// predecode builds the static table of p for cfg.
+func predecode(p *prog.Program, cfg *Config, lineBytes int) ([]static, error) {
+	tab := make([]static, len(p.Ins))
+	for i := range p.Ins {
+		in := &p.Ins[i]
+		st := &tab[i]
+		if w := in.Width.Bytes(); w > 8 {
+			return nil, fmt.Errorf("uarch: instruction %d: operand width %d bytes", i, w)
+		}
+		st.line = int64(i) * int64(cfg.InstrBytes) / int64(lineBytes)
+		st.lat = int64(isa.Latency(in.Op))
+		st.wbytes = uint8(in.Width.Bytes())
+		uses, n := in.Uses()
+		for k := range st.uses {
+			st.uses[k] = isa.ZeroReg
+			if k < n && uses[k] != isa.ZeroReg {
+				st.uses[k] = uint8(uses[k])
+				if k == 0 {
+					st.readsA = true
+				} else {
+					st.readsB++
+				}
+			}
+		}
+		st.dest = noReg
+		if d, ok := in.Dest(); ok {
+			st.dest = uint8(d)
+		}
+		st.writes = st.dest != noReg || in.Op == isa.OpJSR
+		class := isa.ClassOf(in.Op)
+		st.mul = class == isa.ClassMul
+		st.mem = isa.IsMem(in.Op)
+		st.store = in.Op == isa.OpST
+		st.fu = class != isa.ClassBranch && class != isa.ClassNone &&
+			class != isa.ClassLoad && class != isa.ClassStore && in.Op != isa.OpHALT
+		switch {
+		case isa.IsCondBranch(in.Op):
+			st.branch = brCond
+		case in.Op == isa.OpJSR:
+			st.branch = brCall
+		case in.Op == isa.OpRET:
+			st.branch = brReturn
+		case isa.IsBranch(in.Op):
+			st.branch = brUncond
+		}
+	}
+	return tab, nil
+}
+
+// validate rejects machine configurations the core cannot simulate: a
+// non-positive issue width would spin the issue loop forever, and empty
+// windows, FU pools or predictor tables would index out of range.
+func (c *Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"FetchWidth", c.FetchWidth},
+		{"DecodeWidth", c.DecodeWidth},
+		{"IssueWidth", c.IssueWidth},
+		{"RetireWidth", c.RetireWidth},
+		{"WindowSize", c.WindowSize},
+		{"IntALUs", c.IntALUs},
+		{"IntMulDiv", c.IntMulDiv},
+		{"InstrBytes", c.InstrBytes},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("uarch: %s must be positive, got %d", f.name, f.v)
+		}
+	}
+	if c.IssueWidth > math.MaxInt8 {
+		return fmt.Errorf("uarch: IssueWidth %d exceeds %d", c.IssueWidth, math.MaxInt8)
+	}
+	return c.Predictor.Validate()
+}
+
+// NewMulti builds a fused simulator of p whose power bank accrues every
+// listed gating mode in one traversal of the retirement stream. FinishAll
+// returns one Result per mode, in the given order.
+func NewMulti(p *prog.Program, cfg Config, params power.Params, modes []power.GatingMode) (*Sim, error) {
 	if len(modes) == 0 {
 		return nil, fmt.Errorf("uarch: no gating modes requested")
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	hier, err := cache.NewHierarchy(cfg.Memory)
 	if err != nil {
 		return nil, err
 	}
-	meters := make([]*power.Meter, len(modes))
-	for i, mode := range modes {
-		meters[i] = power.NewMeter(params, mode)
-		meters[i].SignExtendToCache = cfg.SignExtendToCache
+	l1i := hier.L1I.Config()
+	stat, err := predecode(p, &cfg, l1i.LineBytes)
+	if err != nil {
+		return nil, err
 	}
 	return &Sim{
 		cfg:           cfg,
-		bank:          powerBank{meters: meters},
+		bank:          power.NewBank(params, modes, cfg.SignExtendToCache),
 		pred:          bpred.New(cfg.Predictor),
 		hier:          hier,
+		stat:          stat,
+		waste:         int(cfg.WrongPathFactor * float64(cfg.FetchWidth*cfg.FrontendDepth)),
 		issued:        make([]int8, ringSize),
 		issueEpoch:    make([]int64, ringSize),
 		windowRing:    make([]int64, cfg.WindowSize),
 		physRing:      make([]int64, max(1, cfg.PhysRegs-isa.NumRegs)),
 		aluFree:       make([]int64, cfg.IntALUs),
 		mulFree:       make([]int64, cfg.IntMulDiv),
+		l1iHit:        int64(l1i.HitCycles),
 		lastFetchLine: -1,
 	}, nil
 }
@@ -201,12 +291,12 @@ func Run(p *prog.Program, cfg Config, params power.Params, mode power.GatingMode
 // exactly equivalent to — and bit-identical with — len(modes) independent
 // Run calls, at one emulation and one timing pass of cost.
 func RunModes(p *prog.Program, cfg Config, params power.Params, modes []power.GatingMode) ([]*Result, error) {
-	s, err := NewMulti(cfg, params, modes)
+	s, err := NewMulti(p, cfg, params, modes)
 	if err != nil {
 		return nil, err
 	}
 	m := emu.New(p)
-	m.Sink = s
+	m.Sink = emu.NewPacker(p, s)
 	if err := m.Run(); err != nil {
 		return nil, err
 	}
@@ -214,242 +304,207 @@ func RunModes(p *prog.Program, cfg Config, params power.Params, modes []power.Ga
 }
 
 // ReplayModes is RunModes driven by a captured retirement trace instead of
-// a live emulation: the trace is replayed once through the fused timing
-// core. The trace must reproduce the live stream byte-for-byte (the
-// emu.Trace invariant), so results are identical to RunModes on the
+// a live emulation: the trace's packed records stream once through the
+// fused timing core. The trace must reproduce the live stream exactly
+// (the emu.Trace invariant), so results are identical to RunModes on the
 // traced program.
 func ReplayModes(tr *emu.Trace, cfg Config, params power.Params, modes []power.GatingMode) ([]*Result, error) {
-	s, err := NewMulti(cfg, params, modes)
+	s, err := NewMulti(tr.Program(), cfg, params, modes)
 	if err != nil {
 		return nil, err
 	}
-	tr.Replay(s)
+	tr.Records(s)
 	return s.FinishAll(), nil
 }
 
-// Consume advances the pipeline model over a batch of retired
-// instructions (it implements emu.Sink).
-func (s *Sim) Consume(batch []emu.Event) {
-	for i := range batch {
-		s.consume(&batch[i])
-	}
-}
-
-// consume advances the pipeline model by one retired instruction.
-func (s *Sim) consume(ev *emu.Event) {
+// ConsumeRecs advances the pipeline model over a batch of retired
+// instructions of the simulated program (it implements emu.RecSink).
+func (s *Sim) ConsumeRecs(b emu.RecBatch) {
 	cfg := &s.cfg
-	in := ev.Ins
-	s.retired++
+	bank := s.bank
+	stat := s.stat
+	n := len(b.Idx)
+	nexts, flags := b.Next[:n], b.Flags[:n]
+	addrs, values, srcAs, srcBs := b.Addr[:n], b.Value[:n], b.SrcA[:n], b.SrcB[:n]
+	for i, idx := range b.Idx {
+		st := &stat[idx]
+		s.retired++
 
-	// --- Fetch ---------------------------------------------------------
-	if s.pendingRedirect > s.fetchCycle {
-		s.fetchCycle = s.pendingRedirect
-		s.fetchedInCycle = 0
-		s.lastFetchLine = -1
-	}
-	if s.fetchedInCycle >= cfg.FetchWidth {
-		s.fetchCycle++
-		s.fetchedInCycle = 0
-	}
-	// The I-cache is read on every fetch (the line-buffer hit path is
-	// folded into the per-access fixed cost); misses are modelled when
-	// the fetch group crosses into a new line.
-	s.bank.accessFixed(power.ICache)
-	line := int64(ev.Idx) * int64(cfg.InstrBytes) / int64(s.hier.L1I.Config().LineBytes)
-	if line != s.lastFetchLine {
-		lat, l2 := s.hier.InstrAccess(int64(ev.Idx) * int64(cfg.InstrBytes))
-		if l2 {
-			s.bank.accessFixed(power.L2Cache)
+		// --- Fetch -----------------------------------------------------
+		if s.pendingRedirect > s.fetchCycle {
+			s.fetchCycle = s.pendingRedirect
+			s.fetchedInCycle = 0
+			s.lastFetchLine = -1
 		}
-		if lat > s.hier.L1I.Config().HitCycles {
-			s.fetchCycle += int64(lat - s.hier.L1I.Config().HitCycles)
+		if s.fetchedInCycle >= cfg.FetchWidth {
+			s.fetchCycle++
 			s.fetchedInCycle = 0
 		}
-		s.lastFetchLine = line
-	}
-	s.fetchedInCycle++
-	fetch := s.fetchCycle
+		// The I-cache is read on every fetch (the line-buffer hit path
+		// is folded into the per-access fixed cost); misses are modelled
+		// when the fetch group crosses into a new line.
+		bank.AccessFixed(power.ICache)
+		if st.line != s.lastFetchLine {
+			lat, l2 := s.hier.InstrAccess(int64(idx) * int64(cfg.InstrBytes))
+			if l2 {
+				bank.AccessFixed(power.L2Cache)
+			}
+			if stall := int64(lat) - s.l1iHit; stall > 0 {
+				s.fetchCycle += stall
+				s.fetchedInCycle = 0
+			}
+			s.lastFetchLine = st.line
+		}
+		s.fetchedInCycle++
 
-	// --- Rename / dispatch ----------------------------------------------
-	s.bank.accessFixed(power.Rename)
-	dispatch := fetch + int64(cfg.FrontendDepth)
-	// Window occupancy: cannot dispatch until the instruction
-	// WindowSize back has retired.
-	if w := s.windowRing[s.windowPos]; dispatch <= w {
-		dispatch = w + 1
-	}
-	// Physical registers: a writer needs a free register, available when
-	// the (PhysRegs-NumRegs)-back writer retired.
-	_, writes := in.Dest()
-	if in.Op == isa.OpJSR {
-		writes = true
-	}
-	if writes {
-		if w := s.physRing[s.physPos]; dispatch <= w {
+		// --- Rename / dispatch -------------------------------------------
+		bank.AccessFixed(power.Rename)
+		dispatch := s.fetchCycle + int64(cfg.FrontendDepth)
+		// Window occupancy: cannot dispatch until the instruction
+		// WindowSize back has retired.
+		if w := s.windowRing[s.windowPos]; dispatch <= w {
 			dispatch = w + 1
 		}
-	}
-
-	// --- Operand readiness ----------------------------------------------
-	ready := dispatch + 1
-	uses, n := in.Uses()
-	for k := 0; k < n; k++ {
-		r := uses[k]
-		if r == isa.ZeroReg {
-			continue
-		}
-		if t := s.regReady[r]; t > ready {
-			ready = t
-		}
-	}
-
-	// --- Issue ------------------------------------------------------------
-	var fu []int64
-	switch isa.ClassOf(in.Op) {
-	case isa.ClassMul:
-		fu = s.mulFree
-	case isa.ClassBranch, isa.ClassOther, isa.ClassNone:
-		fu = nil // branches/halt resolve on an ALU port too
-		fu = s.aluFree
-	default:
-		fu = s.aluFree
-	}
-	issue := ready
-	// Find an FU and an issue slot.
-	for {
-		// FU availability.
-		best := -1
-		for i := range fu {
-			if fu[i] <= issue && (best < 0 || fu[i] < fu[best]) {
-				best = i
+		// Physical registers: a writer needs a free register, available
+		// when the (PhysRegs-NumRegs)-back writer retired.
+		if st.writes {
+			if w := s.physRing[s.physPos]; dispatch <= w {
+				dispatch = w + 1
 			}
 		}
-		if best < 0 {
-			// Earliest any unit frees.
-			min := fu[0]
-			for _, t := range fu[1:] {
-				if t < min {
-					min = t
+
+		// --- Operand readiness ---------------------------------------------
+		// Unused slots read the zero register, which is always ready.
+		ready := max(dispatch+1, s.regReady[st.uses[0]], s.regReady[st.uses[1]], s.regReady[st.uses[2]])
+
+		// --- Issue ---------------------------------------------------------
+		// Branches and halts resolve on an ALU port too.
+		fu := s.aluFree
+		if st.mul {
+			fu = s.mulFree
+		}
+		issue := ready
+		// Find an FU and an issue slot.
+		for {
+			// FU availability.
+			best := -1
+			for j := range fu {
+				if fu[j] <= issue && (best < 0 || fu[j] < fu[best]) {
+					best = j
 				}
 			}
-			issue = min
-			continue
+			if best < 0 {
+				// Earliest any unit frees.
+				issue = fu[0]
+				for _, t := range fu[1:] {
+					issue = min(issue, t)
+				}
+				continue
+			}
+			// Issue bandwidth.
+			slot := issue & ringMask
+			if s.issueEpoch[slot] != issue {
+				s.issueEpoch[slot] = issue
+				s.issued[slot] = 0
+			}
+			if int(s.issued[slot]) >= cfg.IssueWidth {
+				issue++
+				continue
+			}
+			s.issued[slot]++
+			fu[best] = issue + st.lat
+			break
 		}
-		// Issue bandwidth.
-		slot := issue % ringSize
-		if s.issueEpoch[slot] != issue {
-			s.issueEpoch[slot] = issue
-			s.issued[slot] = 0
-		}
-		if int(s.issued[slot]) >= cfg.IssueWidth {
-			issue++
-			continue
-		}
-		s.issued[slot]++
-		lat := int64(isa.Latency(in.Op))
-		fu[best] = issue + lat
-		break
-	}
 
-	// --- Execute / memory -------------------------------------------------
-	done := issue + int64(isa.Latency(in.Op))
-	if isa.IsMem(in.Op) {
-		lat, l2 := s.hier.DataAccess(ev.Addr, in.Op == isa.OpST)
-		done = issue + int64(lat)
-		// LSQ: address CAM plus data movement. The address access is a
-		// full-width (8-byte) value access, gated by each meter's own view
-		// of the address bytes.
-		s.bank.accessValue(power.LSQ, 8, ev.Addr)
-		s.bank.accessValue(power.LSQ, in.Width.Bytes(), ev.Value)
-		s.bank.accessCacheValue(power.DCache, in.Width.Bytes(), ev.Value)
-		if l2 {
-			s.bank.accessFixed(power.L2Cache)
+		// --- Execute / memory ---------------------------------------------
+		w := int(st.wbytes)
+		sigV := power.SignificantBytes(values[i])
+		done := issue + st.lat
+		if st.mem {
+			addr := addrs[i]
+			lat, l2 := s.hier.DataAccess(addr, st.store)
+			done = issue + int64(lat)
+			// LSQ: address CAM plus data movement. The address access is
+			// a full-width (8-byte) value access, gated by each meter's
+			// own view of the address bytes.
+			bank.AccessValue(power.LSQ, 8, addr)
+			bank.AccessSig(power.LSQ, w, sigV)
+			bank.AccessCacheSig(power.DCache, w, sigV)
+			if l2 {
+				bank.AccessFixed(power.L2Cache)
+			}
 		}
-	}
 
-	// --- Energy: window, operands, execution ------------------------------
-	w := in.Width.Bytes()
-	s.bank.accessValue(power.IQ, w, power.Wider(ev.SrcA, ev.SrcB))
-	s.bank.accessFixed(power.ROB)
-	for k := 0; k < n; k++ {
-		if uses[k] == isa.ZeroReg {
-			continue
+		// --- Energy: window, operands, execution --------------------------
+		// Dual-operand structures are gated by the wider operand.
+		sigA, sigB := power.SignificantBytes(srcAs[i]), power.SignificantBytes(srcBs[i])
+		sigAB := max(sigA, sigB)
+		bank.AccessSig(power.IQ, w, sigAB)
+		bank.AccessFixed(power.ROB)
+		if st.readsA {
+			bank.AccessSig(power.RegFile, w, sigA)
 		}
-		v := ev.SrcA
-		if k == 1 {
-			v = ev.SrcB
+		for k := uint8(0); k < st.readsB; k++ {
+			bank.AccessSig(power.RegFile, w, sigB)
 		}
-		s.bank.accessValue(power.RegFile, w, v)
-	}
-	if _, ok := in.Dest(); ok || in.Op == isa.OpJSR {
-		s.bank.accessValue(power.RegFile, w, ev.Value)
-		s.bank.accessValue(power.RenameBuf, w, ev.Value)
-		s.bank.accessValue(power.ResultBus, w, ev.Value)
-	}
-	if class := isa.ClassOf(in.Op); class != isa.ClassBranch && class != isa.ClassNone &&
-		class != isa.ClassLoad && class != isa.ClassStore && in.Op != isa.OpHALT {
-		s.bank.accessValue(power.FU, w, power.Wider(ev.SrcA, ev.SrcB))
-	}
+		if st.writes {
+			bank.AccessSig(power.RegFile, w, sigV)
+			bank.AccessSig(power.RenameBuf, w, sigV)
+			bank.AccessSig(power.ResultBus, w, sigV)
+		}
+		if st.fu {
+			bank.AccessSig(power.FU, w, sigAB)
+		}
 
-	// --- Branch resolution -------------------------------------------------
-	if isa.IsBranch(in.Op) {
-		s.bank.accessFixed(power.BPred)
-		miss := false
-		switch {
-		case isa.IsCondBranch(in.Op):
-			s.pred.Predict(ev.Idx)
-			miss = s.pred.Update(ev.Idx, ev.Taken)
-		case in.Op == isa.OpJSR:
-			s.pred.Call(ev.Idx + 1)
-		case in.Op == isa.OpRET:
-			miss = s.pred.Return(ev.Next)
+		// --- Branch resolution ----------------------------------------------
+		if st.branch != brNone {
+			bank.AccessFixed(power.BPred)
+			miss := false
+			switch st.branch {
+			case brCond:
+				s.pred.Predict(int(idx))
+				miss = s.pred.Update(int(idx), flags[i]&emu.RecTaken != 0)
+			case brCall:
+				s.pred.Call(int(idx) + 1)
+			case brReturn:
+				miss = s.pred.Return(int(nexts[i]))
+			}
+			if miss {
+				s.pendingRedirect = done + int64(cfg.RedirectPenalty)
+				// Wrong-path energy: wasted front-end work.
+				for range s.waste {
+					bank.AccessFixed(power.ICache)
+					bank.AccessFixed(power.Rename)
+				}
+			}
 		}
-		if miss {
-			s.pendingRedirect = done + int64(s.cfg.RedirectPenalty)
-			// Wrong-path energy: wasted front-end work.
-			waste := s.cfg.WrongPathFactor * float64(cfg.FetchWidth*cfg.FrontendDepth)
-			for i := 0; i < int(waste); i++ {
-				s.bank.accessFixed(power.ICache)
-				s.bank.accessFixed(power.Rename)
+
+		// --- Writeback (to noReg when there is no destination) ---------------
+		s.regReady[st.dest] = done
+
+		// --- Retire (in order) -------------------------------------------------
+		retire := max(done+1, s.lastRetire)
+		if retire == s.lastRetire {
+			s.retiredInCycle++
+			if s.retiredInCycle >= cfg.RetireWidth {
+				retire++
+				s.retiredInCycle = 0
+			}
+		} else {
+			s.retiredInCycle = 1
+		}
+		s.lastRetire = retire
+		s.windowRing[s.windowPos] = retire
+		if s.windowPos++; s.windowPos == len(s.windowRing) {
+			s.windowPos = 0
+		}
+		if st.writes {
+			s.physRing[s.physPos] = retire
+			if s.physPos++; s.physPos == len(s.physRing) {
+				s.physPos = 0
 			}
 		}
 	}
-
-	// --- Writeback ----------------------------------------------------------
-	if d, ok := in.Dest(); ok {
-		s.regReady[d] = done
-	}
-	if in.Op == isa.OpJSR && in.Rd != isa.ZeroReg {
-		s.regReady[in.Rd] = done
-	}
-
-	// --- Retire (in order) ---------------------------------------------------
-	retire := done + 1
-	if retire < s.lastRetire {
-		retire = s.lastRetire
-	}
-	if retire == s.lastRetire {
-		s.retiredInCycle++
-		if s.retiredInCycle >= cfg.RetireWidth {
-			retire++
-			s.retiredInCycle = 0
-		}
-	} else {
-		s.retiredInCycle = 1
-	}
-	s.lastRetire = retire
-	s.windowRing[s.windowPos] = retire
-	s.windowPos = (s.windowPos + 1) % len(s.windowRing)
-	if writes {
-		s.physRing[s.physPos] = retire
-		s.physPos = (s.physPos + 1) % len(s.physRing)
-	}
-}
-
-// Finish closes the simulation and returns the first mode's results (the
-// only mode, for simulators built with New).
-func (s *Sim) Finish() *Result {
-	return s.FinishAll()[0]
 }
 
 // FinishAll closes the simulation and returns one Result per gating mode
@@ -464,8 +519,9 @@ func (s *Sim) FinishAll() []*Result {
 	if cycles > 0 {
 		ipc = float64(s.retired) / float64(cycles)
 	}
-	s.results = make([]*Result, len(s.bank.meters))
-	for i, m := range s.bank.meters {
+	meters := s.bank.Meters()
+	s.results = make([]*Result, len(meters))
+	for i, m := range meters {
 		m.Tick(cycles)
 		s.results[i] = &Result{
 			Cycles:         cycles,

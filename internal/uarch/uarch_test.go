@@ -2,6 +2,7 @@ package uarch_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"opgate/internal/asm"
@@ -306,40 +307,77 @@ func TestRunModesMatchesIndependentRuns(t *testing.T) {
 }
 
 // TestReplayModesMatchesRunModes: driving the fused timing core from a
-// captured trace must give the identical results as a live emulation.
+// captured trace must give the identical results as a live emulation, on
+// every workload and under both cache-tagging approaches.
 func TestReplayModesMatchesRunModes(t *testing.T) {
-	w, err := workload.ByName("perl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := w.Build(workload.Train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := uarch.DefaultConfig()
+	sext := uarch.DefaultConfig()
+	sext.SignExtendToCache = true
 	params := power.DefaultParams()
-	modes := []power.GatingMode{power.GateNone, power.GateSoftware, power.GateHWSignificance}
+	modes := power.Modes()
+	for _, w := range workload.All() {
+		p, err := w.Build(workload.Train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := emu.NewTraceRecorder(p)
+		m := emu.New(p)
+		m.Sink = rec
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := rec.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []uarch.Config{uarch.DefaultConfig(), sext} {
+			replayed, err := uarch.ReplayModes(tr, cfg, params, modes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, err := uarch.RunModes(p, cfg, params, modes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(replayed, live) {
+				t.Errorf("%s (SignExtendToCache=%v): trace-replayed results differ from live emulation",
+					w.Name, cfg.SignExtendToCache)
+			}
+		}
+	}
+}
 
-	rec := emu.NewTraceRecorder(p)
-	m := emu.New(p)
-	m.Sink = rec
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
+// TestConfigValidation: configurations the core cannot simulate are
+// rejected with an error instead of hanging or panicking mid-run.
+func TestConfigValidation(t *testing.T) {
+	p := buildLoop(t, "\tmul r2, r2, #3\n", 10)
+	for _, tc := range []struct {
+		name string
+		edit func(*uarch.Config)
+	}{
+		{"FetchWidth", func(c *uarch.Config) { c.FetchWidth = 0 }},
+		{"DecodeWidth", func(c *uarch.Config) { c.DecodeWidth = -1 }},
+		{"IssueWidth", func(c *uarch.Config) { c.IssueWidth = 0 }},
+		{"IssueWidth", func(c *uarch.Config) { c.IssueWidth = 1 << 10 }},
+		{"RetireWidth", func(c *uarch.Config) { c.RetireWidth = 0 }},
+		{"WindowSize", func(c *uarch.Config) { c.WindowSize = 0 }},
+		{"IntALUs", func(c *uarch.Config) { c.IntALUs = 0 }},
+		{"IntMulDiv", func(c *uarch.Config) { c.IntMulDiv = 0 }},
+		{"InstrBytes", func(c *uarch.Config) { c.InstrBytes = -8 }},
+		{"GshareEntries", func(c *uarch.Config) { c.Predictor.GshareEntries = 3 }},
+		{"BimodalEntries", func(c *uarch.Config) { c.Predictor.BimodalEntries = 0 }},
+		{"ChooserEntries", func(c *uarch.Config) { c.Predictor.ChooserEntries = -4 }},
+		{"RASEntries", func(c *uarch.Config) { c.Predictor.RASEntries = 0 }},
+		{"LineBytes", func(c *uarch.Config) { c.Memory.L1D.LineBytes = 48 }},
+		{"SizeBytes", func(c *uarch.Config) { c.Memory.L2.SizeBytes = 3 << 16 }},
+	} {
+		cfg := uarch.DefaultConfig()
+		tc.edit(&cfg)
+		_, err := uarch.Run(p, cfg, power.DefaultParams(), power.GateNone)
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s: Run error = %v, want a rejection naming the field", tc.name, err)
+		}
 	}
-	tr, err := rec.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	replayed, err := uarch.ReplayModes(tr, cfg, params, modes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := uarch.RunModes(p, cfg, params, modes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(replayed, live) {
-		t.Fatal("trace-replayed results differ from live emulation")
+	if _, err := uarch.Run(p, uarch.DefaultConfig(), power.DefaultParams(), power.GateNone); err != nil {
+		t.Fatalf("default config rejected: %v", err)
 	}
 }

@@ -1,12 +1,16 @@
 #!/usr/bin/env sh
 # Regenerate BENCH_sim.json, the machine-readable trajectory of the
 # simulation-substrate benchmarks: emulated MIPS, trace capture/replay
-# throughput, the fused-vs-unfused cold figure matrices, and the
+# throughput, the fused timing core and its meter bank (records/s at 1, 2
+# and 6 gating modes), the fused-vs-unfused cold figure matrices, and the
 # single-pass threshold sweep (grid cells/s vs independent per-threshold
 # runs).
 #
 #   scripts/bench_sim.sh              # default: 3 timed iterations, 3 samples
 #   BENCHTIME=1x COUNT=1 scripts/bench_sim.sh # quick smoke
+#
+# -cpu 1 keeps benchmark names free of the "-<GOMAXPROCS>" suffix, so the
+# document's names match a gate run on a host of any CPU count.
 #
 # COUNT > 1 keeps several samples per benchmark in the document; the
 # benchjson -compare regression gate scores each benchmark by its best
@@ -14,14 +18,14 @@
 set -e
 cd "$(dirname "$0")/.."
 
-BENCHES='BenchmarkEmuMIPS|BenchmarkTraceReplayMIPS|BenchmarkFigure3Matrix|BenchmarkFigureFamilyMatrix|BenchmarkThresholdSweep'
+BENCHES='BenchmarkEmuMIPS|BenchmarkTraceReplayMIPS|BenchmarkReplayModes|BenchmarkFigure3Matrix|BenchmarkFigureFamilyMatrix|BenchmarkThresholdSweep'
 
 # Run the benchmarks to a temp file first so a failing run aborts the
 # script (POSIX sh has no pipefail) instead of overwriting the committed
 # trajectory with an empty document.
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
-go test -run '^$' -bench "$BENCHES" -benchtime "${BENCHTIME:-3x}" -count "${COUNT:-3}" . > "$out"
+go test -run '^$' -bench "$BENCHES" -cpu 1 -benchtime "${BENCHTIME:-3x}" -count "${COUNT:-3}" . > "$out"
 cat "$out" >&2
 go run ./tools/benchjson < "$out" > BENCH_sim.json
 
