@@ -377,16 +377,18 @@ func BenchmarkReplayModes(b *testing.B) {
 	}
 }
 
-// benchFigureMatrix runs a cold suite experiment fused and unfused.
+// benchFigureMatrix runs a cold suite experiment over the trace cache
+// (the default) and with a one-byte TraceBudget that admits no trace, so
+// every consumer takes the live fallback.
 func benchFigureMatrix(b *testing.B, run func(s *harness.Suite) error) {
 	for _, cfg := range []struct {
-		name    string
-		unfused bool
-	}{{"unfused", true}, {"fused", false}} {
+		name   string
+		budget int64
+	}{{"uncached", 1}, {"cached", 0}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := harness.NewSuite(true)
-				s.Unfused = cfg.unfused
+				s.TraceBudget = cfg.budget
 				if err := run(s); err != nil {
 					b.Fatal(err)
 				}
@@ -397,11 +399,11 @@ func benchFigureMatrix(b *testing.B, run func(s *harness.Suite) error) {
 
 // BenchmarkFigure3Matrix measures the cold Figure 3 matrix (every
 // workload built, analysed, emulated and simulated for the base and VRP
-// variants) under the fused trace pipeline vs the pre-trace one. Figure 3
-// alone consumes one mode per variant, so here fused mostly measures the
-// capture investment (packing + chunk allocation, ~25-30% on this
-// matrix); every later experiment on the same suite then replays for
-// free — BenchmarkFigureFamilyMatrix shows that payoff.
+// variants) with and without the trace cache. Figure 3 alone consumes
+// one mode per variant, so here the cached leg mostly measures the
+// capture investment (packing + chunk allocation); every later
+// experiment on the same suite then replays for free —
+// BenchmarkFigureFamilyMatrix shows that payoff.
 func BenchmarkFigure3Matrix(b *testing.B) {
 	benchFigureMatrix(b, func(s *harness.Suite) error {
 		_, err := s.Figure3(benchCtx)
@@ -413,8 +415,9 @@ func BenchmarkFigure3Matrix(b *testing.B) {
 // the experiments that reuse the same traces and fused mode families
 // (width histograms of Figures 2/7, the hardware and cooperative modes of
 // Figures 13/14/15): the evaluation's whole energy matrix. This is where
-// "trace once, simulate many" pays — each variant is emulated once and
-// timed once for its entire mode family.
+// "trace once, simulate many" pays — with the cache each variant is
+// emulated once and timed once per mode group; without it every
+// histogram and mode group pays its own live emulation.
 func BenchmarkFigureFamilyMatrix(b *testing.B) {
 	benchFigureMatrix(b, func(s *harness.Suite) error {
 		if _, err := s.Figure2(benchCtx); err != nil {

@@ -13,8 +13,8 @@ import (
 	"fmt"
 	"os"
 
+	"opgate"
 	"opgate/internal/asm"
-	"opgate/internal/core"
 	"opgate/internal/isa"
 	"opgate/internal/objfile"
 )
@@ -44,7 +44,7 @@ func run(encode, decode bool, args []string) error {
 		return nil
 	}
 
-	p, err := core.AssembleFile(args[0])
+	p, err := opgate.AssembleFile(args[0])
 	if err != nil {
 		return err
 	}

@@ -58,8 +58,7 @@
 // survives server restarts by falling back to the content-addressed
 // report when a job vanishes mid-wait, and an ObjectBackend adapting a
 // peer's object API to the store.Backend contract.
-// internal/core is a thin compatibility shim; the examples/ programs use
-// the public API only. See internal/harness for the per-experiment
+// The examples/ programs use the public API only. See internal/harness for the per-experiment
 // drivers and DESIGN.md for the full system inventory. The root package
 // also hosts the repository-level benchmark harness (bench_test.go).
 //
@@ -84,7 +83,7 @@
 // session whose store holds the import — WithSynthetics("trace:mytrace")
 // plus WithStore/WithStoreDir — replays it through every replay-capable
 // experiment byte-identically with zero emulations; paths that need a
-// live run (VRS training, non-base variants, unfused simulation) error
+// live run (VRS training, non-base variants, ablation configurations) error
 // with workload.ErrTraceOnly rather than fabricating results.
 //
 // Evaluation artifacts persist across processes through the

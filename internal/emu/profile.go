@@ -208,37 +208,14 @@ func NewProfiler(points []int) *Profiler {
 	return p
 }
 
-// Attach hooks the profiler into a machine's retirement stream. Any
-// previously installed sink keeps receiving the batches, after the
-// profiler has recorded them.
-func (p *Profiler) Attach(m *Machine) {
-	m.Sink = &profilerSink{points: p.Points, next: m.Sink}
-}
-
-// ConsumeRecs implements RecSink: the profiler reads the packed trace
-// record's index and value columns directly, so replaying a captured
-// trace through the profiler materialises no Events and chases no
-// instruction pointers.
+// ConsumeRecs implements RecSink, the profiler's only input: it reads
+// the packed record's index and value columns directly, so replaying a
+// captured trace materialises no Events and chases no instruction
+// pointers. A live run feeds it through NewPacker.
 func (p *Profiler) ConsumeRecs(b RecBatch) {
 	for i := range b.Idx {
 		if t, ok := p.Points[int(b.Idx[i])]; ok {
 			t.Record(b.Value[i])
 		}
-	}
-}
-
-type profilerSink struct {
-	points map[int]*TNVTable
-	next   Sink
-}
-
-func (s *profilerSink) Consume(batch []Event) {
-	for i := range batch {
-		if t, ok := s.points[batch[i].Idx]; ok {
-			t.Record(batch[i].Value)
-		}
-	}
-	if s.next != nil {
-		s.next.Consume(batch)
 	}
 }

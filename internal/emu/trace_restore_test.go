@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"opgate/internal/emu"
+	"opgate/internal/isa"
 )
 
 // flatten drains a trace into one whole-trace RecBatch (the shape a codec
@@ -96,4 +97,70 @@ func TestRestoreEmptyTrace(t *testing.T) {
 		t.Fatalf("empty restore has len %d bytes %d", tr.Len(), tr.Bytes())
 	}
 	tr.Replay(emu.FuncSink(func(emu.Event) { t.Fatal("empty trace replayed an event") }))
+}
+
+// TestSkeletonFromTrace: a skeleton synthesized from a trace's own
+// records accepts those records and replays them unchanged, and every
+// malformed or self-contradicting record set is rejected with an error.
+func TestSkeletonFromTrace(t *testing.T) {
+	p := assembleProg(t, branchyProgram)
+	tr, _ := recordTrace(t, p)
+	recs := flatten(tr)
+
+	skel, err := emu.NewProgramFromTrace(recs)
+	if err != nil {
+		t.Fatalf("skeleton of a faithful trace failed: %v", err)
+	}
+	restored, err := emu.NewTraceFromRecords(skel, recs)
+	if err != nil {
+		t.Fatalf("skeleton rejected the records it was built from: %v", err)
+	}
+	if !reflect.DeepEqual(flatten(restored), recs) {
+		t.Fatal("skeleton-bound trace replays different records")
+	}
+
+	// noDest is a record whose opcode cannot write a destination; again
+	// is a record retiring a static index an earlier record retired.
+	noDest, again := -1, -1
+	seen := map[int32]bool{}
+	for i, op := range recs.Op {
+		if noDest < 0 && !isa.HasDest(isa.Op(op)) {
+			noDest = i
+		}
+		if again < 0 && seen[recs.Idx[i]] {
+			again = i
+		}
+		seen[recs.Idx[i]] = true
+	}
+	if noDest < 0 || again < 0 {
+		t.Fatalf("trace lacks a destination-less (%d) or repeated (%d) record", noDest, again)
+	}
+	cases := map[string]func(b *emu.RecBatch){
+		"empty":              func(b *emu.RecBatch) { *b = emu.RecBatch{} },
+		"ragged-columns":     func(b *emu.RecBatch) { b.SrcB = b.SrcB[:len(b.SrcB)-1] },
+		"idx-negative":       func(b *emu.RecBatch) { b.Idx[0] = -1 },
+		"idx-too-large":      func(b *emu.RecBatch) { b.Idx[0] = emu.MaxSkeletonIns },
+		"next-too-large":     func(b *emu.RecBatch) { b.Next[0] = emu.MaxSkeletonIns },
+		"undefined-opcode":   func(b *emu.RecBatch) { b.Op[0] = uint8(isa.OpInvalid) },
+		"impossible-width":   func(b *emu.RecBatch) { b.WBytes[0] = 3 },
+		"undefined-flag-bit": func(b *emu.RecBatch) { b.Flags[0] |= 0x80 },
+		"dest-on-no-dest-op": func(b *emu.RecBatch) { b.Flags[noDest] |= emu.RecWritesDest },
+		"static-conflict": func(b *emu.RecBatch) {
+			// A valid width, but not the one the index retired with before.
+			if b.WBytes[again] == 8 {
+				b.WBytes[again] = 4
+			} else {
+				b.WBytes[again] = 8
+			}
+		},
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			recs := flatten(tr)
+			mutate(&recs)
+			if _, err := emu.NewProgramFromTrace(recs); err == nil {
+				t.Fatal("skeleton synthesis accepted malformed records")
+			}
+		})
+	}
 }

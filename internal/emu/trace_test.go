@@ -228,9 +228,9 @@ func TestTraceBudgetOverflow(t *testing.T) {
 	}
 }
 
-// TestProfilerRecordsMatchAttach: feeding the profiler from packed trace
-// records must produce the identical value tables as the legacy per-event
-// Attach path over a live run.
+// TestProfilerRecordsMatchAttach: feeding the profiler the records of a
+// replayed trace must produce the identical value tables as feeding it a
+// live run packed on the fly (the over-budget fallback of VRS profiling).
 func TestProfilerRecordsMatchAttach(t *testing.T) {
 	p := assembleProg(t, branchyProgram)
 	points := []int{2, 3, 5} // store, load, add inside the loop
@@ -239,14 +239,14 @@ func TestProfilerRecordsMatchAttach(t *testing.T) {
 	fromRecs := emu.NewProfiler(points)
 	tr.Records(fromRecs)
 
-	fromAttach := emu.NewProfiler(points)
+	fromLive := emu.NewProfiler(points)
 	m := emu.New(p)
-	fromAttach.Attach(m)
+	m.Sink = emu.NewPacker(p, fromLive)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	for _, idx := range points {
-		a, b := fromRecs.Points[idx], fromAttach.Points[idx]
+		a, b := fromRecs.Points[idx], fromLive.Points[idx]
 		if a.Total != b.Total {
 			t.Fatalf("point %d totals differ: %d vs %d", idx, a.Total, b.Total)
 		}

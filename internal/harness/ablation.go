@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 
 	"opgate/internal/emu"
 	"opgate/internal/isa"
@@ -9,6 +10,7 @@ import (
 	"opgate/internal/prog"
 	"opgate/internal/uarch"
 	"opgate/internal/vrp"
+	"opgate/internal/workload"
 )
 
 // AblationOpcodeSets quantifies §4.3's design decision: how much of the
@@ -19,10 +21,10 @@ import (
 func (s *Suite) AblationOpcodeSets(ctx context.Context) (*Report, error) {
 	sets := []struct {
 		label string
-		set   *isa.OpcodeSet
+		set   *isa.OpcodeSet // nil: the suite's "vrp" variant (the paper set)
 	}{
 		{"base ISA (no ALU widths)", isa.BaseOpcodeSet()},
-		{"paper extension set", isa.PaperOpcodeSet()},
+		{"paper extension set", nil},
 		{"ideal (all widths)", isa.FullOpcodeSet()},
 	}
 	rep := &Report{
@@ -39,15 +41,18 @@ func (s *Suite) AblationOpcodeSets(ctx context.Context) (*Report, error) {
 	for _, cfg := range sets {
 		points, err := mapNames(ctx, s, func(name string) (point, error) {
 			var pt point
-			p, err := s.Program(name, s.evalClass())
+			var err error
+			if cfg.set == nil {
+				if pt.saved, err = s.EnergySaving(name, "vrp", power.GateSoftware); err != nil {
+					return pt, err
+				}
+				pt.hist, err = s.DynWidthHistogram(name, "vrp")
+				return pt, err
+			}
+			q, err := s.ablationProgram(name, vrp.Options{Mode: vrp.Useful, Opcodes: cfg.set})
 			if err != nil {
 				return pt, err
 			}
-			r, err := vrp.Analyze(p, vrp.Options{Mode: vrp.Useful, Opcodes: cfg.set})
-			if err != nil {
-				return pt, err
-			}
-			q := r.Apply()
 			base, err := s.Baseline(name)
 			if err != nil {
 				return pt, err
@@ -86,14 +91,15 @@ func (s *Suite) AblationOpcodeSets(ctx context.Context) (*Report, error) {
 // removed.
 func (s *Suite) AblationAnalysis(ctx context.Context) (*Report, error) {
 	configs := []struct {
-		label string
-		opts  vrp.Options
+		label   string
+		variant string      // the suite variant this configuration builds, if any
+		opts    vrp.Options // otherwise, a one-off analysis configuration
 	}{
-		{"full (proposed VRP)", vrp.Options{Mode: vrp.Useful}},
-		{"no useful ranges", vrp.Options{Mode: vrp.Conventional}},
-		{"no loop analysis", vrp.Options{Mode: vrp.Useful, DisableLoopAnalysis: true}},
-		{"no branch refinement", vrp.Options{Mode: vrp.Useful, DisableBranchRefinement: true}},
-		{"ranges only (all off)", vrp.Options{Mode: vrp.Conventional,
+		{label: "full (proposed VRP)", variant: "vrp"},
+		{label: "no useful ranges", variant: "vrp-conv"},
+		{label: "no loop analysis", opts: vrp.Options{Mode: vrp.Useful, DisableLoopAnalysis: true}},
+		{label: "no branch refinement", opts: vrp.Options{Mode: vrp.Useful, DisableBranchRefinement: true}},
+		{label: "ranges only (all off)", opts: vrp.Options{Mode: vrp.Conventional,
 			DisableLoopAnalysis: true, DisableBranchRefinement: true}},
 	}
 	rep := &Report{
@@ -105,16 +111,14 @@ func (s *Suite) AblationAnalysis(ctx context.Context) (*Report, error) {
 	}
 	for _, cfg := range configs {
 		hists, err := mapNames(ctx, s, func(name string) (vrp.WidthHistogram, error) {
-			var h vrp.WidthHistogram
-			p, err := s.Program(name, s.evalClass())
-			if err != nil {
-				return h, err
+			if cfg.variant != "" {
+				return s.DynWidthHistogram(name, cfg.variant)
 			}
-			r, err := vrp.Analyze(p, cfg.opts)
+			q, err := s.ablationProgram(name, cfg.opts)
 			if err != nil {
-				return h, err
+				return vrp.WidthHistogram{}, err
 			}
-			return dynHistogramOf(r.Apply())
+			return dynHistogramOf(q)
 		})
 		if err != nil {
 			return nil, err
@@ -128,6 +132,25 @@ func (s *Suite) AblationAnalysis(ctx context.Context) (*Report, error) {
 		rep.Rows = append(rep.Rows, Row{Label: cfg.label, Values: []float64{hist.Fraction(3)}})
 	}
 	return rep, nil
+}
+
+// ablationProgram analyses the evaluation binary under a one-off VRP
+// configuration and applies it. The result lives outside the suite's
+// variant and trace caches. A trace skeleton has no analyzable control
+// flow, so trace-backed workloads are gated as in VRP.
+func (s *Suite) ablationProgram(name string, opts vrp.Options) (*prog.Program, error) {
+	if workload.IsTrace(name) {
+		return nil, traceOnlyErr(name, "VRP analysis")
+	}
+	p, err := s.Program(name, s.evalClass())
+	if err != nil {
+		return nil, err
+	}
+	r, err := vrp.Analyze(p, opts)
+	if err != nil {
+		return nil, fmt.Errorf("harness: ablation vrp %s: %w", name, err)
+	}
+	return r.Apply(), nil
 }
 
 // dynHistogramOf runs a program and tallies retired width-bearing

@@ -48,44 +48,3 @@ func TestFigureMatricesEmulateOncePerVariant(t *testing.T) {
 		t.Errorf("DynWidthHistogram re-emulated: %d emulations, want %d", got, want)
 	}
 }
-
-// TestFusedReportsMatchUnfused: the fused trace/replay pipeline must
-// render every report byte-identically to the pre-trace pipeline (one
-// live emulation per simulation, histogram and scan).
-func TestFusedReportsMatchUnfused(t *testing.T) {
-	fused := NewSuite(true)
-	unfused := NewSuite(true)
-	unfused.Unfused = true
-
-	reports := []struct {
-		id  string
-		gen func(s *Suite) (*Report, error)
-	}{
-		{"table3", func(s *Suite) (*Report, error) { return s.Table3(testCtx) }},
-		{"fig2", func(s *Suite) (*Report, error) { return s.Figure2(testCtx) }},
-		{"fig3", func(s *Suite) (*Report, error) { return s.Figure3(testCtx) }},
-		{"fig6", func(s *Suite) (*Report, error) { return s.Figure6(testCtx, 50) }},
-		{"fig8", func(s *Suite) (*Report, error) { return s.Figure8(testCtx) }},
-		{"fig12", func(s *Suite) (*Report, error) { return s.Figure12(testCtx) }},
-		{"fig13", func(s *Suite) (*Report, error) { return s.Figure13(testCtx) }},
-		{"fig15", func(s *Suite) (*Report, error) { return s.Figure15(testCtx, 50) }},
-	}
-	for _, re := range reports {
-		rf, err := re.gen(fused)
-		if err != nil {
-			t.Fatalf("%s fused: %v", re.id, err)
-		}
-		ru, err := re.gen(unfused)
-		if err != nil {
-			t.Fatalf("%s unfused: %v", re.id, err)
-		}
-		if rf.Format() != ru.Format() {
-			t.Errorf("%s: fused report differs from unfused\n--- fused ---\n%s\n--- unfused ---\n%s",
-				re.id, rf.Format(), ru.Format())
-		}
-	}
-	if fused.Emulations() >= unfused.Emulations() {
-		t.Errorf("fused pipeline emulated %d times, unfused %d — fusion saved nothing",
-			fused.Emulations(), unfused.Emulations())
-	}
-}

@@ -14,26 +14,56 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden report files")
 
-// quickRun builds the full quick-mode report sequence (every table,
-// figure and ablation at the default threshold) exactly once and shares
-// it across the golden, JSON and round-trip tests — the suite memoizes
-// everything, so one RunAll covers all three.
-var quickRun struct {
-	once    sync.Once
-	reports []*Report
-	err     error
+// quickInputs are the suites the goldens are rendered from: the default
+// suite, and one whose one-byte TraceBudget admits no trace, so every
+// simulation, histogram and record scan takes the live fallback
+// (uarch.RunModes, the live packer). The second is the oracle the trace
+// pipeline must match byte for byte.
+var quickInputs = [...]struct {
+	name   string
+	budget int64
+}{{"cached", 0}, {"uncached", 1}}
+
+// quickRuns builds the full quick-mode report sequence (every table,
+// figure and ablation at the default threshold) exactly once per input
+// and shares it across the golden, JSON and round-trip tests — the suite
+// memoizes everything, so one RunAll covers all of them.
+var quickRuns [len(quickInputs)]struct {
+	once       sync.Once
+	reports    []*Report
+	emulations int64
+	err        error
 }
 
-func quickReports(t *testing.T) []*Report {
+func quickReports(t *testing.T, input int) []*Report {
 	t.Helper()
-	quickRun.once.Do(func() {
+	run := &quickRuns[input]
+	run.once.Do(func() {
 		s := NewSuite(true)
-		quickRun.reports, quickRun.err = s.RunAll(context.Background(), 50)
+		s.TraceBudget = quickInputs[input].budget
+		run.reports, run.err = s.RunAll(context.Background(), 50)
+		run.emulations = s.Emulations()
 	})
-	if quickRun.err != nil {
-		t.Fatal(quickRun.err)
+	if run.err != nil {
+		t.Fatal(run.err)
 	}
-	return quickRun.reports
+	return run.reports
+}
+
+// forEachQuickInput runs check as a subtest over every quick input's
+// reports, then confirms the uncached input really bypassed the trace
+// cache (when both inputs ran).
+func forEachQuickInput(t *testing.T, check func(t *testing.T, reports []*Report)) {
+	for i, in := range quickInputs {
+		t.Run(in.name, func(t *testing.T) { check(t, quickReports(t, i)) })
+	}
+	if quickRuns[0].reports == nil || quickRuns[1].reports == nil {
+		return
+	}
+	if cached, uncached := quickRuns[0].emulations, quickRuns[1].emulations; uncached <= cached {
+		t.Errorf("uncached suite performed %d emulations, cached %d: the budget did not force the live fallback",
+			uncached, cached)
+	}
 }
 
 // checkGolden compares got against the named golden file (rewriting it
@@ -83,22 +113,26 @@ func checkGolden(t *testing.T, name string, got []byte) {
 //
 //	go test ./internal/harness -run TestQuickReportGolden -update
 func TestQuickReportGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := (TextRenderer{}).Render(&buf, quickReports(t)); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "ogbench_quick.golden", buf.Bytes())
+	forEachQuickInput(t, func(t *testing.T, reports []*Report) {
+		var buf bytes.Buffer
+		if err := (TextRenderer{}).Render(&buf, reports); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "ogbench_quick.golden", buf.Bytes())
+	})
 }
 
 // TestQuickReportJSONGolden pins the canonical JSON encoding of the same
 // run (`ogbench -quick -format json`), so the machine-readable schema is
 // as regression-guarded as the text layout.
 func TestQuickReportJSONGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := (JSONRenderer{}).Render(&buf, quickReports(t)); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "ogbench_quick_json.golden", buf.Bytes())
+	forEachQuickInput(t, func(t *testing.T, reports []*Report) {
+		var buf bytes.Buffer
+		if err := (JSONRenderer{}).Render(&buf, reports); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "ogbench_quick_json.golden", buf.Bytes())
+	})
 }
 
 // TestReportJSONRoundTrip is the codec property over every experiment in
@@ -106,7 +140,7 @@ func TestQuickReportJSONGolden(t *testing.T) {
 // (Equal), re-encoding the decoded value reproduces the canonical bytes,
 // and per-report encodings are individually stable.
 func TestReportJSONRoundTrip(t *testing.T) {
-	reports := quickReports(t)
+	reports := quickReports(t, 0)
 	if want := len(Experiments()); len(reports) != want {
 		t.Fatalf("RunAll returned %d reports, want %d (one per experiment)", len(reports), want)
 	}
@@ -154,7 +188,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 // without running anything (IDs, titles) must match what the built
 // reports carry, and every report must declare a unit.
 func TestExperimentDescriptorsMatchReports(t *testing.T) {
-	reports := quickReports(t)
+	reports := quickReports(t, 0)
 	for i, e := range Experiments() {
 		r := reports[i]
 		if r.ID != e.ID {

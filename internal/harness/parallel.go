@@ -2,7 +2,9 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 )
 
@@ -49,7 +51,10 @@ func (s *Suite) workers() int {
 // mapSlice runs fn once per item, fanned out across a worker-bounded
 // pool, and returns the per-item results in input order (so report
 // assembly — including float accumulation — is deterministic regardless
-// of completion order). The first error in input order wins.
+// of completion order). The first error in input order wins. A panic in
+// fn becomes that item's error, stack included: a worker goroutine is out
+// of reach of any recover on the caller's stack, so an unrecovered panic
+// here would take the whole process down.
 //
 // Cancelling ctx stops scheduling further work — including while blocked
 // waiting for a pool slot — and returns the context's error once
@@ -76,6 +81,11 @@ schedule:
 		go func(i int, item S) {
 			defer wg.Done()
 			defer func() { <-sem }()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[i] = fmt.Errorf("harness: panic: %v\n%s", r, debug.Stack())
+				}
+			}()
 			out[i], errs[i] = fn(item)
 		}(i, item)
 	}

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -67,5 +69,29 @@ func TestSuiteMemoizesUnderConcurrency(t *testing.T) {
 		} else if o.cycles != first {
 			t.Fatalf("caller %d saw cycles %d, first saw %d", i, o.cycles, first)
 		}
+	}
+}
+
+// TestMapSliceRecoversWorkerPanic: a panic in one item's worker becomes
+// that item's error, stack included, instead of killing the process; the
+// other items still complete.
+func TestMapSliceRecoversWorkerPanic(t *testing.T) {
+	var done atomic.Int64
+	_, err := mapSlice(testCtx, 2, []int{0, 1, 2, 3}, func(i int) (int, error) {
+		if i == 2 {
+			var empty []int
+			return empty[i], nil
+		}
+		done.Add(1)
+		return i, nil
+	})
+	if err == nil {
+		t.Fatal("panicking item returned no error")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "index out of range") || !strings.Contains(msg, "goroutine") {
+		t.Errorf("error lacks the panic value or its stack: %v", err)
+	}
+	if got := done.Load(); got != 3 {
+		t.Errorf("%d of the 3 healthy items completed", got)
 	}
 }

@@ -20,9 +20,9 @@
 // gating modes the evaluation requests for a variant are accrued in one
 // fused timing pass (uarch.ReplayModes with a meter bank), so the figure
 // matrices cost one emulation and one timing traversal per variant. All
-// of it is an accelerator only: traces over budget fall back to live
-// emulation, and Unfused restores the pre-trace pipeline for equivalence
-// tests and benchmarks. Reports are byte-identical either way.
+// of it is an accelerator only: a trace over budget falls back to a live
+// emulation per consumer, and reports are byte-identical either way (the
+// goldens are checked against a suite whose budget admits no trace).
 //
 // With a Store attached the trace cache extends across processes: a
 // variant's trace is looked up on disk (content-addressed by workload,
@@ -67,13 +67,6 @@ type Suite struct {
 	// 0 means GOMAXPROCS. Workers = 1 reproduces a sequential run.
 	Workers int
 
-	// Unfused disables the trace cache and the fused multi-mode pass,
-	// reproducing the pre-trace pipeline (one functional emulation per
-	// simulation, histogram and record scan). Reports are byte-identical
-	// to the fused pipeline; equivalence tests and the fused-vs-unfused
-	// benchmarks rely on that.
-	Unfused bool
-
 	// Synthetics lists extra workload names — typically progen-generated
 	// "syn:family/class/seed" registry names — appended to the paper's
 	// eight benchmarks in every experiment driver. Set it before the
@@ -83,7 +76,7 @@ type Suite struct {
 	// Store, when non-nil, persists packed traces across processes: the
 	// trace cache consults it before emulating and writes fresh captures
 	// back, so a warm run re-emulates nothing (cmd/ogbench -store,
-	// cmd/opgated). Unfused bypasses it along with the in-memory cache.
+	// cmd/opgated).
 	Store *store.Store
 
 	// TraceBudget caps the packed-trace bytes cached per (name, variant);
@@ -106,7 +99,6 @@ type Suite struct {
 	variants memo[variantKey, *prog.Program]
 	traces   memo[variantKey, *emu.Trace]
 	families memo[groupKey, []*uarch.Result]
-	sims     memo[simKey, *uarch.Result]
 	hists    memo[variantKey, vrp.WidthHistogram]
 
 	emuRuns   atomic.Int64
@@ -131,12 +123,6 @@ type vrsKey struct {
 type variantKey struct {
 	name    string
 	variant string // "base", "vrp", "vrp-conv", "vrs<θ>"
-}
-
-type simKey struct {
-	name    string
-	variant string
-	mode    power.GatingMode
 }
 
 type groupKey struct {
@@ -332,8 +318,8 @@ func modeGroup(mode power.GatingMode) (int, int) {
 }
 
 // Emulations returns how many functional emulations the suite has
-// performed: trace captures plus any live fallbacks (over-budget traces,
-// Unfused mode). The trace layer's contract — at most one emulation per
+// performed: trace captures plus the live fallbacks of over-budget
+// traces. The trace layer's contract — at most one emulation per
 // (name, variant) — is asserted against this probe in tests. Emulations
 // inside VRP/VRS construction (train profiling runs) are not counted.
 func (s *Suite) Emulations() int64 { return s.emuRuns.Load() }
@@ -345,29 +331,9 @@ func (s *Suite) Emulations() int64 { return s.emuRuns.Load() }
 func (s *Suite) TrainEmulations() int64 { return s.trainRuns.Load() }
 
 // Sim returns (cached) the timing+energy simulation of a program variant
-// under a gating mode. In the fused pipeline the request is served from
-// the one fused pass of the mode's evaluation group over the variant's
-// cached trace.
+// under a gating mode, served from the one fused pass of the mode's
+// evaluation group over the variant's cached trace.
 func (s *Suite) Sim(name, variant string, mode power.GatingMode) (*uarch.Result, error) {
-	if s.Unfused {
-		if workload.IsTrace(name) {
-			// Unfused means one live emulation per simulation; a trace
-			// workload's only runnable form is replay of its records.
-			return nil, traceOnlyErr(name, "unfused simulation")
-		}
-		return s.sims.do(simKey{name, variant, mode}, func() (*uarch.Result, error) {
-			p, err := s.variantProgram(name, variant)
-			if err != nil {
-				return nil, err
-			}
-			s.emuRuns.Add(1)
-			r, err := uarch.Run(p, s.Uarch, s.Power, mode)
-			if err != nil {
-				return nil, fmt.Errorf("harness: sim %s/%s/%v: %w", name, variant, mode, err)
-			}
-			return r, nil
-		})
-	}
 	gi, mi := modeGroup(mode)
 	if gi < 0 {
 		return nil, fmt.Errorf("harness: sim %s/%s: unknown gating mode %v", name, variant, mode)
@@ -498,32 +464,20 @@ func (s *Suite) traceWith(name, variant string, rider func(*prog.Program) (emu.R
 // the fly. Consumers read op/width/value columns directly and never
 // dereference per-event instruction pointers.
 func (s *Suite) recordsOf(name, variant string, rs emu.RecSink) error {
-	if workload.IsTrace(name) {
-		// Always via the trace path, even Unfused: replay is the imported
-		// workload's only record source (Unfused would try to emulate).
-		tr, err := s.traceWith(name, variant, nil)
-		if err != nil {
-			return err
-		}
-		tr.Records(rs)
+	rode := false
+	tr, err := s.traceWith(name, variant, func(*prog.Program) (emu.RecSink, error) {
+		rode = true
+		return rs, nil
+	})
+	if err != nil {
+		return err
+	}
+	if rode {
 		return nil
 	}
-	if !s.Unfused {
-		rode := false
-		tr, err := s.traceWith(name, variant, func(*prog.Program) (emu.RecSink, error) {
-			rode = true
-			return rs, nil
-		})
-		if err != nil {
-			return err
-		}
-		if rode {
-			return nil
-		}
-		if tr != nil {
-			tr.Records(rs)
-			return nil
-		}
+	if tr != nil {
+		tr.Records(rs)
+		return nil
 	}
 	p, err := s.variantProgram(name, variant)
 	if err != nil {

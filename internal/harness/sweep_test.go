@@ -11,19 +11,20 @@ var sweepGrid = []float64{110, 90, 70, 50, 30}
 
 // TestSweepMatchesPerThresholdRuns is the sweep equivalence probe: every
 // cell of Suite.Sweep must be bit-identical (canonical encoding and all)
-// to a plain RunExperiment at that threshold — under both the fused
-// trace pipeline and the pre-trace one. The sweep changes how the grid
-// is computed, never what it contains.
+// to a plain RunExperiment at that threshold — both over the trace cache
+// and with a one-byte TraceBudget that forces every consumer onto the
+// live fallback. The sweep changes how the grid is computed, never what
+// it contains.
 func TestSweepMatchesPerThresholdRuns(t *testing.T) {
 	for _, mode := range []struct {
-		name    string
-		unfused bool
-	}{{"fused", false}, {"unfused", true}} {
+		name   string
+		budget int64
+	}{{"fused", 0}, {"uncached", 1}} {
 		t.Run(mode.name, func(t *testing.T) {
 			swept := NewSuite(true)
-			swept.Unfused = mode.unfused
+			swept.TraceBudget = mode.budget
 			plain := NewSuite(true)
-			plain.Unfused = mode.unfused
+			plain.TraceBudget = mode.budget
 
 			sw, err := swept.Sweep(testCtx, "fig6", sweepGrid)
 			if err != nil {

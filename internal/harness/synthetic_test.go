@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"opgate/internal/power"
 	"opgate/internal/progen"
+	"opgate/internal/uarch"
 	"opgate/internal/workload"
 )
 
@@ -33,42 +36,49 @@ func TestNamesIncludeSynthetics(t *testing.T) {
 	}
 }
 
-// TestSyntheticSuiteFusedMatchesUnfused: with synthetics registered, the
-// fused trace/replay pipeline still renders reports byte-identically to
-// the unfused pre-trace pipeline — over the full expanded workload list,
-// including the VRS specialization matrix (Figure 8).
-func TestSyntheticSuiteFusedMatchesUnfused(t *testing.T) {
-	fused := synthSuite()
-	unfused := synthSuite()
-	unfused.Unfused = true
-
-	reports := []struct {
-		id  string
-		gen func(s *Suite) (*Report, error)
-	}{
-		{"table3", func(s *Suite) (*Report, error) { return s.Table3(testCtx) }},
-		{"fig2", func(s *Suite) (*Report, error) { return s.Figure2(testCtx) }},
-		{"fig3", func(s *Suite) (*Report, error) { return s.Figure3(testCtx) }},
-		{"fig8", func(s *Suite) (*Report, error) { return s.Figure8(testCtx) }},
-		{"fig12", func(s *Suite) (*Report, error) { return s.Figure12(testCtx) }},
+// TestSyntheticSuiteMatchesLiveRuns is the live oracle of the trace
+// pipeline over the expanded workload list: for every name, variant and
+// gating mode, the suite's fused, trace-served Sim equals an independent
+// uarch.Run of the variant's program, and DynWidthHistogram equals a
+// tally over a live packed emulation — while the suite itself emulates
+// each (name, variant) exactly once.
+func TestSyntheticSuiteMatchesLiveRuns(t *testing.T) {
+	s := synthSuite()
+	variants := []string{"base", "vrp", "vrp-conv", "vrs50"}
+	for _, name := range s.Names() {
+		for _, variant := range variants {
+			p, err := s.variantProgram(name, variant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range power.Modes() {
+				got, err := s.Sim(name, variant, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := uarch.Run(p, s.Uarch, s.Power, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s/%v: suite simulation differs from a live uarch.Run", name, variant, mode)
+				}
+			}
+			got, err := s.DynWidthHistogram(name, variant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := dynHistogramOf(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s/%s: width histogram %v, live tally %v", name, variant, got, want)
+			}
+		}
 	}
-	for _, re := range reports {
-		rf, err := re.gen(fused)
-		if err != nil {
-			t.Fatalf("%s fused: %v", re.id, err)
-		}
-		ru, err := re.gen(unfused)
-		if err != nil {
-			t.Fatalf("%s unfused: %v", re.id, err)
-		}
-		if rf.Format() != ru.Format() {
-			t.Errorf("%s: fused report differs from unfused on the synthetic suite\n--- fused ---\n%s\n--- unfused ---\n%s",
-				re.id, rf.Format(), ru.Format())
-		}
-	}
-	if fused.Emulations() >= unfused.Emulations() {
-		t.Errorf("fused pipeline emulated %d times, unfused %d — fusion saved nothing",
-			fused.Emulations(), unfused.Emulations())
+	if got, want := s.Emulations(), int64(len(s.Names())*len(variants)); got != want {
+		t.Errorf("suite performed %d emulations, want %d (one per name and variant)", got, want)
 	}
 }
 

@@ -17,12 +17,14 @@ import (
 // from the Store. The integration points are deliberately few — Program
 // resolves the skeleton through the trace library, traceWith serves the
 // imported blob through the ordinary store.GetTrace path (hit-or-error:
-// there is nothing to emulate on a miss), and everything that would need
-// a live emulation (VRS training, non-base variants, Unfused mode) is
-// gated with errors wrapping workload.ErrTraceOnly. Every replay-only
-// experiment — the width figures, the gating mode matrices over the base
-// binary — then runs unmodified, fused mode-groups and all, with zero
-// suite-level emulations.
+// there is nothing to emulate on a miss, so the capture rider never
+// runs), and everything that would need a live emulation or a real
+// control-flow graph (VRS training, non-base variants, the ablations'
+// one-off VRP configurations) is gated with errors wrapping
+// workload.ErrTraceOnly. Every replay-only experiment — the width
+// figures, the gating mode matrices over the base binary — then runs
+// unmodified, fused mode-groups and all, with zero suite-level
+// emulations.
 
 // library returns the suite's imported-trace library, bound lazily to
 // the Store.

@@ -116,6 +116,7 @@ func TestTraceWorkloadGates(t *testing.T) {
 
 	s := NewSuite(true)
 	s.Store = st
+	s.Synthetics = []string{name}
 
 	// The replay path works.
 	if _, err := s.Sim(name, "base", power.GateHWSize); err != nil {
@@ -137,17 +138,13 @@ func TestTraceWorkloadGates(t *testing.T) {
 		{"vrs", func() error { _, err := s.VRS(name, 50); return err }()},
 		{"vrp variant", func() error { _, err := s.Sim(name, "vrp", power.GateSoftware); return err }()},
 		{"vrs variant", func() error { _, err := s.Sim(name, "vrs50", power.GateSoftware); return err }()},
+		{"ablation-opcodes", func() error { _, err := s.RunExperiment(testCtx, "ablation-opcodes", 50); return err }()},
+		{"ablation-analysis", func() error { _, err := s.RunExperiment(testCtx, "ablation-analysis", 50); return err }()},
 	}
 	for _, c := range gated {
 		if !errors.Is(c.err, workload.ErrTraceOnly) {
 			t.Errorf("%s: got %v, want ErrTraceOnly", c.op, c.err)
 		}
-	}
-	unfused := NewSuite(true)
-	unfused.Store = st
-	unfused.Unfused = true
-	if _, err := unfused.Sim(name, "base", power.GateNone); !errors.Is(err, workload.ErrTraceOnly) {
-		t.Errorf("unfused sim: got %v, want ErrTraceOnly", err)
 	}
 
 	// Never-imported names surface the typed not-imported error.

@@ -195,7 +195,8 @@ func NewProfile(trainProg, refProg *prog.Program, opts Options) (*Profile, error
 	// Step 2 (§3.3): value-profile the candidates on the train input,
 	// replaying the captured trace's packed records (index and value
 	// columns) through the profiler. Only when the capture blew its
-	// memory budget does the profiler fall back to a second emulation.
+	// memory budget does the profiler fall back to a second emulation,
+	// packed on the fly into the same records.
 	idxs := make([]int, len(pf.cands))
 	for i, c := range pf.cands {
 		idxs[i] = c.InsIdx
@@ -205,8 +206,7 @@ func NewProfile(trainProg, refProg *prog.Program, opts Options) (*Profile, error
 		trainTrace.Records(pf.profiler)
 	} else {
 		trainMachine.Reset()
-		trainMachine.Sink = nil
-		pf.profiler.Attach(trainMachine)
+		trainMachine.Sink = emu.NewPacker(trainProg, pf.profiler)
 		if err := trainMachine.Run(); err != nil {
 			return nil, fmt.Errorf("vrs: value profiling run: %w", err)
 		}

@@ -2,7 +2,8 @@
 # Regenerate BENCH_sim.json, the machine-readable trajectory of the
 # simulation-substrate benchmarks: emulated MIPS, trace capture/replay
 # throughput, the fused timing core and its meter bank (records/s at 1, 2
-# and 6 gating modes), the fused-vs-unfused cold figure matrices, and the
+# and 6 gating modes), the cold figure matrices with and without the trace
+# cache (a one-byte TraceBudget forces the live fallback), and the
 # single-pass threshold sweep (grid cells/s vs independent per-threshold
 # runs).
 #
