@@ -237,16 +237,16 @@ func (b *fleetBackend) Stats() store.Stats {
 }
 
 // forwardRequest reconstructs the wire request that reproduces job j on
-// a peer. Sweep jobs travel in spec form ("sweep:fig6@110,90"), which
-// the receiving handleSubmit normalizes back into a grid; the exact
-// synthetic names ride the comma-separated list form ExpandSynthetics
-// round-trips. Direct pins the job to the receiver — the guard that
-// turns ring disagreement (mismatched -peers configs) into extra local
-// work instead of a forwarding cycle.
+// a peer. A sweep job sends its typed grid; the exact synthetic names
+// ride the comma-separated list form ExpandSynthetics round-trips.
+// Direct pins the job to the receiver — the guard that turns ring
+// disagreement (mismatched -peers configs) into extra local work
+// instead of a forwarding cycle.
 func forwardRequest(j *job) client.Request {
 	return client.Request{
-		Experiment: j.experiment,
+		Experiment: j.expID,
 		Threshold:  j.threshold,
+		Thresholds: j.thresholds,
 		Synthetic:  strings.Join(j.synthetics, ","),
 		Direct:     true,
 	}

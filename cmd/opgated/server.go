@@ -9,6 +9,7 @@ import (
 	"log"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -263,47 +264,42 @@ func (s *server) recoverJournal() {
 			log.Printf("opgated: journal: skipping unrecoverable job %s: %v", r.Job, kerr)
 			continue
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		j := &job{
-			id:         r.Job,
-			experiment: r.Experiment,
-			threshold:  r.Threshold,
-			synthetics: r.Synthetics,
-			reportKey:  key,
-			ctx:        ctx,
-			cancel:     cancel,
-			status:     r.Status,
-			err:        r.Err,
-			created:    time.Unix(0, r.Time),
-			changed:    make(chan struct{}),
+		rec := client.Job{
+			ID:         r.Job,
+			Experiment: r.Experiment,
+			Threshold:  r.Threshold,
+			Synthetics: r.Synthetics,
+			ReportKey:  string(key),
+			Status:     r.Status,
+			Error:      r.Err,
+			Created:    time.Unix(0, r.Time),
 		}
-		s.bindJournal(j)
-		s.jobs[j.id] = j
-		s.jobOrder = append(s.jobOrder, j.id)
+		var j *job
 		switch {
 		case terminalStatus(r.Status):
-			j.progress = append(j.progress, progressEvent{Time: time.Now(), Msg: "recovered: " + r.Status})
-			cancel()
+			j = s.newJob(rec, "recovered: "+r.Status)
 			terminal++
 		case func() bool { _, ok := s.getReport(key); return ok }():
 			// Never resurrect completed work: the store is the authority.
-			j.progress = append(j.progress, progressEvent{Time: time.Now(), Msg: "recovered: report already in store"})
-			j.setStatus("done")
-			cancel()
+			j = s.newJob(rec, "recovered: report already in store")
+			j.transition(client.StatusDone, "", client.StatusDone)
 			completed++
 		default:
-			j.status = "queued"
-			j.progress = append(j.progress, progressEvent{Time: time.Now(), Msg: "recovered: re-adopted after restart (was " + r.Status + ")"})
-			s.pending[key] = j
+			rec.Status = client.StatusQueued
+			j = s.newJob(rec, "recovered: re-adopted after restart (was "+r.Status+")")
 			select {
 			case s.queue <- j:
+				s.pending[key] = j
 				s.admitCold(j)
 				requeued++
 			default:
-				j.abortIfNotTerminal("queue full at recovery")
-				delete(s.pending, key)
-				cancel()
+				j.transition(client.StatusAborted, "queue full at recovery", "aborted: queue full at recovery")
 			}
+		}
+		s.jobs[j.id] = j
+		s.jobOrder = append(s.jobOrder, j.id)
+		if j.terminal() {
+			j.cancel()
 		}
 	}
 	log.Printf("opgated: journal: recovered %d job(s): %d requeued, %d already complete, %d terminal",
@@ -509,22 +505,16 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.seq++
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		id:         fmt.Sprintf("job-%06d", s.seq),
-		experiment: experiment,
-		threshold:  req.Threshold,
-		synthetics: names,
-		reportKey:  key,
-		direct:     req.Direct,
-		ctx:        ctx,
-		cancel:     cancel,
-		status:     "queued",
-		created:    time.Now(),
-		changed:    make(chan struct{}),
-	}
-	s.bindJournal(j)
-	j.log("queued")
+	j := s.newJob(client.Job{
+		ID:         fmt.Sprintf("job-%06d", s.seq),
+		Experiment: experiment,
+		Threshold:  req.Threshold,
+		Synthetics: names,
+		ReportKey:  string(key),
+		Status:     client.StatusQueued,
+		Created:    time.Now(),
+	}, client.StatusQueued)
+	j.direct = req.Direct
 	// Register before enqueueing so a fast worker never races the maps;
 	// deregister if the queue turns out to be full.
 	s.jobs[j.id] = j
@@ -545,11 +535,11 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			delete(s.pending, key)
 		}
 		s.mu.Unlock()
-		cancel()
+		j.cancel()
 		// The journaled "queued" record needs a terminal successor, or a
 		// restart would resurrect this never-enqueued job. The ID stays
 		// burned — journaled IDs are never reused.
-		j.abortIfNotTerminal("queue full")
+		j.transition(client.StatusAborted, "queue full", "aborted: queue full")
 		// A full queue is transient — workers are draining it right now —
 		// but the honest hint is the observed drain rate, not a constant.
 		w.Header().Set("Retry-After", retryAfterSeconds(s.predictWait(s.cfg.Queue)))
@@ -704,7 +694,7 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.cancel()
-	j.cancelIfQueued()
+	j.transition(client.StatusCanceled, "", client.StatusCanceled, client.StatusQueued)
 	writeJSON(w, http.StatusOK, j.view())
 }
 
@@ -994,7 +984,7 @@ func (s *server) Drain() bool {
 	for {
 		select {
 		case j := <-s.queue:
-			if j.abortIfNotTerminal("server draining") {
+			if j.transition(client.StatusAborted, "server draining", "aborted: server draining") {
 				aborted++
 			}
 			continue
@@ -1147,18 +1137,18 @@ func (s *server) runJob(j *job) {
 	if s.draining.Load() {
 		// The process is shutting down: a job still queued now is never
 		// going to run, and its submitter should resubmit elsewhere.
-		j.abortIfNotTerminal("server draining")
+		j.transition(client.StatusAborted, "server draining", "aborted: server draining")
 		return
 	}
-	if j.ctx.Err() != nil {
+	if err := j.ctx.Err(); err != nil {
 		// Cancelled while still queued: never start the work (handleCancel
-		// usually already made the job terminal; don't log it twice).
-		if !j.terminal() {
-			j.setStatus("canceled")
-		}
+		// usually already made the job terminal, and then this is a no-op).
+		j.finishErr(err)
 		return
 	}
-	j.setStatus("running")
+	if !j.transition(client.StatusRunning, "", client.StatusRunning, client.StatusQueued) {
+		return // a DELETE landed after the check above; canceled stays final
+	}
 
 	// The job deadline layers on the cancel context: DELETE still cancels
 	// instantly, and on expiry the suite stops scheduling work and the
@@ -1172,15 +1162,23 @@ func (s *server) runJob(j *job) {
 	if hook := s.cfg.hookJobStart; hook != nil {
 		hook(ctx, j)
 	}
+	if err := s.serve(ctx, j); err != nil {
+		j.finishErr(err)
+		return
+	}
+	j.transition(client.StatusDone, "", client.StatusDone)
+}
 
+// serve makes job j's report available under its key: from the cache or
+// store, from the ring owner, or computed here.
+func (s *server) serve(ctx context.Context, j *job) error {
 	// Warm path: an earlier job (or process, via the store) already
 	// built this exact report sequence. With a tiered store this check
 	// also reads through to the ring owner's tier.
 	if data, ok := s.getReport(j.reportKey); ok {
 		s.srvFromCache.Add(1)
 		j.log(fmt.Sprintf("served from cache (%d bytes)", len(data)))
-		j.setStatus("done")
-		return
+		return nil
 	}
 
 	// Fleet path: a cold job whose report key owns on another ring
@@ -1191,12 +1189,10 @@ func (s *server) runJob(j *job) {
 		if owner := f.owner(string(j.reportKey)); owner != f.self {
 			if s.serveFromPeer(ctx, j, owner) {
 				s.srvFromPeer.Add(1)
-				j.setStatus("done")
-				return
+				return nil
 			}
-			if ctx.Err() != nil {
-				j.finishErr(ctx.Err())
-				return
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 			f.peerFallbacks.Add(1)
 			j.log("peer unavailable; computing locally")
@@ -1204,59 +1200,54 @@ func (s *server) runJob(j *job) {
 	}
 
 	started := time.Now()
-	sess := s.sessionFor(j.synthetics)
-	if id, ths, ok := parseSweepSpec(j.experiment); ok {
-		sw, err := sess.Sweep(ctx, id, ths...)
+	blob, err := evaluate(ctx, s.sessionFor(j.synthetics), j)
+	if err != nil {
+		return err
+	}
+	s.putReport(j.reportKey, blob)
+	if j.thresholds != nil {
+		j.log(fmt.Sprintf("sweep report stored (%d bytes, %d thresholds)", len(blob), len(j.thresholds)))
+	} else {
+		j.log(fmt.Sprintf("report stored (%d bytes)", len(blob)))
+	}
+	// Only full cold runs feed the Retry-After estimate — cache hits
+	// would drag the mean toward zero and make shed hints dishonest.
+	s.observeService(time.Since(started))
+	s.srvComputed.Add(1)
+	return nil
+}
+
+// evaluate computes job j's document on sess: the canonical sweep
+// document for a sweep job, else the canonical report sequence.
+func evaluate(ctx context.Context, sess *opgate.Session, j *job) ([]byte, error) {
+	if j.thresholds != nil {
+		sw, err := sess.Sweep(ctx, j.expID, j.thresholds...)
 		if err != nil {
-			j.finishErr(err)
-			return
+			return nil, err
 		}
-		blob, err := opgate.EncodeSweep(sw)
-		if err != nil {
-			j.finishErr(err)
-			return
-		}
-		s.putReport(j.reportKey, blob)
-		j.log(fmt.Sprintf("sweep report stored (%d bytes, %d thresholds)", len(blob), len(ths)))
-		s.observeService(time.Since(started))
-		s.srvComputed.Add(1)
-		j.setStatus("done")
-		return
+		return opgate.EncodeSweep(sw)
 	}
 	at := opgate.AtThreshold(j.threshold)
 	var reports []*opgate.Report
-	if j.experiment == "all" {
+	if j.expID == "all" {
 		exps := opgate.Experiments()
 		for i, e := range exps {
 			r, err := sess.Run(ctx, e.ID, at)
 			if err != nil {
-				j.finishErr(fmt.Errorf("%s: %w", e.ID, err))
-				return
+				return nil, fmt.Errorf("%s: %w", e.ID, err)
 			}
 			reports = append(reports, r)
 			j.log(fmt.Sprintf("%s done (%d/%d)", e.ID, i+1, len(exps)))
 		}
 	} else {
-		r, err := sess.Run(ctx, j.experiment, at)
+		r, err := sess.Run(ctx, j.expID, at)
 		if err != nil {
-			j.finishErr(err)
-			return
+			return nil, err
 		}
 		reports = []*opgate.Report{r}
-		j.log(j.experiment + " done")
+		j.log(j.expID + " done")
 	}
-	blob, err := opgate.EncodeReports(reports)
-	if err != nil {
-		j.finishErr(err)
-		return
-	}
-	s.putReport(j.reportKey, blob)
-	j.log(fmt.Sprintf("report stored (%d bytes)", len(blob)))
-	// Only full cold runs feed the Retry-After estimate — cache hits
-	// would drag the mean toward zero and make shed hints dishonest.
-	s.observeService(time.Since(started))
-	s.srvComputed.Add(1)
-	j.setStatus("done")
+	return opgate.EncodeReports(reports)
 }
 
 // getReport serves a report blob from the in-memory cache, falling back to
@@ -1302,10 +1293,15 @@ func (s *server) cacheReport(key store.Key, data []byte) {
 // client package, the single owner of the status state machine.
 func terminalStatus(status string) bool { return client.TerminalStatus(status) }
 
-// job is one enqueued experiment evaluation.
+// job is one enqueued experiment evaluation. Its definition is fixed by
+// newJob and read without locking; its lifecycle — status, error, stack
+// and progress — lives in rec, the wire record, which only transition
+// moves.
 type job struct {
 	id         string
-	experiment string
+	experiment string    // wire and journal spelling: "fig6", or a sweep spec "sweep:fig6@110,90"
+	expID      string    // the experiment evaluated: experiment itself, or the one a sweep spec names
+	thresholds []float64 // a sweep's grid, parsed once from its spec; nil for a plain job
 	threshold  float64
 	synthetics []string
 	reportKey  store.Key
@@ -1327,13 +1323,37 @@ type job struct {
 	// exactly the status order.
 	onEvent func(status, errmsg string)
 
-	mu       sync.Mutex
-	status   string
-	err      string
-	stack    string // panic stack, when a panic failed the job
-	created  time.Time
-	progress []progressEvent
-	changed  chan struct{} // closed and replaced on every mutation (broadcast)
+	mu      sync.Mutex
+	rec     client.Job
+	changed chan struct{} // closed and replaced on every mutation (broadcast)
+}
+
+// newJob builds a job from its wire record in the state it was submitted
+// or recovered in, with msg as its first progress line. That first state
+// is not a transition and is not journaled: a submission journals it
+// through journalInitial once the job is registered, and a recovered
+// job's state is what the journal already holds. A sweep spec in the
+// experiment field is parsed here, once, into the typed grid.
+func (s *server) newJob(rec client.Job, msg string) *job {
+	ctx, cancel := context.WithCancel(context.Background())
+	rec.Progress = []progressEvent{{Time: time.Now(), Msg: msg}}
+	j := &job{
+		id:         rec.ID,
+		experiment: rec.Experiment,
+		expID:      rec.Experiment,
+		threshold:  rec.Threshold,
+		synthetics: rec.Synthetics,
+		reportKey:  store.Key(rec.ReportKey),
+		ctx:        ctx,
+		cancel:     cancel,
+		rec:        rec,
+		changed:    make(chan struct{}),
+	}
+	if id, ths, ok := parseSweepSpec(rec.Experiment); ok {
+		j.expID, j.thresholds = id, ths
+	}
+	s.bindJournal(j)
+	return j
 }
 
 // bumpLocked wakes every follower blocked on the change channel (j.mu
@@ -1351,109 +1371,70 @@ func (j *job) watch() <-chan struct{} {
 	return j.changed
 }
 
-// journalLocked appends the transition to the durable journal, when one
-// is bound (j.mu held).
-func (j *job) journalLocked(status, errmsg string) {
-	if j.onEvent != nil {
-		j.onEvent(status, errmsg)
-	}
-}
-
 // journalInitial journals the "queued" record, unless a racing cancel
 // already turned the job terminal (its record is then the only one).
 func (j *job) journalInitial() {
 	j.mu.Lock()
-	if j.status == "queued" {
-		j.journalLocked("queued", "")
+	if j.rec.Status == client.StatusQueued && j.onEvent != nil {
+		j.onEvent(client.StatusQueued, "")
 	}
 	j.mu.Unlock()
 }
 
-func (j *job) setStatus(status string) {
-	j.mu.Lock()
-	j.status = status
-	j.progress = append(j.progress, progressEvent{Time: time.Now(), Msg: status})
-	j.journalLocked(status, "")
-	j.bumpLocked()
-	j.mu.Unlock()
-}
-
-// cancelIfQueued turns a not-yet-started job terminal immediately; a
-// running job keeps its status until the context error surfaces.
-func (j *job) cancelIfQueued() {
-	j.mu.Lock()
-	if j.status == "queued" {
-		j.status = "canceled"
-		j.progress = append(j.progress, progressEvent{Time: time.Now(), Msg: "canceled"})
-		j.journalLocked("canceled", "")
-		j.bumpLocked()
-	}
-	j.mu.Unlock()
-}
-
-// abortIfNotTerminal turns a job that will never run terminal with status
-// "aborted" (drain, or a refused enqueue), reporting whether it did the
-// flip.
-func (j *job) abortIfNotTerminal(reason string) bool {
+// transition is the job's one status writer: it moves the job to status
+// with errmsg as its error and msg as a progress line, journals the
+// change and wakes followers. It refuses, returning false, to leave a
+// terminal status — terminal states are absorbing — or, when from is
+// given, a status not listed in it.
+func (j *job) transition(status, errmsg, msg string, from ...string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if terminalStatus(j.status) {
+	return j.transitionLocked(status, errmsg, msg, from...)
+}
+
+// transitionLocked is transition with j.mu held.
+func (j *job) transitionLocked(status, errmsg, msg string, from ...string) bool {
+	if terminalStatus(j.rec.Status) || (len(from) > 0 && !slices.Contains(from, j.rec.Status)) {
 		return false
 	}
-	j.status = "aborted"
-	j.err = reason
-	j.progress = append(j.progress, progressEvent{Time: time.Now(), Msg: "aborted: " + reason})
-	j.journalLocked("aborted", reason)
+	j.rec.Status, j.rec.Error = status, errmsg
+	j.rec.Progress = append(j.rec.Progress, progressEvent{Time: time.Now(), Msg: msg})
+	if j.onEvent != nil {
+		j.onEvent(status, errmsg)
+	}
 	j.bumpLocked()
 	return true
 }
 
-// finishErr records a terminal failure, mapping context cancellation to
-// "canceled" and a blown job deadline to "timeout" instead of a generic
-// failure.
+// finishErr ends the job on err: context cancellation is "canceled", a
+// blown job deadline "timeout", anything else "failed".
 func (j *job) finishErr(err error) {
 	switch {
 	case errors.Is(err, context.Canceled):
-		j.setStatus("canceled")
-		return
+		j.transition(client.StatusCanceled, "", client.StatusCanceled)
 	case errors.Is(err, context.DeadlineExceeded):
-		j.mu.Lock()
-		j.status = "timeout"
-		j.err = err.Error()
-		j.progress = append(j.progress, progressEvent{Time: time.Now(), Msg: "timeout: " + err.Error()})
-		j.journalLocked("timeout", j.err)
-		j.bumpLocked()
-		j.mu.Unlock()
-		return
+		j.transition(client.StatusTimeout, err.Error(), "timeout: "+err.Error())
+	default:
+		j.transition(client.StatusFailed, err.Error(), "failed: "+err.Error())
 	}
-	j.mu.Lock()
-	j.status = "failed"
-	j.err = err.Error()
-	j.progress = append(j.progress, progressEvent{Time: time.Now(), Msg: "failed: " + err.Error()})
-	j.journalLocked("failed", j.err)
-	j.bumpLocked()
-	j.mu.Unlock()
 }
 
 // failPanic records a recovered panic: the job fails with the panic value
-// as its error and the stack preserved in the job record.
+// as its error and the stack preserved in the job record, set under the
+// same lock so no reader sees the failure without it. A job already
+// terminal keeps its status; the log line still carries the stack.
 func (j *job) failPanic(p any, stack []byte) {
+	msg := fmt.Sprintf("panic: %v", p)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if terminalStatus(j.status) {
-		return // already terminal; the log line still carries the stack
+	if j.transitionLocked(client.StatusFailed, msg, msg) {
+		j.rec.Stack = string(stack)
 	}
-	j.status = "failed"
-	j.err = fmt.Sprintf("panic: %v", p)
-	j.stack = string(stack)
-	j.progress = append(j.progress, progressEvent{Time: time.Now(), Msg: j.err})
-	j.journalLocked("failed", j.err)
-	j.bumpLocked()
 }
 
 func (j *job) log(msg string) {
 	j.mu.Lock()
-	j.progress = append(j.progress, progressEvent{Time: time.Now(), Msg: msg})
+	j.rec.Progress = append(j.rec.Progress, progressEvent{Time: time.Now(), Msg: msg})
 	j.bumpLocked()
 	j.mu.Unlock()
 }
@@ -1461,24 +1442,15 @@ func (j *job) log(msg string) {
 func (j *job) terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return terminalStatus(j.status)
+	return terminalStatus(j.rec.Status)
 }
 
 func (j *job) view() jobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return jobView{
-		ID:         j.id,
-		Experiment: j.experiment,
-		Threshold:  j.threshold,
-		Synthetics: j.synthetics,
-		Status:     j.status,
-		ReportKey:  string(j.reportKey),
-		Error:      j.err,
-		Stack:      j.stack,
-		Created:    j.created,
-		Progress:   append([]progressEvent(nil), j.progress...),
-	}
+	v := j.rec
+	v.Progress = append([]progressEvent(nil), j.rec.Progress...)
+	return v
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -25,6 +25,9 @@ type memoEntry[V any] struct {
 }
 
 // do returns the cached value for key, computing it with fn exactly once.
+// A panic in fn becomes the entry's error, stack included: sync.Once
+// counts a panicking call as done, so an unrecovered panic would leave
+// every later caller of the key a zero value and a nil error.
 func (c *memo[K, V]) do(key K, fn func() (V, error)) (V, error) {
 	c.mu.Lock()
 	if c.m == nil {
@@ -36,8 +39,18 @@ func (c *memo[K, V]) do(key K, fn func() (V, error)) (V, error) {
 		c.m[key] = e
 	}
 	c.mu.Unlock()
-	e.once.Do(func() { e.val, e.err = fn() })
+	e.once.Do(func() {
+		defer recoverInto(&e.err)
+		e.val, e.err = fn()
+	})
 	return e.val, e.err
+}
+
+// recoverInto, deferred, turns a panic into *err with its stack.
+func recoverInto(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("harness: panic: %v\n%s", r, debug.Stack())
+	}
 }
 
 // workers returns the fan-out bound for suite drivers.
@@ -81,11 +94,7 @@ schedule:
 		go func(i int, item S) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("harness: panic: %v\n%s", r, debug.Stack())
-				}
-			}()
+			defer recoverInto(&errs[i])
 			out[i], errs[i] = fn(item)
 		}(i, item)
 	}

@@ -95,3 +95,39 @@ func TestMapSliceRecoversWorkerPanic(t *testing.T) {
 		t.Errorf("%d of the 3 healthy items completed", got)
 	}
 }
+
+// TestMemoRecordsPanicAsError: a panic inside a memo computation becomes
+// the entry's error, stack included, for the first caller and for every
+// later caller of the key — sync.Once counts the panicking call as done,
+// so the entry must not be left holding a zero value and a nil error.
+func TestMemoRecordsPanicAsError(t *testing.T) {
+	var m memo[string, *int]
+	var runs atomic.Int64
+	fn := func() (*int, error) {
+		runs.Add(1)
+		var empty []int
+		return &empty[1], nil
+	}
+	first := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("panic escaped do: %v", r)
+			}
+		}()
+		_, err = m.do("k", fn)
+		return err
+	}()
+	if first == nil {
+		t.Error("panicking computation returned no error")
+	}
+	v, err := m.do("k", fn)
+	if err == nil || v != nil {
+		t.Fatalf("second do on the poisoned key = (%v, %v), want an error", v, err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "index out of range") || !strings.Contains(msg, "goroutine") {
+		t.Errorf("error lacks the panic value or its stack: %v", err)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("computation ran %d times, want once", n)
+	}
+}

@@ -348,55 +348,31 @@ func (s *Suite) Sim(name, variant string, mode power.GatingMode) (*uarch.Result,
 }
 
 // simModes performs one fused timing pass over the variant's retirement
-// stream with a meter bank accruing every requested mode. The variant's
-// single functional emulation is shared with the trace capture: whichever
-// consumer arrives first rides the live pass (tee'd off the recorder);
-// everyone after replays the cached trace.
+// records with a meter bank accruing every requested mode, fed by
+// recordsOf like any other records consumer.
 func (s *Suite) simModes(name, variant string, modes []power.GatingMode) ([]*uarch.Result, error) {
-	var rode *uarch.Sim
-	tr, err := s.traceWith(name, variant, func(p *prog.Program) (emu.RecSink, error) {
-		sim, err := uarch.NewMulti(p, s.Uarch, s.Power, modes)
-		if err != nil {
-			return nil, err
-		}
-		rode = sim
-		return sim, nil
-	})
+	p, err := s.variantProgram(name, variant)
 	if err != nil {
 		return nil, err
 	}
-	var rs []*uarch.Result
-	if rode != nil {
-		return rode.FinishAll(), nil
-	}
-	if tr != nil {
-		rs, err = uarch.ReplayModes(tr, s.Uarch, s.Power, modes)
-	} else {
-		// Capture missed its budget: plain live pass.
-		var p *prog.Program
-		p, err = s.variantProgram(name, variant)
-		if err != nil {
-			return nil, err
-		}
-		s.emuRuns.Add(1)
-		rs, err = uarch.RunModes(p, s.Uarch, s.Power, modes)
-	}
+	sim, err := uarch.NewMulti(p, s.Uarch, s.Power, modes)
 	if err != nil {
 		return nil, fmt.Errorf("harness: sim %s/%s/%v: %w", name, variant, modes, err)
 	}
-	return rs, nil
+	if err := s.recordsOf(name, variant, sim); err != nil {
+		return nil, err
+	}
+	return sim.FinishAll(), nil
 }
 
 // traceWith returns (cached) the packed retirement trace of a variant, or
 // nil when the capture exceeded the trace budget (the miss is cached too:
 // callers fall back to live emulation, once per call site). If this call
-// is the one that performs the capture, the rider factory's record sink
-// consumes the recorder's packed rows of the same live pass — the
-// variant's only emulation feeds the recorder and its first consumer
-// together. Callers detect whether their rider ran via state captured in
-// the factory closure.
-func (s *Suite) traceWith(name, variant string, rider func(*prog.Program) (emu.RecSink, error)) (*emu.Trace, error) {
-	return s.traces.do(variantKey{name, variant}, func() (*emu.Trace, error) {
+// is the one that performs the capture, rider consumes the recorder's
+// packed rows of the same live pass — the variant's only emulation feeds
+// the recorder and its first consumer together — and rode reports it.
+func (s *Suite) traceWith(name, variant string, rider emu.RecSink) (tr *emu.Trace, rode bool, err error) {
+	tr, err = s.traces.do(variantKey{name, variant}, func() (*emu.Trace, error) {
 		if workload.IsTrace(name) {
 			// Imported traces are hit-or-error: there is no emulation to
 			// fall back to, so the rider never runs (callers take the
@@ -429,13 +405,8 @@ func (s *Suite) traceWith(name, variant string, rider func(*prog.Program) (emu.R
 		rec.SetBudget(s.TraceBudget)
 		m := emu.New(p)
 		m.Sink = rec
-		if rider != nil {
-			rs, err := rider(p)
-			if err != nil {
-				return nil, err
-			}
-			rec.SetRider(rs)
-		}
+		rec.SetRider(rider)
+		rode = true
 		s.emuRuns.Add(1)
 		if err := m.Run(); err != nil {
 			return nil, fmt.Errorf("harness: trace %s/%s: %w", name, variant, err)
@@ -456,6 +427,7 @@ func (s *Suite) traceWith(name, variant string, rider func(*prog.Program) (emu.R
 		}
 		return tr, nil
 	})
+	return tr, rode, err
 }
 
 // recordsOf streams the packed retirement records of a variant into rs:
@@ -464,11 +436,7 @@ func (s *Suite) traceWith(name, variant string, rider func(*prog.Program) (emu.R
 // the fly. Consumers read op/width/value columns directly and never
 // dereference per-event instruction pointers.
 func (s *Suite) recordsOf(name, variant string, rs emu.RecSink) error {
-	rode := false
-	tr, err := s.traceWith(name, variant, func(*prog.Program) (emu.RecSink, error) {
-		rode = true
-		return rs, nil
-	})
+	tr, rode, err := s.traceWith(name, variant, rs)
 	if err != nil {
 		return err
 	}
