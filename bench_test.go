@@ -233,36 +233,36 @@ func BenchmarkVRSSpecialize(b *testing.B) {
 	}
 }
 
-// countingSink tallies deliveries without per-event work: the cheapest
-// possible batch consumer, isolating the substrate's delivery cost.
+// countingSink tallies deliveries without per-record work: the cheapest
+// possible batch consumer, isolating the substrate's delivery cost. It
+// takes both live record batches and replayed Event batches.
 type countingSink struct{ events int64 }
 
-func (c *countingSink) Consume(batch []emu.Event) { c.events += int64(len(batch)) }
+func (c *countingSink) ConsumeRecs(b emu.RecBatch) { c.events += int64(b.Len()) }
+func (c *countingSink) Consume(batch []emu.Event)  { c.events += int64(len(batch)) }
 
 // BenchmarkEmuMIPS reports emulated millions-of-instructions-per-second,
-// the metric that bounds every experiment in the evaluation. Sub-benchmarks
-// cover the raw dispatch loop (no sink), the batched sink, and the
-// per-event FuncSink adapter. The pre-refactor substrate (closure-per-step
-// + per-event callback) measured 36.1 MIPS on the same workload/machine
-// shape; the batched sink must stay ≥3× that.
+// the metric that bounds every experiment in the evaluation. The raw and
+// records legs reuse one machine, resetting it between runs, to time the
+// dispatch loop alone (no sink) and with record delivery to a counting
+// sink. The fresh leg is the pipeline's capture shape, which every suite
+// emulation pays: New, a TraceRecorder, Run and Release per iteration, so
+// it also prices drawing a memory image from the pool, capturing the
+// trace and scrubbing the image.
 func BenchmarkEmuMIPS(b *testing.B) {
 	w, _ := workload.ByName("compress")
 	p, _ := w.Build(workload.Train)
-	variants := []struct {
+	for _, v := range []struct {
 		name string
-		sink func() emu.Sink
+		sink emu.Sink
 	}{
-		{"raw", func() emu.Sink { return nil }},
-		{"batch", func() emu.Sink { return new(countingSink) }},
-		{"callback", func() emu.Sink {
-			var n int64
-			return emu.FuncSink(func(emu.Event) { n++ })
-		}},
-	}
-	for _, v := range variants {
+		{"raw", nil},
+		{"records", new(countingSink)},
+	} {
 		b.Run(v.name, func(b *testing.B) {
 			m := emu.New(p)
-			m.Sink = v.sink()
+			defer m.Release()
+			m.Sink = v.sink
 			var dyn int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -276,14 +276,31 @@ func BenchmarkEmuMIPS(b *testing.B) {
 			b.ReportMetric(float64(dyn)/b.Elapsed().Seconds()/1e6, "MIPS")
 		})
 	}
+	b.Run("fresh", func(b *testing.B) {
+		var dyn int64
+		for i := 0; i < b.N; i++ {
+			m := emu.New(p)
+			rec := emu.NewTraceRecorder(p)
+			m.Sink = rec
+			if err := m.Run(); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rec.Trace(); err != nil {
+				b.Fatal(err)
+			}
+			dyn += m.Dyn
+			m.Release()
+		}
+		b.ReportMetric(float64(dyn)/b.Elapsed().Seconds()/1e6, "MIPS")
+	})
 }
 
 // BenchmarkTraceReplayMIPS reports the speed of streaming a captured
 // retirement trace back out, in emulated-millions-of-instructions per
 // second: the rate every re-simulation of a traced variant enjoys instead
-// of a fresh ~125 MIPS emulation. Sub-benchmarks cover Event replay (the
-// Sink-compatible path the timing model consumes) and packed-record
-// streaming (the zero-materialisation path of histograms and profilers).
+// of a fresh emulation. Sub-benchmarks cover Event replay (the expanded
+// view the differential oracles read) and packed-record streaming (the
+// path the timing core, histograms and profilers take).
 func BenchmarkTraceReplayMIPS(b *testing.B) {
 	w, _ := workload.ByName("compress")
 	p, _ := w.Build(workload.Train)

@@ -126,6 +126,7 @@ func runExport(args []string) error {
 	}
 	rec := emu.NewTraceRecorder(p)
 	m := emu.New(p)
+	defer m.Release()
 	m.Sink = rec
 	if err := m.Run(); err != nil {
 		return fmt.Errorf("emulating %s/%s: %w", *name, c, err)

@@ -3,18 +3,18 @@
 // basic-block profilers, and the trace-driven timing model (internal/uarch)
 // all consume its retirement stream.
 //
-// The retirement stream is delivered in batches: attach a Sink to a Machine
-// and Consume is called with slices of Events drawn from a reusable buffer
-// owned by the machine. Per-event callbacks remain one-liners via the
-// FuncSink adapter. Run executes a tight dispatch loop over a predecoded
-// form of the program; Step is a thin single-instruction wrapper for
-// debuggers and tests (it flushes its event immediately).
+// The retirement stream is delivered in record batches: attach a Sink and
+// ConsumeRecs is called with RecBatch columns that the dispatch loop
+// writes directly into a buffer owned by the machine; Step is the same
+// loop limited to one instruction. Memory images are pooled: New draws a
+// scrubbed image and Release returns it, zeroing only the dirtied pages.
 package emu
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"opgate/internal/isa"
 	"opgate/internal/prog"
@@ -23,55 +23,39 @@ import (
 // DefaultFuel bounds execution length; workloads finish well below it.
 const DefaultFuel = 200_000_000
 
-// BatchSize is the capacity of the machine-owned event buffer: sinks see
-// batches of at most this many events.
+// BatchSize is the capacity of the machine-owned record buffer: sinks see
+// batches of at most this many records.
 const BatchSize = 4096
 
-// Event describes one retired instruction for trace consumers.
-type Event struct {
-	Idx   int              // static instruction index
-	Ins   *isa.Instruction // the instruction (points into the program)
-	Next  int              // index of the next instruction to execute
-	Taken bool             // branch outcome (conditional branches)
-	Addr  int64            // effective address (loads/stores)
-	Value int64            // result value (dest write, store data, or out)
-	SrcA  int64            // value of first source operand
-	SrcB  int64            // value of second source operand / store data
-}
-
-// Sink receives the retirement stream in batches. The batch slice is owned
-// by the machine and reused: consumers must not retain it past the call
-// (copy events out if they need to).
+// Sink receives the retirement stream as packed record batches. The
+// batch's columns are owned by the machine and reused: consumers must not
+// retain them past the call (copy rows out if they need to).
 type Sink interface {
-	Consume(batch []Event)
+	ConsumeRecs(batch RecBatch)
 }
 
-// FuncSink adapts a per-event function to the batched Sink interface, so
-// one-off consumers stay one-liners: m.Sink = emu.FuncSink(func(ev emu.Event) {...}).
-type FuncSink func(Event)
+// RecFunc adapts a function to the Sink interface, so one-off record
+// consumers stay inline.
+type RecFunc func(RecBatch)
 
-// Consume delivers each event of the batch to the wrapped function in
-// retirement order.
-func (f FuncSink) Consume(batch []Event) {
-	for i := range batch {
-		f(batch[i])
-	}
-}
+// ConsumeRecs implements Sink.
+func (f RecFunc) ConsumeRecs(b RecBatch) { f(b) }
 
 // decIns is the predecoded form of one static instruction: operand
-// registers, the immediate flag, and width-derived constants are resolved
-// once so the dispatch loop does no per-event re-derivation.
+// registers, the immediate flag, width-derived constants and the record
+// metadata (opcode, width, writes-dest) are resolved once so the dispatch
+// loop does no per-instruction re-derivation.
 type decIns struct {
-	ins    *isa.Instruction // original instruction, for events
-	imm    int64            // immediate operand / memory offset
-	zmask  int64            // zero-extension mask for the opcode width (-1 for W64)
-	target int32            // branch/call target
+	imm    int64 // immediate operand / memory offset
+	zmask  int64 // zero-extension mask for the opcode width (-1 for W64)
+	target int32 // branch/call target
 	op     isa.Op
 	rd     uint8
 	ra     uint8
 	rb     uint8
 	shift  uint8 // 64 - width bits: sign-extension shift for the opcode width
-	wbytes uint8 // width in bytes
+	wbytes uint8 // width in bytes (the isa.Width value)
+	flags  uint8 // RecWritesDest when the instruction writes a register
 	hasImm bool
 }
 
@@ -92,25 +76,89 @@ type Machine struct {
 	// InstCount(D)). Allocated lazily by EnableCounts.
 	InsCount []int64
 
-	// Sink receives every retired instruction, in batches, when non-nil.
+	// Sink receives every retired instruction, in record batches, when
+	// non-nil.
 	Sink Sink
 
 	dec    []decIns      // predecoded program, built lazily on first run
 	decSrc *prog.Program // program the predecode was built from
-	buf    []Event       // reusable batch buffer handed to Sink
-	dirty  []uint64      // bitmap of written memory pages, so Reset zeroes only touched pages
+	img    *image        // pooled memory image backing Mem; nil once released
 }
 
 // pageShift/pageBytes size the dirty-page granularity: workload memory
 // images are large (the data base sits above 2^32 and the stack at the
-// top of an 8MB arena) but runs touch only a few pages, so Reset clears
-// the written pages instead of the whole image. All mutation goes through
-// the machine (executed stores, StoreBytes, Reset); writing Mem directly
-// would bypass the tracking.
+// top of an 8MB arena) but runs touch only a few pages, so Reset and
+// Release clear the written pages instead of the whole image. All
+// mutation goes through the machine (executed stores, StoreBytes, Reset);
+// writing Mem directly would bypass the tracking and leak into the next
+// machine built on the image.
 const (
 	pageShift = 12
 	pageBytes = 1 << pageShift
 )
+
+// image is a pooled memory image with its dirty-page bitmap and the
+// record buffer the dispatch loop fills. A pooled image is scrubbed: all
+// of mem is zero and no page is marked dirty.
+type image struct {
+	mem   []byte
+	dirty []uint64 // bitmap of written pages
+	recs  *recBuf  // allocated on the first run with a Sink attached
+}
+
+// recBuf is the machine-owned record buffer: one fixed-size array per
+// RecBatch column, so the dispatch loop's stores need no bounds checks.
+type recBuf struct {
+	idx, next               [BatchSize]int32
+	op, wbytes, flags       [BatchSize]uint8
+	addr, value, srcA, srcB [BatchSize]int64
+}
+
+// batch returns the first n buffered records as a RecBatch view.
+func (r *recBuf) batch(n int) RecBatch {
+	return RecBatch{
+		Idx: r.idx[:n], Next: r.next[:n],
+		Op: r.op[:n], WBytes: r.wbytes[:n], Flags: r.flags[:n],
+		Addr: r.addr[:n], Value: r.value[:n], SrcA: r.srcA[:n], SrcB: r.srcB[:n],
+	}
+}
+
+// pool holds scrubbed images by memory size: never more of a size than
+// machines of that size were once live together.
+var pool = struct {
+	sync.Mutex
+	free map[int64][]*image
+}{free: map[int64][]*image{}}
+
+// acquire returns a scrubbed image of size bytes, from the pool when one
+// is free.
+func acquire(size int64) *image {
+	pool.Lock()
+	if free := pool.free[size]; len(free) > 0 {
+		img := free[len(free)-1]
+		free[len(free)-1] = nil
+		pool.free[size] = free[:len(free)-1]
+		pool.Unlock()
+		return img
+	}
+	pool.Unlock()
+	pages := (size + pageBytes - 1) / pageBytes
+	return &image{mem: make([]byte, size), dirty: make([]uint64, (pages+63)/64)}
+}
+
+// scrub zeroes the pages written since the image was last scrubbed.
+func (img *image) scrub() {
+	mem := img.mem
+	for wi, w := range img.dirty {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			w &^= 1 << uint(b)
+			start := (wi*64 + b) << pageShift
+			clear(mem[start:min(start+pageBytes, len(mem))])
+		}
+		img.dirty[wi] = 0
+	}
+}
 
 // markDirty records that [off, off+n) was written.
 func markDirty(dirty []uint64, off, n int64) {
@@ -121,11 +169,29 @@ func markDirty(dirty []uint64, off, n int64) {
 	}
 }
 
-// New creates a machine with the program's initial memory image.
+// New creates a machine with the program's initial memory image, drawn
+// from the pool. Release returns it; a machine never released only costs
+// the pool one allocation.
 func New(p *prog.Program) *Machine {
 	m := &Machine{P: p, Fuel: DefaultFuel}
 	m.Reset()
 	return m
+}
+
+// Release scrubs the machine's memory image and returns it to the pool.
+// Mem is nil afterwards; Reset re-acquires an image. Releasing twice is a
+// no-op.
+func (m *Machine) Release() {
+	img := m.img
+	if img == nil {
+		return
+	}
+	m.img, m.Mem = nil, nil
+	img.scrub()
+	size := int64(len(img.mem))
+	pool.Lock()
+	pool.free[size] = append(pool.free[size], img)
+	pool.Unlock()
 }
 
 // Reset restores the initial architectural state. Data memory is a flat
@@ -134,30 +200,16 @@ func New(p *prog.Program) *Machine {
 // the array stays small. The global pointer is pinned to DataBase and the
 // stack pointer starts at the top of memory.
 func (m *Machine) Reset() {
-	if int64(len(m.Mem)) != m.P.MemSize {
-		m.Mem = make([]byte, m.P.MemSize)
-		pages := (len(m.Mem) + pageBytes - 1) / pageBytes
-		m.dirty = make([]uint64, (pages+63)/64)
+	if m.img != nil && int64(len(m.img.mem)) == m.P.MemSize {
+		m.img.scrub()
 	} else {
-		// Zero only the pages written since the last reset.
-		mem := m.Mem
-		for wi, w := range m.dirty {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &^= 1 << uint(b)
-				start := (wi*64 + b) << pageShift
-				end := start + pageBytes
-				if end > len(mem) {
-					end = len(mem)
-				}
-				clear(mem[start:end])
-			}
-			m.dirty[wi] = 0
-		}
+		m.Release() // a program of another size, or none held
+		m.img = acquire(m.P.MemSize)
 	}
+	m.Mem = m.img.mem
 	copy(m.Mem, m.P.Data)
 	if len(m.P.Data) > 0 {
-		markDirty(m.dirty, 0, int64(len(m.P.Data)))
+		markDirty(m.img.dirty, 0, int64(len(m.P.Data)))
 	}
 	m.Regs = [isa.NumRegs]int64{}
 	m.Regs[prog.RegGP] = m.P.DataBase
@@ -168,23 +220,21 @@ func (m *Machine) Reset() {
 	m.Output = m.Output[:0]
 	m.Dyn = 0
 	if m.InsCount != nil {
-		m.InsCount = make([]int64, len(m.P.Ins))
+		// Zeroes (and resizes, if m.P changed) the existing counts in place.
+		m.InsCount = append(m.InsCount[:0], make([]int64, len(m.P.Ins))...)
 	}
 }
 
 // EnableCounts switches on per-static-instruction execution counting.
 func (m *Machine) EnableCounts() { m.InsCount = make([]int64, len(m.P.Ins)) }
 
-// decode predecodes the program into the dispatch loop's flat form. The
-// cache is keyed on the program pointer, so swapping m.P takes effect on
-// the next run; mutating m.P.Ins in place between runs is not supported.
-func (m *Machine) decode() {
-	ins := m.P.Ins
-	dec := make([]decIns, len(ins))
-	for i := range ins {
-		in := &ins[i]
+// predecode builds the dispatch loop's flat form of p, including the
+// record metadata every retirement of each instruction carries.
+func predecode(p *prog.Program) []decIns {
+	dec := make([]decIns, len(p.Ins))
+	for i := range p.Ins {
+		in := &p.Ins[i]
 		d := &dec[i]
-		d.ins = in
 		d.op = in.Op
 		d.rd = uint8(in.Rd)
 		d.ra = uint8(in.Ra)
@@ -193,52 +243,60 @@ func (m *Machine) decode() {
 		d.hasImm = in.HasImm
 		d.target = int32(in.Target)
 		d.shift = uint8(64 - in.Width.Bits())
-		d.wbytes = uint8(in.Width.Bytes())
+		d.wbytes = uint8(in.Width)
+		if _, ok := in.Dest(); ok {
+			d.flags = RecWritesDest
+		}
 		if in.Width == isa.W64 {
 			d.zmask = -1
 		} else {
 			d.zmask = int64(1)<<uint(in.Width.Bits()) - 1
 		}
 	}
-	m.dec = dec
-	m.decSrc = m.P
+	return dec
 }
 
 // Run executes until HALT, RET from the entry function, or fuel
 // exhaustion; it returns an error on traps (bad memory, bad PC, fuel).
 func (m *Machine) Run() error { return m.run(-1) }
 
-// Step executes one instruction. Its event (when a Sink is attached) is
-// delivered immediately as a one-element batch.
+// Step executes one instruction. Its record (when a Sink is attached) is
+// delivered immediately as a one-record batch.
 func (m *Machine) Step() error { return m.run(1) }
 
-const zr = uint8(isa.ZeroReg)
-
 // run is the dispatch loop shared by Run and Step: it executes up to limit
-// instructions (limit < 0 means until halt/trap/fuel), buffering retirement
-// events and flushing them to the Sink in batches.
+// instructions (limit < 0 means until halt/trap/fuel), writing retirement
+// records into the image's buffer and flushing them to the Sink in
+// batches.
 func (m *Machine) run(limit int64) error {
 	if m.Halted || limit == 0 {
 		return nil
 	}
-	if m.decSrc != m.P || len(m.dec) != len(m.P.Ins) {
-		m.decode()
+	if m.img == nil {
+		return fmt.Errorf("emu: run of a released machine (Reset re-acquires memory)")
 	}
-	record := m.Sink != nil
-	if record && m.buf == nil {
-		m.buf = make([]Event, BatchSize)
+	if m.decSrc != m.P || len(m.dec) != len(m.P.Ins) {
+		// Keyed on the program pointer: swapping m.P takes effect on the
+		// next run; mutating m.P.Ins in place between runs is not supported.
+		m.dec, m.decSrc = predecode(m.P), m.P
+	}
+	var out *recBuf
+	if m.Sink != nil {
+		if m.img.recs == nil {
+			m.img.recs = new(recBuf)
+		}
+		out = m.img.recs
 	}
 
 	dec := m.dec
-	buf := m.buf
 	regs := &m.Regs
 	counts := m.InsCount
 	mem := m.Mem
-	dirty := m.dirty
+	dirty := m.img.dirty
 	base := m.P.DataBase
 	pc := m.PC
 	halted := false
-	n := 0 // buffered events
+	n := 0 // buffered records
 
 	budget := m.Fuel
 	if limit >= 0 && limit < budget {
@@ -247,7 +305,6 @@ func (m *Machine) run(limit int64) error {
 
 	var executed int64
 	var runErr error
-	var scratch Event // event target when no sink is attached
 
 loop:
 	for executed < budget {
@@ -267,15 +324,12 @@ loop:
 		if !d.hasImm {
 			rb = regs[d.rb&31]
 		}
-		// Cases write Addr/Taken/SrcB straight into the event slot (the
-		// scratch event absorbs them when no sink is attached).
-		ev := &scratch
-		if record {
-			ev = &buf[n]
-			*ev = Event{Idx: idx, Ins: d.ins, SrcA: ra, SrcB: rb}
-		}
+		// The record's addr, second source and flags default here; the
+		// cases that differ overwrite them.
+		var addr int64
+		srcB := rb
+		flags := d.flags
 		next := idx + 1
-		wr := false
 		var val int64
 
 		switch d.op {
@@ -285,17 +339,15 @@ loop:
 			// observable in equivalence tests.
 			sh := d.shift
 			val = (ra + d.imm) << sh >> sh
-			wr = true
 
 		case isa.OpLD:
-			addr := ra + d.imm
+			addr = ra + d.imm
 			off := addr - base
 			nb := int64(d.wbytes)
 			if off < 0 || off+nb > int64(len(mem)) {
 				runErr = fmt.Errorf("emu: pc %d: load of %d bytes at %#x out of bounds", idx, nb, addr)
 				break loop
 			}
-			ev.Addr = addr
 			switch d.wbytes {
 			case 1:
 				val = int64(mem[off]) // zero-extended, like Alpha LDBU
@@ -306,10 +358,9 @@ loop:
 			default:
 				val = int64(binary.LittleEndian.Uint64(mem[off:]))
 			}
-			wr = true
 
 		case isa.OpST:
-			addr := ra + d.imm
+			addr = ra + d.imm
 			data := regs[d.rb&31]
 			off := addr - base
 			nb := int64(d.wbytes)
@@ -317,8 +368,7 @@ loop:
 				runErr = fmt.Errorf("emu: pc %d: store of %d bytes at %#x out of bounds", idx, nb, addr)
 				break loop
 			}
-			ev.Addr = addr
-			ev.SrcB = data
+			srcB = data
 			switch d.wbytes {
 			case 1:
 				mem[off] = byte(data)
@@ -339,75 +389,57 @@ loop:
 		case isa.OpADD:
 			sh := d.shift
 			val = (ra + rb) << sh >> sh
-			wr = true
 		case isa.OpSUB:
 			sh := d.shift
 			val = (ra - rb) << sh >> sh
-			wr = true
 		case isa.OpMUL:
 			sh := d.shift
 			val = (ra * rb) << sh >> sh
-			wr = true
 		case isa.OpAND:
 			sh := d.shift
 			val = (ra & rb) << sh >> sh
-			wr = true
 		case isa.OpOR:
 			sh := d.shift
 			val = (ra | rb) << sh >> sh
-			wr = true
 		case isa.OpXOR:
 			sh := d.shift
 			val = (ra ^ rb) << sh >> sh
-			wr = true
 		case isa.OpBIC:
 			sh := d.shift
 			val = (ra &^ rb) << sh >> sh
-			wr = true
 		case isa.OpSLL:
 			sh := d.shift
 			val = (ra << uint(rb&63)) << sh >> sh
-			wr = true
 		case isa.OpSRL:
 			sh := d.shift
 			val = int64(uint64(ra)>>uint(rb&63)) << sh >> sh
-			wr = true
 		case isa.OpSRA:
 			sh := d.shift
 			val = (ra >> uint(rb&63)) << sh >> sh
-			wr = true
 
 		case isa.OpMSKL:
 			val = ra & d.zmask
-			wr = true
 		case isa.OpEXTB:
 			val = (ra >> uint(8*(rb&7))) & 0xFF
-			wr = true
 		case isa.OpSEXT:
 			sh := d.shift
 			val = ra << sh >> sh
-			wr = true
 
 		case isa.OpCMPEQ:
 			sh := d.shift
 			val = b2i(ra<<sh>>sh == rb<<sh>>sh)
-			wr = true
 		case isa.OpCMPLT:
 			sh := d.shift
 			val = b2i(ra<<sh>>sh < rb<<sh>>sh)
-			wr = true
 		case isa.OpCMPLE:
 			sh := d.shift
 			val = b2i(ra<<sh>>sh <= rb<<sh>>sh)
-			wr = true
 		case isa.OpCMPULT:
 			sh := d.shift
 			val = b2i(uint64(ra<<sh>>sh) < uint64(rb<<sh>>sh))
-			wr = true
 		case isa.OpCMPULE:
 			sh := d.shift
 			val = b2i(uint64(ra<<sh>>sh) <= uint64(rb<<sh>>sh))
-			wr = true
 
 		case isa.OpCMOVEQ, isa.OpCMOVNE, isa.OpCMOVLT, isa.OpCMOVGE:
 			cond := false
@@ -424,14 +456,13 @@ loop:
 			if cond {
 				sh := d.shift
 				val = rb << sh >> sh
-				wr = true
 			} else {
 				val = regs[d.rd&31] // old destination value, preserved
 			}
 
 		case isa.OpBR:
 			next = int(d.target)
-			ev.Taken = true
+			flags |= RecTaken
 		case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBGT, isa.OpBLE:
 			taken := false
 			switch d.op {
@@ -450,16 +481,15 @@ loop:
 			}
 			if taken {
 				next = int(d.target)
+				flags |= RecTaken
 			}
-			ev.Taken = taken
 		case isa.OpJSR:
 			val = int64(idx + 1)
-			wr = true
 			next = int(d.target)
-			ev.Taken = true
+			flags |= RecTaken
 		case isa.OpRET:
 			next = int(ra)
-			ev.Taken = true
+			flags |= RecTaken
 		case isa.OpHALT:
 			halted = true
 			next = idx
@@ -474,15 +504,26 @@ loop:
 			break loop
 		}
 
-		if wr && d.rd != zr {
+		if flags&RecWritesDest != 0 {
+			// Static: a not-taken CMOV writes back its old value.
 			regs[d.rd&31] = val
 		}
-		if record {
-			ev.Next = next
-			ev.Value = val
+		if out != nil {
+			// n < BatchSize always; the mask lets the compiler drop the
+			// column stores' bounds checks.
+			i := n & (BatchSize - 1)
+			out.idx[i] = int32(idx)
+			out.next[i] = int32(next)
+			out.op[i] = uint8(d.op)
+			out.wbytes[i] = d.wbytes
+			out.flags[i] = flags
+			out.addr[i] = addr
+			out.value[i] = val
+			out.srcA[i] = ra
+			out.srcB[i] = srcB
 			n++
-			if n == len(buf) {
-				m.Sink.Consume(buf)
+			if n == BatchSize {
+				m.Sink.ConsumeRecs(out.batch(n))
 				n = 0
 			}
 		}
@@ -492,16 +533,16 @@ loop:
 		}
 	}
 
-	// Commit architectural state and flush the retired events. An
+	// Commit architectural state and flush the retired records. An
 	// instruction that trapped mid-execution (bad memory, bad opcode)
-	// consumed fuel and counted towards Dyn but produced no event; an
+	// consumed fuel and counted towards Dyn but produced no record; an
 	// out-of-range PC traps before any of that.
 	m.PC = pc
 	m.Dyn += executed
 	m.Fuel -= executed
 	m.Halted = halted
-	if record && n > 0 {
-		m.Sink.Consume(buf[:n])
+	if n > 0 {
+		m.Sink.ConsumeRecs(out.batch(n))
 	}
 	if runErr != nil {
 		return runErr
@@ -540,7 +581,7 @@ func (m *Machine) StoreBytes(addr int64, data []byte) error {
 	}
 	copy(m.Mem[off:], data)
 	if len(data) > 0 {
-		markDirty(m.dirty, off, int64(len(data)))
+		markDirty(m.img.dirty, off, int64(len(data)))
 	}
 	return nil
 }

@@ -206,21 +206,21 @@ buf: .space 16
 		t.Fatal(err)
 	}
 	m := emu.New(p)
-	var events []emu.Event
-	m.Sink = emu.FuncSink(func(ev emu.Event) { events = append(events, ev) })
+	var events collector
+	m.Sink = &events
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 5 {
-		t.Fatalf("traced %d events, want 5", len(events))
+	if len(events.recs) != 5 {
+		t.Fatalf("traced %d records, want 5", len(events.recs))
 	}
-	st := events[2]
-	if st.Ins.Op != isa.OpST || st.Addr != p.DataBase+4 || st.Value != 99 {
-		t.Errorf("store event = %+v", st)
+	st := events.recs[2]
+	if isa.Op(st.Op) != isa.OpST || st.Addr != p.DataBase+4 || st.Value != 99 || st.SrcB != 99 {
+		t.Errorf("store record = %+v", st)
 	}
-	ld := events[3]
-	if ld.Ins.Op != isa.OpLD || ld.Value != 99 {
-		t.Errorf("load event = %+v", ld)
+	ld := events.recs[3]
+	if isa.Op(ld.Op) != isa.OpLD || ld.Addr != p.DataBase+4 || ld.Value != 99 || ld.Flags != emu.RecWritesDest {
+		t.Errorf("load record = %+v", ld)
 	}
 }
 

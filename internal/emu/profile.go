@@ -208,10 +208,9 @@ func NewProfiler(points []int) *Profiler {
 	return p
 }
 
-// ConsumeRecs implements RecSink, the profiler's only input: it reads
-// the packed record's index and value columns directly, so replaying a
-// captured trace materialises no Events and chases no instruction
-// pointers. A live run feeds it through NewPacker.
+// ConsumeRecs implements Sink, the profiler's only input: it reads the
+// record's index and value columns directly, from a live run's batches or
+// a captured trace's chunks alike.
 func (p *Profiler) ConsumeRecs(b RecBatch) {
 	for i := range b.Idx {
 		if t, ok := p.Points[int(b.Idx[i])]; ok {

@@ -61,8 +61,8 @@ func TestTNVEviction(t *testing.T) {
 	}
 }
 
-// TestProfilerAttach: a profiler fed a live run through the packer
-// records every retirement of its point.
+// TestProfilerAttach: a profiler attached to a live run records every
+// retirement of its point.
 func TestProfilerAttach(t *testing.T) {
 	p, err := asm.Assemble(`
 .func main
@@ -80,7 +80,7 @@ loop:
 	mulIdx := 1
 	prof := emu.NewProfiler([]int{mulIdx})
 	m := emu.New(p)
-	m.Sink = emu.NewPacker(p, prof)
+	m.Sink = prof
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -10,15 +10,56 @@ import (
 	"opgate/internal/workload"
 )
 
-// collector retains a copy of every event it consumes, plus the batch
-// sizes it saw (the batch slice itself is machine-owned and reused).
+// rec is one retirement record, flattened so streams compare with ==.
+type rec struct {
+	Idx, Next               int32
+	Op, WBytes, Flags       uint8
+	Addr, Value, SrcA, SrcB int64
+}
+
+// collector retains a copy of every record it consumes, plus the batch
+// sizes it saw (the batch columns themselves are machine-owned and
+// reused).
 type collector struct {
-	events  []emu.Event
+	recs    []rec
 	batches []int
 }
 
-func (c *collector) Consume(batch []emu.Event) {
-	c.events = append(c.events, batch...)
+func (c *collector) ConsumeRecs(b emu.RecBatch) {
+	for i := range b.Idx {
+		c.recs = append(c.recs, rec{
+			b.Idx[i], b.Next[i], b.Op[i], b.WBytes[i], b.Flags[i],
+			b.Addr[i], b.Value[i], b.SrcA[i], b.SrcB[i],
+		})
+	}
+	c.batches = append(c.batches, b.Len())
+}
+
+// eventRec flattens a replayed event into a record, deriving the opcode,
+// width and writes-dest flag from the event's instruction (independently
+// of the metadata the dispatch loop folds in).
+func eventRec(ev emu.Event) rec {
+	var flags uint8
+	if ev.Taken {
+		flags |= emu.RecTaken
+	}
+	if _, ok := ev.Ins.Dest(); ok {
+		flags |= emu.RecWritesDest
+	}
+	return rec{int32(ev.Idx), int32(ev.Next), uint8(ev.Ins.Op), uint8(ev.Ins.Width), flags,
+		ev.Addr, ev.Value, ev.SrcA, ev.SrcB}
+}
+
+// eventCollector is collector's counterpart for replayed Event batches.
+type eventCollector struct {
+	recs    []rec
+	batches []int
+}
+
+func (c *eventCollector) Consume(batch []emu.Event) {
+	for _, ev := range batch {
+		c.recs = append(c.recs, eventRec(ev))
+	}
 	c.batches = append(c.batches, len(batch))
 }
 
@@ -46,9 +87,9 @@ loop:
 `
 
 // TestBatchedRunMatchesStepStream is the tentpole equivalence check: the
-// batched Run dispatch loop must deliver byte-for-byte the same event
+// batched Run dispatch loop must deliver byte-for-byte the same record
 // stream as executing the same program one Step at a time (each Step
-// flushes its event immediately, which is the legacy per-event shape).
+// flushes its record immediately, as a one-record batch).
 func TestBatchedRunMatchesStepStream(t *testing.T) {
 	programs := map[string]func(t *testing.T) *prog.Program{
 		"branchy": func(t *testing.T) *prog.Program { return assembleProg(t, branchyProgram) },
@@ -84,24 +125,24 @@ func TestBatchedRunMatchesStepStream(t *testing.T) {
 				}
 			}
 
-			if len(batched.events) != len(stepped.events) {
-				t.Fatalf("batched run delivered %d events, stepped run %d",
-					len(batched.events), len(stepped.events))
+			if len(batched.recs) != len(stepped.recs) {
+				t.Fatalf("batched run delivered %d records, stepped run %d",
+					len(batched.recs), len(stepped.recs))
 			}
-			for i := range batched.events {
-				if !reflect.DeepEqual(batched.events[i], stepped.events[i]) {
-					t.Fatalf("event %d differs:\nbatched: %+v\nstepped: %+v",
-						i, batched.events[i], stepped.events[i])
+			for i := range batched.recs {
+				if batched.recs[i] != stepped.recs[i] {
+					t.Fatalf("record %d differs:\nbatched: %+v\nstepped: %+v",
+						i, batched.recs[i], stepped.recs[i])
 				}
 			}
-			// Every stepped batch is a single event; the batched run must
-			// have actually used multi-event batches.
+			// Every stepped batch is a single record; the batched run must
+			// have actually used multi-record batches.
 			for _, n := range stepped.batches {
 				if n != 1 {
-					t.Fatalf("Step delivered a batch of %d events, want 1", n)
+					t.Fatalf("Step delivered a batch of %d records, want 1", n)
 				}
 			}
-			if len(batched.events) > 1 {
+			if len(batched.recs) > 1 {
 				max := 0
 				for _, n := range batched.batches {
 					if n > max {
@@ -109,8 +150,8 @@ func TestBatchedRunMatchesStepStream(t *testing.T) {
 					}
 				}
 				if max < 2 {
-					t.Fatalf("Run delivered %d events but no batch larger than %d — batching is not happening",
-						len(batched.events), max)
+					t.Fatalf("Run delivered %d records but no batch larger than %d — batching is not happening",
+						len(batched.recs), max)
 				}
 			}
 			if mb.Dyn != ms.Dyn || !reflect.DeepEqual(mb.Regs, ms.Regs) {
@@ -120,30 +161,27 @@ func TestBatchedRunMatchesStepStream(t *testing.T) {
 	}
 }
 
-// TestFuncSinkMatchesBatchOrder: the per-event adapter sees the identical
-// stream in the identical order as a batch consumer.
+// TestFuncSinkMatchesBatchOrder: the per-event replay adapter sees the
+// identical stream in the identical order as a batch consumer.
 func TestFuncSinkMatchesBatchOrder(t *testing.T) {
 	p := assembleProg(t, branchyProgram)
+	tr, _ := recordTrace(t, p)
 
-	var batched collector
-	mb := emu.New(p)
-	mb.Sink = &batched
-	if err := mb.Run(); err != nil {
-		t.Fatal(err)
-	}
-
+	var batched []emu.Event
+	tr.Replay(eventBatches(func(batch []emu.Event) { batched = append(batched, batch...) }))
 	var viaFunc []emu.Event
-	mf := emu.New(p)
-	mf.Sink = emu.FuncSink(func(ev emu.Event) { viaFunc = append(viaFunc, ev) })
-	if err := mf.Run(); err != nil {
-		t.Fatal(err)
-	}
+	tr.Replay(emu.FuncSink(func(ev emu.Event) { viaFunc = append(viaFunc, ev) }))
 
-	if !reflect.DeepEqual(batched.events, viaFunc) {
+	if len(batched) == 0 || !reflect.DeepEqual(batched, viaFunc) {
 		t.Fatalf("FuncSink stream differs from batch stream (%d vs %d events)",
-			len(batched.events), len(viaFunc))
+			len(batched), len(viaFunc))
 	}
 }
+
+// eventBatches adapts a function to emu.EventSink.
+type eventBatches func([]emu.Event)
+
+func (f eventBatches) Consume(batch []emu.Event) { f(batch) }
 
 // TestResetReusesMemoryImage: after a run dirtied memory, Reset must
 // restore the exact initial image (the dirty-page tracking must not leave

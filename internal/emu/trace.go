@@ -4,29 +4,31 @@ import (
 	"errors"
 	"fmt"
 
+	"opgate/internal/isa"
 	"opgate/internal/prog"
 )
 
 // This file is the trace-capture/replay layer: a retirement stream is
-// recorded once into a compact packed form and then replayed any number of
-// times — into Event sinks at memcpy-like speed, or as struct-of-arrays
-// record batches that carry the opcode and operand width inline so
-// consumers never chase *isa.Instruction per event.
+// recorded once into a compact packed form and then read back any number
+// of times — as the struct-of-arrays record batches the machine emits
+// (Records, the path every production consumer takes), or re-expanded
+// into per-instruction Events (Replay, kept for the differential oracles
+// and tests that want one value per retired instruction).
 //
 // Layout: records are stored column-wise (struct of arrays) in fixed-size
-// chunks of TraceChunkEvents events. One event costs recBytes (43) bytes:
-// two int32s (static index, next index), three bytes (op, width in bytes,
-// flags), and four int64s (addr, value, srcA, srcB). A recorder refuses to
-// grow past its byte budget (DefaultTraceBudget unless overridden): the
-// capture is dropped, Trace() reports the overflow, and callers fall back
-// to live emulation — a trace is an accelerator, never a correctness
-// dependency.
+// chunks of TraceChunkEvents records. One record costs recBytes (43)
+// bytes: two int32s (static index, next index), three bytes (op, width in
+// bytes, flags), and four int64s (addr, value, srcA, srcB). The machine
+// already emits exactly these columns, so capture is a column copy per
+// batch. A recorder refuses to grow past its byte budget
+// (DefaultTraceBudget unless overridden): the capture is dropped, Trace()
+// reports the overflow, and callers fall back to live emulation — a trace
+// is an accelerator, never a correctness dependency.
 //
-// Invariant: Trace.Replay must deliver the exact Event stream of the live
-// run it captured — same values in every field, same batching shape — so
-// any Sink can consume a replay in place of an emulation without
-// observable difference. Record consumers (the timing model among them)
-// read the packed rows directly through Records.
+// Invariant: Trace.Records delivers the exact record stream of the live
+// run it captured, and Trace.Replay the Event expansion of it with the
+// live run's batching shape, so any consumer can read a trace in place of
+// an emulation without observable difference.
 
 // TraceChunkEvents is the number of events per packed-trace chunk
 // (a multiple of BatchSize, so replay batch boundaries match a live run).
@@ -81,8 +83,22 @@ func (b *RecBatch) slice(lo, hi int) RecBatch {
 	}
 }
 
-// newRecBatch allocates a batch with n (zeroed) records; packRecs fills
-// them in place.
+// copyAt copies src into b starting at record off and returns how many
+// records fit.
+func (b *RecBatch) copyAt(off int, src RecBatch) int {
+	n := copy(b.Idx[off:], src.Idx)
+	copy(b.Next[off:off+n], src.Next)
+	copy(b.Op[off:off+n], src.Op)
+	copy(b.WBytes[off:off+n], src.WBytes)
+	copy(b.Flags[off:off+n], src.Flags)
+	copy(b.Addr[off:off+n], src.Addr)
+	copy(b.Value[off:off+n], src.Value)
+	copy(b.SrcA[off:off+n], src.SrcA)
+	copy(b.SrcB[off:off+n], src.SrcB)
+	return n
+}
+
+// newRecBatch allocates a batch with n (zeroed) records.
 func newRecBatch(n int) RecBatch {
 	return RecBatch{
 		Idx: make([]int32, n), Next: make([]int32, n),
@@ -92,81 +108,10 @@ func newRecBatch(n int) RecBatch {
 	}
 }
 
-// packRecs packs events column-wise into b starting at offset off and
-// returns how many fit (bulk indexed stores — this is the capture hot
-// loop, so no per-event slice-header updates).
-func packRecs(b *RecBatch, off int, batch []Event, meta []recMeta) int {
-	n := len(b.Idx) - off
-	if len(batch) < n {
-		n = len(batch)
-	}
-	idxs := b.Idx[off : off+n]
-	nexts := b.Next[off : off+n]
-	ops := b.Op[off : off+n]
-	wbs := b.WBytes[off : off+n]
-	flags := b.Flags[off : off+n]
-	addrs := b.Addr[off : off+n]
-	values := b.Value[off : off+n]
-	srcAs := b.SrcA[off : off+n]
-	srcBs := b.SrcB[off : off+n]
-	for i := range idxs {
-		ev := &batch[i]
-		m := meta[ev.Idx]
-		idxs[i] = int32(ev.Idx)
-		nexts[i] = int32(ev.Next)
-		ops[i] = m.op
-		wbs[i] = m.wbytes
-		fl := m.flags
-		if ev.Taken {
-			fl |= RecTaken
-		}
-		flags[i] = fl
-		addrs[i] = ev.Addr
-		values[i] = ev.Value
-		srcAs[i] = ev.SrcA
-		srcBs[i] = ev.SrcB
-	}
-	return n
-}
-
-// RecSink consumes packed record batches. The batch's backing arrays may
-// be owned by a live packer and reused; consumers must not retain them.
-type RecSink interface {
-	ConsumeRecs(batch RecBatch)
-}
-
-// RecFunc adapts a function to the RecSink interface, so one-off record
-// consumers stay inline.
-type RecFunc func(RecBatch)
-
-// ConsumeRecs implements RecSink.
-func (f RecFunc) ConsumeRecs(b RecBatch) { f(b) }
-
-// recMeta is the per-static-instruction metadata folded into each record.
-type recMeta struct {
-	op     uint8
-	wbytes uint8
-	flags  uint8 // RecWritesDest when the instruction writes a register
-}
-
-// metaOf precomputes the per-static record metadata for a program.
-func metaOf(p *prog.Program) []recMeta {
-	meta := make([]recMeta, len(p.Ins))
-	for i := range p.Ins {
-		in := &p.Ins[i]
-		meta[i] = recMeta{op: uint8(in.Op), wbytes: uint8(in.Width)}
-		if _, ok := in.Dest(); ok {
-			meta[i].flags = RecWritesDest
-		}
-	}
-	return meta
-}
-
 // TraceRecorder is a Sink that captures a retirement stream into a packed
 // trace. Attach it to a machine, run, then call Trace().
 type TraceRecorder struct {
 	p        *prog.Program
-	meta     []recMeta
 	budget   int64
 	bytes    int64
 	chunks   []RecBatch // full-capacity columns; all but the last are full
@@ -174,14 +119,13 @@ type TraceRecorder struct {
 	events   int64
 	overflow bool
 
-	rider RecSink // consumes every packed row as it is captured
-	spill *packer // the rider's feed once an over-budget capture is dropped
+	rider Sink // consumes every record batch as it is captured
 }
 
 // NewTraceRecorder returns a recorder for programs executing p, with the
 // default memory budget.
 func NewTraceRecorder(p *prog.Program) *TraceRecorder {
-	return &TraceRecorder{p: p, meta: metaOf(p), budget: DefaultTraceBudget}
+	return &TraceRecorder{p: p, budget: DefaultTraceBudget}
 }
 
 // SetBudget overrides the recorder's byte budget (<= 0 keeps the default).
@@ -191,44 +135,35 @@ func (r *TraceRecorder) SetBudget(bytes int64) {
 	}
 }
 
-// SetRider makes rs consume the recorder's packed rows as they are
-// captured, so one live emulation feeds the trace and its first record
-// consumer together. Rows keep flowing to rs, through a reusable batch,
-// after an over-budget capture is abandoned.
-func (r *TraceRecorder) SetRider(rs RecSink) { r.rider = rs }
+// SetRider makes rs consume every record batch the recorder is handed, so
+// one live emulation feeds the trace and its first record consumer
+// together. Batches keep flowing to rs after an over-budget capture is
+// abandoned.
+func (r *TraceRecorder) SetRider(rs Sink) { r.rider = rs }
 
-// Consume implements Sink: it packs the batch onto the current chunk,
-// growing chunk-by-chunk until the budget is hit, after which the capture
-// is abandoned (and its memory released).
-func (r *TraceRecorder) Consume(batch []Event) {
-	for len(batch) > 0 {
-		if r.overflow {
-			if r.spill != nil {
-				r.spill.Consume(batch)
-			}
-			return
-		}
+// ConsumeRecs implements Sink: it hands the batch to the rider and copies
+// its columns onto the current chunk, growing chunk-by-chunk until the
+// budget is hit, after which the capture is abandoned (and its memory
+// released).
+func (r *TraceRecorder) ConsumeRecs(b RecBatch) {
+	if r.rider != nil {
+		r.rider.ConsumeRecs(b)
+	}
+	for !r.overflow && b.Len() > 0 {
 		if len(r.chunks) == 0 || r.fill == TraceChunkEvents {
 			if r.bytes+TraceChunkEvents*recBytes > r.budget {
 				r.overflow = true
 				r.chunks = nil // release what was captured
-				if r.rider != nil {
-					r.spill = &packer{meta: r.meta, rs: r.rider, buf: newRecBatch(BatchSize)}
-				}
-				continue
+				return
 			}
 			r.chunks = append(r.chunks, newRecBatch(TraceChunkEvents))
 			r.bytes += TraceChunkEvents * recBytes
 			r.fill = 0
 		}
-		c := &r.chunks[len(r.chunks)-1]
-		n := packRecs(c, r.fill, batch, r.meta)
-		if r.rider != nil {
-			r.rider.ConsumeRecs(c.slice(r.fill, r.fill+n))
-		}
+		n := r.chunks[len(r.chunks)-1].copyAt(r.fill, b)
 		r.fill += n
 		r.events += int64(n)
-		batch = batch[n:]
+		b = b.slice(n, b.Len())
 	}
 }
 
@@ -254,7 +189,8 @@ func (r *TraceRecorder) Trace() (*Trace, error) {
 }
 
 // Trace is an immutable packed retirement trace: the full observable
-// stream of one program execution, replayable into any Sink or RecSink.
+// stream of one program execution, readable as record batches (Records)
+// or as Events (Replay).
 type Trace struct {
 	p      *prog.Program
 	chunks []RecBatch
@@ -274,7 +210,7 @@ func (t *Trace) Program() *prog.Program { return t.p }
 // Records streams the packed record batches (one per chunk) into rs, in
 // retirement order. This is the fast path for consumers that only need
 // packed fields; no Events are materialised.
-func (t *Trace) Records(rs RecSink) {
+func (t *Trace) Records(rs Sink) {
 	for i := range t.chunks {
 		if t.chunks[i].Len() > 0 {
 			rs.ConsumeRecs(t.chunks[i])
@@ -282,11 +218,41 @@ func (t *Trace) Records(rs RecSink) {
 	}
 }
 
-// Replay reconstructs the recorded Event stream and delivers it to sink in
-// BatchSize batches — the exact stream (and batching shape) a live
-// emulation with that sink would have produced. The batch buffer is reused
-// across calls to sink.Consume, mirroring the machine's contract.
-func (t *Trace) Replay(sink Sink) {
+// Event describes one retired instruction, expanded from its record with
+// a pointer to the static instruction. It is the output of Trace.Replay.
+type Event struct {
+	Idx   int              // static instruction index
+	Ins   *isa.Instruction // the instruction (points into the program)
+	Next  int              // index of the next instruction to execute
+	Taken bool             // branch outcome (conditional branches)
+	Addr  int64            // effective address (loads/stores)
+	Value int64            // result value (dest write, store data, or out)
+	SrcA  int64            // value of first source operand
+	SrcB  int64            // value of second source operand / store data
+}
+
+// EventSink receives a replayed stream in batches of Events. The batch
+// slice is reused across calls: consumers must not retain it.
+type EventSink interface {
+	Consume(batch []Event)
+}
+
+// FuncSink adapts a per-event function to EventSink, so one-off replay
+// consumers stay one-liners: tr.Replay(emu.FuncSink(func(ev emu.Event) {...})).
+type FuncSink func(Event)
+
+// Consume delivers each event of the batch to the wrapped function in
+// retirement order.
+func (f FuncSink) Consume(batch []Event) {
+	for i := range batch {
+		f(batch[i])
+	}
+}
+
+// Replay expands the recorded stream into Events and delivers them to
+// sink in BatchSize batches — the batching shape a live run hands its
+// Sink. The batch buffer is reused across calls to sink.Consume.
+func (t *Trace) Replay(sink EventSink) {
 	ins := t.p.Ins
 	buf := make([]Event, BatchSize)
 	n := 0
@@ -324,32 +290,5 @@ func (t *Trace) Replay(sink Sink) {
 	}
 	if n > 0 {
 		sink.Consume(buf[:n])
-	}
-}
-
-// packer adapts a live Event stream to a RecSink: each batch is packed
-// into a reusable RecBatch and forwarded. It lets packed-record consumers
-// (width histograms, profilers) run off a live emulation when no trace is
-// available, with the same zero-Ins-chasing inner loop.
-type packer struct {
-	meta []recMeta
-	rs   RecSink
-	buf  RecBatch
-}
-
-// NewPacker returns a Sink that packs live event batches for rs. p must be
-// the program the machine executes.
-func NewPacker(p *prog.Program, rs RecSink) Sink {
-	return &packer{meta: metaOf(p), rs: rs, buf: newRecBatch(BatchSize)}
-}
-
-// Consume implements Sink. Machine-owned batches never exceed BatchSize,
-// but other producers may hand in larger slices; the loop drains them in
-// buffer-sized pieces rather than dropping the tail.
-func (k *packer) Consume(batch []Event) {
-	for len(batch) > 0 {
-		n := packRecs(&k.buf, 0, batch, k.meta)
-		k.rs.ConsumeRecs(k.buf.slice(0, n))
-		batch = batch[n:]
 	}
 }

@@ -31,7 +31,7 @@ func NewTraceFromRecords(p *prog.Program, recs RecBatch) (*Trace, error) {
 			return nil, fmt.Errorf("emu: restore: ragged record columns (%d vs %d)", l, n)
 		}
 	}
-	meta := metaOf(p)
+	dec := predecode(p)
 	for i := 0; i < n; i++ {
 		idx := recs.Idx[i]
 		if idx < 0 || int(idx) >= len(p.Ins) {
@@ -41,12 +41,12 @@ func NewTraceFromRecords(p *prog.Program, recs RecBatch) (*Trace, error) {
 		if next := recs.Next[i]; next < 0 || int(next) >= len(p.Ins) {
 			return nil, fmt.Errorf("emu: restore: record %d: next index %d outside program", i, next)
 		}
-		m := meta[idx]
-		if recs.Op[i] != m.op || recs.WBytes[i] != m.wbytes {
+		d := &dec[idx]
+		if recs.Op[i] != uint8(d.op) || recs.WBytes[i] != d.wbytes {
 			return nil, fmt.Errorf("emu: restore: record %d: op/width %d/%d does not match program instruction %d (%d/%d)",
-				i, recs.Op[i], recs.WBytes[i], idx, m.op, m.wbytes)
+				i, recs.Op[i], recs.WBytes[i], idx, d.op, d.wbytes)
 		}
-		if fl := recs.Flags[i]; fl&^(RecTaken|RecWritesDest) != 0 || fl&RecWritesDest != m.flags {
+		if fl := recs.Flags[i]; fl&^(RecTaken|RecWritesDest) != 0 || fl&RecWritesDest != d.flags {
 			return nil, fmt.Errorf("emu: restore: record %d: flags %#x inconsistent with program instruction %d",
 				i, fl, idx)
 		}
@@ -62,16 +62,7 @@ func NewTraceFromRecords(p *prog.Program, recs RecBatch) (*Trace, error) {
 			end = n
 		}
 		chunk := newRecBatch(TraceChunkEvents)
-		src := recs.slice(off, end)
-		copy(chunk.Idx, src.Idx)
-		copy(chunk.Next, src.Next)
-		copy(chunk.Op, src.Op)
-		copy(chunk.WBytes, src.WBytes)
-		copy(chunk.Flags, src.Flags)
-		copy(chunk.Addr, src.Addr)
-		copy(chunk.Value, src.Value)
-		copy(chunk.SrcA, src.SrcA)
-		copy(chunk.SrcB, src.SrcB)
+		chunk.copyAt(0, recs.slice(off, end))
 		t.chunks = append(t.chunks, chunk.slice(0, end-off))
 		t.bytes += TraceChunkEvents * recBytes
 	}

@@ -40,9 +40,9 @@ func TestRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restored shape drifted: len %d/%d bytes %d/%d",
 			restored.Len(), tr.Len(), restored.Bytes(), tr.Bytes())
 	}
-	var replayed collector
+	var replayed eventCollector
 	restored.Replay(&replayed)
-	if !reflect.DeepEqual(replayed.events, live.events) {
+	if !reflect.DeepEqual(replayed.recs, live.recs) {
 		t.Fatal("restored trace replays a different stream than the live run")
 	}
 }

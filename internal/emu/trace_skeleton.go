@@ -12,7 +12,7 @@ import (
 // from, this file synthesizes that program when only the trace exists —
 // an externally captured retirement stream carries its per-static table
 // (opcode, operand width, writes-dest) inline in every record, which is
-// exactly the metadata metaOf derives from a real binary. A skeleton
+// exactly the metadata predecode derives from a real binary. A skeleton
 // built from that table validates and replays the trace bit-for-bit
 // through every record consumer (width histograms, the power model's
 // significance scans, the timing model's replay path), so arbitrary

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"opgate/internal/emu"
+	"opgate/internal/isa"
 	"opgate/internal/prog"
 	"opgate/internal/workload"
 )
@@ -30,7 +31,8 @@ func recordTrace(t *testing.T, p *prog.Program) (*emu.Trace, *collector) {
 
 // TestTraceReplayMatchesLive is the trace layer's tentpole invariant: the
 // replayed stream must be byte-for-byte the live retirement stream — every
-// Event field identical, and the same batching shape.
+// record column identical (op, width and writes-dest re-derived from each
+// Event's instruction), and the same batching shape.
 func TestTraceReplayMatchesLive(t *testing.T) {
 	programs := map[string]func(t *testing.T) *prog.Program{
 		"branchy": func(t *testing.T) *prog.Program { return assembleProg(t, branchyProgram) },
@@ -51,18 +53,18 @@ func TestTraceReplayMatchesLive(t *testing.T) {
 			p := build(t)
 			tr, live := recordTrace(t, p)
 
-			if tr.Len() != int64(len(live.events)) {
-				t.Fatalf("trace recorded %d events, live run delivered %d", tr.Len(), len(live.events))
+			if tr.Len() != int64(len(live.recs)) {
+				t.Fatalf("trace recorded %d events, live run delivered %d", tr.Len(), len(live.recs))
 			}
-			var replayed collector
+			var replayed eventCollector
 			tr.Replay(&replayed)
-			if len(replayed.events) != len(live.events) {
-				t.Fatalf("replay delivered %d events, live %d", len(replayed.events), len(live.events))
+			if len(replayed.recs) != len(live.recs) {
+				t.Fatalf("replay delivered %d events, live %d", len(replayed.recs), len(live.recs))
 			}
-			for i := range live.events {
-				if !reflect.DeepEqual(replayed.events[i], live.events[i]) {
+			for i := range live.recs {
+				if replayed.recs[i] != live.recs[i] {
 					t.Fatalf("event %d differs:\nreplay: %+v\nlive:   %+v",
-						i, replayed.events[i], live.events[i])
+						i, replayed.recs[i], live.recs[i])
 				}
 			}
 			if !reflect.DeepEqual(replayed.batches, live.batches) {
@@ -70,93 +72,63 @@ func TestTraceReplayMatchesLive(t *testing.T) {
 			}
 			// A second replay must deliver the same stream again (the
 			// trace is immutable).
-			var again collector
+			var again eventCollector
 			tr.Replay(&again)
-			if !reflect.DeepEqual(again.events, replayed.events) {
+			if !reflect.DeepEqual(again.recs, replayed.recs) {
 				t.Fatal("second replay differs from first")
 			}
 		})
 	}
 }
 
-// recCollector copies packed record columns out of the (reused) batches.
-type recCollector struct {
-	idx           []int32
-	op, wb, flags []uint8
-	value         []int64
-}
-
-func (c *recCollector) ConsumeRecs(b emu.RecBatch) {
-	c.idx = append(c.idx, b.Idx...)
-	c.op = append(c.op, b.Op...)
-	c.wb = append(c.wb, b.WBytes...)
-	c.flags = append(c.flags, b.Flags...)
-	c.value = append(c.value, b.Value...)
-}
-
-// TestRecordsCarryOpWidthAndFlags: the packed record's folded-in columns
-// must agree with the instruction each event retired — replay consumers
-// never need to chase Event.Ins to learn op, width, or destination-write.
+// TestRecordsCarryOpWidthAndFlags: the folded-in columns of every live
+// record must agree with the instruction it retired — record consumers
+// never need the program to learn op, width, or destination-write.
 func TestRecordsCarryOpWidthAndFlags(t *testing.T) {
 	p := assembleProg(t, branchyProgram)
-	tr, live := recordTrace(t, p)
-
-	var recs recCollector
-	tr.Records(&recs)
-	if len(recs.idx) != len(live.events) {
-		t.Fatalf("records delivered %d entries, live %d", len(recs.idx), len(live.events))
+	_, live := recordTrace(t, p)
+	if len(live.recs) == 0 {
+		t.Fatal("no records")
 	}
-	for i, ev := range live.events {
-		if int(recs.idx[i]) != ev.Idx {
-			t.Fatalf("record %d idx %d != event idx %d", i, recs.idx[i], ev.Idx)
-		}
-		if recs.op[i] != uint8(ev.Ins.Op) || recs.wb[i] != uint8(ev.Ins.Width) {
+	for i, r := range live.recs {
+		in := &p.Ins[r.Idx]
+		if r.Op != uint8(in.Op) || r.WBytes != uint8(in.Width) {
 			t.Fatalf("record %d op/width (%d,%d) != instruction (%v,%v)",
-				i, recs.op[i], recs.wb[i], ev.Ins.Op, ev.Ins.Width)
+				i, r.Op, r.WBytes, in.Op, in.Width)
 		}
-		if taken := recs.flags[i]&emu.RecTaken != 0; taken != ev.Taken {
-			t.Fatalf("record %d taken %v != event %v", i, taken, ev.Taken)
-		}
-		_, writes := ev.Ins.Dest()
-		if got := recs.flags[i]&emu.RecWritesDest != 0; got != writes {
+		_, writes := in.Dest()
+		if got := r.Flags&emu.RecWritesDest != 0; got != writes {
 			t.Fatalf("record %d writes-dest %v != instruction %v", i, got, writes)
 		}
-		if recs.value[i] != ev.Value {
-			t.Fatalf("record %d value %d != event %d", i, recs.value[i], ev.Value)
+		if taken := r.Flags&emu.RecTaken != 0; taken != (int(r.Next) != int(r.Idx)+1) && in.Op != isa.OpHALT {
+			t.Fatalf("record %d taken %v disagrees with next %d after %d", i, taken, r.Next, r.Idx)
 		}
 	}
 }
 
-// TestPackerMatchesTraceRecords: packing a live stream on the fly must
-// yield the same record columns as capturing a trace and reading it back.
-func TestPackerMatchesTraceRecords(t *testing.T) {
+// TestLiveRecordsMatchTraceRecords: a sink attached to a live run must
+// see the same record columns as capturing a trace and reading it back.
+func TestLiveRecordsMatchTraceRecords(t *testing.T) {
 	p := assembleProg(t, branchyProgram)
-	tr, _ := recordTrace(t, p)
-	var fromTrace recCollector
+	tr, live := recordTrace(t, p)
+	var fromTrace collector
 	tr.Records(&fromTrace)
-
-	var livePacked recCollector
-	m := emu.New(p)
-	m.Sink = emu.NewPacker(p, &livePacked)
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(livePacked, fromTrace) {
-		t.Fatal("live-packed record stream differs from trace records")
+	if !reflect.DeepEqual(live.recs, fromTrace.recs) {
+		t.Fatal("live record stream differs from trace records")
 	}
 }
 
 // tee fans one retirement stream out to several sinks, in order.
 type tee []emu.Sink
 
-func (t tee) Consume(batch []emu.Event) {
+func (t tee) ConsumeRecs(b emu.RecBatch) {
 	for _, s := range t {
-		s.Consume(batch)
+		s.ConsumeRecs(b)
 	}
 }
 
 // TestRecorderRiderSeesEveryRow: a recorder's rider must see exactly the
-// record stream a live packer produces, whether the capture completes or
+// record stream a plain live sink sees, whether the capture completes or
 // outgrows its budget partway (rows keep flowing after the drop).
 func TestRecorderRiderSeesEveryRow(t *testing.T) {
 	w, err := workload.ByName("gcc")
@@ -167,18 +139,18 @@ func TestRecorderRiderSeesEveryRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want recCollector
+	var want collector
 	m := emu.New(p)
-	m.Sink = emu.NewPacker(p, &want)
+	m.Sink = &want
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(want.idx) <= emu.TraceChunkEvents {
-		t.Fatalf("workload retires %d instructions, too few to overflow after one chunk", len(want.idx))
+	if len(want.recs) <= emu.TraceChunkEvents {
+		t.Fatalf("workload retires %d instructions, too few to overflow after one chunk", len(want.recs))
 	}
 	// 0 keeps the default budget; one chunk's worth overflows mid-run.
 	for _, budget := range []int64{0, emu.TraceChunkEvents * 43} {
-		var got recCollector
+		var got collector
 		rec := emu.NewTraceRecorder(p)
 		rec.SetBudget(budget)
 		rec.SetRider(&got)
@@ -191,14 +163,14 @@ func TestRecorderRiderSeesEveryRow(t *testing.T) {
 		if overflowed := budget > 0; overflowed != errors.Is(err, emu.ErrTraceBudget) {
 			t.Fatalf("budget %d: Trace() error %v", budget, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("budget %d: rider rows differ from the live-packed stream", budget)
+		if !reflect.DeepEqual(got.recs, want.recs) {
+			t.Fatalf("budget %d: rider rows differ from the live stream", budget)
 		}
 		if tr != nil {
-			var fromTrace recCollector
+			var fromTrace collector
 			tr.Records(&fromTrace)
-			if !reflect.DeepEqual(fromTrace, want) {
-				t.Fatal("trace records differ from the live-packed stream")
+			if !reflect.DeepEqual(fromTrace.recs, want.recs) {
+				t.Fatal("trace records differ from the live stream")
 			}
 		}
 	}
@@ -229,8 +201,8 @@ func TestTraceBudgetOverflow(t *testing.T) {
 }
 
 // TestProfilerRecordsMatchAttach: feeding the profiler the records of a
-// replayed trace must produce the identical value tables as feeding it a
-// live run packed on the fly (the over-budget fallback of VRS profiling).
+// replayed trace must produce the identical value tables as attaching it
+// to a live run (the over-budget fallback of VRS profiling).
 func TestProfilerRecordsMatchAttach(t *testing.T) {
 	p := assembleProg(t, branchyProgram)
 	points := []int{2, 3, 5} // store, load, add inside the loop
@@ -241,7 +213,7 @@ func TestProfilerRecordsMatchAttach(t *testing.T) {
 
 	fromLive := emu.NewProfiler(points)
 	m := emu.New(p)
-	m.Sink = emu.NewPacker(p, fromLive)
+	m.Sink = fromLive
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

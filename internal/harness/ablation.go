@@ -154,12 +154,13 @@ func (s *Suite) ablationProgram(name string, opts vrp.Options) (*prog.Program, e
 }
 
 // dynHistogramOf runs a program and tallies retired width-bearing
-// instruction widths (packed on the fly; ablation variants are one-off
+// instruction widths from its live records (ablation variants are one-off
 // programs outside the suite's trace cache).
 func dynHistogramOf(p *prog.Program) (vrp.WidthHistogram, error) {
 	var h vrp.WidthHistogram
 	m := emu.New(p)
-	m.Sink = emu.NewPacker(p, widthSink{&h})
+	defer m.Release()
+	m.Sink = widthSink{&h}
 	if err := m.Run(); err != nil {
 		return h, err
 	}

@@ -368,10 +368,10 @@ func (s *Suite) simModes(name, variant string, modes []power.GatingMode) ([]*uar
 // traceWith returns (cached) the packed retirement trace of a variant, or
 // nil when the capture exceeded the trace budget (the miss is cached too:
 // callers fall back to live emulation, once per call site). If this call
-// is the one that performs the capture, rider consumes the recorder's
-// packed rows of the same live pass — the variant's only emulation feeds
-// the recorder and its first consumer together — and rode reports it.
-func (s *Suite) traceWith(name, variant string, rider emu.RecSink) (tr *emu.Trace, rode bool, err error) {
+// is the one that performs the capture, rider consumes the record batches
+// of the same live pass — the variant's only emulation feeds the recorder
+// and its first consumer together — and rode reports it.
+func (s *Suite) traceWith(name, variant string, rider emu.Sink) (tr *emu.Trace, rode bool, err error) {
 	tr, err = s.traces.do(variantKey{name, variant}, func() (*emu.Trace, error) {
 		if workload.IsTrace(name) {
 			// Imported traces are hit-or-error: there is no emulation to
@@ -404,6 +404,7 @@ func (s *Suite) traceWith(name, variant string, rider emu.RecSink) (tr *emu.Trac
 		rec := emu.NewTraceRecorder(p)
 		rec.SetBudget(s.TraceBudget)
 		m := emu.New(p)
+		defer m.Release()
 		m.Sink = rec
 		rec.SetRider(rider)
 		rode = true
@@ -432,10 +433,10 @@ func (s *Suite) traceWith(name, variant string, rider emu.RecSink) (tr *emu.Trac
 
 // recordsOf streams the packed retirement records of a variant into rs:
 // riding the capture pass when this is the variant's first consumer, from
-// the cached trace when one exists, else from a live emulation packed on
-// the fly. Consumers read op/width/value columns directly and never
-// dereference per-event instruction pointers.
-func (s *Suite) recordsOf(name, variant string, rs emu.RecSink) error {
+// the cached trace when one exists, else from a live emulation. Consumers
+// read op/width/value columns directly and never dereference per-event
+// instruction pointers.
+func (s *Suite) recordsOf(name, variant string, rs emu.Sink) error {
 	tr, rode, err := s.traceWith(name, variant, rs)
 	if err != nil {
 		return err
@@ -452,7 +453,8 @@ func (s *Suite) recordsOf(name, variant string, rs emu.RecSink) error {
 		return err
 	}
 	m := emu.New(p)
-	m.Sink = emu.NewPacker(p, rs)
+	defer m.Release()
+	m.Sink = rs
 	s.emuRuns.Add(1)
 	return m.Run()
 }

@@ -27,39 +27,64 @@ import (
 // outcome is the observable result of one execution: the flattened
 // retirement stream plus the architectural end state.
 type outcome struct {
-	events []emu.Event
+	recs   []rec
 	output []byte
 	mem    []byte
 	dyn    int64
 	regs   [32]int64
 }
 
-// collect copies every retired event out of the machine-owned batches.
-func collect(events *[]emu.Event) emu.Sink {
-	return emu.FuncSink(func(ev emu.Event) { *events = append(*events, ev) })
+// rec is one retirement record, flattened so streams compare with ==.
+type rec struct {
+	idx, next               int32
+	op, wbytes, flags       uint8
+	addr, value, srcA, srcB int64
 }
 
-// runBatched executes p with the batched dispatch loop.
-func runBatched(p *prog.Program) (*outcome, error) {
-	o := &outcome{}
-	m := emu.New(p)
-	m.Sink = collect(&o.events)
-	if err := m.Run(); err != nil {
-		return nil, fmt.Errorf("batched run: %w", err)
-	}
-	o.finish(m)
-	return o, nil
-}
-
-// runStepped executes p one Step at a time.
-func runStepped(p *prog.Program) (*outcome, error) {
-	o := &outcome{}
-	m := emu.New(p)
-	m.Sink = collect(&o.events)
-	for !m.Halted {
-		if err := m.Step(); err != nil {
-			return nil, fmt.Errorf("stepped run: %w", err)
+// collect copies every retired record out of the machine-owned batches.
+func collect(recs *[]rec) emu.Sink {
+	return emu.RecFunc(func(b emu.RecBatch) {
+		for i := range b.Idx {
+			*recs = append(*recs, rec{
+				b.Idx[i], b.Next[i], b.Op[i], b.WBytes[i], b.Flags[i],
+				b.Addr[i], b.Value[i], b.SrcA[i], b.SrcB[i],
+			})
 		}
+	})
+}
+
+// eventRec flattens a replayed Event into a record, deriving the opcode,
+// width and writes-dest flag from the Event's instruction rather than
+// from the trace, so the comparison also checks the metadata the
+// dispatch loop folds in at predecode time.
+func eventRec(ev emu.Event) rec {
+	var flags uint8
+	if ev.Taken {
+		flags |= emu.RecTaken
+	}
+	if _, ok := ev.Ins.Dest(); ok {
+		flags |= emu.RecWritesDest
+	}
+	return rec{int32(ev.Idx), int32(ev.Next), uint8(ev.Ins.Op), uint8(ev.Ins.Width), flags,
+		ev.Addr, ev.Value, ev.SrcA, ev.SrcB}
+}
+
+// runLive executes p with the batched dispatch loop, or one Step at a
+// time when stepped.
+func runLive(p *prog.Program, stepped bool) (*outcome, error) {
+	o := &outcome{}
+	m := emu.New(p)
+	defer m.Release()
+	m.Sink = collect(&o.recs)
+	var err error
+	if !stepped {
+		err = m.Run()
+	}
+	for stepped && err == nil && !m.Halted {
+		err = m.Step()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("live run (stepped %v): %w", stepped, err)
 	}
 	o.finish(m)
 	return o, nil
@@ -71,6 +96,7 @@ func runStepped(p *prog.Program) (*outcome, error) {
 func runReplayed(p *prog.Program) (*outcome, error) {
 	o := &outcome{}
 	m := emu.New(p)
+	defer m.Release()
 	rec := emu.NewTraceRecorder(p)
 	m.Sink = rec
 	if err := m.Run(); err != nil {
@@ -83,7 +109,7 @@ func runReplayed(p *prog.Program) (*outcome, error) {
 	if tr.Len() != m.Dyn {
 		return nil, fmt.Errorf("trace length %d != %d retired instructions", tr.Len(), m.Dyn)
 	}
-	tr.Replay(collect(&o.events))
+	tr.Replay(emu.FuncSink(func(ev emu.Event) { o.recs = append(o.recs, eventRec(ev)) }))
 	o.finish(m)
 	return o, nil
 }
@@ -100,12 +126,12 @@ func diff(a, b *outcome, aName, bName string) error {
 	if a.dyn != b.dyn {
 		return fmt.Errorf("%s retired %d instructions, %s %d", aName, a.dyn, bName, b.dyn)
 	}
-	if len(a.events) != len(b.events) {
-		return fmt.Errorf("%s delivered %d events, %s %d", aName, len(a.events), bName, len(b.events))
+	if len(a.recs) != len(b.recs) {
+		return fmt.Errorf("%s delivered %d records, %s %d", aName, len(a.recs), bName, len(b.recs))
 	}
-	for i := range a.events {
-		if a.events[i] != b.events[i] {
-			return fmt.Errorf("event %d differs: %s %+v, %s %+v", i, aName, a.events[i], bName, b.events[i])
+	for i := range a.recs {
+		if a.recs[i] != b.recs[i] {
+			return fmt.Errorf("record %d differs: %s %+v, %s %+v", i, aName, a.recs[i], bName, b.recs[i])
 		}
 	}
 	if !bytes.Equal(a.output, b.output) {
@@ -122,14 +148,14 @@ func diff(a, b *outcome, aName, bName string) error {
 
 // CheckExec asserts the execution-equivalence invariant on p: the batched
 // Run loop, the per-Step wrapper and a captured-trace Replay must produce
-// identical retirement streams (every Event field) and identical
+// identical retirement streams (every record column) and identical
 // architectural outcomes (output, registers, memory, retired count).
 func CheckExec(p *prog.Program) error {
-	batched, err := runBatched(p)
+	batched, err := runLive(p, false)
 	if err != nil {
 		return err
 	}
-	stepped, err := runStepped(p)
+	stepped, err := runLive(p, true)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"opgate/internal/emu"
+	"opgate/internal/isa"
 	"opgate/internal/vrp"
 )
 
@@ -110,15 +111,17 @@ func phaseShares(t *testing.T, p *emu.Machine, phases []Phase) []float64 {
 	t.Helper()
 	hists := make([]vrp.WidthHistogram, len(phases))
 	current := 0
-	p.Sink = emu.FuncSink(func(ev emu.Event) {
-		for i := range phases {
-			if ev.Idx >= phases[i].Start && ev.Idx < phases[i].End {
-				current = i
-				break
+	p.Sink = emu.RecFunc(func(b emu.RecBatch) {
+		for r, idx := range b.Idx {
+			for i := range phases {
+				if int(idx) >= phases[i].Start && int(idx) < phases[i].End {
+					current = i
+					break
+				}
 			}
-		}
-		if vrp.CountsWidth(ev.Ins.Op) {
-			hists[current].Add(ev.Ins.Width, 1)
+			if vrp.CountsWidth(isa.Op(b.Op[r])) {
+				hists[current].Add(isa.Width(b.WBytes[r]), 1)
+			}
 		}
 	})
 	if err := p.Run(); err != nil {
@@ -179,9 +182,11 @@ func TestFlipCharacter(t *testing.T) {
 		}
 		var h vrp.WidthHistogram
 		m := emu.New(p)
-		m.Sink = emu.FuncSink(func(ev emu.Event) {
-			if vrp.CountsWidth(ev.Ins.Op) {
-				h.Add(ev.Ins.Width, 1)
+		m.Sink = emu.RecFunc(func(b emu.RecBatch) {
+			for i, op := range b.Op {
+				if vrp.CountsWidth(isa.Op(op)) {
+					h.Add(isa.Width(b.WBytes[i]), 1)
+				}
 			}
 		})
 		if err := m.Run(); err != nil {

@@ -296,7 +296,8 @@ func RunModes(p *prog.Program, cfg Config, params power.Params, modes []power.Ga
 		return nil, err
 	}
 	m := emu.New(p)
-	m.Sink = emu.NewPacker(p, s)
+	defer m.Release()
+	m.Sink = s
 	if err := m.Run(); err != nil {
 		return nil, err
 	}
@@ -318,7 +319,7 @@ func ReplayModes(tr *emu.Trace, cfg Config, params power.Params, modes []power.G
 }
 
 // ConsumeRecs advances the pipeline model over a batch of retired
-// instructions of the simulated program (it implements emu.RecSink).
+// instructions of the simulated program (it implements emu.Sink).
 func (s *Sim) ConsumeRecs(b emu.RecBatch) {
 	cfg := &s.cfg
 	bank := s.bank

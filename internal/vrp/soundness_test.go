@@ -27,24 +27,26 @@ func TestRangesContainObservedValues(t *testing.T) {
 			}
 			m := emu.New(p)
 			violations := 0
-			m.Sink = emu.FuncSink(func(ev emu.Event) {
-				if violations > 3 {
-					return
-				}
-				if _, ok := ev.Ins.Dest(); !ok {
-					return
-				}
-				res := r.ResRange[ev.Idx]
-				if res.IsEmpty() {
-					violations++
-					t.Errorf("instruction %d (%s) executed but its range is empty (unreachable?)",
-						ev.Idx, ev.Ins.String())
-					return
-				}
-				if !res.Contains(ev.Value) {
-					violations++
-					t.Errorf("instruction %d (%s): observed value %d outside static range %v",
-						ev.Idx, ev.Ins.String(), ev.Value, res)
+			m.Sink = emu.RecFunc(func(b emu.RecBatch) {
+				for i, idx := range b.Idx {
+					if violations > 3 {
+						return
+					}
+					if b.Flags[i]&emu.RecWritesDest == 0 {
+						continue
+					}
+					res := r.ResRange[idx]
+					if res.IsEmpty() {
+						violations++
+						t.Errorf("instruction %d (%s) executed but its range is empty (unreachable?)",
+							idx, p.Ins[idx].String())
+						continue
+					}
+					if !res.Contains(b.Value[i]) {
+						violations++
+						t.Errorf("instruction %d (%s): observed value %d outside static range %v",
+							idx, p.Ins[idx].String(), b.Value[i], res)
+					}
 				}
 			})
 			if err := m.Run(); err != nil {
@@ -71,19 +73,22 @@ func TestOperandRangesContainObservedValues(t *testing.T) {
 			}
 			m := emu.New(p)
 			violations := 0
-			m.Sink = emu.FuncSink(func(ev emu.Event) {
-				if violations > 3 {
-					return
-				}
-				uses, n := ev.Ins.Uses()
-				if n == 0 || uses[0] != ev.Ins.Ra {
-					return
-				}
-				ra := r.RaRange[ev.Idx]
-				if !ra.IsEmpty() && !ra.Contains(ev.SrcA) {
-					violations++
-					t.Errorf("instruction %d (%s): operand value %d outside recorded range %v",
-						ev.Idx, ev.Ins.String(), ev.SrcA, ra)
+			m.Sink = emu.RecFunc(func(b emu.RecBatch) {
+				for i, idx := range b.Idx {
+					if violations > 3 {
+						return
+					}
+					in := &p.Ins[idx]
+					uses, n := in.Uses()
+					if n == 0 || uses[0] != in.Ra {
+						continue
+					}
+					ra := r.RaRange[idx]
+					if !ra.IsEmpty() && !ra.Contains(b.SrcA[i]) {
+						violations++
+						t.Errorf("instruction %d (%s): operand value %d outside recorded range %v",
+							idx, in.String(), b.SrcA[i], ra)
+					}
 				}
 			})
 			if err := m.Run(); err != nil {

@@ -177,6 +177,7 @@ func NewProfile(trainProg, refProg *prog.Program, opts Options) (*Profile, error
 	// captured as a packed trace so step 2's value profiling can replay
 	// it instead of emulating the train input a second time.
 	trainMachine := emu.New(trainProg)
+	defer trainMachine.Release()
 	trainMachine.EnableCounts()
 	rec := emu.NewTraceRecorder(trainProg)
 	trainMachine.Sink = rec
@@ -195,8 +196,8 @@ func NewProfile(trainProg, refProg *prog.Program, opts Options) (*Profile, error
 	// Step 2 (§3.3): value-profile the candidates on the train input,
 	// replaying the captured trace's packed records (index and value
 	// columns) through the profiler. Only when the capture blew its
-	// memory budget does the profiler fall back to a second emulation,
-	// packed on the fly into the same records.
+	// memory budget does the profiler fall back to a second emulation
+	// feeding it the same records live.
 	idxs := make([]int, len(pf.cands))
 	for i, c := range pf.cands {
 		idxs[i] = c.InsIdx
@@ -205,8 +206,9 @@ func NewProfile(trainProg, refProg *prog.Program, opts Options) (*Profile, error
 	if traceErr == nil {
 		trainTrace.Records(pf.profiler)
 	} else {
+		trainMachine.InsCount = nil // pf.counts keeps the first run's tally
 		trainMachine.Reset()
-		trainMachine.Sink = emu.NewPacker(trainProg, pf.profiler)
+		trainMachine.Sink = pf.profiler
 		if err := trainMachine.Run(); err != nil {
 			return nil, fmt.Errorf("vrs: value profiling run: %w", err)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"opgate/internal/emu"
+	"opgate/internal/isa"
 	"opgate/internal/prog"
 	"opgate/internal/vrp"
 	"opgate/internal/workload"
@@ -131,9 +132,11 @@ func TestVRSReducesWork(t *testing.T) {
 func addDynamicHistogram(t *testing.T, h *vrp.WidthHistogram, p *prog.Program) {
 	t.Helper()
 	m := emu.New(p)
-	m.Sink = emu.FuncSink(func(ev emu.Event) {
-		if vrp.CountsWidth(ev.Ins.Op) {
-			h.Add(ev.Ins.Width, 1)
+	m.Sink = emu.RecFunc(func(b emu.RecBatch) {
+		for i, op := range b.Op {
+			if vrp.CountsWidth(isa.Op(op)) {
+				h.Add(isa.Width(b.WBytes[i]), 1)
+			}
 		}
 	})
 	if err := m.Run(); err != nil {

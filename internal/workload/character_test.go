@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"opgate/internal/emu"
+	"opgate/internal/isa"
 	"opgate/internal/vrp"
 )
 
@@ -25,9 +26,11 @@ func dynShare64(t *testing.T, name string) float64 {
 	}
 	var h vrp.WidthHistogram
 	m := emu.New(r.Apply())
-	m.Sink = emu.FuncSink(func(ev emu.Event) {
-		if vrp.CountsWidth(ev.Ins.Op) {
-			h.Add(ev.Ins.Width, 1)
+	m.Sink = emu.RecFunc(func(b emu.RecBatch) {
+		for i, op := range b.Op {
+			if vrp.CountsWidth(isa.Op(op)) {
+				h.Add(isa.Width(b.WBytes[i]), 1)
+			}
 		}
 	})
 	if err := m.Run(); err != nil {

@@ -1,17 +1,21 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // machine-readable JSON document on stdout, so benchmark trajectories
-// (BENCH_sim.json) can be diffed and plotted across PRs.
+// (BENCH_sim.json) can be diffed and plotted across PRs. Next to the raw
+// samples the document carries a summary per (benchmark, unit): the best
+// sample and the spread of all samples, so a reader can tell a real move
+// from scheduler noise.
 //
 // Usage:
 //
 //	go test -run '^$' -bench ... . | go run ./tools/benchjson > BENCH_sim.json
 //
 // With -compare it doubles as a regression gate: the fresh document is
-// still written to stdout, but every throughput metric a benchmark
-// reports — "MIPS", or any higher-is-better rate unit ending in "/s"
-// (e.g. the sweep benchmark's "cells/s") — is also checked against the
-// baseline document, and the process exits nonzero when any throughput
-// fell more than -tolerance below its committed value:
+// still written to stdout, but every gated metric a benchmark reports is
+// also checked against the baseline document, and the process exits
+// nonzero when any got worse by more than -tolerance. Gated are the
+// higher-is-better throughputs — "MIPS", or any rate unit ending in "/s"
+// (e.g. the sweep benchmark's "cells/s") — and the lower-is-better times
+// "ns/op" and "ms":
 //
 //	go test -bench ... . | go run ./tools/benchjson \
 //	    -compare BENCH_sim.json -tolerance 0.25 > fresh.json
@@ -44,11 +48,23 @@ type Document struct {
 	CPU        string      `json:"cpu,omitempty"`
 	Package    string      `json:"pkg,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+	Summary    []Summary   `json:"summary,omitempty"`
+}
+
+// Summary condenses every sample of one gated (benchmark, unit) pair:
+// the best sample, which the gate scores, and the samples' spread.
+type Summary struct {
+	Name    string  `json:"name"`
+	Unit    string  `json:"unit"`
+	Better  string  `json:"better"` // "higher" or "lower"
+	Samples int     `json:"samples"`
+	Best    float64 `json:"best"`
+	Spread  float64 `json:"spread"` // (max - min) / best
 }
 
 func main() {
-	compare := flag.String("compare", "", "baseline JSON document to gate throughput metrics against")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional throughput regression vs the baseline")
+	compare := flag.String("compare", "", "baseline JSON document to gate metrics against")
+	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional regression vs the baseline")
 	flag.Parse()
 
 	doc, err := parseBenchOutput(os.Stdin)
@@ -75,7 +91,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", l)
 	}
 	if failed {
-		fmt.Fprintf(os.Stderr, "benchjson: FAIL: throughput regression beyond %.0f%% tolerance vs %s\n",
+		fmt.Fprintf(os.Stderr, "benchjson: FAIL: regression beyond %.0f%% tolerance vs %s\n",
 			*tolerance*100, *compare)
 		os.Exit(1)
 	}
@@ -103,6 +119,7 @@ func parseBenchOutput(r io.Reader) (Document, error) {
 			}
 		}
 	}
+	doc.Summary = summarize(doc)
 	return doc, sc.Err()
 }
 
@@ -119,63 +136,109 @@ func loadDocument(path string) (Document, error) {
 	return doc, nil
 }
 
-// throughputMetric reports whether a metric unit is a higher-is-better
-// throughput the gate should watch: "MIPS" (the historical spelling) or
-// any rate unit ending in "/s" ("cells/s", "reports/s", ...). Counters
-// and physical quantities ("train-emus", "nJ-saved-64to8") stay
-// informational.
-func throughputMetric(unit string) bool {
-	return unit == "MIPS" || strings.HasSuffix(unit, "/s")
+// direction reports how a metric unit is gated: "higher" for the
+// higher-is-better throughputs ("MIPS", the historical spelling, or any
+// rate unit ending in "/s": "cells/s", "reports/s", ...), "lower" for the
+// lower-is-better times ("ns/op", "ms"), and "" for units the gate leaves
+// informational (counters and physical quantities such as "train-emus" or
+// "nJ-saved-64to8").
+func direction(unit string) string {
+	switch {
+	case unit == "MIPS" || strings.HasSuffix(unit, "/s"):
+		return "higher"
+	case unit == "ns/op" || unit == "ms":
+		return "lower"
+	}
+	return ""
 }
 
-// compareThroughput gates the fresh document against a baseline: every
-// throughput metric a benchmark reports in both documents must stay
-// within the fractional tolerance of its baseline value. A benchmark
-// appearing several times on a side (go test -count=N) is represented by
-// its best run — scheduler noise only ever subtracts throughput, so a
-// genuine regression slows every sample while a noisy one leaves the
-// best intact. Higher is better, so only drops count; metrics present on
-// one side only are reported but never fail the gate (renames and
-// removals are deliberate acts, caught by the diff of BENCH_sim.json
-// itself). Returns human-readable verdict lines and whether the gate
-// failed.
-func compareThroughput(baseline, fresh Document, tolerance float64) (lines []string, failed bool) {
-	freshBest := bestThroughput(fresh)
-	baseBest := bestThroughput(baseline)
-	seen := map[string]bool{}
-	for _, b := range baseline.Benchmarks {
+// summarize condenses every gated (benchmark, unit) pair of doc — each
+// metric with a direction, and ns/op when recorded — in order of first
+// appearance, units sorted within a benchmark.
+func summarize(doc Document) []Summary {
+	var keys []string
+	vals := map[string][]float64{}
+	add := func(name, unit string, v float64) {
+		key := name + " " + unit
+		if _, ok := vals[key]; !ok {
+			keys = append(keys, key)
+		}
+		vals[key] = append(vals[key], v)
+	}
+	for _, b := range doc.Benchmarks {
 		units := make([]string, 0, len(b.Metrics))
 		for unit := range b.Metrics {
-			if throughputMetric(unit) {
+			if direction(unit) != "" {
 				units = append(units, unit)
 			}
 		}
 		sort.Strings(units)
 		for _, unit := range units {
-			key := b.Name + " " + unit
-			old, ok := baseBest[key]
-			if !ok || old <= 0 || seen[key] {
-				continue
-			}
-			seen[key] = true
-			now, ok := freshBest[key]
-			if !ok {
-				lines = append(lines, fmt.Sprintf("skip %s: no %s in fresh run (removed or renamed?)", b.Name, unit))
-				continue
-			}
-			delete(freshBest, key)
-			change := now/old - 1
-			verdict := "ok  "
-			if change < -tolerance {
-				verdict = "FAIL"
-				failed = true
-			}
-			lines = append(lines, fmt.Sprintf("%s %s: %.1f %s vs baseline %.1f (%+.1f%%)",
-				verdict, b.Name, now, unit, old, change*100))
+			add(b.Name, unit, b.Metrics[unit])
+		}
+		if b.NsPerOp > 0 {
+			add(b.Name, "ns/op", b.NsPerOp)
 		}
 	}
-	newKeys := make([]string, 0, len(freshBest))
-	for key := range freshBest {
+	out := make([]Summary, len(keys))
+	for i, key := range keys {
+		vs := vals[key]
+		sort.Float64s(vs)
+		lo, hi := vs[0], vs[len(vs)-1]
+		sp := strings.LastIndexByte(key, ' ')
+		out[i] = Summary{Name: key[:sp], Unit: key[sp+1:], Better: direction(key[sp+1:]), Samples: len(vs), Best: hi}
+		// Noise only ever costs performance, so the best sample is the
+		// highest throughput or the lowest time: a genuine regression
+		// moves every sample, a noisy one leaves the best intact.
+		if out[i].Better == "lower" {
+			out[i].Best = lo
+		}
+		if out[i].Best != 0 {
+			out[i].Spread = (hi - lo) / out[i].Best
+		}
+	}
+	return out
+}
+
+// compareThroughput gates the fresh document against a baseline: every
+// gated metric a benchmark reports in both documents must stay within the
+// fractional tolerance of its baseline value, scored on each side's best
+// sample (go test -count=N). Only moves in the worse direction count;
+// metrics present on one side only are reported but never fail the gate
+// (renames and removals are deliberate acts, caught by the diff of
+// BENCH_sim.json itself). Returns human-readable verdict lines, each with
+// both sides' sample spread, and whether the gate failed.
+func compareThroughput(baseline, fresh Document, tolerance float64) (lines []string, failed bool) {
+	now := map[string]Summary{}
+	for _, s := range summarize(fresh) {
+		now[s.Name+" "+s.Unit] = s
+	}
+	for _, old := range summarize(baseline) {
+		key := old.Name + " " + old.Unit
+		if old.Best <= 0 {
+			continue
+		}
+		cur, ok := now[key]
+		if !ok {
+			lines = append(lines, fmt.Sprintf("skip %s: no %s in fresh run (removed or renamed?)", old.Name, old.Unit))
+			continue
+		}
+		delete(now, key)
+		change := cur.Best/old.Best - 1
+		worse := -change
+		if old.Better == "lower" {
+			worse = change
+		}
+		verdict := "ok  "
+		if worse > tolerance {
+			verdict = "FAIL"
+			failed = true
+		}
+		lines = append(lines, fmt.Sprintf("%s %s: %.1f %s vs baseline %.1f (%+.1f%%; spread %.1f%% vs %.1f%%)",
+			verdict, old.Name, cur.Best, old.Unit, old.Best, change*100, cur.Spread*100, old.Spread*100))
+	}
+	newKeys := make([]string, 0, len(now))
+	for key := range now {
 		newKeys = append(newKeys, key)
 	}
 	sort.Strings(newKeys)
@@ -183,23 +246,6 @@ func compareThroughput(baseline, fresh Document, tolerance float64) (lines []str
 		lines = append(lines, fmt.Sprintf("note %s: new benchmark metric, no baseline", key))
 	}
 	return lines, failed
-}
-
-// bestThroughput maps each "benchmark-name unit" pair to its best
-// (highest) throughput sample.
-func bestThroughput(doc Document) map[string]float64 {
-	best := map[string]float64{}
-	for _, b := range doc.Benchmarks {
-		for unit, v := range b.Metrics {
-			if !throughputMetric(unit) {
-				continue
-			}
-			if key := b.Name + " " + unit; v > best[key] {
-				best[key] = v
-			}
-		}
-	}
-	return best
 }
 
 // parseBench parses one result line: name, iteration count, then

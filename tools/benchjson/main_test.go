@@ -141,3 +141,75 @@ func TestCompareThroughput(t *testing.T) {
 		}
 	})
 }
+
+// timed builds a benchmark carrying only its ns/op and, when ms > 0, a
+// custom "ms" metric.
+func timed(name string, nsPerOp, ms float64) Benchmark {
+	b := Benchmark{Name: name, Iters: 1, NsPerOp: nsPerOp}
+	if ms > 0 {
+		b.Metrics = map[string]float64{"ms": ms}
+	}
+	return b
+}
+
+func TestCompareLowerIsBetter(t *testing.T) {
+	baseline := Document{Benchmarks: []Benchmark{timed("T", 100, 0), timed("M", 0, 10)}}
+
+	t.Run("slower-fails", func(t *testing.T) {
+		lines, failed := compareThroughput(baseline, Document{Benchmarks: []Benchmark{timed("T", 130, 0), timed("M", 0, 10)}}, 0.25)
+		if !failed || !strings.Contains(strings.Join(lines, "\n"), "FAIL T: 130.0 ns/op") {
+			t.Fatalf("gate passed a +30%% ns/op regression:\n%s", strings.Join(lines, "\n"))
+		}
+		lines, failed = compareThroughput(baseline, Document{Benchmarks: []Benchmark{timed("T", 100, 0), timed("M", 0, 13)}}, 0.25)
+		if !failed || !strings.Contains(strings.Join(lines, "\n"), "FAIL M: 13.0 ms") {
+			t.Fatalf("gate passed a +30%% ms regression:\n%s", strings.Join(lines, "\n"))
+		}
+	})
+
+	t.Run("faster-or-within-tolerance-passes", func(t *testing.T) {
+		fresh := Document{Benchmarks: []Benchmark{timed("T", 50, 0), timed("M", 0, 12)}}
+		if lines, failed := compareThroughput(baseline, fresh, 0.25); failed {
+			t.Fatalf("gate failed on a faster run or a +20%% time:\n%s", strings.Join(lines, "\n"))
+		}
+	})
+
+	t.Run("best-is-the-lowest-sample", func(t *testing.T) {
+		fresh := Document{Benchmarks: []Benchmark{
+			timed("T", 200, 0), timed("T", 110, 0), timed("T", 150, 0), timed("M", 0, 10),
+		}}
+		lines, failed := compareThroughput(baseline, fresh, 0.25)
+		if failed {
+			t.Fatalf("gate failed despite a healthy fastest sample:\n%s", strings.Join(lines, "\n"))
+		}
+		if !strings.Contains(strings.Join(lines, "\n"), "ok   T: 110.0 ns/op vs baseline 100.0 (+10.0%") {
+			t.Fatalf("verdict does not score the fastest sample:\n%s", strings.Join(lines, "\n"))
+		}
+	})
+}
+
+const spreadBenchOutput = `BenchmarkX/a 	3	10 ns/op	100 MIPS	7 train-emus
+BenchmarkX/a 	3	12 ns/op	90 MIPS	7 train-emus
+BenchmarkX/a 	3	11 ns/op	110 MIPS	7 train-emus
+`
+
+func TestSummaryRecordsBestAndSpread(t *testing.T) {
+	doc, err := parseBenchOutput(strings.NewReader(spreadBenchOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Summary{
+		{Name: "BenchmarkX/a", Unit: "MIPS", Better: "higher", Samples: 3, Best: 110, Spread: 20.0 / 110},
+		{Name: "BenchmarkX/a", Unit: "ns/op", Better: "lower", Samples: 3, Best: 10, Spread: 0.2},
+	}
+	if len(doc.Summary) != len(want) {
+		t.Fatalf("summary %+v, want %+v (counters stay out)", doc.Summary, want)
+	}
+	for i := range want {
+		got := doc.Summary[i]
+		if got.Name != want[i].Name || got.Unit != want[i].Unit || got.Better != want[i].Better ||
+			got.Samples != want[i].Samples || got.Best != want[i].Best ||
+			got.Spread < want[i].Spread-1e-12 || got.Spread > want[i].Spread+1e-12 {
+			t.Fatalf("summary[%d] = %+v, want %+v", i, got, want[i])
+		}
+	}
+}
