@@ -16,6 +16,7 @@ import (
 	"opgate/internal/harness"
 	"opgate/internal/isa"
 	"opgate/internal/power"
+	"opgate/internal/store"
 	"opgate/internal/uarch"
 	"opgate/internal/vrp"
 	"opgate/internal/vrs"
@@ -340,6 +341,43 @@ func BenchmarkTraceReplayMIPS(b *testing.B) {
 		}
 		b.ReportMetric(float64(n)/b.Elapsed().Seconds()/1e6, "MIPS")
 		_ = wsum
+	})
+}
+
+// BenchmarkTraceStore reports the trace codec's throughput in MB/s of
+// encoded trace over one quick workload's base trace: encode serializes
+// the captured trace, decode checks the checksum, copies the columns out
+// and restores a validated trace bound to the program — the work every
+// warm store hit pays besides the read itself.
+func BenchmarkTraceStore(b *testing.B) {
+	w, _ := workload.ByName("compress")
+	p, _ := w.Build(workload.Train)
+	rec := emu.NewTraceRecorder(p)
+	m := emu.New(p)
+	defer m.Release()
+	m.Sink = rec
+	if err := m.Run(); err != nil {
+		b.Fatal(err)
+	}
+	tr, err := rec.Trace()
+	if err != nil {
+		b.Fatal(err)
+	}
+	id := store.ProgramIdentity(p)
+	enc := store.EncodeTrace(tr, id)
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(enc)))
+		for i := 0; i < b.N; i++ {
+			store.EncodeTrace(tr, id)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(enc)))
+		for i := 0; i < b.N; i++ {
+			if _, err := store.DecodeTrace(enc, p, id); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 

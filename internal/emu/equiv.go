@@ -15,15 +15,18 @@ type RunResult struct {
 }
 
 // Execute runs a fresh machine over p and returns its observable result.
+// The result holds copies of the output and final memory, so the machine's
+// image goes back to the pool.
 func Execute(p *prog.Program) (*RunResult, error) {
 	m := New(p)
+	defer m.Release()
 	if err := m.Run(); err != nil {
 		return nil, err
 	}
 	return &RunResult{
 		Output: append([]byte(nil), m.Output...),
 		Dyn:    m.Dyn,
-		Mem:    m.Mem,
+		Mem:    append([]byte(nil), m.Mem...),
 	}, nil
 }
 
@@ -31,22 +34,25 @@ func Execute(p *prog.Program) (*RunResult, error) {
 // behaviour matches: identical output streams and identical final data
 // memory. VRP re-encodes opcodes and VRS clones guarded regions, so both
 // must be perfectly behaviour-preserving (§2: "VRP is always done in a
-// conservative manner ... ensuring the correctness of results").
+// conservative manner ... ensuring the correctness of results"). Both
+// machines are compared in place and then released.
 func CheckEquivalence(original, transformed *prog.Program) error {
-	r1, err := Execute(original)
-	if err != nil {
+	m1 := New(original)
+	defer m1.Release()
+	if err := m1.Run(); err != nil {
 		return fmt.Errorf("original program failed: %w", err)
 	}
-	r2, err := Execute(transformed)
-	if err != nil {
+	m2 := New(transformed)
+	defer m2.Release()
+	if err := m2.Run(); err != nil {
 		return fmt.Errorf("transformed program failed: %w", err)
 	}
-	if !bytes.Equal(r1.Output, r2.Output) {
+	if !bytes.Equal(m1.Output, m2.Output) {
 		return fmt.Errorf("output mismatch: original %d bytes, transformed %d bytes (first diff at %d)",
-			len(r1.Output), len(r2.Output), firstDiff(r1.Output, r2.Output))
+			len(m1.Output), len(m2.Output), firstDiff(m1.Output, m2.Output))
 	}
-	if len(r1.Mem) != len(r2.Mem) || !bytes.Equal(r1.Mem, r2.Mem) {
-		return fmt.Errorf("final memory mismatch at offset %d", firstDiff(r1.Mem, r2.Mem))
+	if !bytes.Equal(m1.Mem, m2.Mem) {
+		return fmt.Errorf("final memory mismatch at offset %d", firstDiff(m1.Mem, m2.Mem))
 	}
 	return nil
 }

@@ -167,6 +167,51 @@ func TestPooledCyclesDoNotAllocateImages(t *testing.T) {
 	}
 }
 
+// TestEquivalenceChecksDoNotAllocateImages: CheckEquivalence releases
+// both of its machines, so repeated checks reuse two pooled images
+// instead of allocating 16 MiB each.
+func TestEquivalenceChecksDoNotAllocateImages(t *testing.T) {
+	p, q := assembleProg(t, dirtyProgram), assembleProg(t, dirtyProgram)
+	check := func() {
+		if err := emu.CheckEquivalence(p, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check() // the pool may start empty
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		check()
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*p.MemSize); got >= limit {
+		t.Fatalf("10 equivalence checks allocated %d bytes, want < %d (two images)", got, limit)
+	}
+}
+
+// TestExecuteResultOutlivesRelease: Execute hands its image back to the
+// pool, so the memory in its result must be a copy that later machines
+// drawing that image cannot disturb.
+func TestExecuteResultOutlivesRelease(t *testing.T) {
+	p := assembleProg(t, dirtyProgram)
+	res, err := emu.Execute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), res.Mem...)
+	m := emu.New(assembleProg(t, cleanProgram))
+	defer m.Release()
+	if &m.Mem[0] == &res.Mem[0] {
+		t.Fatal("Execute's result aliases a pooled image")
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Mem, want) {
+		t.Fatal("a later machine changed Execute's result memory")
+	}
+}
+
 // TestPoolConcurrentMachines: machines drawing from and returning to the
 // pool concurrently, on programs of one memory size with different data,
 // each see exactly their own initial image and outcome. Run it under

@@ -73,13 +73,14 @@ type RecBatch struct {
 // Len returns the number of records in the batch.
 func (b *RecBatch) Len() int { return len(b.Idx) }
 
-// slice returns the sub-batch [lo, hi).
+// slice returns the sub-batch [lo, hi), capacity-capped so that appending
+// to it reallocates instead of overwriting the records after hi.
 func (b *RecBatch) slice(lo, hi int) RecBatch {
 	return RecBatch{
-		Idx: b.Idx[lo:hi], Next: b.Next[lo:hi],
-		Op: b.Op[lo:hi], WBytes: b.WBytes[lo:hi], Flags: b.Flags[lo:hi],
-		Addr: b.Addr[lo:hi], Value: b.Value[lo:hi],
-		SrcA: b.SrcA[lo:hi], SrcB: b.SrcB[lo:hi],
+		Idx: b.Idx[lo:hi:hi], Next: b.Next[lo:hi:hi],
+		Op: b.Op[lo:hi:hi], WBytes: b.WBytes[lo:hi:hi], Flags: b.Flags[lo:hi:hi],
+		Addr: b.Addr[lo:hi:hi], Value: b.Value[lo:hi:hi],
+		SrcA: b.SrcA[lo:hi:hi], SrcB: b.SrcB[lo:hi:hi],
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 // static and next indices must be in range, and the folded-in opcode,
 // width and writes-dest flag must match the program's own instruction
 // metadata, so a trace cannot be rebound to a program it was not captured
-// from. The columns are copied into chunk-sized storage, so the caller
-// keeps ownership of recs.
+// from. The trace takes ownership of recs: its chunks are views of the
+// columns, so the caller must not modify them afterwards.
 func NewTraceFromRecords(p *prog.Program, recs RecBatch) (*Trace, error) {
 	n := recs.Len()
 	for _, l := range [...]int{
@@ -52,18 +52,12 @@ func NewTraceFromRecords(p *prog.Program, recs RecBatch) (*Trace, error) {
 		}
 	}
 
-	// Repack into full-capacity chunks, mirroring TraceRecorder's storage
-	// (and its byte accounting) so a restored trace is indistinguishable
-	// from a freshly captured one.
+	// Chunk the columns in place, in TraceChunkEvents views with a
+	// captured trace's batch boundaries and byte accounting, so a restored
+	// trace is indistinguishable from a freshly captured one.
 	t := &Trace{p: p, events: int64(n)}
 	for off := 0; off < n; off += TraceChunkEvents {
-		end := off + TraceChunkEvents
-		if end > n {
-			end = n
-		}
-		chunk := newRecBatch(TraceChunkEvents)
-		chunk.copyAt(0, recs.slice(off, end))
-		t.chunks = append(t.chunks, chunk.slice(0, end-off))
+		t.chunks = append(t.chunks, recs.slice(off, min(off+TraceChunkEvents, n)))
 		t.bytes += TraceChunkEvents * recBytes
 	}
 	return t, nil

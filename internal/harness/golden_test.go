@@ -17,7 +17,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden report files")
 // quickInputs are the suites the goldens are rendered from: the default
 // suite, and one whose one-byte TraceBudget admits no trace, so every
 // simulation, histogram and record scan takes the live fallback
-// (uarch.RunModes, the live packer). The second is the oracle the trace
+// (uarch.RunModes over live emulation). The second is the oracle the trace
 // pipeline must match byte for byte.
 var quickInputs = [...]struct {
 	name   string

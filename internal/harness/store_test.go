@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"testing"
@@ -124,5 +126,79 @@ func TestStoreDamageFallsBackToEmulation(t *testing.T) {
 	}
 	if !bytes.Equal(coldOut, warmOut) {
 		t.Fatal("reports drifted after store damage — the store leaked into correctness")
+	}
+}
+
+// v1Frame re-frames a stored trace object the way codec format version 1
+// wrote it: the same header and columns under version 1 and a
+// CRC-64/ECMA trailer.
+func v1Frame(blob []byte) []byte {
+	b := append([]byte{}, blob...)
+	binary.LittleEndian.PutUint16(b[4:], 1)
+	crc := crc64.Checksum(b[:len(b)-8], crc64.MakeTable(crc64.ECMA))
+	binary.LittleEndian.PutUint64(b[len(b)-8:], crc)
+	return b
+}
+
+// TestStoreV1ObjectIsReEmulatedAndRewritten: a trace object left behind
+// by codec format version 1 is a miss. The run rejects it once,
+// re-emulates that one trace, rewrites the object in the current format,
+// and renders reports byte-identical to a cold run.
+func TestStoreV1ObjectIsReEmulatedAndRewritten(t *testing.T) {
+	dir := t.TempDir()
+	fig3 := func(st *store.Store) (*Suite, []byte) {
+		t.Helper()
+		s := NewSuite(true)
+		s.Store = st
+		r, err := s.RunExperiment(context.Background(), "fig3", 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := (TextRenderer{}).Render(&buf, []*Report{r}); err != nil {
+			t.Fatal(err)
+		}
+		return s, buf.Bytes()
+	}
+	_, coldOut := fig3(storeSuite(t, dir))
+
+	objects := filepath.Join(dir, "objects")
+	entries, err := os.ReadDir(objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var path string
+	var current []byte
+	for _, e := range entries {
+		p := filepath.Join(objects, e.Name())
+		if data, err := os.ReadFile(p); err == nil && bytes.HasPrefix(data, []byte("OGTR")) {
+			path, current = p, data
+			break
+		}
+	}
+	if path == "" {
+		t.Fatal("cold run stored no trace object")
+	}
+	if err := os.WriteFile(path, v1Frame(current), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st := storeSuite(t, dir)
+	warm, warmOut := fig3(st)
+	if got := st.Stats().Rejects; got != 1 {
+		t.Fatalf("warm run rejected %d objects, want 1 (the v1 object)", got)
+	}
+	if n := warm.Emulations(); n != 1 {
+		t.Fatalf("warm run performed %d emulations, want 1 (the v1 object's trace)", n)
+	}
+	rewritten, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("v1 object was not rewritten: %v", err)
+	}
+	if !bytes.Equal(rewritten, current) {
+		t.Fatal("rewritten object differs from the cold run's current-format encoding")
+	}
+	if !bytes.Equal(coldOut, warmOut) {
+		t.Fatal("reports drifted after a v1 object was re-emulated")
 	}
 }

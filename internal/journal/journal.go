@@ -70,8 +70,9 @@ const (
 	maxSynthetics   = 1 << 12 // entries in the synthetic list
 )
 
-// crcTable is the Castagnoli polynomial, matching the store codec's
-// choice of a hardware-accelerated CRC.
+// crcTable is the Castagnoli polynomial (CRC-32C), a hardware-accelerated
+// CRC; the store's trace codec pairs it with CRC-32/IEEE for a 64-bit
+// trailer.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // appendUint64 / appendString are the little-endian primitives of the

@@ -3,21 +3,21 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc64"
+	"hash/crc32"
 	"math"
 
 	"opgate/internal/emu"
 	"opgate/internal/prog"
 )
 
-// The trace codec, wire format version 1. A packed trace's struct-of-arrays
+// The trace codec, wire format version 2. A packed trace's struct-of-arrays
 // columns serialize almost directly: the file is a fixed header, the nine
 // record columns stored whole-trace contiguously (little-endian), and a
-// CRC-64 trailer.
+// 64-bit checksum trailer.
 //
 //	offset   size  field
 //	0        4     magic "OGTR"
-//	4        2     format version (1)
+//	4        2     format version (2)
 //	6        2     reserved (0)
 //	8        32    program identity (ProgramIdentity of the traced binary)
 //	40       8     event count n
@@ -30,16 +30,26 @@ import (
 //	48+19n   8n    Value  int64
 //	48+27n   8n    SrcA   int64
 //	48+35n   8n    SrcB   int64
-//	end-8    8     CRC-64/ECMA of every preceding byte
+//	end-8    8     CRC-32C (high half) ‖ CRC-32/IEEE (low half) of every
+//	               preceding byte, as one little-endian uint64
+//
+// Both trailer halves are hardware-accelerated CRCs, and a random
+// corruption must fool two independent ones, so the trailer keeps 64-bit
+// strength at memory speed. Any other version (v1 framed the same layout
+// with CRC-64/ECMA) fails the version check: the store drops the object
+// as a miss and the trace is re-captured in this format.
 //
 // The encoding is canonical — no padding, no trailing slack — so
 // re-encoding a decoded trace reproduces the input bit-for-bit (the fuzz
 // target leans on that). Decode refuses anything it cannot vouch for:
 // wrong magic or version, identity mismatch, truncation, trailing bytes,
 // checksum failure, and records that do not validate against the program.
+// It copies the columns out of the blob exactly once, into whole-trace
+// storage the restored trace then adopts, so a decoded trace never pins
+// the blob.
 const (
 	codecMagic   = "OGTR"
-	codecVersion = 1
+	codecVersion = 2
 
 	codecHeaderSize  = 4 + 2 + 2 + 32 + 8
 	codecTrailerSize = 8
@@ -49,8 +59,13 @@ const (
 	codecRecBytes = 43
 )
 
-// crcTable is the CRC-64/ECMA table the trailer uses.
-var crcTable = crc64.MakeTable(crc64.ECMA)
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// trailerSum is the v2 checksum of b: CRC-32C in the high half, CRC-32/IEEE
+// in the low half.
+func trailerSum(b []byte) uint64 {
+	return uint64(crc32.Checksum(b, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(b))
+}
 
 // EncodeTrace serializes a packed trace captured from a binary with the
 // given identity.
@@ -65,22 +80,19 @@ func EncodeTrace(t *emu.Trace, identity Hash) []byte {
 	cols := colOffsets(n)
 	pos := 0
 	t.Records(emu.RecFunc(func(b emu.RecBatch) {
-		for i := 0; i < b.Len(); i++ {
-			binary.LittleEndian.PutUint32(buf[cols.idx+4*(pos+i):], uint32(b.Idx[i]))
-			binary.LittleEndian.PutUint32(buf[cols.next+4*(pos+i):], uint32(b.Next[i]))
-			buf[cols.op+pos+i] = b.Op[i]
-			buf[cols.wbytes+pos+i] = b.WBytes[i]
-			buf[cols.flags+pos+i] = b.Flags[i]
-			binary.LittleEndian.PutUint64(buf[cols.addr+8*(pos+i):], uint64(b.Addr[i]))
-			binary.LittleEndian.PutUint64(buf[cols.value+8*(pos+i):], uint64(b.Value[i]))
-			binary.LittleEndian.PutUint64(buf[cols.srcA+8*(pos+i):], uint64(b.SrcA[i]))
-			binary.LittleEndian.PutUint64(buf[cols.srcB+8*(pos+i):], uint64(b.SrcB[i]))
-		}
+		putInt32s(buf[cols.idx+4*pos:], b.Idx)
+		putInt32s(buf[cols.next+4*pos:], b.Next)
+		copy(buf[cols.op+pos:], b.Op)
+		copy(buf[cols.wbytes+pos:], b.WBytes)
+		copy(buf[cols.flags+pos:], b.Flags)
+		putInt64s(buf[cols.addr+8*pos:], b.Addr)
+		putInt64s(buf[cols.value+8*pos:], b.Value)
+		putInt64s(buf[cols.srcA+8*pos:], b.SrcA)
+		putInt64s(buf[cols.srcB+8*pos:], b.SrcB)
 		pos += b.Len()
 	}))
 
-	crc := crc64.Checksum(buf[:len(buf)-codecTrailerSize], crcTable)
-	binary.LittleEndian.PutUint64(buf[len(buf)-codecTrailerSize:], crc)
+	binary.LittleEndian.PutUint64(buf[len(buf)-codecTrailerSize:], trailerSum(buf[:len(buf)-codecTrailerSize]))
 	return buf
 }
 
@@ -136,7 +148,7 @@ func DecodeTraceRecords(data []byte) (emu.RecBatch, Hash, error) {
 		return emu.RecBatch{}, stored, fmt.Errorf("store: trace blob is %d bytes, want %d for %d events", len(data), want, events)
 	}
 	crcOff := len(data) - codecTrailerSize
-	if got, sum := crc64.Checksum(data[:crcOff], crcTable), binary.LittleEndian.Uint64(data[crcOff:]); got != sum {
+	if got, sum := trailerSum(data[:crcOff]), binary.LittleEndian.Uint64(data[crcOff:]); got != sum {
 		return emu.RecBatch{}, stored, fmt.Errorf("store: trace checksum mismatch (%#x != %#x)", got, sum)
 	}
 
@@ -144,19 +156,19 @@ func DecodeTraceRecords(data []byte) (emu.RecBatch, Hash, error) {
 	cols := colOffsets(n)
 	recs := emu.RecBatch{
 		Idx: make([]int32, n), Next: make([]int32, n),
-		Op: data[cols.op : cols.op+n], WBytes: data[cols.wbytes : cols.wbytes+n],
-		Flags: data[cols.flags : cols.flags+n],
-		Addr:  make([]int64, n), Value: make([]int64, n),
+		Op: make([]uint8, n), WBytes: make([]uint8, n), Flags: make([]uint8, n),
+		Addr: make([]int64, n), Value: make([]int64, n),
 		SrcA: make([]int64, n), SrcB: make([]int64, n),
 	}
-	for i := 0; i < n; i++ {
-		recs.Idx[i] = int32(binary.LittleEndian.Uint32(data[cols.idx+4*i:]))
-		recs.Next[i] = int32(binary.LittleEndian.Uint32(data[cols.next+4*i:]))
-		recs.Addr[i] = int64(binary.LittleEndian.Uint64(data[cols.addr+8*i:]))
-		recs.Value[i] = int64(binary.LittleEndian.Uint64(data[cols.value+8*i:]))
-		recs.SrcA[i] = int64(binary.LittleEndian.Uint64(data[cols.srcA+8*i:]))
-		recs.SrcB[i] = int64(binary.LittleEndian.Uint64(data[cols.srcB+8*i:]))
-	}
+	getInt32s(recs.Idx, data[cols.idx:])
+	getInt32s(recs.Next, data[cols.next:])
+	copy(recs.Op, data[cols.op:])
+	copy(recs.WBytes, data[cols.wbytes:])
+	copy(recs.Flags, data[cols.flags:])
+	getInt64s(recs.Addr, data[cols.addr:])
+	getInt64s(recs.Value, data[cols.value:])
+	getInt64s(recs.SrcA, data[cols.srcA:])
+	getInt64s(recs.SrcB, data[cols.srcB:])
 	return recs, stored, nil
 }
 
@@ -173,4 +185,35 @@ func colOffsets(n int) (c struct{ idx, next, op, wbytes, flags, addr, value, src
 	c.srcA = c.value + 8*n
 	c.srcB = c.srcA + 8*n
 	return c
+}
+
+// putInt32s / putInt64s write a column little-endian at the front of dst;
+// getInt32s / getInt64s fill a column from the front of src. Advancing the
+// byte slice keeps the loops free of per-element index arithmetic.
+func putInt32s(dst []byte, src []int32) {
+	for _, v := range src {
+		binary.LittleEndian.PutUint32(dst, uint32(v))
+		dst = dst[4:]
+	}
+}
+
+func putInt64s(dst []byte, src []int64) {
+	for _, v := range src {
+		binary.LittleEndian.PutUint64(dst, uint64(v))
+		dst = dst[8:]
+	}
+}
+
+func getInt32s(dst []int32, src []byte) {
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(src))
+		src = src[4:]
+	}
+}
+
+func getInt64s(dst []int64, src []byte) {
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(src))
+		src = src[8:]
+	}
 }

@@ -77,8 +77,18 @@ func collectEvents(tr *emu.Trace) []emu.Event {
 
 // fixCRC recomputes the trailer after a deliberate header/payload edit.
 func fixCRC(b []byte) {
-	crc := crc64.Checksum(b[:len(b)-codecTrailerSize], crcTable)
+	binary.LittleEndian.PutUint64(b[len(b)-codecTrailerSize:], trailerSum(b[:len(b)-codecTrailerSize]))
+}
+
+// v1Frame re-frames a v2 encoding the way format version 1 wrote it: the
+// same header and columns under version 1 and a CRC-64/ECMA trailer. The
+// codec no longer reads it; tests use it to prove old objects are refused.
+func v1Frame(enc []byte) []byte {
+	b := append([]byte{}, enc...)
+	binary.LittleEndian.PutUint16(b[4:], 1)
+	crc := crc64.Checksum(b[:len(b)-codecTrailerSize], crc64.MakeTable(crc64.ECMA))
 	binary.LittleEndian.PutUint64(b[len(b)-codecTrailerSize:], crc)
+	return b
 }
 
 // TestTraceCodecRoundTrip is the codec's tentpole invariant: decoding an
@@ -86,13 +96,15 @@ func fixCRC(b []byte) {
 // original stream, and whose re-encoding is bit-identical to the first.
 func TestTraceCodecRoundTrip(t *testing.T) {
 	progs := map[string]*prog.Program{"mini": mustMiniProgram()}
-	// A medium synthetic crosses the packed-chunk boundary (>32768 events),
-	// exercising multi-chunk encode/restore.
+	// A medium synthetic fills most of one packed chunk; the multi-chunk
+	// synthetic crosses the chunk boundary, exercising multi-chunk
+	// encode/restore.
 	mp, err := progen.Generate(progen.Families()[0], 7, progen.Medium, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	progs["medium-synthetic"] = mp
+	progs["multi-chunk-synthetic"] = multiChunkSynthetic(t)
 
 	for name, p := range progs {
 		t.Run(name, func(t *testing.T) {
@@ -172,6 +184,7 @@ func TestDecodeRejectsDefects(t *testing.T) {
 			b[codecHeaderSize] ^= 0x01 // payload flip, stale trailer
 			return b
 		},
+		"v1-framing": func() []byte { return v1Frame(enc) },
 		"index-out-of-range": func() []byte {
 			b := append([]byte{}, enc...)
 			binary.LittleEndian.PutUint32(b[codecHeaderSize:], 1<<20)
@@ -185,6 +198,108 @@ func TestDecodeRejectsDefects(t *testing.T) {
 				t.Fatal("decoder accepted damaged input")
 			}
 		})
+	}
+}
+
+// TestDecodeRejectsEverySingleBitFlip: the trailer catches any one
+// flipped bit anywhere in the blob, header and trailer included. Checked
+// exhaustively over the mini workload's encoding.
+func TestDecodeRejectsEverySingleBitFlip(t *testing.T) {
+	p := mustMiniProgram()
+	id := ProgramIdentity(p)
+	enc := EncodeTrace(capture(t, p), id)
+	b := append([]byte{}, enc...)
+	for i := range b {
+		for bit := 0; bit < 8; bit++ {
+			b[i] ^= 1 << bit
+			if _, err := DecodeTrace(b, p, id); err == nil {
+				t.Fatalf("decoder accepted the blob with byte %d bit %d flipped", i, bit)
+			}
+			b[i] ^= 1 << bit
+		}
+	}
+}
+
+// multiChunkSynthetic is a generated workload whose trace (65543 events)
+// fills two packed chunks and spills a few records into a third.
+func multiChunkSynthetic(t *testing.T) *prog.Program {
+	t.Helper()
+	p, err := progen.Generate(progen.Pointer, 7, progen.Large, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// batches collects the record batches a trace delivers, in order.
+func batches(tr *emu.Trace) []emu.RecBatch {
+	var bs []emu.RecBatch
+	tr.Records(emu.RecFunc(func(b emu.RecBatch) { bs = append(bs, b) }))
+	return bs
+}
+
+// TestRestoredTraceMatchesCapture: a decoded trace has the captured
+// trace's length, byte accounting and batch boundaries, so the trace
+// budget and every record consumer treat the two alike.
+func TestRestoredTraceMatchesCapture(t *testing.T) {
+	p := multiChunkSynthetic(t)
+	tr := capture(t, p)
+	id := ProgramIdentity(p)
+	dec, err := DecodeTrace(EncodeTrace(tr, id), p, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Len() != tr.Len() || dec.Bytes() != tr.Bytes() {
+		t.Fatalf("len %d/%d, bytes %d/%d", dec.Len(), tr.Len(), dec.Bytes(), tr.Bytes())
+	}
+	got, want := batches(dec), batches(tr)
+	if len(want) < 2 {
+		t.Fatalf("capture has %d batches; the test needs a multi-chunk trace", len(want))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("decoded trace delivers %d batches, capture %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("batch %d differs (len %d vs %d)", i, got[i].Len(), want[i].Len())
+		}
+	}
+}
+
+// TestDecodedTraceOwnsItsRecords: the decoded trace shares no storage
+// with the blob it came from, and a consumer appending to a delivered
+// batch cannot write into the next one.
+func TestDecodedTraceOwnsItsRecords(t *testing.T) {
+	p := multiChunkSynthetic(t)
+	tr := capture(t, p)
+	id := ProgramIdentity(p)
+	enc := EncodeTrace(tr, id)
+	dec, err := DecodeTrace(enc, p, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := batches(tr)
+
+	for i := range enc {
+		enc[i] = 0xFF
+	}
+	if !reflect.DeepEqual(batches(dec), want) {
+		t.Fatal("scribbling over the blob changed the decoded trace's records")
+	}
+
+	dec.Records(emu.RecFunc(func(b emu.RecBatch) {
+		_ = append(b.Idx, -1)
+		_ = append(b.Next, -1)
+		_ = append(b.Op, 0xFF)
+		_ = append(b.WBytes, 0xFF)
+		_ = append(b.Flags, 0xFF)
+		_ = append(b.Addr, -1)
+		_ = append(b.Value, -1)
+		_ = append(b.SrcA, -1)
+		_ = append(b.SrcB, -1)
+	}))
+	if !reflect.DeepEqual(batches(dec), want) {
+		t.Fatal("appending to a delivered batch overwrote the records after it")
 	}
 }
 

@@ -41,7 +41,8 @@ func FuzzTraceCodec(f *testing.F) {
 
 // fuzzCorpusSeeds returns the deterministic seed inputs: the canonical
 // encoding of the mini workload's trace, plus one representative of each
-// damage class so the fuzzer starts at every rejection branch.
+// damage class so the fuzzer starts at every rejection branch — including
+// an intact blob in the retired v1 framing.
 func fuzzCorpusSeeds() [][]byte {
 	p := mustMiniProgram()
 	tr, err := captureTrace(p)
@@ -64,5 +65,6 @@ func fuzzCorpusSeeds() [][]byte {
 		countLies,
 		[]byte(codecMagic),
 		{},
+		v1Frame(enc),
 	}
 }

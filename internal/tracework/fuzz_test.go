@@ -3,7 +3,7 @@ package tracework_test
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc64"
+	"hash/crc32"
 	"testing"
 
 	"opgate/internal/emu"
@@ -94,8 +94,11 @@ func ingestCorpusSeeds() [][]byte {
 	}
 }
 
-// fixCRC recomputes the trailer after a deliberate payload edit.
+// fixCRC recomputes the codec's v2 trailer — CRC-32C (high half) and
+// CRC-32/IEEE (low half) of every preceding byte — after a deliberate
+// payload edit.
 func fixCRC(b []byte) {
-	crc := crc64.Checksum(b[:len(b)-8], crc64.MakeTable(crc64.ECMA))
-	binary.LittleEndian.PutUint64(b[len(b)-8:], crc)
+	body := b[:len(b)-8]
+	sum := uint64(crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))<<32 | uint64(crc32.ChecksumIEEE(body))
+	binary.LittleEndian.PutUint64(b[len(b)-8:], sum)
 }

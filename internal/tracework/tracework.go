@@ -46,7 +46,8 @@ import (
 // incoming blob declared is irrelevant — an external trace carries the
 // identity of the binary it was captured from, which the importer does
 // not have; the skeleton's own identity is the address everything is
-// stored and looked up under.
+// stored and looked up under. Records and Trace share storage (the trace
+// adopts the decoded columns), so both are read-only.
 type Ingested struct {
 	Records   emu.RecBatch
 	Program   *prog.Program

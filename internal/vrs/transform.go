@@ -170,12 +170,10 @@ func transform(p *prog.Program, base *vrp.Result, points []Point, counts []int64
 	}
 
 	if len(picked) == 0 {
-		final, err := vrp.Analyze(p, opts.VRP)
-		if err != nil {
-			return nil, err
-		}
+		// Nothing was transformed: the final analysis is the baseline one,
+		// already computed over p with the same options.
 		res.Transformed = p
-		res.FinalVRP = final
+		res.FinalVRP = base
 		return res, nil
 	}
 

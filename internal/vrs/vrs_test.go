@@ -1,6 +1,7 @@
 package vrs
 
 import (
+	"reflect"
 	"testing"
 
 	"opgate/internal/emu"
@@ -141,5 +142,55 @@ func addDynamicHistogram(t *testing.T, h *vrp.WidthHistogram, p *prog.Program) {
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNoPickSelectReusesBaseline: when Select specializes nothing, the
+// transformed program is the reference binary and its final analysis is
+// the profile's baseline itself, not a re-derivation — and that baseline
+// is exactly what a fresh analysis of the binary yields, so the result
+// reads as it did when the analysis was re-run.
+func TestNoPickSelectReusesBaseline(t *testing.T) {
+	noPicks := 0
+	for _, w := range workload.All() {
+		trainP, err := w.Build(workload.Train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refP, err := w.Build(workload.Ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := NewProfile(trainP, refP, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pf.NumCandidates() == 0 {
+			continue // Select's no-candidate path; not the one under test
+		}
+		res, err := pf.Select(110)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumSpecialized() > 0 {
+			continue
+		}
+		noPicks++
+		if res.FinalVRP != pf.base || res.Transformed != refP {
+			t.Fatalf("%s: a no-pick Select did not reuse the baseline analysis", w.Name)
+		}
+		fresh, err := vrp.Analyze(refP, pf.opts.VRP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.FinalVRP, fresh) {
+			t.Fatalf("%s: baseline analysis differs from a fresh analysis of the same binary", w.Name)
+		}
+		if got, want := res.Apply().Ins, fresh.Apply().Ins; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: no-pick Select applies different widths than a fresh analysis", w.Name)
+		}
+	}
+	if noPicks == 0 {
+		t.Fatal("no workload took the no-pick path at threshold 110; the test proves nothing")
 	}
 }
