@@ -212,8 +212,14 @@ func BenchmarkAblationAnalysis(b *testing.B) {
 // --- Substrate micro-benchmarks -----------------------------------------
 
 func BenchmarkVRPAnalyze(b *testing.B) {
-	w, _ := workload.ByName("gcc")
-	p, _ := w.Build(workload.Ref)
+	w, err := workload.ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := w.Build(workload.Ref)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := vrp.Analyze(p, vrp.Options{Mode: vrp.Useful}); err != nil {

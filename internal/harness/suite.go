@@ -320,8 +320,11 @@ func modeGroup(mode power.GatingMode) (int, int) {
 // Emulations returns how many functional emulations the suite has
 // performed: trace captures plus the live fallbacks of over-budget
 // traces. The trace layer's contract — at most one emulation per
-// (name, variant) — is asserted against this probe in tests. Emulations
-// inside VRP/VRS construction (train profiling runs) are not counted.
+// (name, variant) — is asserted against this probe in tests. Two kinds
+// of live emulation are not counted: the train profiling runs inside VRS
+// construction (see TrainEmulations), and the ablations' one-off
+// configurations, whose programs are never suite variants and run
+// uncached (dynHistogramOf, and the opcode ablation's uarch.Run).
 func (s *Suite) Emulations() int64 { return s.emuRuns.Load() }
 
 // TrainEmulations returns how many VRS train profiling emulations the

@@ -1,6 +1,9 @@
 package prog
 
 import (
+	"math/bits"
+	"slices"
+
 	"opgate/internal/isa"
 )
 
@@ -86,6 +89,11 @@ func PseudoUses(op isa.Op) []isa.Reg {
 }
 
 // BuildDefUse computes use-def and def-use chains for f.
+//
+// Reaching definitions run over dense bitsets of definition ids: ids
+// 0..isa.NumRegs-1 are the live-in values of each register, and after them
+// comes one id per (instruction, register) definition in instruction
+// order, a JSR defining every call-clobbered register.
 func BuildDefUse(p *Program, f *Func) *DefUse {
 	du := &DefUse{
 		Fn: f,
@@ -93,150 +101,156 @@ func BuildDefUse(p *Program, f *Func) *DefUse {
 		DU: make(map[int][]int),
 	}
 
-	// in[b][reg] = set of reaching def indices (-1 for live-in).
-	type defset map[int]bool
-	in := make([]map[isa.Reg]defset, len(f.Blocks))
-	out := make([]map[isa.Reg]defset, len(f.Blocks))
-	for i := range in {
-		in[i] = make(map[isa.Reg]defset)
-		out[i] = make(map[isa.Reg]defset)
+	// Number the definitions.
+	var one [1]isa.Reg
+	defIns := make([]int, isa.NumRegs, isa.NumRegs+f.End-f.Start) // -1: live-in
+	defReg := make([]isa.Reg, isa.NumRegs, cap(defIns))
+	for r := range defIns {
+		defIns[r], defReg[r] = -1, isa.Reg(r)
 	}
-	// Entry block: every register live-in.
-	entryIn := in[0]
-	for r := 0; r < isa.NumRegs; r++ {
-		entryIn[isa.Reg(r)] = defset{-1: true}
+	firstDef := make([]int, f.End-f.Start) // by instruction - f.Start
+	for i := f.Start; i < f.End; i++ {
+		firstDef[i-f.Start] = len(defIns)
+		for _, r := range defRegs(&p.Ins[i], &one) {
+			defIns = append(defIns, i)
+			defReg = append(defReg, r)
+		}
+	}
+	words := (len(defIns) + 63) / 64
+	// regDefs[r*words:][:words] holds every id defining register r.
+	regDefs := make([]uint64, isa.NumRegs*words)
+	for id, r := range defReg {
+		regDefs[int(r)*words+id/64] |= 1 << (id % 64)
+	}
+	define := func(set []uint64, id int) {
+		mask := regDefs[int(defReg[id])*words:][:words]
+		for w := range set {
+			set[w] &^= mask[w]
+		}
+		set[id/64] |= 1 << (id % 64)
 	}
 
-	transfer := func(b *Block, state map[isa.Reg]defset) map[isa.Reg]defset {
-		cur := make(map[isa.Reg]defset, len(state))
-		for r, s := range state {
-			cur[r] = s
+	// gen[genOff[b]:genOff[b+1]] lists the last definition of each
+	// register block b writes.
+	genOff := make([]int, len(f.Blocks)+1)
+	var gen []int
+	var last [isa.NumRegs]int
+	for _, b := range f.Blocks {
+		for r := range last {
+			last[r] = -1
 		}
 		for i := b.Start; i < b.End; i++ {
-			ins := &p.Ins[i]
-			if ins.Op == isa.OpJSR {
-				for _, r := range callClobbered {
-					cur[r] = defset{i: true}
-				}
-				continue
-			}
-			if d, ok := ins.Dest(); ok {
-				cur[d] = defset{i: true}
+			for k, r := range defRegs(&p.Ins[i], &one) {
+				last[r] = firstDef[i-f.Start] + k
 			}
 		}
-		return cur
+		for _, id := range last {
+			if id >= 0 {
+				gen = append(gen, id)
+			}
+		}
+		genOff[b.ID+1] = len(gen)
 	}
 
-	eqState := func(a, b map[isa.Reg]defset) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for r, sa := range a {
-			sb, ok := b[r]
-			if !ok || len(sa) != len(sb) {
-				return false
-			}
-			for d := range sa {
-				if !sb[d] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-
+	// in/out[b*words:][:words] are the definitions reaching block b's
+	// entry and exit; the entry block additionally sees every live-in.
+	in := make([]uint64, len(f.Blocks)*words)
+	out := make([]uint64, len(f.Blocks)*words)
+	cur := make([]uint64, words)
 	rpo := f.RPOBlocks()
 	for changed := true; changed; {
 		changed = false
 		for _, b := range rpo {
-			// Meet: union of predecessor outs (entry keeps live-ins).
-			merged := make(map[isa.Reg]defset)
+			clear(cur)
 			if b == f.Blocks[0] {
-				for r, s := range entryIn {
-					cp := make(defset, len(s))
-					for d := range s {
-						cp[d] = true
-					}
-					merged[r] = cp
-				}
+				cur[0] = 1<<isa.NumRegs - 1
 			}
 			for _, pred := range b.Preds {
-				for r, s := range out[pred.ID] {
-					dst := merged[r]
-					if dst == nil {
-						dst = make(defset, len(s))
-						merged[r] = dst
-					}
-					for d := range s {
-						dst[d] = true
-					}
+				for w, x := range out[pred.ID*words:][:words] {
+					cur[w] |= x
 				}
 			}
-			if !eqState(merged, in[b.ID]) {
-				in[b.ID] = merged
+			bin := in[b.ID*words:][:words]
+			if !slices.Equal(cur, bin) {
+				copy(bin, cur)
 				changed = true
 			}
-			newOut := transfer(b, in[b.ID])
-			if !eqState(newOut, out[b.ID]) {
-				out[b.ID] = newOut
+			for _, id := range gen[genOff[b.ID]:genOff[b.ID+1]] {
+				define(cur, id)
+			}
+			if bout := out[b.ID*words:][:words]; !slices.Equal(cur, bout) {
+				copy(bout, cur)
 				changed = true
 			}
 		}
 	}
 
-	// Second pass: walk each block recording UD/DU.
-	for _, b := range f.Blocks {
-		cur := make(map[isa.Reg]defset, len(in[b.ID]))
-		for r, s := range in[b.ID] {
-			cur[r] = s
+	// Second pass: walk each block recording UD/DU. A register's ids come
+	// out in increasing order, so each UD list is sorted as built.
+	record := func(i int, r isa.Reg) {
+		if r == isa.ZeroReg {
+			return
 		}
+		ud := du.UD[i]
+		if ud == nil {
+			ud = make(map[isa.Reg][]int)
+			du.UD[i] = ud
+		} else if _, done := ud[r]; done {
+			return
+		}
+		mask := regDefs[int(r)*words:][:words]
+		n := 0
+		for w, x := range cur {
+			n += bits.OnesCount64(x & mask[w])
+		}
+		var list []int
+		if n > 0 {
+			list = make([]int, 0, n)
+		}
+		for w, x := range cur {
+			for x &= mask[w]; x != 0; x &= x - 1 {
+				d := defIns[w*64+bits.TrailingZeros64(x)]
+				list = append(list, d)
+				if d >= 0 {
+					du.DU[d] = append(du.DU[d], i)
+				}
+			}
+		}
+		ud[r] = list
+	}
+	for _, b := range f.Blocks {
+		copy(cur, in[b.ID*words:][:words])
 		for i := b.Start; i < b.End; i++ {
 			ins := &p.Ins[i]
-			record := func(r isa.Reg) {
-				if r == isa.ZeroReg {
-					return
-				}
-				if du.UD[i] != nil {
-					if _, done := du.UD[i][r]; done {
-						return
-					}
-				}
-				defs := cur[r]
-				if du.UD[i] == nil {
-					du.UD[i] = make(map[isa.Reg][]int)
-				}
-				var list []int
-				for d := range defs {
-					list = append(list, d)
-					if d >= 0 {
-						du.DU[d] = append(du.DU[d], i)
-					}
-				}
-				sortInts(list)
-				du.UD[i][r] = list
-			}
 			uses, n := ins.Uses()
 			for k := 0; k < n; k++ {
-				record(uses[k])
+				record(i, uses[k])
 			}
 			for _, r := range PseudoUses(ins.Op) {
-				record(r)
+				record(i, r)
 			}
-			if ins.Op == isa.OpJSR {
-				for _, r := range callClobbered {
-					cur[r] = defset{i: true}
-				}
-				continue
-			}
-			if d, ok := ins.Dest(); ok {
-				cur[d] = defset{i: true}
+			for k := range defRegs(ins, &one) {
+				define(cur, firstDef[i-f.Start]+k)
 			}
 		}
 	}
-	for d := range du.DU {
-		sortInts(du.DU[d])
+	for _, uses := range du.DU {
+		slices.Sort(uses)
 	}
 	return du
+}
+
+// defRegs returns the registers ins defines: every call-clobbered register
+// for a JSR, else its destination, if any. one is scratch for the latter.
+func defRegs(ins *isa.Instruction, one *[1]isa.Reg) []isa.Reg {
+	if ins.Op == isa.OpJSR {
+		return callClobbered
+	}
+	if d, ok := ins.Dest(); ok {
+		one[0] = d
+		return one[:]
+	}
+	return nil
 }
 
 // Uses returns the instructions consuming the value defined at defIdx
@@ -250,12 +264,4 @@ func (du *DefUse) ReachingDefs(insIdx int, reg isa.Reg) []int {
 		return nil
 	}
 	return m[reg]
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -9,65 +9,46 @@ import (
 	"opgate/internal/prog"
 )
 
-// state maps registers to their value ranges at a program point. Missing
-// entries mean Top (unknown). The zero register and the pinned global
-// pointer are resolved by get, never stored.
-type state map[isa.Reg]interval.Interval
+// state holds every register's value range at a program point; Top means
+// unknown. The zero register and the pinned global pointer are resolved
+// by get, never stored: their entries stay Top.
+type state [isa.NumRegs]interval.Interval
 
-func (r *Result) get(s state, reg isa.Reg) interval.Interval {
+// unknownState is the state with every register Top.
+var unknownState = func() (s state) {
+	for i := range s {
+		s[i] = interval.Top()
+	}
+	return s
+}()
+
+func (r *Result) get(s *state, reg isa.Reg) interval.Interval {
 	switch reg {
 	case isa.ZeroReg:
 		return interval.Const(0)
 	case prog.RegGP:
 		return interval.Const(r.Prog.DataBase)
 	}
-	if iv, ok := s[reg]; ok {
-		return iv
-	}
-	return interval.Top()
+	return s[reg]
 }
 
-func (s state) set(reg isa.Reg, iv interval.Interval) {
+func (s *state) set(reg isa.Reg, iv interval.Interval) {
 	if reg == isa.ZeroReg || reg == prog.RegGP {
-		return
-	}
-	if iv.IsTop() {
-		delete(s, reg)
 		return
 	}
 	s[reg] = iv
 }
 
-func (s state) clone() state {
-	c := make(state, len(s))
-	for r, iv := range s {
-		c[r] = iv
+// join unions o into s register by register; Top absorbs anything.
+func (s *state) join(o *state) {
+	for r := range s {
+		s[r] = s[r].Join(o[r])
 	}
-	return c
 }
 
-// joinStates unions per-register ranges; registers absent from either side
-// are Top and disappear.
-func joinStates(a, b state) state {
-	out := make(state)
-	for r, iv := range a {
-		if other, ok := b[r]; ok {
-			j := iv.Join(other)
-			if !j.IsTop() {
-				out[r] = j
-			}
-		}
-	}
-	return out
-}
-
-func statesEqual(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for r, iv := range a {
-		other, ok := b[r]
-		if !ok || !iv.Equal(other) {
+func statesEqual(a, b *state) bool {
+	for r := range a {
+		if !a[r].Equal(b[r]) {
 			return false
 		}
 	}
@@ -75,18 +56,18 @@ func statesEqual(a, b state) bool {
 }
 
 // widenState accelerates convergence with threshold widening: a bound
-// that grew since prev jumps to the nearest "landmark" constant — the
-// comparison immediates and loop bounds appearing in the function — and
-// only to the extreme when no landmark remains. Plain widening-to-Top
+// of next that grew since prev jumps to the nearest "landmark" constant —
+// the comparison immediates and loop bounds appearing in the function —
+// and only to the extreme when no landmark remains. Plain widening-to-Top
 // loses loop-header ranges irrecoverably (descending iteration cannot
 // narrow a register that merely passes through an inner loop); landmarks
 // let iterator-driven ranges settle at their actual loop bounds.
-func widenState(prev, next state, thresholds []int64) state {
-	out := make(state)
+func widenState(prev, next *state, thresholds []int64) {
 	for r, iv := range next {
-		p, ok := prev[r]
-		if !ok {
-			// Was Top before; widening never regains precision.
+		p := prev[r]
+		if iv.IsTop() || p.IsTop() {
+			// Top before stays Top: widening never regains precision.
+			next[r] = interval.Top()
 			continue
 		}
 		lo, hi := p.Lo, p.Hi
@@ -96,12 +77,8 @@ func widenState(prev, next state, thresholds []int64) state {
 		if iv.Hi > p.Hi {
 			hi = widenUp(iv.Hi, thresholds)
 		}
-		w := interval.New(lo, hi)
-		if !w.IsTop() {
-			out[r] = w
-		}
+		next[r] = interval.New(lo, hi)
 	}
-	return out
 }
 
 // widenUp returns the smallest threshold >= v, else MaxInt64.
@@ -221,7 +198,7 @@ func (r *Result) analyzeFunc(f *prog.Func, record bool) bool {
 	p := r.Prog
 	sum := r.summaries[f.Index]
 
-	entryState := make(state)
+	entryState := unknownState
 	for i := 0; i < prog.NumArgRegs; i++ {
 		if !sum.args[i].IsEmpty() {
 			entryState.set(prog.RegArg0+isa.Reg(i), sum.args[i])
@@ -242,11 +219,19 @@ func (r *Result) analyzeFunc(f *prog.Func, record bool) bool {
 
 	thresholds := gatherThresholds(p, f)
 	blocks := f.RPOBlocks()
-	// edgeOut[from][to] = state propagated along the CFG edge; nil means
-	// the edge has not fired (or is refined infeasible).
-	edgeOut := make(map[*prog.Block]map[*prog.Block]state)
-	inState := make(map[*prog.Block]state)
-	visits := make(map[*prog.Block]int)
+	// The tables below are indexed by Block.ID. edges[edgeOff[b]+k] is the
+	// state b propagates along its edge to b.Succs[k]; it is valid once b
+	// has been visited (visits[b] > 0), and every visit either transfers
+	// the block or finds its in-state unchanged.
+	edgeOff := make([]int, len(f.Blocks))
+	nEdges := 0
+	for _, b := range f.Blocks {
+		edgeOff[b.ID] = nEdges
+		nEdges += len(b.Succs)
+	}
+	edges := make([]state, nEdges)
+	inState := make([]state, len(f.Blocks))
+	visits := make([]int, len(f.Blocks))
 	summaryChanged := false
 
 	runPass := func(widen, force, recordNow bool) bool {
@@ -256,58 +241,56 @@ func (r *Result) analyzeFunc(f *prog.Func, record bool) bool {
 			var in state
 			reached := false
 			if b == f.Blocks[0] {
-				in = entryState.clone()
+				in = entryState
 				reached = true
 			}
 			for _, pred := range b.Preds {
-				es := edgeOut[pred][b]
-				if es == nil {
+				if visits[pred.ID] == 0 {
 					continue
 				}
+				es := &edges[edgeOff[pred.ID]+succIndex(pred, b)]
 				if !reached {
-					in = es.clone()
+					in = *es
 					reached = true
 				} else {
-					in = joinStates(in, es)
+					in.join(es)
 				}
 			}
 			if !reached {
 				continue
 			}
-			visits[b]++
-			if prev, ok := inState[b]; ok {
-				if widen && visits[b] > 3 {
-					in = widenState(prev, in, thresholds)
+			visits[b.ID]++
+			if visits[b.ID] > 1 {
+				prev := &inState[b.ID]
+				if widen && visits[b.ID] > 3 {
+					widenState(prev, &in, thresholds)
 				}
-				if !force && statesEqual(prev, in) && edgeOut[b] != nil {
+				if !force && statesEqual(prev, &in) {
 					continue
 				}
 			}
-			inState[b] = in.clone()
+			inState[b.ID] = in
 			changed = true
 
 			// Transfer through the block.
-			cur := in
 			for i := b.Start; i < b.End; i++ {
-				if r.transfer(f, i, cur, clamps, recordNow) {
+				if r.transfer(f, i, &in, clamps, recordNow) {
 					summaryChanged = true
 				}
 			}
 
 			// Emit successor edge states with branch refinement.
-			outs := make(map[*prog.Block]state, len(b.Succs))
 			term := b.Terminator(p)
-			for _, succ := range b.Succs {
-				es := cur.clone()
+			for k, succ := range b.Succs {
+				es := &edges[edgeOff[b.ID]+k]
+				*es = in
 				if term != nil && isa.IsCondBranch(term.Op) && !r.Opts.DisableBranchRefinement {
 					taken := succ.Start == term.Target
 					// A conditional branch whose target equals the
 					// fall-through refines both ways; treat as taken.
-					es = r.refineEdge(f, b, term, taken, es)
+					r.refineEdge(b, term, taken, es)
 				}
-				outs[succ] = es
 			}
-			edgeOut[b] = outs
 		}
 		return changed
 	}
@@ -328,9 +311,20 @@ func (r *Result) analyzeFunc(f *prog.Func, record bool) bool {
 	return summaryChanged
 }
 
+// succIndex returns the position of succ in b.Succs (which holds each
+// successor once).
+func succIndex(b, succ *prog.Block) int {
+	for k, s := range b.Succs {
+		if s == succ {
+			return k
+		}
+	}
+	panic("vrp: block is not a successor of its predecessor")
+}
+
 // transfer applies one instruction to the state; record captures operand
 // and result ranges. It reports whether a function summary changed.
-func (r *Result) transfer(f *prog.Func, idx int, s state, clamps map[int]interval.Interval, record bool) bool {
+func (r *Result) transfer(f *prog.Func, idx int, s *state, clamps map[int]interval.Interval, record bool) bool {
 	p := r.Prog
 	in := &p.Ins[idx]
 	ra := r.get(s, in.Ra)
@@ -516,7 +510,7 @@ func cmpRange(op isa.Op, a, b interval.Interval) interval.Interval {
 
 // refineEdge applies §2.2.4: the comparison feeding a conditional branch
 // constrains the tested register along each outgoing edge.
-func (r *Result) refineEdge(f *prog.Func, b *prog.Block, term *isa.Instruction, taken bool, s state) state {
+func (r *Result) refineEdge(b *prog.Block, term *isa.Instruction, taken bool, s *state) {
 	p := r.Prog
 	cond := term.Ra
 
@@ -559,7 +553,7 @@ func (r *Result) refineEdge(f *prog.Func, b *prog.Block, term *isa.Instruction, 
 				}
 			}
 		}
-		return s
+		return
 	}
 
 	// Direct test of a register against zero.
@@ -568,7 +562,6 @@ func (r *Result) refineEdge(f *prog.Func, b *prog.Block, term *isa.Instruction, 
 	if !refined.IsEmpty() {
 		s.set(cond, refined)
 	}
-	return s
 }
 
 // branchImpliesCmp maps (branch opcode, edge) to the truth of the compare

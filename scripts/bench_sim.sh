@@ -5,7 +5,8 @@
 # and its meter bank (records/s at 1, 2 and 6 gating modes), the cold
 # figure matrices with and without the trace cache (a one-byte
 # TraceBudget forces the live fallback), and the single-pass threshold
-# sweep (grid cells/s vs independent per-threshold runs).
+# sweep (grid cells/s vs independent per-threshold runs), plus one VRP
+# analysis of gcc's ref binary (ns/op).
 #
 #   scripts/bench_sim.sh              # default: 3 timed iterations, 3 samples
 #   BENCHTIME=1x COUNT=1 scripts/bench_sim.sh # quick smoke
@@ -19,7 +20,7 @@
 set -e
 cd "$(dirname "$0")/.."
 
-BENCHES='BenchmarkEmuMIPS|BenchmarkTraceReplayMIPS|BenchmarkTraceStore|BenchmarkReplayModes|BenchmarkFigure3Matrix|BenchmarkFigureFamilyMatrix|BenchmarkThresholdSweep'
+BENCHES='BenchmarkEmuMIPS|BenchmarkVRPAnalyze|BenchmarkTraceReplayMIPS|BenchmarkTraceStore|BenchmarkReplayModes|BenchmarkFigure3Matrix|BenchmarkFigureFamilyMatrix|BenchmarkThresholdSweep'
 
 # Run the benchmarks to a temp file first so a failing run aborts the
 # script (POSIX sh has no pipefail) instead of overwriting the committed
