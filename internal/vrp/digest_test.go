@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"opgate/internal/interval"
-	"opgate/internal/isa"
 	"opgate/internal/prog"
 	"opgate/internal/progen"
 	"opgate/internal/workload"
@@ -20,21 +19,18 @@ import (
 
 var updateDigest = flag.Bool("update", false, "rewrite testdata/results.digest")
 
-// digestOptions are the analysis configurations the suite runs VRP with:
-// the two modes, the three analysis-ablation configurations and the two
-// opcode-ablation sets.
-var digestOptions = []struct {
+// namedOptions is an analysis configuration with a stable name.
+type namedOptions struct {
 	name string
 	opts Options
-}{
+}
+
+// digestOptions are the configurations the suite runs VRP with: the two
+// modes plus the ablations' one-off configurations.
+var digestOptions = append([]namedOptions{
 	{"useful", Options{Mode: Useful}},
 	{"conventional", Options{Mode: Conventional}},
-	{"no-loop", Options{Mode: Useful, DisableLoopAnalysis: true}},
-	{"no-branch", Options{Mode: Useful, DisableBranchRefinement: true}},
-	{"ranges-only", Options{Mode: Conventional, DisableLoopAnalysis: true, DisableBranchRefinement: true}},
-	{"base-opcodes", Options{Mode: Useful, Opcodes: isa.BaseOpcodeSet()}},
-	{"full-opcodes", Options{Mode: Useful, Opcodes: isa.FullOpcodeSet()}},
-}
+}, ablationOptions...)
 
 // testProgram is a named program for the table-driven analysis checks;
 // build is deferred so a failing case names itself.

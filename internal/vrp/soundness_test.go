@@ -20,10 +20,7 @@ type soundnessCase struct {
 
 // ablationOptions are the one-off configurations the ablations analyse
 // the kernels with (the useful and conventional modes run elsewhere).
-var ablationOptions = []struct {
-	name string
-	opts Options
-}{
+var ablationOptions = []namedOptions{
 	{"no-loop", Options{Mode: Useful, DisableLoopAnalysis: true}},
 	{"no-branch", Options{Mode: Useful, DisableBranchRefinement: true}},
 	{"ranges-only", Options{Mode: Conventional, DisableLoopAnalysis: true, DisableBranchRefinement: true}},
