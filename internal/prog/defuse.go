@@ -186,7 +186,8 @@ func BuildDefUse(p *Program, f *Func) *DefUse {
 	}
 
 	// Second pass: walk each block recording UD/DU. A register's ids come
-	// out in increasing order, so each UD list is sorted as built.
+	// out in increasing order, and blocks are in address order, so every
+	// UD and DU list is sorted as built.
 	record := func(i int, r isa.Reg) {
 		if r == isa.ZeroReg {
 			return
@@ -199,14 +200,7 @@ func BuildDefUse(p *Program, f *Func) *DefUse {
 			return
 		}
 		mask := regDefs[int(r)*words:][:words]
-		n := 0
-		for w, x := range cur {
-			n += bits.OnesCount64(x & mask[w])
-		}
 		var list []int
-		if n > 0 {
-			list = make([]int, 0, n)
-		}
 		for w, x := range cur {
 			for x &= mask[w]; x != 0; x &= x - 1 {
 				d := defIns[w*64+bits.TrailingZeros64(x)]
@@ -233,9 +227,6 @@ func BuildDefUse(p *Program, f *Func) *DefUse {
 				define(cur, firstDef[i-f.Start]+k)
 			}
 		}
-	}
-	for _, uses := range du.DU {
-		slices.Sort(uses)
 	}
 	return du
 }

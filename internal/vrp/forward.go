@@ -61,15 +61,11 @@ func statesEqual(a, b *state) bool {
 // and only to the extreme when no landmark remains. Plain widening-to-Top
 // loses loop-header ranges irrecoverably (descending iteration cannot
 // narrow a register that merely passes through an inner loop); landmarks
-// let iterator-driven ranges settle at their actual loop bounds.
+// let iterator-driven ranges settle at their actual loop bounds. A Top
+// entry on either side widens to Top: its bounds are already the extremes.
 func widenState(prev, next *state, thresholds []int64) {
 	for r, iv := range next {
 		p := prev[r]
-		if iv.IsTop() || p.IsTop() {
-			// Top before stays Top: widening never regains precision.
-			next[r] = interval.Top()
-			continue
-		}
 		lo, hi := p.Lo, p.Hi
 		if iv.Lo < p.Lo {
 			lo = widenDown(iv.Lo, thresholds)

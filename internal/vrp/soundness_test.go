@@ -13,9 +13,9 @@ import (
 
 // soundnessCase is one program analysed under one option set.
 type soundnessCase struct {
-	name string
-	testProgram
-	opts Options
+	name  string
+	build func() (*prog.Program, error)
+	opts  Options
 }
 
 // ablationOptions are the one-off configurations the ablations analyse
@@ -35,13 +35,10 @@ var ablationOptions = []namedOptions{
 func soundnessCases() []soundnessCase {
 	var out []soundnessCase
 	for _, w := range workload.All() {
-		tp := testProgram{w.Name, func() (*prog.Program, error) { return w.Build(workload.Ref) }}
-		out = append(out, soundnessCase{w.Name, tp, Options{Mode: Useful}})
-	}
-	for _, a := range ablationOptions {
-		for _, w := range workload.All() {
-			tp := testProgram{w.Name, func() (*prog.Program, error) { return w.Build(workload.Ref) }}
-			out = append(out, soundnessCase{"ablation/" + a.name + "/" + w.Name, tp, a.opts})
+		build := func() (*prog.Program, error) { return w.Build(workload.Ref) }
+		out = append(out, soundnessCase{w.Name, build, Options{Mode: Useful}})
+		for _, a := range ablationOptions {
+			out = append(out, soundnessCase{"ablation/" + a.name + "/" + w.Name, build, a.opts})
 		}
 	}
 	var gen []testProgram
@@ -71,7 +68,7 @@ func soundnessCases() []soundnessCase {
 	}
 	for _, mode := range []Mode{Useful, Conventional} {
 		for _, tp := range gen {
-			out = append(out, soundnessCase{"progen/" + mode.String() + "/" + tp.name, tp, Options{Mode: mode}})
+			out = append(out, soundnessCase{"progen/" + mode.String() + "/" + tp.name, tp.build, Options{Mode: mode}})
 		}
 	}
 	return out
