@@ -476,9 +476,10 @@ func BenchmarkFigure3Matrix(b *testing.B) {
 // the experiments that reuse the same traces and fused mode families
 // (width histograms of Figures 2/7, the hardware and cooperative modes of
 // Figures 13/14/15): the evaluation's whole energy matrix. This is where
-// "trace once, simulate many" pays — with the cache each variant is
-// emulated once and timed once per mode group; without it every
-// histogram and mode group pays its own live emulation.
+// "trace once, simulate many" pays — with the cache each distinct binary
+// is emulated once and timed once per mode group, however many variant
+// labels build it; without it every histogram and mode group of each
+// binary pays its own live emulation.
 func BenchmarkFigureFamilyMatrix(b *testing.B) {
 	benchFigureMatrix(b, func(s *harness.Suite) error {
 		if _, err := s.Figure2(benchCtx); err != nil {

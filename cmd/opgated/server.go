@@ -74,9 +74,9 @@ type serverConfig struct {
 // experiment queue over shared opgate sessions. One session exists per
 // distinct synthetic workload set; all of them share the process-wide
 // memo semantics of the session's suite (per-key singleflight), so
-// concurrent jobs that touch the same (workload, variant) coalesce on one
-// emulation, and the persistent store extends that coalescing across
-// restarts. Reports are stored in their structured canonical-JSON form
+// concurrent jobs that touch the same binary — through any variant label
+// that builds it — coalesce on one emulation, and the persistent store
+// extends that coalescing across restarts. Reports are stored in their structured canonical-JSON form
 // and rendered at read time (text by default, the stored JSON under
 // Accept: application/json).
 type server struct {

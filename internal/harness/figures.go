@@ -156,14 +156,13 @@ func (s *Suite) Figure6(ctx context.Context, threshold float64) (*Report, error)
 		}
 		// Per-static execution counts come from the variant's cached
 		// trace records; no fresh emulation or InsCount run is needed.
-		variant := vrsVariant(threshold)
-		p, err := s.variantProgram(name, variant)
+		bin, err := s.variantBinary(name, vrsVariant(threshold))
 		if err != nil {
 			return Row{}, err
 		}
-		counts := make([]int64, len(p.Ins))
+		counts := make([]int64, len(bin.p.Ins))
 		var dyn int64
-		if err := s.recordsOf(name, variant, emu.RecFunc(func(b emu.RecBatch) {
+		if err := s.recordsOf(bin, emu.RecFunc(func(b emu.RecBatch) {
 			for _, idx := range b.Idx {
 				counts[idx]++
 			}
@@ -267,7 +266,11 @@ func (s *Suite) Figure12(ctx context.Context) (*Report, error) {
 		// The destination-write bit is folded into the packed record, so
 		// the tally reads the cached base trace without re-deriving
 		// Dest() per event (or re-emulating).
-		err := s.recordsOf(name, "base", emu.RecFunc(func(b emu.RecBatch) {
+		bin, err := s.variantBinary(name, "base")
+		if err != nil {
+			return nil, err
+		}
+		err = s.recordsOf(bin, emu.RecFunc(func(b emu.RecBatch) {
 			for i, fl := range b.Flags {
 				if fl&emu.RecWritesDest == 0 {
 					continue

@@ -2,14 +2,65 @@ package harness
 
 import (
 	"testing"
+
+	"opgate/internal/power"
+	"opgate/internal/store"
+	"opgate/internal/uarch"
 )
 
-// TestFigureMatricesEmulateOncePerVariant is the emulation-count probe of
+// paperLabels is every variant label a quick evaluation resolves: base,
+// vrp, vrp-conv and one vrs<θ> per paper threshold.
+func paperLabels() []string {
+	labels := []string{"base", "vrp", "vrp-conv"}
+	for _, th := range Thresholds {
+		labels = append(labels, vrsVariant(th))
+	}
+	return labels
+}
+
+// labelGroups partitions the labels of one workload by the identity of
+// the binary each builds, hashing every program afresh rather than
+// reading the suite's keys. Groups keep first-label order.
+func labelGroups(t *testing.T, s *Suite, name string, labels []string) [][]string {
+	t.Helper()
+	index := map[store.Hash]int{}
+	var groups [][]string
+	for _, label := range labels {
+		b, err := s.variantBinary(name, label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := store.ProgramIdentity(b.p)
+		i, ok := index[id]
+		if !ok {
+			i = len(groups)
+			index[id] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], label)
+	}
+	return groups
+}
+
+// distinctBinaries counts the distinct (workload, identity) pairs that
+// the labels build across the suite's workloads: the number of emulations
+// the trace layer's contract allows for touching all of them.
+func distinctBinaries(t *testing.T, s *Suite, labels ...string) int64 {
+	t.Helper()
+	var n int64
+	for _, name := range s.Names() {
+		n += int64(len(labelGroups(t, s, name, labels)))
+	}
+	return n
+}
+
+// TestFigureMatricesEmulateOncePerBinary is the emulation-count probe of
 // the trace layer's contract: regenerating the Figure 3 and Figure 8
-// matrices must functionally emulate each (workload, variant) exactly
-// once — the trace capture — with every simulation and every later reuse
-// (histograms, repeated calls) served from the cache.
-func TestFigureMatricesEmulateOncePerVariant(t *testing.T) {
+// matrices must functionally emulate each distinct binary exactly once —
+// the trace capture — however many variant labels build it, with every
+// simulation and every later reuse (histograms, repeated calls) served
+// from the cache.
+func TestFigureMatricesEmulateOncePerBinary(t *testing.T) {
 	s := NewSuite(true)
 	if _, err := s.Figure3(testCtx); err != nil {
 		t.Fatal(err)
@@ -17,21 +68,24 @@ func TestFigureMatricesEmulateOncePerVariant(t *testing.T) {
 	if _, err := s.Figure8(testCtx); err != nil {
 		t.Fatal(err)
 	}
-	// Variants touched: base, vrp, and the five VRS thresholds.
-	variants := int64(2 + len(Thresholds))
-	want := int64(len(s.Names())) * variants
+	// Labels touched: base, vrp, and the five VRS thresholds.
+	labels := []string{"base", "vrp"}
+	for _, th := range Thresholds {
+		labels = append(labels, vrsVariant(th))
+	}
+	want := distinctBinaries(t, s, labels...)
 	if got := s.Emulations(); got != want {
-		t.Errorf("Figure 3+8 matrices performed %d emulations, want %d (one per workload+variant)", got, want)
+		t.Errorf("Figure 3+8 matrices performed %d emulations, want %d (one per distinct binary)", got, want)
 	}
 
 	// The width histograms of Figure 2 read the cached traces: only the
-	// one variant not yet traced (vrp-conv) costs new emulations.
+	// binaries the vrp-conv label adds cost new emulations.
 	if _, err := s.Figure2(testCtx); err != nil {
 		t.Fatal(err)
 	}
-	want += int64(len(s.Names()))
+	want = distinctBinaries(t, s, append(labels, "vrp-conv")...)
 	if got := s.Emulations(); got != want {
-		t.Errorf("after Figure 2: %d emulations, want %d (only vrp-conv traces added)", got, want)
+		t.Errorf("after Figure 2: %d emulations, want %d (only vrp-conv binaries added)", got, want)
 	}
 
 	// DynWidthHistogram is memoized and trace-backed: repeated calls add
@@ -46,5 +100,53 @@ func TestFigureMatricesEmulateOncePerVariant(t *testing.T) {
 	}
 	if got := s.Emulations(); got != want {
 		t.Errorf("DynWidthHistogram re-emulated: %d emulations, want %d", got, want)
+	}
+}
+
+// TestLabelsSharingABinaryShareResults: labels that build one binary are
+// one cache entry. Every label after the first of a group returns the
+// first label's *uarch.Result and costs no emulation; labels that build
+// different binaries keep apart. VRS emits the VRP binary on most
+// kernels, but specializes m88ksim and vortex, so there vrs50 and vrp
+// must stay separate.
+func TestLabelsSharingABinaryShareResults(t *testing.T) {
+	s := NewSuite(true)
+	shared := 0
+	for _, name := range s.Names() {
+		groups := labelGroups(t, s, name, paperLabels())
+		result := map[string]*uarch.Result{}
+		for _, group := range groups {
+			before := s.Emulations()
+			r, err := s.Sim(name, group[0], power.GateSoftware)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, label := range group {
+				result[label] = r
+			}
+			if len(group) > 1 {
+				shared++
+			}
+			for _, label := range group[1:] {
+				got, err := s.Sim(name, label, power.GateSoftware)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != r {
+					t.Errorf("%s: %s and %s build one binary but return different results", name, group[0], label)
+				}
+			}
+			if got := s.Emulations() - before; got != 1 {
+				t.Errorf("%s: labels %v sharing one binary cost %d emulations, want 1", name, group, got)
+			}
+		}
+		if name == "m88ksim" || name == "vortex" {
+			if result["vrs50"] == result["vrp"] {
+				t.Errorf("%s: vrs50 shares the vrp result; VRS specializes this kernel", name)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Error("no two labels build one binary; the sharing path went unexercised")
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"opgate/internal/power"
+	"opgate/internal/uarch"
 )
 
 // TestParallelSuiteDeterministic: a suite fanned out across the full
@@ -39,36 +42,39 @@ func TestParallelSuiteDeterministic(t *testing.T) {
 
 // TestSuiteMemoizesUnderConcurrency: hammering the same artifact from
 // many goroutines must yield one shared result (singleflight), not
-// duplicate work or torn state.
+// duplicate work or torn state — also when the callers reach it through
+// different variant labels that build one binary (compress's VRS emits
+// its VRP binary at every paper threshold).
 func TestSuiteMemoizesUnderConcurrency(t *testing.T) {
 	s := NewSuite(true)
+	labels := []string{"vrp", "vrs110", "vrs50"}
 	const callers = 16
 	type out struct {
-		cycles int64
-		err    error
+		r   *uarch.Result
+		err error
 	}
 	outs := make(chan out, callers)
 	for i := 0; i < callers; i++ {
+		label := labels[i%len(labels)]
 		go func() {
-			r, err := s.Baseline("compress")
-			if err != nil {
-				outs <- out{0, err}
-				return
-			}
-			outs <- out{r.Cycles, nil}
+			r, err := s.Sim("compress", label, power.GateNone)
+			outs <- out{r, err}
 		}()
 	}
-	var first int64
+	var first *uarch.Result
 	for i := 0; i < callers; i++ {
 		o := <-outs
 		if o.err != nil {
 			t.Fatal(o.err)
 		}
 		if i == 0 {
-			first = o.cycles
-		} else if o.cycles != first {
-			t.Fatalf("caller %d saw cycles %d, first saw %d", i, o.cycles, first)
+			first = o.r
+		} else if o.r != first {
+			t.Fatalf("caller %d saw a different result than the first caller", i)
 		}
+	}
+	if n := s.Emulations(); n != 1 {
+		t.Errorf("%d callers over %v performed %d emulations, want 1", callers, labels, n)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"opgate/internal/power"
 	"opgate/internal/store"
 )
 
@@ -200,5 +201,55 @@ func TestStoreV1ObjectIsReEmulatedAndRewritten(t *testing.T) {
 	}
 	if !bytes.Equal(coldOut, warmOut) {
 		t.Fatal("reports drifted after a v1 object was re-emulated")
+	}
+}
+
+// TestStoreServesEveryLabelOfAStoredBinary: the store addresses a trace
+// by the binary's identity, not by the label that built it. A cold suite
+// requests one label per distinct binary; a fresh suite over the same
+// store then requests only the other labels and emulates nothing.
+func TestStoreServesEveryLabelOfAStoredBinary(t *testing.T) {
+	dir := t.TempDir()
+	cold := NewSuite(true)
+	cold.Store = storeSuite(t, dir)
+	type group struct {
+		name   string
+		labels []string
+	}
+	var groups []group
+	shared := 0
+	for _, name := range cold.Names() {
+		for _, labels := range labelGroups(t, cold, name, paperLabels()) {
+			groups = append(groups, group{name, labels})
+			if len(labels) > 1 {
+				shared++
+			}
+			if _, err := cold.Sim(name, labels[0], power.GateNone); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two labels build one binary; the test cannot observe sharing")
+	}
+	if got, want := cold.Emulations(), int64(len(groups)); got != want {
+		t.Fatalf("cold suite performed %d emulations, want %d (one per binary)", got, want)
+	}
+
+	st := storeSuite(t, dir)
+	warm := NewSuite(true)
+	warm.Store = st
+	for _, g := range groups {
+		for _, label := range g.labels[1:] {
+			if _, err := warm.Sim(g.name, label, power.GateNone); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := warm.Emulations(); n != 0 {
+		t.Errorf("labels sharing a stored binary performed %d emulations, want 0", n)
+	}
+	if stats := st.Stats(); stats.Misses != 0 || stats.Hits != int64(shared) {
+		t.Errorf("warm store traffic %+v, want %d hits and no misses", stats, shared)
 	}
 }

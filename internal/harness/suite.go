@@ -13,24 +13,30 @@
 // worker pool. Reports are assembled in suite order, so results are
 // byte-identical to a sequential run (Workers = 1).
 //
-// Simulation follows "trace once, simulate many": each (workload, variant)
-// is functionally emulated exactly once, into a packed retirement trace
+// Simulation follows "trace once, simulate many", per distinct binary.
+// A variant label ("base", "vrp", "vrp-conv", "vrs<θ>") only says how to
+// build a program; traces, simulations and histograms are keyed by the
+// workload and the built binary's identity (store.ProgramIdentity). Labels
+// that build the same binary — VRS emits the VRP binary whenever it
+// selects no region — share everything below. Each distinct binary is
+// functionally emulated exactly once, into a packed retirement trace
 // (emu.TraceRecorder); every simulation, width histogram, and record scan
-// of that variant replays the cached trace instead of re-emulating. The
-// gating modes the evaluation requests for a variant are accrued in one
-// fused timing pass (uarch.ReplayModes with a meter bank), so the figure
-// matrices cost one emulation and one timing traversal per variant. All
-// of it is an accelerator only: a trace over budget falls back to a live
+// of it replays the cached trace instead of re-emulating. The gating modes
+// the evaluation requests are accrued in one fused timing pass per mode
+// group (uarch.ReplayModes with a meter bank), so the figure matrices cost
+// one emulation and one timing traversal per binary and group. All of it
+// is an accelerator only: a trace over budget falls back to a live
 // emulation per consumer, and reports are byte-identical either way (the
 // goldens are checked against a suite whose budget admits no trace).
 //
 // With a Store attached the trace cache extends across processes: a
-// variant's trace is looked up on disk (content-addressed by workload,
-// variant, input class and the exact binary's identity hash) before
-// anything is emulated, and fresh captures are written back. A warm run
-// therefore performs zero suite-level emulations and produces
-// byte-identical reports — replay is exact, so the store can never change
-// a result, only skip recomputing it.
+// binary's trace is looked up on disk (content-addressed by workload,
+// input class and the binary's identity hash) before anything is
+// emulated, and fresh captures are written back. Whichever label reaches
+// a binary first, in whichever process, every other label that builds it
+// hits the same object. A warm run therefore performs zero suite-level
+// emulations and produces byte-identical reports — replay is exact, so
+// the store can never change a result, only skip recomputing it.
 package harness
 
 import (
@@ -79,12 +85,13 @@ type Suite struct {
 	// cmd/opgated).
 	Store *store.Store
 
-	// TraceBudget caps the packed-trace bytes cached per (name, variant);
-	// <= 0 means emu.DefaultTraceBudget. A variant whose trace exceeds
-	// the budget falls back to live emulation (correctness never depends
-	// on a capture succeeding). Resident worst case is the sum over the
-	// distinct variants an experiment touches: ~43 bytes/event, ~190 MB
-	// for the full quick suite, ~700 MB for ref inputs.
+	// TraceBudget caps the packed-trace bytes cached per distinct binary;
+	// <= 0 means emu.DefaultTraceBudget. A binary whose trace exceeds the
+	// budget falls back to live emulation (correctness never depends on a
+	// capture succeeding). Resident worst case is the sum over the
+	// distinct binaries an experiment touches: the full evaluation's 64
+	// variant labels build 26 binaries, whose traces hold ~80 MB on
+	// quick inputs and ~270 MB on ref inputs.
 	TraceBudget int64
 
 	Uarch uarch.Config
@@ -96,10 +103,10 @@ type Suite struct {
 	vrps     memo[vrpKey, *vrp.Result]
 	profiles memo[string, *vrs.Profile]
 	vrss     memo[vrsKey, *vrs.Result]
-	variants memo[variantKey, *prog.Program]
-	traces   memo[variantKey, *emu.Trace]
+	variants memo[variantKey, variantBin]
+	traces   memo[binKey, *emu.Trace]
 	families memo[groupKey, []*uarch.Result]
-	hists    memo[variantKey, vrp.WidthHistogram]
+	hists    memo[binKey, vrp.WidthHistogram]
 
 	emuRuns   atomic.Int64
 	trainRuns atomic.Int64
@@ -125,10 +132,26 @@ type variantKey struct {
 	variant string // "base", "vrp", "vrp-conv", "vrs<θ>"
 }
 
+// binKey names one distinct binary of a workload by its identity. Every
+// trace, simulation and histogram memo is keyed by it, so variant labels
+// that build the same binary share one capture, one store object, one
+// fused pass per mode group and one histogram.
+type binKey struct {
+	name string
+	id   store.Hash
+}
+
+func (k binKey) String() string { return fmt.Sprintf("%s@%.12s", k.name, k.id) }
+
+// variantBin is a resolved variant: the program and the key it is cached by.
+type variantBin struct {
+	p   *prog.Program
+	key binKey
+}
+
 type groupKey struct {
-	name    string
-	variant string
-	group   int // index into modeGroups
+	bin   binKey
+	group int // index into modeGroups
 }
 
 // NewSuite builds a suite with the paper's machine parameters.
@@ -245,57 +268,67 @@ func (s *Suite) VRS(name string, threshold float64) (*vrs.Result, error) {
 	})
 }
 
-// variantProgram resolves (cached) a named program variant for simulation.
-func (s *Suite) variantProgram(name, variant string) (*prog.Program, error) {
-	return s.variants.do(variantKey{name, variant}, func() (*prog.Program, error) {
-		if workload.IsTrace(name) && variant != "base" {
-			// Every non-base variant is a re-optimized rebuild; a trace
-			// workload's only binary is its skeleton.
-			return nil, traceOnlyErr(name, "variant "+variant)
+// variantBinary resolves (cached) a named program variant for simulation,
+// together with its identity — computed once per label, here.
+func (s *Suite) variantBinary(name, variant string) (variantBin, error) {
+	return s.variants.do(variantKey{name, variant}, func() (variantBin, error) {
+		p, err := s.buildVariant(name, variant)
+		if err != nil {
+			return variantBin{}, err
 		}
-		switch variant {
-		case "base":
-			return s.Program(name, s.evalClass())
-		case "vrp":
-			r, err := s.VRP(name, vrp.Useful)
-			if err != nil {
-				return nil, err
-			}
-			return r.Apply(), nil
-		case "vrp-conv":
-			r, err := s.VRP(name, vrp.Conventional)
-			if err != nil {
-				return nil, err
-			}
-			return r.Apply(), nil
-		default: // "vrs<threshold>"
-			// Parse the whole suffix and insist on the canonical spelling
-			// (vrsVariant(th) == variant): Sscanf-style prefix matching
-			// would let "vrs50junk" alias vrs50, and a non-canonical
-			// spelling like "vrs050" would fork the memo and trace keys of
-			// an existing variant.
-			suffix, ok := strings.CutPrefix(variant, "vrs")
-			if !ok {
-				return nil, fmt.Errorf("harness: unknown variant %q", variant)
-			}
-			th, err := strconv.ParseFloat(suffix, 64)
-			if err != nil || !(th > 0) || vrsVariant(th) != variant {
-				return nil, fmt.Errorf("harness: unknown variant %q", variant)
-			}
-			r, err := s.VRS(name, th)
-			if err != nil {
-				return nil, err
-			}
-			return r.Apply(), nil
-		}
+		return variantBin{p, binKey{name, store.ProgramIdentity(p)}}, nil
 	})
+}
+
+// buildVariant builds a named program variant (variantBinary's miss path).
+func (s *Suite) buildVariant(name, variant string) (*prog.Program, error) {
+	if workload.IsTrace(name) && variant != "base" {
+		// Every non-base variant is a re-optimized rebuild; a trace
+		// workload's only binary is its skeleton.
+		return nil, traceOnlyErr(name, "variant "+variant)
+	}
+	switch variant {
+	case "base":
+		return s.Program(name, s.evalClass())
+	case "vrp":
+		r, err := s.VRP(name, vrp.Useful)
+		if err != nil {
+			return nil, err
+		}
+		return r.Apply(), nil
+	case "vrp-conv":
+		r, err := s.VRP(name, vrp.Conventional)
+		if err != nil {
+			return nil, err
+		}
+		return r.Apply(), nil
+	default: // "vrs<threshold>"
+		// Parse the whole suffix and insist on the canonical spelling
+		// (vrsVariant(th) == variant): Sscanf-style prefix matching
+		// would let "vrs50junk" alias vrs50, and a non-canonical
+		// spelling like "vrs050" would give an existing variant a
+		// second label.
+		suffix, ok := strings.CutPrefix(variant, "vrs")
+		if !ok {
+			return nil, fmt.Errorf("harness: unknown variant %q", variant)
+		}
+		th, err := strconv.ParseFloat(suffix, 64)
+		if err != nil || !(th > 0) || vrsVariant(th) != variant {
+			return nil, fmt.Errorf("harness: unknown variant %q", variant)
+		}
+		r, err := s.VRS(name, th)
+		if err != nil {
+			return nil, err
+		}
+		return r.Apply(), nil
+	}
 }
 
 // modeGroups partitions the gating modes into the sets the evaluation
 // always requests together: the ungated baseline, software gating, the
 // two hardware compression schemes (Figures 13/14 read both), and the two
 // cooperative schemes (Figure 15 reads both). A group is accrued by one
-// fused timing pass over the variant's cached trace, so a figure never
+// fused timing pass over the binary's cached trace, so a figure never
 // pays for a meter it does not read, and a pair costs one traversal
 // instead of two.
 var modeGroups = [...][]power.GatingMode{
@@ -319,8 +352,9 @@ func modeGroup(mode power.GatingMode) (int, int) {
 
 // Emulations returns how many functional emulations the suite has
 // performed: trace captures plus the live fallbacks of over-budget
-// traces. The trace layer's contract — at most one emulation per
-// (name, variant) — is asserted against this probe in tests. Two kinds
+// traces. The trace layer's contract — at most one emulation per distinct
+// binary (workload, identity), however many variant labels build it — is
+// asserted against this probe in tests. Two kinds
 // of live emulation are not counted: the train profiling runs inside VRS
 // construction (see TrainEmulations), and the ablations' one-off
 // configurations, whose programs are never suite variants and run
@@ -335,14 +369,18 @@ func (s *Suite) TrainEmulations() int64 { return s.trainRuns.Load() }
 
 // Sim returns (cached) the timing+energy simulation of a program variant
 // under a gating mode, served from the one fused pass of the mode's
-// evaluation group over the variant's cached trace.
+// evaluation group over the variant binary's cached trace.
 func (s *Suite) Sim(name, variant string, mode power.GatingMode) (*uarch.Result, error) {
 	gi, mi := modeGroup(mode)
 	if gi < 0 {
 		return nil, fmt.Errorf("harness: sim %s/%s: unknown gating mode %v", name, variant, mode)
 	}
-	rs, err := s.families.do(groupKey{name, variant, gi}, func() ([]*uarch.Result, error) {
-		return s.simModes(name, variant, modeGroups[gi])
+	b, err := s.variantBinary(name, variant)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := s.families.do(groupKey{b.key, gi}, func() ([]*uarch.Result, error) {
+		return s.simModes(b, modeGroups[gi])
 	})
 	if err != nil {
 		return nil, err
@@ -350,48 +388,48 @@ func (s *Suite) Sim(name, variant string, mode power.GatingMode) (*uarch.Result,
 	return rs[mi], nil
 }
 
-// simModes performs one fused timing pass over the variant's retirement
+// simModes performs one fused timing pass over a binary's retirement
 // records with a meter bank accruing every requested mode, fed by
 // recordsOf like any other records consumer.
-func (s *Suite) simModes(name, variant string, modes []power.GatingMode) ([]*uarch.Result, error) {
-	p, err := s.variantProgram(name, variant)
+func (s *Suite) simModes(b variantBin, modes []power.GatingMode) ([]*uarch.Result, error) {
+	sim, err := uarch.NewMulti(b.p, s.Uarch, s.Power, modes)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("harness: sim %v/%v: %w", b.key, modes, err)
 	}
-	sim, err := uarch.NewMulti(p, s.Uarch, s.Power, modes)
-	if err != nil {
-		return nil, fmt.Errorf("harness: sim %s/%s/%v: %w", name, variant, modes, err)
-	}
-	if err := s.recordsOf(name, variant, sim); err != nil {
+	if err := s.recordsOf(b, sim); err != nil {
 		return nil, err
 	}
 	return sim.FinishAll(), nil
 }
 
-// traceWith returns (cached) the packed retirement trace of a variant, or
+// storeLabel is the variant label of every suite trace address. The
+// identity in the address already names the binary, so the label is one
+// constant and any variant label that builds a stored binary hits its
+// object. It is "base" because imported traces (internal/tracework) are
+// stored under that label.
+const storeLabel = "base"
+
+// traceKey is the store address of a binary's trace.
+func (s *Suite) traceKey(b variantBin) store.Key {
+	return store.TraceKey(b.key.name, storeLabel, s.evalClass().String(), b.key.id)
+}
+
+// traceWith returns (cached) the packed retirement trace of a binary, or
 // nil when the capture exceeded the trace budget (the miss is cached too:
 // callers fall back to live emulation, once per call site). If this call
 // is the one that performs the capture, rider consumes the record batches
-// of the same live pass — the variant's only emulation feeds the recorder
+// of the same live pass — the binary's only emulation feeds the recorder
 // and its first consumer together — and rode reports it.
-func (s *Suite) traceWith(name, variant string, rider emu.Sink) (tr *emu.Trace, rode bool, err error) {
-	tr, err = s.traces.do(variantKey{name, variant}, func() (*emu.Trace, error) {
-		if workload.IsTrace(name) {
+func (s *Suite) traceWith(b variantBin, rider emu.Sink) (tr *emu.Trace, rode bool, err error) {
+	tr, err = s.traces.do(b.key, func() (*emu.Trace, error) {
+		if workload.IsTrace(b.key.name) {
 			// Imported traces are hit-or-error: there is no emulation to
 			// fall back to, so the rider never runs (callers take the
 			// replay path) and the budget does not apply.
-			return s.traceTrace(name, variant)
+			return s.traceTrace(b)
 		}
-		p, err := s.variantProgram(name, variant)
-		if err != nil {
-			return nil, err
-		}
-		var key store.Key
-		var identity store.Hash
 		if s.Store != nil {
-			identity = store.ProgramIdentity(p)
-			key = store.TraceKey(name, variant, s.evalClass().String(), identity)
-			if tr, ok := s.Store.GetTrace(key, p, identity); ok {
+			if tr, ok := s.Store.GetTrace(s.traceKey(b), b.p, b.key.id); ok {
 				// Honour TraceBudget on hits too: a stored trace larger
 				// than this suite's cap is skipped, exactly as its capture
 				// would have been dropped.
@@ -404,16 +442,16 @@ func (s *Suite) traceWith(name, variant string, rider emu.Sink) (tr *emu.Trace, 
 				}
 			}
 		}
-		rec := emu.NewTraceRecorder(p)
+		rec := emu.NewTraceRecorder(b.p)
 		rec.SetBudget(s.TraceBudget)
-		m := emu.New(p)
+		m := emu.New(b.p)
 		defer m.Release()
 		m.Sink = rec
 		rec.SetRider(rider)
 		rode = true
 		s.emuRuns.Add(1)
 		if err := m.Run(); err != nil {
-			return nil, fmt.Errorf("harness: trace %s/%s: %w", name, variant, err)
+			return nil, fmt.Errorf("harness: trace %v: %w", b.key, err)
 		}
 		tr, err := rec.Trace()
 		if errors.Is(err, emu.ErrTraceBudget) {
@@ -422,25 +460,25 @@ func (s *Suite) traceWith(name, variant string, rider emu.Sink) (tr *emu.Trace, 
 		if err != nil {
 			// A genuine capture defect is not a cache miss — surfacing it
 			// beats silently re-emulating a broken recorder forever.
-			return nil, fmt.Errorf("harness: trace %s/%s: %w", name, variant, err)
+			return nil, fmt.Errorf("harness: trace %v: %w", b.key, err)
 		}
 		if s.Store != nil {
 			// Best-effort write-back: a full disk or unwritable root must
 			// not fail the run (the store tallies PutErrors).
-			_ = s.Store.PutTrace(key, tr, identity)
+			_ = s.Store.PutTrace(s.traceKey(b), tr, b.key.id)
 		}
 		return tr, nil
 	})
 	return tr, rode, err
 }
 
-// recordsOf streams the packed retirement records of a variant into rs:
-// riding the capture pass when this is the variant's first consumer, from
+// recordsOf streams the packed retirement records of a binary into rs:
+// riding the capture pass when this is the binary's first consumer, from
 // the cached trace when one exists, else from a live emulation. Consumers
 // read op/width/value columns directly and never dereference per-event
 // instruction pointers.
-func (s *Suite) recordsOf(name, variant string, rs emu.Sink) error {
-	tr, rode, err := s.traceWith(name, variant, rs)
+func (s *Suite) recordsOf(b variantBin, rs emu.Sink) error {
+	tr, rode, err := s.traceWith(b, rs)
 	if err != nil {
 		return err
 	}
@@ -451,11 +489,7 @@ func (s *Suite) recordsOf(name, variant string, rs emu.Sink) error {
 		tr.Records(rs)
 		return nil
 	}
-	p, err := s.variantProgram(name, variant)
-	if err != nil {
-		return err
-	}
-	m := emu.New(p)
+	m := emu.New(b.p)
 	defer m.Release()
 	m.Sink = rs
 	s.emuRuns.Add(1)
@@ -497,12 +531,16 @@ func (s *Suite) ED2Saving(name, variant string, mode power.GatingMode) (float64,
 }
 
 // DynWidthHistogram returns (cached) the dynamic width histogram of a
-// program variant, tallied over the packed trace records (the cached
-// trace when available) instead of a fresh emulation per call.
+// program variant, tallied over its binary's packed trace records (the
+// cached trace when available) instead of a fresh emulation per call.
 func (s *Suite) DynWidthHistogram(name, variant string) (vrp.WidthHistogram, error) {
-	return s.hists.do(variantKey{name, variant}, func() (vrp.WidthHistogram, error) {
+	b, err := s.variantBinary(name, variant)
+	if err != nil {
+		return vrp.WidthHistogram{}, err
+	}
+	return s.hists.do(b.key, func() (vrp.WidthHistogram, error) {
 		var h vrp.WidthHistogram
-		err := s.recordsOf(name, variant, widthSink{&h})
+		err := s.recordsOf(b, widthSink{&h})
 		return h, err
 	})
 }

@@ -85,17 +85,18 @@ func TestSweepTrainEmulations(t *testing.T) {
 }
 
 // TestSweepSharesBaselineSims: a sweep of a simulation-bearing experiment
-// pays one trace per (workload, variant) — the base/vrp variants are
-// shared across the whole grid, only the vrs<θ> variants scale with K.
+// pays one trace per distinct binary — the base/vrp binaries are shared
+// across the whole grid, and a vrs<θ> label adds a trace only when it
+// builds a binary no other label has.
 func TestSweepSharesBaselineSims(t *testing.T) {
 	grid := []float64{110, 50}
 	s := NewSuite(true)
 	if _, err := s.Sweep(testCtx, "fig15", grid); err != nil {
 		t.Fatal(err)
 	}
-	// Variants touched per workload: base, vrp, and one vrs<θ> per grid
+	// Labels touched per workload: base, vrp, and one vrs<θ> per grid
 	// point.
-	want := int64(len(s.Names())) * int64(2+len(grid))
+	want := distinctBinaries(t, s, "base", "vrp", vrsVariant(grid[0]), vrsVariant(grid[1]))
 	if got := s.Emulations(); got != want {
 		t.Errorf("fig15 sweep performed %d emulations, want %d (base/vrp shared across the grid)", got, want)
 	}
@@ -193,12 +194,12 @@ func TestSweepCellAndDiff(t *testing.T) {
 
 // TestVariantProgramNameParsing is the variant-name bugfix's table test:
 // only canonical "vrs<θ>" spellings resolve — trailing garbage, prefix
-// matches, and non-canonical float spellings (which would fork the memo
-// and trace keys of an existing variant) are unknown-variant errors.
+// matches, and non-canonical float spellings (which would give an
+// existing variant a second label) are unknown-variant errors.
 func TestVariantProgramNameParsing(t *testing.T) {
 	s := NewSuite(true)
 	for _, variant := range []string{"vrs50", "vrs50.5"} {
-		if _, err := s.variantProgram("compress", variant); err != nil {
+		if _, err := s.variantBinary("compress", variant); err != nil {
 			t.Errorf("canonical variant %q rejected: %v", variant, err)
 		}
 	}
@@ -213,7 +214,7 @@ func TestVariantProgramNameParsing(t *testing.T) {
 		"vrsNaN",
 		"velcro",
 	} {
-		if _, err := s.variantProgram("compress", variant); err == nil {
+		if _, err := s.variantBinary("compress", variant); err == nil {
 			t.Errorf("malformed variant %q resolved to a program", variant)
 		}
 	}

@@ -41,13 +41,13 @@ func TestNamesIncludeSynthetics(t *testing.T) {
 // gating mode, the suite's fused, trace-served Sim equals an independent
 // uarch.Run of the variant's program, and DynWidthHistogram equals a
 // tally over a live packed emulation — while the suite itself emulates
-// each (name, variant) exactly once.
+// each distinct binary exactly once, however many labels build it.
 func TestSyntheticSuiteMatchesLiveRuns(t *testing.T) {
 	s := synthSuite()
 	variants := []string{"base", "vrp", "vrp-conv", "vrs50"}
 	for _, name := range s.Names() {
 		for _, variant := range variants {
-			p, err := s.variantProgram(name, variant)
+			b, err := s.variantBinary(name, variant)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +56,7 @@ func TestSyntheticSuiteMatchesLiveRuns(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := uarch.Run(p, s.Uarch, s.Power, mode)
+				want, err := uarch.Run(b.p, s.Uarch, s.Power, mode)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -68,7 +68,7 @@ func TestSyntheticSuiteMatchesLiveRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := dynHistogramOf(p)
+			want, err := dynHistogramOf(b.p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,8 +77,8 @@ func TestSyntheticSuiteMatchesLiveRuns(t *testing.T) {
 			}
 		}
 	}
-	if got, want := s.Emulations(), int64(len(s.Names())*len(variants)); got != want {
-		t.Errorf("suite performed %d emulations, want %d (one per name and variant)", got, want)
+	if got, want := s.Emulations(), distinctBinaries(t, s, variants...); got != want {
+		t.Errorf("suite performed %d emulations, want %d (one per distinct binary)", got, want)
 	}
 }
 

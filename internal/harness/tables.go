@@ -72,7 +72,11 @@ func (s *Suite) Table3(ctx context.Context) (*Report, error) {
 	}
 	tallies, err := mapNames(ctx, s, func(name string) (*tally, error) {
 		t := new(tally)
-		err := s.recordsOf(name, "vrp", emu.RecFunc(func(b emu.RecBatch) {
+		bin, err := s.variantBinary(name, "vrp")
+		if err != nil {
+			return nil, err
+		}
+		err = s.recordsOf(bin, emu.RecFunc(func(b emu.RecBatch) {
 			for i, opb := range b.Op {
 				op := isa.Op(opb)
 				if !vrp.CountsWidth(op) {

@@ -6,7 +6,6 @@ import (
 
 	"opgate/internal/emu"
 	"opgate/internal/prog"
-	"opgate/internal/store"
 	"opgate/internal/tracework"
 	"opgate/internal/workload"
 )
@@ -55,26 +54,18 @@ func (s *Suite) traceProgram(name string, class workload.InputClass) (*prog.Prog
 
 // traceTrace serves a trace-backed workload's retirement trace
 // (traceWith's IsTrace branch): the imported blob under its content
-// address, hit-or-error. The TraceBudget does not apply — replay of the
-// imported records is the workload's only runnable form, so skipping an
-// oversized trace would not save an emulation, it would break the
-// workload.
-func (s *Suite) traceTrace(name, variant string) (*emu.Trace, error) {
-	if variant != "base" {
-		return nil, traceOnlyErr(name, "variant "+variant)
-	}
-	p, err := s.variantProgram(name, variant)
-	if err != nil {
-		return nil, err
-	}
-	identity := store.ProgramIdentity(p)
-	key := store.TraceKey(name, variant, s.evalClass().String(), identity)
-	if tr, ok := s.Store.GetTrace(key, p, identity); ok {
+// address, hit-or-error. The skeleton is the workload's only binary
+// (variantBinary gates every other variant). The TraceBudget does not
+// apply — replay of the imported records is the workload's only runnable
+// form, so skipping an oversized trace would not save an emulation, it
+// would break the workload.
+func (s *Suite) traceTrace(b variantBin) (*emu.Trace, error) {
+	if tr, ok := s.Store.GetTrace(s.traceKey(b), b.p, b.key.id); ok {
 		return tr, nil
 	}
 	// The skeleton resolved but its blob is gone (eviction, corruption):
 	// same remedy as never imported.
-	return nil, &tracework.NotImportedError{Name: name, Class: s.evalClass().String()}
+	return nil, &tracework.NotImportedError{Name: b.key.name, Class: s.evalClass().String()}
 }
 
 // traceLibState is the lazily bound library (embedded in Suite).

@@ -68,7 +68,10 @@ func deriveKey(parts ...string) Key {
 // executed. The code identity makes the address content-correct — a
 // changed kernel, generator, or optimizer produces a different variant
 // binary and therefore a different key, so stale traces are unreachable
-// rather than wrong.
+// rather than wrong. The harness suite passes one constant label, "base",
+// for every binary it stores: the identity alone names the binary, so
+// every variant label that builds it reaches the same object. Imported
+// traces (internal/tracework) use the same label.
 func TraceKey(workload, variant, inputClass string, identity Hash) Key {
 	return deriveKey("trace/v1", workload, variant, inputClass, identity.String())
 }

@@ -90,8 +90,8 @@ func WithThreshold(nj float64) Option {
 	}
 }
 
-// WithTraceBudget caps the packed-trace bytes cached per program variant;
-// <= 0 means the emulator default. Over-budget variants fall back to live
+// WithTraceBudget caps the packed-trace bytes cached per distinct binary;
+// <= 0 means the emulator default. Over-budget binaries fall back to live
 // emulation — the budget never affects results, only caching.
 func WithTraceBudget(bytes int64) Option {
 	return func(s *Session) error { s.suite.TraceBudget = bytes; return nil }
