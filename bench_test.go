@@ -390,9 +390,11 @@ func BenchmarkTraceStore(b *testing.B) {
 // BenchmarkReplayModes reports the fused timing core's throughput, in
 // millions of retired records per second, replaying the eight train
 // traces through uarch.ReplayModes. The {none} leg is the timing core
-// with one meter; the others add the meters the evaluation accrues
-// together ({software}, the cooperative pair of Figure 15) up to all six
-// modes, so the step between legs prices the table-driven meter bank.
+// with one meter; the others add meters ({software}, the cooperative pair
+// of Figure 15) up to all six modes, so the step between legs prices the
+// table-driven meter bank. The base-trio and opt-trio legs are the
+// suite's real pass shapes: the mode groups of the unmodified and of the
+// optimized binaries.
 func BenchmarkReplayModes(b *testing.B) {
 	var traces []*emu.Trace
 	var events int64
@@ -424,6 +426,8 @@ func BenchmarkReplayModes(b *testing.B) {
 		{"software", []power.GatingMode{power.GateSoftware}},
 		{"coop-pair", []power.GatingMode{power.GateCooperative, power.GateCooperativeSig}},
 		{"all6", power.Modes()},
+		{"base-trio", []power.GatingMode{power.GateNone, power.GateHWSize, power.GateHWSignificance}},
+		{"opt-trio", []power.GatingMode{power.GateSoftware, power.GateCooperative, power.GateCooperativeSig}},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -464,7 +468,9 @@ func benchFigureMatrix(b *testing.B, run func(s *harness.Suite) error) {
 // one mode per variant, so here the cached leg mostly measures the
 // capture investment (packing + chunk allocation); every later
 // experiment on the same suite then replays for free —
-// BenchmarkFigureFamilyMatrix shows that payoff.
+// BenchmarkFigureFamilyMatrix shows that payoff. Each variant's fused
+// pass accrues its whole role group (three meters), of which Figure 3
+// reads one: the price of one pass per binary in a full evaluation.
 func BenchmarkFigure3Matrix(b *testing.B) {
 	benchFigureMatrix(b, func(s *harness.Suite) error {
 		_, err := s.Figure3(benchCtx)
@@ -477,9 +483,10 @@ func BenchmarkFigure3Matrix(b *testing.B) {
 // (width histograms of Figures 2/7, the hardware and cooperative modes of
 // Figures 13/14/15): the evaluation's whole energy matrix. This is where
 // "trace once, simulate many" pays — with the cache each distinct binary
-// is emulated once and timed once per mode group, however many variant
-// labels build it; without it every histogram and mode group of each
-// binary pays its own live emulation.
+// is emulated once and timed once, its one fused pass accruing every mode
+// of its role group, however many variant labels build it; without it
+// every histogram and the timing pass of each binary pay their own live
+// emulation.
 func BenchmarkFigureFamilyMatrix(b *testing.B) {
 	benchFigureMatrix(b, func(s *harness.Suite) error {
 		if _, err := s.Figure2(benchCtx); err != nil {

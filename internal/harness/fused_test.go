@@ -103,6 +103,35 @@ func TestFigureMatricesEmulateOncePerBinary(t *testing.T) {
 	}
 }
 
+// TestRunAllOneFusedPassPerBinary: mode groups follow binary roles, so a
+// full evaluation simulates every binary under exactly one group — one
+// fused timing pass per distinct simulated binary. The simulated labels
+// are base, vrp and the VRS thresholds; vrp-conv is only histogrammed.
+func TestRunAllOneFusedPassPerBinary(t *testing.T) {
+	labels := []string{"base", "vrp"}
+	for _, th := range Thresholds {
+		labels = append(labels, vrsVariant(th))
+	}
+	for i, in := range quickInputs {
+		t.Run(in.name, func(t *testing.T) {
+			quickReports(t, i)
+			s := quickRuns[i].suite
+			passes := map[binKey]int{}
+			for k := range s.families.m {
+				passes[k.bin]++
+			}
+			for bin, n := range passes {
+				if n != 1 {
+					t.Errorf("%v: %d fused passes, want 1", bin, n)
+				}
+			}
+			if got, want := int64(len(s.families.m)), distinctBinaries(t, s, labels...); got != want {
+				t.Errorf("%d fused passes, want %d (one per distinct simulated binary)", got, want)
+			}
+		})
+	}
+}
+
 // TestLabelsSharingABinaryShareResults: labels that build one binary are
 // one cache entry. Every label after the first of a group returns the
 // first label's *uarch.Result and costs no emulation; labels that build

@@ -30,6 +30,7 @@ var quickInputs = [...]struct {
 // memoizes everything, so one RunAll covers all of them.
 var quickRuns [len(quickInputs)]struct {
 	once       sync.Once
+	suite      *Suite
 	reports    []*Report
 	emulations int64
 	err        error
@@ -41,6 +42,7 @@ func quickReports(t *testing.T, input int) []*Report {
 	run.once.Do(func() {
 		s := NewSuite(true)
 		s.TraceBudget = quickInputs[input].budget
+		run.suite = s
 		run.reports, run.err = s.RunAll(context.Background(), 50)
 		run.emulations = s.Emulations()
 	})

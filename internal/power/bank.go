@@ -12,13 +12,20 @@ package power
 // the exact expression Meter.AccessValue evaluates. Per access the bank
 // computes SignificantBytes once and adds one table entry per meter; the
 // sums are bit-identical to feeding each Meter the same call sequence.
-// Access counts are mode-independent and kept once.
+// Access counts are mode-independent and kept once. So is the energy of
+// an ungated structure (Gated[s] == 0): every access to it adds exactly
+// Fixed[s] in every mode, whatever the access kind, so only the first
+// meter accrues it and Meters copies that sum into the others — the same
+// additions in the same order, hence the same bits.
 type Bank struct {
 	params   Params
 	modes    []GatingMode
 	sext     bool // Meter.SignExtendToCache of every meter
 	tabs     []bankTab
 	accesses [NumStructures]int64
+	// accrue[s] is the meters that accrue s: tabs[:1] for an ungated
+	// structure, every meter otherwise.
+	accrue [NumStructures][]bankTab
 }
 
 // bankTab is one meter's energy tables and accumulators.
@@ -45,6 +52,12 @@ func NewBank(params Params, modes []GatingMode, signExtendToCache bool) *Bank {
 		sext:   signExtendToCache,
 		tabs:   make([]bankTab, len(modes)),
 	}
+	for s := range b.accrue {
+		b.accrue[s] = b.tabs
+		if params.Gated[s] == 0 {
+			b.accrue[s] = b.tabs[:min(1, len(modes))]
+		}
+	}
 	for i, mode := range modes {
 		m := NewMeter(params, mode)
 		t := &b.tabs[i]
@@ -64,8 +77,9 @@ func NewBank(params Params, modes []GatingMode, signExtendToCache bool) *Bank {
 func (b *Bank) AccessFixed(s Structure) {
 	b.accesses[s]++
 	e := b.params.Fixed[s]
-	for i := range b.tabs {
-		b.tabs[i].energy[s] += e
+	tabs := b.accrue[s]
+	for i := range tabs {
+		tabs[i].energy[s] += e
 	}
 }
 
@@ -79,8 +93,9 @@ func (b *Bank) AccessValue(s Structure, swWidth int, value int64) {
 // callers that reuse one significance scan across several accesses.
 func (b *Bank) AccessSig(s Structure, swWidth, sig int) {
 	b.accesses[s]++
-	for i := range b.tabs {
-		t := &b.tabs[i]
+	tabs := b.accrue[s]
+	for i := range tabs {
+		t := &tabs[i]
 		t.energy[s] += t.value[s][swWidth][sig]
 	}
 }
@@ -93,8 +108,9 @@ func (b *Bank) AccessCacheSig(s Structure, swWidth, sig int) {
 		return
 	}
 	b.accesses[s]++
-	for i := range b.tabs {
-		t := &b.tabs[i]
+	tabs := b.accrue[s]
+	for i := range tabs {
+		t := &tabs[i]
 		t.energy[s] += t.full[s]
 	}
 }
@@ -108,6 +124,11 @@ func (b *Bank) Meters() []*Meter {
 		m.SignExtendToCache = b.sext
 		m.Accesses = b.accesses
 		m.Energy = b.tabs[i].energy
+		for s, tabs := range b.accrue {
+			if i >= len(tabs) {
+				m.Energy[s] = b.tabs[0].energy[s]
+			}
+		}
 		ms[i] = m
 	}
 	return ms

@@ -62,42 +62,50 @@ func TestBankTableMatchesMeter(t *testing.T) {
 
 // TestBankMatchesMeters: a random access sequence accrued by one bank
 // leaves every meter exactly as feeding a Meter per mode the same calls.
+// The second parameter set ungates a normally gated structure (IQ) and
+// gates a normally ungated one (L2), so structures accrued by the first
+// meter alone and by every meter both see fixed, value and cache accesses
+// interleaved.
 func TestBankMatchesMeters(t *testing.T) {
-	params := DefaultParams()
+	swapped := DefaultParams()
+	swapped.Gated[IQ] = 0
+	swapped.Gated[L2Cache] = 0.5
 	modes := Modes()
 	vals := sigValues()
 	rng := rand.New(rand.NewSource(1))
-	for _, sext := range []bool{false, true} {
-		b := NewBank(params, modes, sext)
-		solo := make([]*Meter, len(modes))
-		for i, mode := range modes {
-			solo[i] = NewMeter(params, mode)
-			solo[i].SignExtendToCache = sext
-		}
-		for range 20000 {
-			s := Structure(rng.Intn(int(NumStructures)))
-			sw := []int{0, 1, 2, 4, 8}[rng.Intn(5)]
-			v := vals[rng.Intn(len(vals))] >> rng.Intn(64)
-			switch rng.Intn(3) {
-			case 0:
-				b.AccessFixed(s)
-				for _, m := range solo {
-					m.AccessFixed(s)
-				}
-			case 1:
-				b.AccessValue(s, sw, v)
-				for _, m := range solo {
-					m.AccessValue(s, sw, v)
-				}
-			case 2:
-				b.AccessCacheSig(s, sw, SignificantBytes(v))
-				for _, m := range solo {
-					m.AccessCacheValue(s, sw, v)
+	for pi, params := range []Params{DefaultParams(), swapped} {
+		for _, sext := range []bool{false, true} {
+			b := NewBank(params, modes, sext)
+			solo := make([]*Meter, len(modes))
+			for i, mode := range modes {
+				solo[i] = NewMeter(params, mode)
+				solo[i].SignExtendToCache = sext
+			}
+			for range 20000 {
+				s := Structure(rng.Intn(int(NumStructures)))
+				sw := []int{0, 1, 2, 4, 8}[rng.Intn(5)]
+				v := vals[rng.Intn(len(vals))] >> rng.Intn(64)
+				switch rng.Intn(3) {
+				case 0:
+					b.AccessFixed(s)
+					for _, m := range solo {
+						m.AccessFixed(s)
+					}
+				case 1:
+					b.AccessValue(s, sw, v)
+					for _, m := range solo {
+						m.AccessValue(s, sw, v)
+					}
+				case 2:
+					b.AccessCacheSig(s, sw, SignificantBytes(v))
+					for _, m := range solo {
+						m.AccessCacheValue(s, sw, v)
+					}
 				}
 			}
-		}
-		if got := b.Meters(); !reflect.DeepEqual(got, solo) {
-			t.Errorf("sext=%v: bank meters differ from per-mode meters", sext)
+			if got := b.Meters(); !reflect.DeepEqual(got, solo) {
+				t.Errorf("params %d sext=%v: bank meters differ from per-mode meters", pi, sext)
+			}
 		}
 	}
 }
