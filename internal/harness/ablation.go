@@ -7,7 +7,7 @@ import (
 	"opgate/internal/emu"
 	"opgate/internal/isa"
 	"opgate/internal/power"
-	"opgate/internal/prog"
+	"opgate/internal/store"
 	"opgate/internal/uarch"
 	"opgate/internal/vrp"
 	"opgate/internal/workload"
@@ -21,11 +21,11 @@ import (
 func (s *Suite) AblationOpcodeSets(ctx context.Context) (*Report, error) {
 	sets := []struct {
 		label string
-		set   *isa.OpcodeSet // nil: the suite's "vrp" variant (the paper set)
+		cfg   ablationConfig
 	}{
-		{"base ISA (no ALU widths)", isa.BaseOpcodeSet()},
-		{"paper extension set", nil},
-		{"ideal (all widths)", isa.FullOpcodeSet()},
+		{"base ISA (no ALU widths)", ablationConfig{opts: vrp.Options{Mode: vrp.Useful, Opcodes: isa.BaseOpcodeSet()}}},
+		{"paper extension set", ablationConfig{variant: "vrp"}},
+		{"ideal (all widths)", ablationConfig{opts: vrp.Options{Mode: vrp.Useful, Opcodes: isa.FullOpcodeSet()}}},
 	}
 	rep := &Report{
 		ID:      "ablation-opcodes",
@@ -38,32 +38,18 @@ func (s *Suite) AblationOpcodeSets(ctx context.Context) (*Report, error) {
 		saved float64
 		hist  vrp.WidthHistogram
 	}
-	for _, cfg := range sets {
+	for _, set := range sets {
 		points, err := mapNames(ctx, s, func(name string) (point, error) {
-			var pt point
-			var err error
-			if cfg.set == nil {
-				if pt.saved, err = s.EnergySaving(name, "vrp", power.GateSoftware); err != nil {
-					return pt, err
-				}
-				pt.hist, err = s.DynWidthHistogram(name, "vrp")
-				return pt, err
-			}
-			q, err := s.ablationProgram(name, vrp.Options{Mode: vrp.Useful, Opcodes: cfg.set})
+			g, h, err := s.ablationMeasure(name, set.cfg, true)
 			if err != nil {
-				return pt, err
+				return point{}, err
 			}
 			base, err := s.Baseline(name)
 			if err != nil {
-				return pt, err
+				return point{}, err
 			}
-			g, err := uarch.Run(q, s.Uarch, s.Power, power.GateSoftware)
-			if err != nil {
-				return pt, err
-			}
-			_, pt.saved = power.Savings(base.Energy, g.Energy)
-			pt.hist, err = dynHistogramOf(q)
-			return pt, err
+			_, saved := power.Savings(base.Energy, g.Energy)
+			return point{saved, h}, nil
 		})
 		if err != nil {
 			return nil, err
@@ -77,7 +63,7 @@ func (s *Suite) AblationOpcodeSets(ctx context.Context) (*Report, error) {
 			}
 		}
 		rep.Rows = append(rep.Rows, Row{
-			Label:  cfg.label,
+			Label:  set.label,
 			Values: []float64{savedSum / float64(len(points)), hist.Fraction(3)},
 		})
 	}
@@ -91,16 +77,15 @@ func (s *Suite) AblationOpcodeSets(ctx context.Context) (*Report, error) {
 // removed.
 func (s *Suite) AblationAnalysis(ctx context.Context) (*Report, error) {
 	configs := []struct {
-		label   string
-		variant string      // the suite variant this configuration builds, if any
-		opts    vrp.Options // otherwise, a one-off analysis configuration
+		label string
+		cfg   ablationConfig
 	}{
-		{label: "full (proposed VRP)", variant: "vrp"},
-		{label: "no useful ranges", variant: "vrp-conv"},
-		{label: "no loop analysis", opts: vrp.Options{Mode: vrp.Useful, DisableLoopAnalysis: true}},
-		{label: "no branch refinement", opts: vrp.Options{Mode: vrp.Useful, DisableBranchRefinement: true}},
-		{label: "ranges only (all off)", opts: vrp.Options{Mode: vrp.Conventional,
-			DisableLoopAnalysis: true, DisableBranchRefinement: true}},
+		{"full (proposed VRP)", ablationConfig{variant: "vrp"}},
+		{"no useful ranges", ablationConfig{variant: "vrp-conv"}},
+		{"no loop analysis", ablationConfig{opts: vrp.Options{Mode: vrp.Useful, DisableLoopAnalysis: true}}},
+		{"no branch refinement", ablationConfig{opts: vrp.Options{Mode: vrp.Useful, DisableBranchRefinement: true}}},
+		{"ranges only (all off)", ablationConfig{opts: vrp.Options{Mode: vrp.Conventional,
+			DisableLoopAnalysis: true, DisableBranchRefinement: true}}},
 	}
 	rep := &Report{
 		ID:      "ablation-analysis",
@@ -109,16 +94,10 @@ func (s *Suite) AblationAnalysis(ctx context.Context) (*Report, error) {
 		Columns: []string{"64-bit share"},
 		Percent: true,
 	}
-	for _, cfg := range configs {
+	for _, c := range configs {
 		hists, err := mapNames(ctx, s, func(name string) (vrp.WidthHistogram, error) {
-			if cfg.variant != "" {
-				return s.DynWidthHistogram(name, cfg.variant)
-			}
-			q, err := s.ablationProgram(name, cfg.opts)
-			if err != nil {
-				return vrp.WidthHistogram{}, err
-			}
-			return dynHistogramOf(q)
+			_, h, err := s.ablationMeasure(name, c.cfg, false)
+			return h, err
 		})
 		if err != nil {
 			return nil, err
@@ -129,40 +108,111 @@ func (s *Suite) AblationAnalysis(ctx context.Context) (*Report, error) {
 				hist.Count[i] += h.Count[i]
 			}
 		}
-		rep.Rows = append(rep.Rows, Row{Label: cfg.label, Values: []float64{hist.Fraction(3)}})
+		rep.Rows = append(rep.Rows, Row{Label: c.label, Values: []float64{hist.Fraction(3)}})
 	}
 	return rep, nil
 }
 
+// ablationConfig names the binary of one ablation row: a suite variant
+// label when set, otherwise a one-off VRP configuration of the evaluation
+// binary.
+type ablationConfig struct {
+	variant string
+	opts    vrp.Options
+}
+
+// ablationSuiteLabels are the variants an ablation binary is matched
+// against by identity: the binaries every evaluation builds anyway.
+var ablationSuiteLabels = [...]string{"base", "vrp", "vrp-conv"}
+
+// ablationMeasure returns the software-gated simulation (when timed) and
+// the dynamic width histogram of an ablation row's binary. A binary whose
+// key equals one of the workload's suite binaries — most one-off
+// configurations rebuild one — reads that binary's memoized, trace-backed
+// results. Any other binary costs exactly one live traversal
+// (ablationRun).
+func (s *Suite) ablationMeasure(name string, cfg ablationConfig, timed bool) (*uarch.Result, vrp.WidthHistogram, error) {
+	var b variantBin
+	var err error
+	if cfg.variant != "" {
+		b, err = s.variantBinary(name, cfg.variant)
+	} else {
+		b, err = s.ablationProgram(name, cfg.opts)
+	}
+	if err != nil {
+		return nil, vrp.WidthHistogram{}, err
+	}
+	for _, label := range ablationSuiteLabels {
+		sb, err := s.variantBinary(name, label)
+		if err != nil {
+			return nil, vrp.WidthHistogram{}, err
+		}
+		if sb.key != b.key {
+			continue
+		}
+		var g *uarch.Result
+		if timed {
+			if g, err = s.simBinary(sb, power.GateSoftware); err != nil {
+				return nil, vrp.WidthHistogram{}, err
+			}
+		}
+		h, err := s.histogram(sb)
+		return g, h, err
+	}
+	return s.ablationRun(b, timed)
+}
+
 // ablationProgram analyses the evaluation binary under a one-off VRP
-// configuration and applies it. The result lives outside the suite's
-// variant and trace caches. A trace skeleton has no analyzable control
-// flow, so trace-backed workloads are gated as in VRP.
-func (s *Suite) ablationProgram(name string, opts vrp.Options) (*prog.Program, error) {
+// configuration, applies it and resolves the result's identity, which
+// ablationMeasure matches against the suite's binaries. A trace skeleton
+// has no analyzable control flow, so trace-backed workloads are gated as
+// in VRP.
+func (s *Suite) ablationProgram(name string, opts vrp.Options) (variantBin, error) {
 	if workload.IsTrace(name) {
-		return nil, traceOnlyErr(name, "VRP analysis")
+		return variantBin{}, traceOnlyErr(name, "VRP analysis")
 	}
 	p, err := s.Program(name, s.evalClass())
 	if err != nil {
-		return nil, err
+		return variantBin{}, err
 	}
 	r, err := vrp.Analyze(p, opts)
 	if err != nil {
-		return nil, fmt.Errorf("harness: ablation vrp %s: %w", name, err)
+		return variantBin{}, fmt.Errorf("harness: ablation vrp %s: %w", name, err)
 	}
-	return r.Apply(), nil
+	q := r.Apply()
+	return variantBin{q, binKey{name, store.ProgramIdentity(q)}}, nil
 }
 
-// dynHistogramOf runs a program and tallies retired width-bearing
-// instruction widths from its live records (ablation variants are one-off
-// programs outside the suite's trace cache).
-func dynHistogramOf(p *prog.Program) (vrp.WidthHistogram, error) {
+// ablationRun makes the single live traversal of an ablation binary that
+// no suite variant builds: one emulation whose records feed the width
+// tally and, when timed, a one-meter software-gated timing pass together.
+// Its trace is neither cached nor stored, and Emulations does not count
+// it; the ablationRuns probe does.
+func (s *Suite) ablationRun(b variantBin, timed bool) (*uarch.Result, vrp.WidthHistogram, error) {
 	var h vrp.WidthHistogram
-	m := emu.New(p)
-	defer m.Release()
-	m.Sink = widthSink{&h}
-	if err := m.Run(); err != nil {
-		return h, err
+	ws := widthSink{&h}
+	var sink emu.Sink = ws
+	var sim *uarch.Sim
+	if timed {
+		var err error
+		sim, err = uarch.NewMulti(b.p, s.Uarch, s.Power, []power.GatingMode{power.GateSoftware})
+		if err != nil {
+			return nil, h, fmt.Errorf("harness: ablation sim %v: %w", b.key, err)
+		}
+		sink = emu.RecFunc(func(rb emu.RecBatch) {
+			sim.ConsumeRecs(rb)
+			ws.ConsumeRecs(rb)
+		})
 	}
-	return h, nil
+	m := emu.New(b.p)
+	defer m.Release()
+	m.Sink = sink
+	s.ablationRuns.Add(1)
+	if err := m.Run(); err != nil {
+		return nil, h, fmt.Errorf("harness: ablation run %v: %w", b.key, err)
+	}
+	if !timed {
+		return nil, h, nil
+	}
+	return sim.FinishAll()[0], h, nil
 }

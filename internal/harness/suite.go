@@ -43,6 +43,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -109,8 +110,9 @@ type Suite struct {
 	families memo[groupKey, []*uarch.Result]
 	hists    memo[binKey, vrp.WidthHistogram]
 
-	emuRuns   atomic.Int64
-	trainRuns atomic.Int64
+	emuRuns      atomic.Int64
+	trainRuns    atomic.Int64
+	ablationRuns atomic.Int64 // live traversals of one-off ablation binaries
 }
 
 type progKey struct {
@@ -329,24 +331,35 @@ func (s *Suite) buildVariant(name, variant string) (*prog.Program, error) {
 // evaluation runs them on, as the paper does: the ungated baseline and
 // the two hardware compression schemes (Figures 13/14) run on the
 // unmodified binary, while software gating and the two cooperative
-// schemes (Figures 3, 8–12, 15) run on the VRP/VRS binaries. Each binary
-// a full evaluation simulates is thus read under one group only, and one
-// fused timing pass over its cached trace serves every mode it is asked
-// for. The price is that a run reading a single mode — Figure 3 alone —
-// accrues two meters it never reads.
+// schemes (Figures 3, 8–12, 15) run on the VRP/VRS binaries. The first
+// group also carries a software meter, because the opcode ablation's
+// base-ISA row gates the unmodified binary in software (§4.3: without
+// ALU widths VRP narrows nothing, so that binary is usually the workload's
+// own). A binary's role is its key, not its label: the group of a binary
+// whose key equals the workload's "base" key is tried first, whichever
+// label or ablation configuration asks (modeGroup). Each binary a full
+// evaluation simulates is thus read under one group only, and one fused
+// timing pass over its cached trace serves every mode it is asked for.
+// The price is that a run reading a single mode — Figure 3 alone —
+// accrues meters it never reads.
 var modeGroups = [...][]power.GatingMode{
-	{power.GateNone, power.GateHWSize, power.GateHWSignificance},
+	{power.GateNone, power.GateHWSize, power.GateHWSignificance, power.GateSoftware},
 	{power.GateSoftware, power.GateCooperative, power.GateCooperativeSig},
 }
 
-// modeGroup locates a gating mode: group index and index within it.
-func modeGroup(mode power.GatingMode) (int, int) {
-	for gi, group := range modeGroups {
-		for mi, m := range group {
-			if m == mode {
-				return gi, mi
-			}
-		}
+// modeGroup locates a gating mode for a binary of the given role (base:
+// the workload's unmodified binary): group index and index within it.
+// The role's own group wins when it holds the mode.
+func modeGroup(mode power.GatingMode, base bool) (int, int) {
+	role := 1
+	if base {
+		role = 0
+	}
+	if mi := slices.Index(modeGroups[role], mode); mi >= 0 {
+		return role, mi
+	}
+	if mi := slices.Index(modeGroups[1-role], mode); mi >= 0 {
+		return 1 - role, mi
 	}
 	return -1, -1
 }
@@ -355,11 +368,12 @@ func modeGroup(mode power.GatingMode) (int, int) {
 // performed: trace captures plus the live fallbacks of over-budget
 // traces. The trace layer's contract — at most one emulation per distinct
 // binary (workload, identity), however many variant labels build it — is
-// asserted against this probe in tests. Two kinds
-// of live emulation are not counted: the train profiling runs inside VRS
-// construction (see TrainEmulations), and the ablations' one-off
-// configurations, whose programs are never suite variants and run
-// uncached (dynHistogramOf, and the opcode ablation's uarch.Run).
+// asserted against this probe in tests. Ablation configurations that
+// build a suite binary are served by that binary's trace and counted
+// with it. Two kinds of live emulation are not counted: the train
+// profiling runs inside VRS construction (see TrainEmulations), and the
+// single live traversal of each ablation binary that no suite variant
+// builds (ablationRun), whose trace is neither cached nor stored.
 func (s *Suite) Emulations() int64 { return s.emuRuns.Load() }
 
 // TrainEmulations returns how many VRS train profiling emulations the
@@ -372,13 +386,23 @@ func (s *Suite) TrainEmulations() int64 { return s.trainRuns.Load() }
 // under a gating mode, served from the one fused pass of the mode's
 // evaluation group over the variant binary's cached trace.
 func (s *Suite) Sim(name, variant string, mode power.GatingMode) (*uarch.Result, error) {
-	gi, mi := modeGroup(mode)
-	if gi < 0 {
-		return nil, fmt.Errorf("harness: sim %s/%s: unknown gating mode %v", name, variant, mode)
-	}
 	b, err := s.variantBinary(name, variant)
 	if err != nil {
 		return nil, err
+	}
+	return s.simBinary(b, mode)
+}
+
+// simBinary is Sim for a resolved binary; the mode group follows the
+// binary's role (modeGroups).
+func (s *Suite) simBinary(b variantBin, mode power.GatingMode) (*uarch.Result, error) {
+	base, err := s.variantBinary(b.key.name, "base")
+	if err != nil {
+		return nil, err
+	}
+	gi, mi := modeGroup(mode, b.key == base.key)
+	if gi < 0 {
+		return nil, fmt.Errorf("harness: sim %v: unknown gating mode %v", b.key, mode)
 	}
 	rs, err := s.families.do(groupKey{b.key, gi}, func() ([]*uarch.Result, error) {
 		return s.simModes(b, modeGroups[gi])
@@ -539,6 +563,11 @@ func (s *Suite) DynWidthHistogram(name, variant string) (vrp.WidthHistogram, err
 	if err != nil {
 		return vrp.WidthHistogram{}, err
 	}
+	return s.histogram(b)
+}
+
+// histogram is DynWidthHistogram for a resolved binary.
+func (s *Suite) histogram(b variantBin) (vrp.WidthHistogram, error) {
 	return s.hists.do(b.key, func() (vrp.WidthHistogram, error) {
 		var h vrp.WidthHistogram
 		err := s.recordsOf(b, widthSink{&h})
