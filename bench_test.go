@@ -252,10 +252,11 @@ func (c *countingSink) Consume(batch []emu.Event)  { c.events += int64(len(batch
 // the metric that bounds every experiment in the evaluation. The raw and
 // records legs reuse one machine, resetting it between runs, to time the
 // dispatch loop alone (no sink) and with record delivery to a counting
-// sink. The fresh leg is the pipeline's capture shape, which every suite
-// emulation pays: New, a TraceRecorder, Run and Release per iteration, so
+// sink. The fresh leg is the capture shape of a suite emulation with a
+// store attached: New, a TraceRecorder, Run and Release per iteration, so
 // it also prices drawing a memory image from the pool, capturing the
-// trace and scrubbing the image.
+// trace and scrubbing the image. Without a store a suite emulation
+// captures nothing; its records go straight to their consumers.
 func BenchmarkEmuMIPS(b *testing.B) {
 	w, _ := workload.ByName("compress")
 	p, _ := w.Build(workload.Train)
@@ -352,9 +353,10 @@ func BenchmarkTraceReplayMIPS(b *testing.B) {
 
 // BenchmarkTraceStore reports the trace codec's throughput in MB/s of
 // encoded trace over one quick workload's base trace: encode serializes
-// the captured trace, decode checks the checksum, copies the columns out
-// and restores a validated trace bound to the program — the work every
-// warm store hit pays besides the read itself.
+// the captured trace (what a suite capture writes to the store), decode
+// checks the checksum, copies the columns out and restores a validated
+// whole trace bound to the program (DecodeTrace; warm suite reads stream
+// through Store.ReadTrace instead, over the same checks).
 func BenchmarkTraceStore(b *testing.B) {
 	w, _ := workload.ByName("compress")
 	p, _ := w.Build(workload.Train)
@@ -392,9 +394,8 @@ func BenchmarkTraceStore(b *testing.B) {
 // traces through uarch.ReplayModes. The {none} leg is the timing core
 // with one meter; the others add meters ({software}, the cooperative pair
 // of Figure 15) up to all six modes, so the step between legs prices the
-// table-driven meter bank. The base-trio and opt-trio legs are the
-// suite's real pass shapes: the mode groups of the unmodified and of the
-// optimized binaries.
+// table-driven meter bank. The opt-trio leg is the mode group of the
+// optimized binaries; the unmodified binary's group is the all-six leg.
 func BenchmarkReplayModes(b *testing.B) {
 	var traces []*emu.Trace
 	var events int64
@@ -442,35 +443,47 @@ func BenchmarkReplayModes(b *testing.B) {
 	}
 }
 
-// benchFigureMatrix runs a cold suite experiment over the trace cache
-// (the default) and with a one-byte TraceBudget that admits no trace, so
-// every consumer takes the live fallback.
+// benchFigureMatrix runs an experiment on a fresh suite live (no store:
+// each distinct binary costs one emulation) and over a warm store (a cold
+// run fills it before timing starts, so every traversal is a streamed
+// store read and nothing is emulated).
 func benchFigureMatrix(b *testing.B, run func(s *harness.Suite) error) {
-	for _, cfg := range []struct {
-		name   string
-		budget int64
-	}{{"uncached", 1}, {"cached", 0}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := harness.NewSuite(true)
-				s.TraceBudget = cfg.budget
-				if err := run(s); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("live", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := run(harness.NewSuite(true)); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
+	b.Run("store", func(b *testing.B) {
+		st, err := store.Open(b.TempDir(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fill := harness.NewSuite(true)
+		fill.Store = st
+		if err := run(fill); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s := harness.NewSuite(true)
+			s.Store = st
+			if err := run(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
-// BenchmarkFigure3Matrix measures the cold Figure 3 matrix (every
-// workload built, analysed, emulated and simulated for the base and VRP
-// variants) with and without the trace cache. Figure 3 alone consumes
-// one mode per variant, so here the cached leg mostly measures the
-// capture investment (packing + chunk allocation); every later
-// experiment on the same suite then replays for free —
-// BenchmarkFigureFamilyMatrix shows that payoff. Each variant's fused
-// pass accrues its whole role group (three meters), of which Figure 3
-// reads one: the price of one pass per binary in a full evaluation.
+// BenchmarkFigure3Matrix measures the Figure 3 matrix from a fresh suite
+// (every workload built, analysed and simulated for the base and VRP
+// variants), live and over a warm store. Each distinct binary costs one
+// traversal — an emulation, or a streamed read of its stored trace —
+// feeding its fused pass. Each pass accrues its binary's whole role group
+// (six meters on the base binary, three on the VRP binary), of which
+// Figure 3 reads one: the price of one pass per binary in a full
+// evaluation.
 func BenchmarkFigure3Matrix(b *testing.B) {
 	benchFigureMatrix(b, func(s *harness.Suite) error {
 		_, err := s.Figure3(benchCtx)
@@ -478,15 +491,13 @@ func BenchmarkFigure3Matrix(b *testing.B) {
 	})
 }
 
-// BenchmarkFigureFamilyMatrix measures the cold Figure 3+8 matrices plus
-// the experiments that reuse the same traces and fused mode families
-// (width histograms of Figures 2/7, the hardware and cooperative modes of
-// Figures 13/14/15): the evaluation's whole energy matrix. This is where
-// "trace once, simulate many" pays — with the cache each distinct binary
-// is emulated once and timed once, its one fused pass accruing every mode
-// of its role group, however many variant labels build it; without it
-// every histogram and the timing pass of each binary pay their own live
-// emulation.
+// BenchmarkFigureFamilyMatrix measures the Figure 3+8 matrices plus the
+// experiments that read the same binaries again (width histograms of
+// Figures 2/7, the hardware and cooperative modes of Figures 13/14/15):
+// the evaluation's whole energy matrix. Each distinct binary is traversed
+// once, however many variant labels build it: that one traversal feeds
+// its record profile, which every histogram sums, and its one fused pass,
+// which accrues every mode the binary is asked for.
 func BenchmarkFigureFamilyMatrix(b *testing.B) {
 	benchFigureMatrix(b, func(s *harness.Suite) error {
 		if _, err := s.Figure2(benchCtx); err != nil {
@@ -512,7 +523,7 @@ func BenchmarkFigureFamilyMatrix(b *testing.B) {
 	})
 }
 
-// BenchmarkSuiteParallel measures the cached-cold Figure 3 matrix (every
+// BenchmarkSuiteParallel measures the live Figure 3 matrix (every
 // workload built, analysed, and simulated twice) sequentially vs fanned
 // out over the full worker pool, making the suite-level scaling visible
 // in the bench log.

@@ -136,8 +136,8 @@ const reportCacheMax = 128
 
 // sessionCacheMax bounds the memoized sessions: synthetic specs are
 // client-supplied (a 64-bit seed space), so without a cap a request loop
-// over distinct seeds would grow session memos — built programs, packed
-// traces, simulation results — without bound. Evicting a session only
+// over distinct seeds would grow session memos — built programs, record
+// profiles, simulation results — without bound. Evicting a session only
 // costs recomputation (the persistent store still serves its traces).
 const sessionCacheMax = 8
 

@@ -21,9 +21,11 @@ import (
 // bytes, flags), and four int64s (addr, value, srcA, srcB). The machine
 // already emits exactly these columns, so capture is a column copy per
 // batch. A recorder refuses to grow past its byte budget
-// (DefaultTraceBudget unless overridden): the capture is dropped, Trace()
-// reports the overflow, and callers fall back to live emulation — a trace
-// is an accelerator, never a correctness dependency.
+// (DefaultTraceBudget unless overridden): the capture is dropped and
+// Trace() reports the overflow, while the live run it rode goes on
+// feeding the recorder's rider. A dropped capture costs only the copy
+// that would have been kept — a trace is an accelerator, never a
+// correctness dependency.
 //
 // Invariant: Trace.Records delivers the exact record stream of the live
 // run it captured, and Trace.Replay the Event expansion of it with the
@@ -174,8 +176,8 @@ func (r *TraceRecorder) ConsumeRecs(b RecBatch) {
 var ErrTraceBudget = errors.New("trace capture exceeded the memory budget")
 
 // Trace returns the captured trace, or an error wrapping ErrTraceBudget
-// when the capture exceeded the memory budget (callers should fall back
-// to live emulation).
+// when the capture exceeded the memory budget (the rider has still seen
+// every record; only the trace itself is lost).
 func (r *TraceRecorder) Trace() (*Trace, error) {
 	if r.overflow {
 		return nil, fmt.Errorf("emu: %w (%d bytes) after %d events",

@@ -128,8 +128,8 @@ var ablationSuiteLabels = [...]string{"base", "vrp", "vrp-conv"}
 // ablationMeasure returns the software-gated simulation (when timed) and
 // the dynamic width histogram of an ablation row's binary. A binary whose
 // key equals one of the workload's suite binaries — most one-off
-// configurations rebuild one — reads that binary's memoized, trace-backed
-// results. Any other binary costs exactly one live traversal
+// configurations rebuild one — reads that binary's memoized results
+// through its label. Any other binary costs exactly one live traversal
 // (ablationRun).
 func (s *Suite) ablationMeasure(name string, cfg ablationConfig, timed bool) (*uarch.Result, vrp.WidthHistogram, error) {
 	var b variantBin
@@ -152,11 +152,11 @@ func (s *Suite) ablationMeasure(name string, cfg ablationConfig, timed bool) (*u
 		}
 		var g *uarch.Result
 		if timed {
-			if g, err = s.simBinary(sb, power.GateSoftware); err != nil {
+			if g, err = s.Sim(name, label, power.GateSoftware); err != nil {
 				return nil, vrp.WidthHistogram{}, err
 			}
 		}
-		h, err := s.histogram(sb)
+		h, err := s.histogram(name, label, timed)
 		return g, h, err
 	}
 	return s.ablationRun(b, timed)
@@ -184,35 +184,29 @@ func (s *Suite) ablationProgram(name string, opts vrp.Options) (variantBin, erro
 }
 
 // ablationRun makes the single live traversal of an ablation binary that
-// no suite variant builds: one emulation whose records feed the width
-// tally and, when timed, a one-meter software-gated timing pass together.
-// Its trace is neither cached nor stored, and Emulations does not count
-// it; the ablationRuns probe does.
+// no suite variant builds: one emulation whose records feed a record
+// profile (for the width histogram) and, when timed, a one-meter
+// software-gated timing pass — the same fan-out as a suite traversal. Its
+// trace is never captured or stored, and Emulations does not count it;
+// the ablationRuns probe does.
 func (s *Suite) ablationRun(b variantBin, timed bool) (*uarch.Result, vrp.WidthHistogram, error) {
-	var h vrp.WidthHistogram
-	ws := widthSink{&h}
-	var sink emu.Sink = ws
-	var sim *uarch.Sim
+	ps := &pass{prof: newRecProfile(b.p, false)}
 	if timed {
 		var err error
-		sim, err = uarch.NewMulti(b.p, s.Uarch, s.Power, []power.GatingMode{power.GateSoftware})
-		if err != nil {
-			return nil, h, fmt.Errorf("harness: ablation sim %v: %w", b.key, err)
+		if ps.sim, err = s.newSim(b, []power.GatingMode{power.GateSoftware}); err != nil {
+			return nil, vrp.WidthHistogram{}, err
 		}
-		sink = emu.RecFunc(func(rb emu.RecBatch) {
-			sim.ConsumeRecs(rb)
-			ws.ConsumeRecs(rb)
-		})
 	}
 	m := emu.New(b.p)
 	defer m.Release()
-	m.Sink = sink
+	m.Sink = ps
 	s.ablationRuns.Add(1)
 	if err := m.Run(); err != nil {
-		return nil, h, fmt.Errorf("harness: ablation run %v: %w", b.key, err)
+		return nil, vrp.WidthHistogram{}, fmt.Errorf("harness: ablation run %v: %w", b.key, err)
 	}
-	if !timed {
-		return nil, h, nil
+	var g *uarch.Result
+	if timed {
+		g = ps.sim.FinishAll()[0]
 	}
-	return sim.FinishAll()[0], h, nil
+	return g, ps.prof.widths(), nil
 }

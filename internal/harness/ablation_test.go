@@ -25,6 +25,19 @@ func dynHistogramOf(p *prog.Program) (vrp.WidthHistogram, error) {
 	return h, nil
 }
 
+// widthSink tallies retired width-bearing instruction widths from each
+// packed record's own op/width columns: the record-scan oracle of the
+// suite's count-based histograms (recProfile.widths).
+type widthSink struct{ h *vrp.WidthHistogram }
+
+func (w widthSink) ConsumeRecs(b emu.RecBatch) {
+	for i, op := range b.Op {
+		if vrp.CountsWidth(isa.Op(op)) {
+			w.h.Add(isa.Width(b.WBytes[i]), 1)
+		}
+	}
+}
+
 // Every row of the two ablations as a plain VRP configuration, in report
 // order. The suite serves some rows from variant labels ("vrp",
 // "vrp-conv") and the rest by identity; the oracle builds all of them

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"opgate/internal/emu"
-	"opgate/internal/power"
 	"opgate/internal/vrp"
 	"opgate/internal/vrs"
 )
@@ -19,7 +17,9 @@ func (s *Suite) Figure2(ctx context.Context) (*Report, error) {
 	pairs, err := mapNames(ctx, s, func(name string) (pair, error) {
 		var pr pair
 		var err error
-		if pr.conv, err = s.DynWidthHistogram(name, "vrp-conv"); err != nil {
+		// The evaluation histograms the conventional-VRP binary but
+		// never simulates it.
+		if pr.conv, err = s.histogram(name, "vrp-conv", false); err != nil {
 			return pr, err
 		}
 		pr.useful, err = s.DynWidthHistogram(name, "vrp")
@@ -154,28 +154,22 @@ func (s *Suite) Figure6(ctx context.Context, threshold float64) (*Report, error)
 		if err != nil {
 			return Row{}, err
 		}
-		// Per-static execution counts come from the variant's cached
-		// trace records; no fresh emulation or InsCount run is needed.
-		bin, err := s.variantBinary(name, vrsVariant(threshold))
+		// Per-static execution counts come from the variant binary's
+		// record profile; no fresh emulation or InsCount run is needed.
+		prof, err := s.records(name, vrsVariant(threshold), true)
 		if err != nil {
 			return Row{}, err
 		}
-		counts := make([]int64, len(bin.p.Ins))
 		var dyn int64
-		if err := s.recordsOf(bin, emu.RecFunc(func(b emu.RecBatch) {
-			for _, idx := range b.Idx {
-				counts[idx]++
-			}
-			dyn += int64(b.Len())
-		})); err != nil {
-			return Row{}, err
+		for _, n := range prof.counts {
+			dyn += n
 		}
 		var spec, guard int64
 		for idx := range r.SpecIns {
-			spec += counts[idx]
+			spec += prof.counts[idx]
 		}
 		for idx := range r.GuardIns {
-			guard += counts[idx]
+			guard += prof.counts[idx]
 		}
 		specF := float64(spec) / float64(dyn)
 		guardF := float64(guard) / float64(dyn)
@@ -257,43 +251,26 @@ func vrpVRSColumns() []string {
 // result values needing 1..8 significant bytes. The 5-byte peak comes from
 // memory addresses (33+ bits), as in the paper.
 func (s *Suite) Figure12(ctx context.Context) (*Report, error) {
-	type tally struct {
-		counts [9]int64
-		total  int64
-	}
-	tallies, err := mapNames(ctx, s, func(name string) (*tally, error) {
-		t := new(tally)
-		// The destination-write bit is folded into the packed record, so
-		// the tally reads the cached base trace without re-deriving
-		// Dest() per event (or re-emulating).
-		bin, err := s.variantBinary(name, "base")
+	// The destination-write bit is folded into the packed record, so the
+	// tally rides the base binary's traversal without re-deriving Dest()
+	// per event.
+	sizes, err := mapNames(ctx, s, func(name string) (*[9]int64, error) {
+		prof, err := s.records(name, "base", true)
 		if err != nil {
 			return nil, err
 		}
-		err = s.recordsOf(bin, emu.RecFunc(func(b emu.RecBatch) {
-			for i, fl := range b.Flags {
-				if fl&emu.RecWritesDest == 0 {
-					continue
-				}
-				t.counts[power.SignificantBytes(b.Value[i])]++
-				t.total++
-			}
-		}))
-		if err != nil {
-			return nil, err
-		}
-		return t, nil
+		return prof.sizes, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	var counts [9]int64
 	var total int64
-	for _, t := range tallies {
-		for i := range t.counts {
-			counts[i] += t.counts[i]
+	for _, t := range sizes {
+		for i, n := range t {
+			counts[i] += n
+			total += n
 		}
-		total += t.total
 	}
 	rep := &Report{
 		ID:      "fig12",

@@ -179,3 +179,91 @@ func TestLabelsSharingABinaryShareResults(t *testing.T) {
 		t.Error("no two labels build one binary; the sharing path went unexercised")
 	}
 }
+
+// TestRunAllOneTraversalPerBinary is the traversal probe: a full
+// evaluation reads each distinct binary's records exactly once, however
+// its consumers (fused timing, width histograms, Table 3, Figures 6 and
+// 12) and its labels spread over it. That holds with no store, with a
+// budget that admits no trace over a filled store, over a cold store and
+// over a warm one,
+// when the experiments run one at a time on one suite, and with
+// generated workloads. The ablations add one live traversal per one-off
+// binary.
+func TestRunAllOneTraversalPerBinary(t *testing.T) {
+	check := func(t *testing.T, s *Suite, emulations int64) {
+		t.Helper()
+		want := distinctBinaries(t, s, paperLabels()...)
+		if got := s.traversals.Load(); got != want {
+			t.Errorf("%d traversals, want %d (one per distinct binary)", got, want)
+		}
+		if emulations < 0 {
+			emulations = want
+		}
+		if got := s.Emulations(); got != emulations {
+			t.Errorf("%d emulations, want %d", got, emulations)
+		}
+	}
+	quick := func(t *testing.T, s *Suite, emulations int64) {
+		t.Helper()
+		if got := distinctBinaries(t, s, paperLabels()...); got != 26 {
+			t.Fatalf("quick suite builds %d distinct binaries, want 26", got)
+		}
+		check(t, s, emulations)
+		if got := s.ablationRuns.Load(); got != quickAblationTraversals {
+			t.Errorf("%d ablation traversals, want %d", got, quickAblationTraversals)
+		}
+	}
+	for i, in := range quickInputs {
+		t.Run(in.name, func(t *testing.T) {
+			quickReports(t, i)
+			quick(t, quickRuns[i].suite, 26)
+		})
+	}
+	t.Run("store", func(t *testing.T) {
+		storeReports(t)
+		quick(t, storeRun.cold, 26)
+		quick(t, storeRun.suite, 0)
+	})
+	t.Run("one-by-one", func(t *testing.T) {
+		s := NewSuite(true)
+		for _, e := range Experiments() {
+			if _, err := s.RunExperiment(testCtx, e.ID, 50); err != nil {
+				t.Fatal(err)
+			}
+		}
+		quick(t, s, 26)
+	})
+	t.Run("synthetic", func(t *testing.T) {
+		s := synthSuite()
+		if _, err := s.RunAll(testCtx, 50); err != nil {
+			t.Fatal(err)
+		}
+		check(t, s, -1)
+	})
+}
+
+// TestLateDemandCostsACountedTraversal: a binary first reached by a
+// histogram-only request is timed under no mode group, so a later Sim of
+// it is a late demand — one more traversal, and with no store one more
+// live emulation, which Emulations counts like any other.
+func TestLateDemandCostsACountedTraversal(t *testing.T) {
+	s := NewSuite(true)
+	const name = "compress"
+	if _, err := s.histogram(name, "vrp-conv", false); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Emulations(); got != 1 {
+		t.Fatalf("histogram-only request: %d emulations, want 1", got)
+	}
+	for _, mode := range []power.GatingMode{power.GateSoftware, power.GateCooperative} {
+		if _, err := s.Sim(name, "vrp-conv", mode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := s.traversals.Load(), int64(2); got != want {
+		t.Errorf("%d traversals, want %d (the first and one late demand)", got, want)
+	}
+	if got := s.Emulations(); got != 2 {
+		t.Errorf("%d emulations, want 2: a late demand's live emulation counts", got)
+	}
+}

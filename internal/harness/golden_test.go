@@ -10,19 +10,24 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"opgate/internal/store"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden report files")
 
 // quickInputs are the suites the goldens are rendered from: the default
-// suite, and one whose one-byte TraceBudget admits no trace, so every
-// simulation, histogram and record scan takes the live fallback
-// (uarch.RunModes over live emulation). The second is the oracle the trace
-// pipeline must match byte for byte.
+// suite with no store, and one whose one-byte TraceBudget admits no trace,
+// run over a store a cold RunAll filled. The budget bounds only what the
+// store gives and keeps, so that suite skips every stored trace, stores
+// none of its captures and emulates each binary once, live, like the
+// default one: the pair pins that the budget never reaches a report byte.
+// storeReports adds the third input, the warm read of the same store.
 var quickInputs = [...]struct {
 	name   string
 	budget int64
-}{{"cached", 0}, {"uncached", 1}}
+	store  bool
+}{{"cached", 0, false}, {"uncached", 1, true}}
 
 // quickRuns builds the full quick-mode report sequence (every table,
 // figure and ablation at the default threshold) exactly once per input
@@ -38,10 +43,14 @@ var quickRuns [len(quickInputs)]struct {
 
 func quickReports(t *testing.T, input int) []*Report {
 	t.Helper()
+	in := quickInputs[input]
+	if in.store {
+		storeReports(t) // runs every store-reading input
+	}
 	run := &quickRuns[input]
 	run.once.Do(func() {
 		s := NewSuite(true)
-		s.TraceBudget = quickInputs[input].budget
+		s.TraceBudget = in.budget
 		run.suite = s
 		run.reports, run.err = s.RunAll(context.Background(), 50)
 		run.emulations = s.Emulations()
@@ -52,19 +61,86 @@ func quickReports(t *testing.T, input int) []*Report {
 	return run.reports
 }
 
+// storeRun fills a store with a cold quick RunAll (the cold suite is kept
+// for the traversal probe), runs every quick input that reads a store
+// over it, then the third quick input: a warm RunAll whose every report
+// byte comes back through the streamed store reader (store.ReadTrace)
+// rather than a live emulation. The store lives in the first caller's
+// temporary directory, removed when that test ends, so all of them run
+// together. No reader deletes a sound object, so each sees the cold
+// run's objects.
+var storeRun struct {
+	once        sync.Once
+	cold, suite *Suite
+	reports     []*Report
+	err         error
+}
+
+func storeReports(t *testing.T) []*Report {
+	t.Helper()
+	storeRun.once.Do(func() {
+		dir := t.TempDir()
+		run := func(budget int64) (*Suite, []*Report, error) {
+			st, err := store.Open(dir, 0)
+			if err != nil {
+				return nil, nil, err
+			}
+			s := NewSuite(true)
+			s.Store, s.TraceBudget = st, budget
+			reports, err := s.RunAll(context.Background(), 50)
+			return s, reports, err
+		}
+		if storeRun.cold, _, storeRun.err = run(0); storeRun.err != nil {
+			return
+		}
+		for i, in := range quickInputs {
+			if !in.store {
+				continue
+			}
+			q := &quickRuns[i]
+			q.once.Do(func() {
+				q.suite, q.reports, q.err = run(in.budget)
+				if q.suite != nil {
+					q.emulations = q.suite.Emulations()
+				}
+			})
+		}
+		storeRun.suite, storeRun.reports, storeRun.err = run(0)
+	})
+	if storeRun.err != nil {
+		t.Fatal(storeRun.err)
+	}
+	return storeRun.reports
+}
+
 // forEachQuickInput runs check as a subtest over every quick input's
-// reports, then confirms the uncached input really bypassed the trace
-// cache (when both inputs ran).
+// reports — the two live suites and the warm store — then holds each
+// input that ran to the emulation contract: the live suites emulate each
+// distinct binary exactly once, the one over a store writing none of its
+// captures back, and the warm store emulates nothing.
 func forEachQuickInput(t *testing.T, check func(t *testing.T, reports []*Report)) {
 	for i, in := range quickInputs {
 		t.Run(in.name, func(t *testing.T) { check(t, quickReports(t, i)) })
 	}
-	if quickRuns[0].reports == nil || quickRuns[1].reports == nil {
-		return
+	t.Run("store", func(t *testing.T) { check(t, storeReports(t)) })
+	for i, in := range quickInputs {
+		run := &quickRuns[i]
+		if run.reports == nil {
+			continue
+		}
+		if want := distinctBinaries(t, run.suite, paperLabels()...); run.emulations != want {
+			t.Errorf("%s suite performed %d emulations, want %d (one per distinct binary)", in.name, run.emulations, want)
+		}
+		if st := run.suite.Store; st != nil {
+			if s := st.Stats(); s.Puts != 0 || s.Rejects != 0 {
+				t.Errorf("%s suite stored %d over-budget captures and rejected %d objects, want 0 and 0", in.name, s.Puts, s.Rejects)
+			}
+		}
 	}
-	if cached, uncached := quickRuns[0].emulations, quickRuns[1].emulations; uncached <= cached {
-		t.Errorf("uncached suite performed %d emulations, cached %d: the budget did not force the live fallback",
-			uncached, cached)
+	if storeRun.reports != nil {
+		if n := storeRun.suite.Emulations(); n != 0 {
+			t.Errorf("warm-store suite performed %d emulations, want 0", n)
+		}
 	}
 }
 

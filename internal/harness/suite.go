@@ -13,31 +13,34 @@
 // worker pool. Reports are assembled in suite order, so results are
 // byte-identical to a sequential run (Workers = 1).
 //
-// Simulation follows "trace once, simulate many", per distinct binary.
-// A variant label ("base", "vrp", "vrp-conv", "vrs<θ>") only says how to
-// build a program; traces, simulations and histograms are keyed by the
-// workload and the built binary's identity (store.ProgramIdentity). Labels
-// that build the same binary — VRS emits the VRP binary whenever it
-// selects no region — share everything below. Each distinct binary is
-// functionally emulated exactly once, into a packed retirement trace
-// (emu.TraceRecorder); every simulation, width histogram, and record scan
-// of it replays the cached trace instead of re-emulating. The gating modes
-// the evaluation requests are accrued in one fused timing pass per mode
-// group (uarch.ReplayModes with a meter bank). Groups follow binary roles
-// (modeGroups), so the full evaluation costs one emulation and one fused
-// timing pass per simulated binary. All of it
-// is an accelerator only: a trace over budget falls back to a live
-// emulation per consumer, and reports are byte-identical either way (the
-// goldens are checked against a suite whose budget admits no trace).
+// Simulation follows "one traversal per binary". A variant label
+// ("base", "vrp", "vrp-conv", "vrs<θ>") only says how to build a program;
+// traversals, simulations and record profiles are keyed by the workload
+// and the built binary's identity (store.ProgramIdentity). Labels that
+// build the same binary — VRS emits the VRP binary whenever it selects no
+// region — share everything below. Each distinct binary's retirement
+// records are read exactly once, by one live emulation or one streamed
+// store read, and fanned out to every consumer the evaluation needs: a
+// record profile (per-static retirement counts, from which every width
+// histogram, Table 3 and Figure 6 are integer sums, plus Figure 12's
+// value-size tally on the base binary) and one fused timing pass
+// (uarch.NewMulti with a meter bank). The request that reaches a binary
+// first decides which modes that pass accrues: the requested mode's
+// group (modeGroups) for a Sim call, the binary's role group for a record
+// request whose label the evaluation also simulates, none for a
+// histogram-only one. A full evaluation thus costs one traversal and at
+// most one fused pass per binary. No trace is kept in memory: a demand
+// for a mode the first traversal did not time costs one more traversal.
 //
-// With a Store attached the trace cache extends across processes: a
-// binary's trace is looked up on disk (content-addressed by workload,
-// input class and the binary's identity hash) before anything is
-// emulated, and fresh captures are written back. Whichever label reaches
-// a binary first, in whichever process, every other label that builds it
-// hits the same object. A warm run therefore performs zero suite-level
-// emulations and produces byte-identical reports — replay is exact, so
-// the store can never change a result, only skip recomputing it.
+// With a Store attached, a binary's trace is looked up on disk
+// (content-addressed by workload, input class and the binary's identity
+// hash) and streamed chunk by chunk before anything is emulated; a live
+// traversal captures its trace on the side and writes it back. Whichever
+// label reaches a binary first, in whichever process, every other label
+// that builds it hits the same object. A warm run therefore performs zero
+// suite-level emulations and produces byte-identical reports — the
+// stored records are exactly the live ones, so the store can never change
+// a result, only skip recomputing it.
 package harness
 
 import (
@@ -49,10 +52,10 @@ import (
 	"sync/atomic"
 
 	"opgate/internal/emu"
-	"opgate/internal/isa"
 	"opgate/internal/power"
 	"opgate/internal/prog"
 	"opgate/internal/store"
+	"opgate/internal/tracework"
 	"opgate/internal/uarch"
 	"opgate/internal/vrp"
 	"opgate/internal/vrs"
@@ -81,19 +84,18 @@ type Suite struct {
 	// first driver call; names resolve through workload.ByName.
 	Synthetics []string
 
-	// Store, when non-nil, persists packed traces across processes: the
-	// trace cache consults it before emulating and writes fresh captures
-	// back, so a warm run re-emulates nothing (cmd/ogbench -store,
-	// cmd/opgated).
+	// Store, when non-nil, persists packed traces across processes: a
+	// binary's traversal streams its stored trace instead of emulating,
+	// and a live traversal writes its capture back, so a warm run
+	// re-emulates nothing (cmd/ogbench -store, cmd/opgated).
 	Store *store.Store
 
-	// TraceBudget caps the packed-trace bytes cached per distinct binary;
-	// <= 0 means emu.DefaultTraceBudget. A binary whose trace exceeds the
-	// budget falls back to live emulation (correctness never depends on a
-	// capture succeeding). Resident worst case is the sum over the
-	// distinct binaries an experiment touches: the full evaluation's 64
-	// variant labels build 26 binaries, whose traces hold ~80 MB on
-	// quick inputs and ~270 MB on ref inputs.
+	// TraceBudget caps the packed-trace bytes (emu.TraceBytes) of one
+	// binary that the suite writes to or reads from the Store; <= 0 means
+	// emu.DefaultTraceBudget. An over-budget capture is not stored and an
+	// over-budget stored trace is not read, so that binary is emulated
+	// live. Without a store the budget has no effect: no trace is kept,
+	// and correctness never depends on one.
 	TraceBudget int64
 
 	Uarch uarch.Config
@@ -106,12 +108,12 @@ type Suite struct {
 	profiles memo[string, *vrs.Profile]
 	vrss     memo[vrsKey, *vrs.Result]
 	variants memo[variantKey, variantBin]
-	traces   memo[binKey, *emu.Trace]
+	passes   memo[binKey, traversal]
 	families memo[groupKey, []*uarch.Result]
-	hists    memo[binKey, vrp.WidthHistogram]
 
 	emuRuns      atomic.Int64
 	trainRuns    atomic.Int64
+	traversals   atomic.Int64 // traversals of suite binaries, late demands included
 	ablationRuns atomic.Int64 // live traversals of one-off ablation binaries
 }
 
@@ -136,9 +138,9 @@ type variantKey struct {
 }
 
 // binKey names one distinct binary of a workload by its identity. Every
-// trace, simulation and histogram memo is keyed by it, so variant labels
-// that build the same binary share one capture, one store object, one
-// fused pass per mode group and one histogram.
+// traversal, simulation and record-profile memo is keyed by it, so
+// variant labels that build the same binary share one traversal, one
+// store object, one fused pass per mode group and one record profile.
 type binKey struct {
 	name string
 	id   store.Hash
@@ -327,53 +329,60 @@ func (s *Suite) buildVariant(name, variant string) (*prog.Program, error) {
 	}
 }
 
-// modeGroups partitions the gating modes by the role of the binary the
-// evaluation runs them on, as the paper does: the ungated baseline and
-// the two hardware compression schemes (Figures 13/14) run on the
-// unmodified binary, while software gating and the two cooperative
-// schemes (Figures 3, 8–12, 15) run on the VRP/VRS binaries. The first
-// group also carries a software meter, because the opcode ablation's
-// base-ISA row gates the unmodified binary in software (§4.3: without
-// ALU widths VRP narrows nothing, so that binary is usually the workload's
-// own). A binary's role is its key, not its label: the group of a binary
-// whose key equals the workload's "base" key is tried first, whichever
-// label or ablation configuration asks (modeGroup). Each binary a full
-// evaluation simulates is thus read under one group only, and one fused
-// timing pass over its cached trace serves every mode it is asked for.
-// The price is that a run reading a single mode — Figure 3 alone —
-// accrues meters it never reads.
+// modeGroups are the mode sets one fused timing pass accrues, one per
+// role of the binary the evaluation runs them on, as the paper does: the
+// ungated baseline and the two hardware compression schemes (Figures
+// 13/14) run on the unmodified binary, while software gating and the two
+// cooperative schemes (Figures 3, 8–12, 15) run on the VRP/VRS binaries.
+// A binary's role is its key, not its label: a binary whose key equals
+// the workload's "base" key has the base role, whichever label or
+// ablation configuration asks (roleGroup). The base group holds every
+// mode: the opcode ablation's base-ISA row gates the unmodified binary in
+// software (§4.3: without ALU widths VRP narrows nothing, so that binary
+// is usually the workload's own), and with the cooperative pair on top,
+// no sequence of Sim calls on the unmodified binary needs a second
+// traversal. A binary is read under the group of whichever request
+// reaches it first (Sim, records), and that group serves every mode it
+// holds. Each binary a full evaluation simulates is thus read under one
+// group only, and one fused timing pass on its one traversal serves
+// every mode it is asked for. The price is that a run reading a single
+// mode — Figure 3 alone — accrues meters it never reads.
 var modeGroups = [...][]power.GatingMode{
-	{power.GateNone, power.GateHWSize, power.GateHWSignificance, power.GateSoftware},
+	{power.GateNone, power.GateHWSize, power.GateHWSignificance, power.GateSoftware,
+		power.GateCooperative, power.GateCooperativeSig},
 	{power.GateSoftware, power.GateCooperative, power.GateCooperativeSig},
 }
 
-// modeGroup locates a gating mode for a binary of the given role (base:
-// the workload's unmodified binary): group index and index within it.
-// The role's own group wins when it holds the mode.
-func modeGroup(mode power.GatingMode, base bool) (int, int) {
-	role := 1
+// roleGroup is the mode group of a binary's role (base: the workload's
+// unmodified binary).
+func roleGroup(base bool) int {
 	if base {
-		role = 0
+		return 0
 	}
-	if mi := slices.Index(modeGroups[role], mode); mi >= 0 {
-		return role, mi
-	}
-	if mi := slices.Index(modeGroups[1-role], mode); mi >= 0 {
-		return 1 - role, mi
+	return 1
+}
+
+// modeGroup locates a gating mode for a binary of the given role: group
+// index and index within it. The role's own group wins when it holds the
+// mode.
+func modeGroup(mode power.GatingMode, base bool) (int, int) {
+	role := roleGroup(base)
+	for _, gi := range [...]int{role, 1 - role} {
+		if mi := slices.Index(modeGroups[gi], mode); mi >= 0 {
+			return gi, mi
+		}
 	}
 	return -1, -1
 }
 
-// Emulations returns how many functional emulations the suite has
-// performed: trace captures plus the live fallbacks of over-budget
-// traces. The trace layer's contract — at most one emulation per distinct
-// binary (workload, identity), however many variant labels build it — is
-// asserted against this probe in tests. Ablation configurations that
-// build a suite binary are served by that binary's trace and counted
-// with it. Two kinds of live emulation are not counted: the train
-// profiling runs inside VRS construction (see TrainEmulations), and the
-// single live traversal of each ablation binary that no suite variant
-// builds (ablationRun), whose trace is neither cached nor stored.
+// Emulations returns how many live emulations of suite binaries the suite
+// has run: every traversal no store served, whether it is a binary's
+// first traversal or a late demand's (Sim). A full evaluation emulates
+// each distinct binary (workload, identity) once, however many variant
+// labels build it; tests assert that contract against this probe. Two kinds of live emulation are not
+// counted: the train profiling runs inside VRS construction (see
+// TrainEmulations), and the single live traversal of each ablation binary
+// that no suite variant builds (ablationRun).
 func (s *Suite) Emulations() int64 { return s.emuRuns.Load() }
 
 // TrainEmulations returns how many VRS train profiling emulations the
@@ -382,30 +391,50 @@ func (s *Suite) Emulations() int64 { return s.emuRuns.Load() }
 // sweep leaves this at exactly len(Names()): the profile-reuse probe.
 func (s *Suite) TrainEmulations() int64 { return s.trainRuns.Load() }
 
-// Sim returns (cached) the timing+energy simulation of a program variant
-// under a gating mode, served from the one fused pass of the mode's
-// evaluation group over the variant binary's cached trace.
-func (s *Suite) Sim(name, variant string, mode power.GatingMode) (*uarch.Result, error) {
+// resolve returns a variant's binary and whether it is the workload's
+// unmodified binary — its role, by key, whichever label built it.
+func (s *Suite) resolve(name, variant string) (variantBin, bool, error) {
 	b, err := s.variantBinary(name, variant)
 	if err != nil {
-		return nil, err
+		return variantBin{}, false, err
 	}
-	return s.simBinary(b, mode)
+	base, err := s.variantBinary(name, "base")
+	if err != nil {
+		return variantBin{}, false, err
+	}
+	return b, b.key == base.key, nil
 }
 
-// simBinary is Sim for a resolved binary; the mode group follows the
-// binary's role (modeGroups).
-func (s *Suite) simBinary(b variantBin, mode power.GatingMode) (*uarch.Result, error) {
-	base, err := s.variantBinary(b.key.name, "base")
+// Sim returns (cached) the timing+energy simulation of a program variant
+// under a gating mode: one meter of a fused pass over the variant
+// binary's records. A Sim call that reaches a binary first makes its
+// traversal time the mode's group (modeGroup). Whatever group the first
+// traversal timed serves every mode it holds; a demand for a mode it
+// lacks arrives late and costs one more traversal, timing the mode's
+// group.
+func (s *Suite) Sim(name, variant string, mode power.GatingMode) (*uarch.Result, error) {
+	b, isBase, err := s.resolve(name, variant)
 	if err != nil {
 		return nil, err
 	}
-	gi, mi := modeGroup(mode, b.key == base.key)
+	gi, mi := modeGroup(mode, isBase)
 	if gi < 0 {
 		return nil, fmt.Errorf("harness: sim %v: unknown gating mode %v", b.key, mode)
 	}
+	first, err := s.firstPass(b, isBase, gi)
+	if err != nil {
+		return nil, err
+	}
+	if first.group >= 0 {
+		if i := slices.Index(modeGroups[first.group], mode); i >= 0 {
+			gi, mi = first.group, i
+		}
+	}
 	rs, err := s.families.do(groupKey{b.key, gi}, func() ([]*uarch.Result, error) {
-		return s.simModes(b, modeGroups[gi])
+		if gi == first.group {
+			return first.rs, nil
+		}
+		return s.walk(b, nil, gi)
 	})
 	if err != nil {
 		return nil, err
@@ -413,18 +442,134 @@ func (s *Suite) simBinary(b variantBin, mode power.GatingMode) (*uarch.Result, e
 	return rs[mi], nil
 }
 
-// simModes performs one fused timing pass over a binary's retirement
-// records with a meter bank accruing every requested mode, fed by
-// recordsOf like any other records consumer.
-func (s *Suite) simModes(b variantBin, modes []power.GatingMode) ([]*uarch.Result, error) {
+// records returns (cached) the record profile of a program variant's
+// binary. If this call makes the binary's first traversal, timed says
+// whether the caller's evaluation also simulates the label: the
+// traversal then times the binary's role group alongside. The base
+// binary's group is timed either way, since every evaluation reads its
+// baseline; an untimed traversal of any other binary times nothing.
+func (s *Suite) records(name, variant string, timed bool) (*recProfile, error) {
+	b, isBase, err := s.resolve(name, variant)
+	if err != nil {
+		return nil, err
+	}
+	group := -1
+	if timed || isBase {
+		group = roleGroup(isBase)
+	}
+	first, err := s.firstPass(b, isBase, group)
+	return first.prof, err
+}
+
+// traversal is what a binary's first traversal leaves behind: its record
+// profile and the results of the mode group timed alongside (group -1:
+// none).
+type traversal struct {
+	prof  *recProfile
+	group int
+	rs    []*uarch.Result
+}
+
+// firstPass returns (cached) a binary's first traversal. Whichever
+// request arrives first fixes the group it times; concurrent requests
+// share the one traversal.
+func (s *Suite) firstPass(b variantBin, isBase bool, group int) (traversal, error) {
+	return s.passes.do(b.key, func() (traversal, error) {
+		prof := newRecProfile(b.p, isBase)
+		rs, err := s.walk(b, prof, group)
+		return traversal{prof, group, rs}, err
+	})
+}
+
+// walk makes one traversal of b feeding prof (when non-nil) and, for
+// group >= 0, a fused timing pass of that mode group, whose results it
+// returns.
+func (s *Suite) walk(b variantBin, prof *recProfile, group int) ([]*uarch.Result, error) {
+	ps := &pass{prof: prof}
+	if group >= 0 {
+		var err error
+		if ps.sim, err = s.newSim(b, modeGroups[group]); err != nil {
+			return nil, err
+		}
+	}
+	if err := s.traverse(b, ps); err != nil || ps.sim == nil {
+		return nil, err
+	}
+	return ps.sim.FinishAll(), nil
+}
+
+// newSim starts a fused timing pass of b accruing every mode of modes.
+func (s *Suite) newSim(b variantBin, modes []power.GatingMode) (*uarch.Sim, error) {
 	sim, err := uarch.NewMulti(b.p, s.Uarch, s.Power, modes)
 	if err != nil {
 		return nil, fmt.Errorf("harness: sim %v/%v: %w", b.key, modes, err)
 	}
-	if err := s.recordsOf(b, sim); err != nil {
-		return nil, err
+	return sim, nil
+}
+
+// pass is the fan-out sink of one traversal: every record batch feeds the
+// record profile (first traversals and ablation runs) and the fused timing
+// pass (when a mode group is demanded).
+type pass struct {
+	prof *recProfile
+	sim  *uarch.Sim
+}
+
+// ConsumeRecs implements emu.Sink.
+func (ps *pass) ConsumeRecs(b emu.RecBatch) {
+	if ps.prof != nil {
+		ps.prof.ConsumeRecs(b)
 	}
-	return sim.FinishAll(), nil
+	if ps.sim != nil {
+		ps.sim.ConsumeRecs(b)
+	}
+}
+
+// recProfile is what the evaluation reads of a binary's records besides
+// timing. A record's Op and WBytes duplicate its static instruction, so
+// per-static retirement counts determine every width histogram, Table 3
+// and Figure 6 as integer sums. Only Figure 12 reads record values: the
+// significant-byte tally of destination writes, kept for a workload's
+// base binary alone.
+type recProfile struct {
+	p      *prog.Program
+	counts []int64   // retirements per static instruction
+	sizes  *[9]int64 // destination writes by significant bytes; nil unless base
+}
+
+func newRecProfile(p *prog.Program, sizes bool) *recProfile {
+	r := &recProfile{p: p, counts: make([]int64, len(p.Ins))}
+	if sizes {
+		r.sizes = new([9]int64)
+	}
+	return r
+}
+
+// ConsumeRecs implements emu.Sink.
+func (r *recProfile) ConsumeRecs(b emu.RecBatch) {
+	for _, idx := range b.Idx {
+		r.counts[idx]++
+	}
+	if r.sizes == nil {
+		return
+	}
+	for i, fl := range b.Flags {
+		if fl&emu.RecWritesDest != 0 {
+			r.sizes[power.SignificantBytes(b.Value[i])]++
+		}
+	}
+}
+
+// widths is the dynamic width histogram: retired width-bearing
+// instructions by operand width.
+func (r *recProfile) widths() vrp.WidthHistogram {
+	var h vrp.WidthHistogram
+	for idx, n := range r.counts {
+		if in := &r.p.Ins[idx]; n > 0 && vrp.CountsWidth(in.Op) {
+			h.Add(in.Width, n)
+		}
+	}
+	return h
 }
 
 // storeLabel is the variant label of every suite trace address. The
@@ -439,86 +584,63 @@ func (s *Suite) traceKey(b variantBin) store.Key {
 	return store.TraceKey(b.key.name, storeLabel, s.evalClass().String(), b.key.id)
 }
 
-// traceWith returns (cached) the packed retirement trace of a binary, or
-// nil when the capture exceeded the trace budget (the miss is cached too:
-// callers fall back to live emulation, once per call site). If this call
-// is the one that performs the capture, rider consumes the record batches
-// of the same live pass — the binary's only emulation feeds the recorder
-// and its first consumer together — and rode reports it.
-func (s *Suite) traceWith(b variantBin, rider emu.Sink) (tr *emu.Trace, rode bool, err error) {
-	tr, err = s.traces.do(b.key, func() (*emu.Trace, error) {
-		if workload.IsTrace(b.key.name) {
-			// Imported traces are hit-or-error: there is no emulation to
-			// fall back to, so the rider never runs (callers take the
-			// replay path) and the budget does not apply.
-			return s.traceTrace(b)
+// traverse makes one traversal of a binary's retirement records into
+// sink: a streamed read when the store holds the binary's trace, else one
+// live emulation. With a store attached, a recorder rides the live pass
+// and the capture is written back; no trace outlives the call. Imported
+// trace workloads have no live form, so for them a store miss is an
+// error, and the budget does not apply — replaying the imported records
+// is the workload's only way to run.
+func (s *Suite) traverse(b variantBin, sink emu.Sink) error {
+	s.traversals.Add(1)
+	imported := workload.IsTrace(b.key.name)
+	if s.Store != nil {
+		budget := s.TraceBudget
+		switch {
+		case imported:
+			budget = 0
+		case budget <= 0:
+			budget = emu.DefaultTraceBudget
 		}
-		if s.Store != nil {
-			if tr, ok := s.Store.GetTrace(s.traceKey(b), b.p, b.key.id); ok {
-				// Honour TraceBudget on hits too: a stored trace larger
-				// than this suite's cap is skipped, exactly as its capture
-				// would have been dropped.
-				budget := s.TraceBudget
-				if budget <= 0 {
-					budget = emu.DefaultTraceBudget
-				}
-				if tr.Bytes() <= budget {
-					return tr, nil
-				}
-			}
+		if s.Store.ReadTrace(s.traceKey(b), b.p, b.key.id, budget, sink) {
+			return nil
 		}
-		rec := emu.NewTraceRecorder(b.p)
-		rec.SetBudget(s.TraceBudget)
-		m := emu.New(b.p)
-		defer m.Release()
-		m.Sink = rec
-		rec.SetRider(rider)
-		rode = true
-		s.emuRuns.Add(1)
-		if err := m.Run(); err != nil {
-			return nil, fmt.Errorf("harness: trace %v: %w", b.key, err)
-		}
-		tr, err := rec.Trace()
-		if errors.Is(err, emu.ErrTraceBudget) {
-			return nil, nil // over budget: remember the miss
-		}
-		if err != nil {
-			// A genuine capture defect is not a cache miss — surfacing it
-			// beats silently re-emulating a broken recorder forever.
-			return nil, fmt.Errorf("harness: trace %v: %w", b.key, err)
-		}
-		if s.Store != nil {
-			// Best-effort write-back: a full disk or unwritable root must
-			// not fail the run (the store tallies PutErrors).
-			_ = s.Store.PutTrace(s.traceKey(b), tr, b.key.id)
-		}
-		return tr, nil
-	})
-	return tr, rode, err
-}
-
-// recordsOf streams the packed retirement records of a binary into rs:
-// riding the capture pass when this is the binary's first consumer, from
-// the cached trace when one exists, else from a live emulation. Consumers
-// read op/width/value columns directly and never dereference per-event
-// instruction pointers.
-func (s *Suite) recordsOf(b variantBin, rs emu.Sink) error {
-	tr, rode, err := s.traceWith(b, rs)
-	if err != nil {
-		return err
 	}
-	if rode {
-		return nil
+	if imported {
+		// The skeleton resolved but its blob is gone (eviction,
+		// corruption): same remedy as never imported.
+		return &tracework.NotImportedError{Name: b.key.name, Class: s.evalClass().String()}
 	}
-	if tr != nil {
-		tr.Records(rs)
-		return nil
-	}
+	s.emuRuns.Add(1)
 	m := emu.New(b.p)
 	defer m.Release()
-	m.Sink = rs
-	s.emuRuns.Add(1)
-	return m.Run()
+	m.Sink = sink
+	var rec *emu.TraceRecorder
+	if s.Store != nil {
+		rec = emu.NewTraceRecorder(b.p)
+		rec.SetBudget(s.TraceBudget)
+		rec.SetRider(sink)
+		m.Sink = rec
+	}
+	if err := m.Run(); err != nil {
+		return fmt.Errorf("harness: emulate %v: %w", b.key, err)
+	}
+	if rec == nil {
+		return nil
+	}
+	tr, err := rec.Trace()
+	if errors.Is(err, emu.ErrTraceBudget) {
+		return nil // over budget: nothing is stored
+	}
+	if err != nil {
+		// A genuine capture defect is not an over-budget miss —
+		// surfacing it beats silently storing nothing forever.
+		return fmt.Errorf("harness: trace %v: %w", b.key, err)
+	}
+	// Best-effort write-back: a full disk or unwritable root must not
+	// fail the run (the store tallies PutErrors).
+	_ = s.Store.PutTrace(s.traceKey(b), tr, b.key.id)
+	return nil
 }
 
 // Baseline returns the ungated simulation of the original binary.
@@ -555,34 +677,20 @@ func (s *Suite) ED2Saving(name, variant string, mode power.GatingMode) (float64,
 	return power.EnergyDelay2Saving(base.Energy.Total(), base.Cycles, g.Energy.Total(), g.Cycles), nil
 }
 
-// DynWidthHistogram returns (cached) the dynamic width histogram of a
-// program variant, tallied over its binary's packed trace records (the
-// cached trace when available) instead of a fresh emulation per call.
+// DynWidthHistogram returns the dynamic width histogram of a program
+// variant, summed from its binary's record profile. Like any request for
+// a label the evaluation simulates, a call that reaches the binary first
+// times its role group alongside (records).
 func (s *Suite) DynWidthHistogram(name, variant string) (vrp.WidthHistogram, error) {
-	b, err := s.variantBinary(name, variant)
+	return s.histogram(name, variant, true)
+}
+
+// histogram is DynWidthHistogram for a caller that states whether its
+// evaluation also simulates the label (records).
+func (s *Suite) histogram(name, variant string, timed bool) (vrp.WidthHistogram, error) {
+	r, err := s.records(name, variant, timed)
 	if err != nil {
 		return vrp.WidthHistogram{}, err
 	}
-	return s.histogram(b)
-}
-
-// histogram is DynWidthHistogram for a resolved binary.
-func (s *Suite) histogram(b variantBin) (vrp.WidthHistogram, error) {
-	return s.hists.do(b.key, func() (vrp.WidthHistogram, error) {
-		var h vrp.WidthHistogram
-		err := s.recordsOf(b, widthSink{&h})
-		return h, err
-	})
-}
-
-// widthSink tallies retired width-bearing instruction widths from the
-// packed record's op/width columns (no instruction-pointer chasing).
-type widthSink struct{ h *vrp.WidthHistogram }
-
-func (w widthSink) ConsumeRecs(b emu.RecBatch) {
-	for i, op := range b.Op {
-		if vrp.CountsWidth(isa.Op(op)) {
-			w.h.Add(isa.Width(b.WBytes[i]), 1)
-		}
-	}
+	return r.widths(), nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"opgate/internal/store"
 )
 
 // sweepGrid is the paper's threshold grid, reused across the sweep tests.
@@ -11,10 +13,10 @@ var sweepGrid = []float64{110, 90, 70, 50, 30}
 
 // TestSweepMatchesPerThresholdRuns is the sweep equivalence probe: every
 // cell of Suite.Sweep must be bit-identical (canonical encoding and all)
-// to a plain RunExperiment at that threshold — both over the trace cache
-// and with a one-byte TraceBudget that forces every consumer onto the
-// live fallback. The sweep changes how the grid is computed, never what
-// it contains.
+// to a plain RunExperiment at that threshold — both with no store and
+// over a shared store at a one-byte TraceBudget that admits no trace, so
+// no capture is ever written back. The sweep changes how the grid is
+// computed, never what it contains.
 func TestSweepMatchesPerThresholdRuns(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
@@ -25,6 +27,14 @@ func TestSweepMatchesPerThresholdRuns(t *testing.T) {
 			swept.TraceBudget = mode.budget
 			plain := NewSuite(true)
 			plain.TraceBudget = mode.budget
+			var st *store.Store
+			if mode.budget > 0 {
+				var err error
+				if st, err = store.Open(t.TempDir(), 0); err != nil {
+					t.Fatal(err)
+				}
+				swept.Store, plain.Store = st, st
+			}
 
 			sw, err := swept.Sweep(testCtx, "fig6", sweepGrid)
 			if err != nil {
@@ -51,6 +61,11 @@ func TestSweepMatchesPerThresholdRuns(t *testing.T) {
 				}
 				if !bytes.Equal(got, exp) {
 					t.Errorf("cell at threshold %g is not byte-identical to a plain run", th)
+				}
+			}
+			if st != nil {
+				if got := st.Stats(); got.Puts != 0 || got.Hits != 0 {
+					t.Errorf("over-budget suites stored %d traces and read %d, want none", got.Puts, got.Hits)
 				}
 			}
 		})

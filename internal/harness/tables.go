@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"opgate/internal/emu"
 	"opgate/internal/isa"
 	"opgate/internal/power"
 	"opgate/internal/vrp"
@@ -71,26 +70,20 @@ func (s *Suite) Table3(ctx context.Context) (*Report, error) {
 		total      int64
 	}
 	tallies, err := mapNames(ctx, s, func(name string) (*tally, error) {
-		t := new(tally)
-		bin, err := s.variantBinary(name, "vrp")
+		prof, err := s.records(name, "vrp", true)
 		if err != nil {
 			return nil, err
 		}
-		err = s.recordsOf(bin, emu.RecFunc(func(b emu.RecBatch) {
-			for i, opb := range b.Op {
-				op := isa.Op(opb)
-				if !vrp.CountsWidth(op) {
-					continue
-				}
-				cls := isa.ClassOf(op)
-				wi := widthIndex(isa.Width(b.WBytes[i]))
-				t.perClass[cls][wi]++
-				t.classTotal[cls]++
-				t.total++
+		t := new(tally)
+		for idx, n := range prof.counts {
+			in := &prof.p.Ins[idx]
+			if n == 0 || !vrp.CountsWidth(in.Op) {
+				continue
 			}
-		}))
-		if err != nil {
-			return nil, err
+			cls := isa.ClassOf(in.Op)
+			t.perClass[cls][widthIndex(in.Width)] += n
+			t.classTotal[cls] += n
+			t.total += n
 		}
 		return t, nil
 	})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"opgate/internal/emu"
 	"opgate/internal/prog"
 	"opgate/internal/tracework"
 	"opgate/internal/workload"
@@ -14,10 +13,9 @@ import (
 // replay path alone: their program is the skeleton synthesized at import
 // time and their retirement stream is the imported trace, both served
 // from the Store. The integration points are deliberately few — Program
-// resolves the skeleton through the trace library, traceWith serves the
-// imported blob through the ordinary store.GetTrace path (hit-or-error:
-// there is nothing to emulate on a miss, so the capture rider never
-// runs), and everything that would need a live emulation or a real
+// resolves the skeleton through the trace library, traverse streams the
+// imported blob through the ordinary store.ReadTrace path (hit-or-error:
+// there is nothing to emulate on a miss), and everything that would need a live emulation or a real
 // control-flow graph (VRS training, non-base variants, the ablations'
 // one-off VRP configurations) is gated with errors wrapping
 // workload.ErrTraceOnly. Every replay-only experiment — the width
@@ -50,22 +48,6 @@ func (s *Suite) traceProgram(name string, class workload.InputClass) (*prog.Prog
 	}
 	p, _, err := lib.Skeleton(name, class)
 	return p, err
-}
-
-// traceTrace serves a trace-backed workload's retirement trace
-// (traceWith's IsTrace branch): the imported blob under its content
-// address, hit-or-error. The skeleton is the workload's only binary
-// (variantBinary gates every other variant). The TraceBudget does not
-// apply — replay of the imported records is the workload's only runnable
-// form, so skipping an oversized trace would not save an emulation, it
-// would break the workload.
-func (s *Suite) traceTrace(b variantBin) (*emu.Trace, error) {
-	if tr, ok := s.Store.GetTrace(s.traceKey(b), b.p, b.key.id); ok {
-		return tr, nil
-	}
-	// The skeleton resolved but its blob is gone (eviction, corruption):
-	// same remedy as never imported.
-	return nil, &tracework.NotImportedError{Name: b.key.name, Class: s.evalClass().String()}
 }
 
 // traceLibState is the lazily bound library (embedded in Suite).

@@ -94,8 +94,8 @@ func TestChaosTornRenameIsAMiss(t *testing.T) {
 	if err := s.PutTrace(key, tr, id); err != nil {
 		t.Fatalf("torn rename should report success, got %v", err)
 	}
-	// The raw object is resident but truncated; GetTrace must refuse it.
-	if _, ok := s.GetTrace(key, p, id); ok {
+	// The raw object is resident but truncated; ReadTrace must refuse it.
+	if _, ok := getTrace(s, key, p, id); ok {
 		t.Fatal("torn object decoded as a valid trace")
 	}
 	if _, err := os.Stat(s.Dir().objectPath(key)); !os.IsNotExist(err) {
@@ -105,7 +105,7 @@ func TestChaosTornRenameIsAMiss(t *testing.T) {
 	if err := s.PutTrace(key, tr, id); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s.GetTrace(key, p, id); !ok || got.Len() != tr.Len() {
+	if got, ok := getTrace(s, key, p, id); !ok || got.Len() != tr.Len() {
 		t.Fatal("clean re-put did not read back")
 	}
 }
@@ -122,7 +122,7 @@ func TestChaosRemoveFaults(t *testing.T) {
 	if err := s.PutTrace(key, tr, id); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the object in place, then make removes fail: GetTrace must
+	// Corrupt the object in place, then make removes fail: ReadTrace must
 	// still be a miss despite the failed drop.
 	blob, err := os.ReadFile(s.Dir().objectPath(key))
 	if err != nil {
@@ -133,20 +133,20 @@ func TestChaosRemoveFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	ff.FailRemoves(1)
-	if _, ok := s.GetTrace(key, p, id); ok {
+	if _, ok := getTrace(s, key, p, id); ok {
 		t.Fatal("corrupt object served as a hit under remove faults")
 	}
 	if _, err := os.Stat(s.Dir().objectPath(key)); err != nil {
 		t.Fatal("remove fault did not actually block the drop")
 	}
 	ff.Clear()
-	if _, ok := s.GetTrace(key, p, id); ok {
+	if _, ok := getTrace(s, key, p, id); ok {
 		t.Fatal("dropped corrupt object still readable")
 	}
 	if err := s.PutTrace(key, tr, id); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.GetTrace(key, p, id); !ok {
+	if _, ok := getTrace(s, key, p, id); !ok {
 		t.Fatal("store did not recover after remove faults cleared")
 	}
 }
@@ -209,7 +209,7 @@ func TestChaosIntermittentFaultsNeverCorrupt(t *testing.T) {
 						return
 					}
 				case 1:
-					if got, ok := s.GetTrace(key, p, id); ok && got.Len() != tr.Len() {
+					if got, ok := getTrace(s, key, p, id); ok && got.Len() != tr.Len() {
 						t.Errorf("trace read back with %d events, want %d", got.Len(), tr.Len())
 						return
 					}
@@ -232,7 +232,7 @@ func TestChaosIntermittentFaultsNeverCorrupt(t *testing.T) {
 	if err := s.PutTrace(key, tr, id); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s.GetTrace(key, p, id); !ok || got.Len() != tr.Len() {
+	if got, ok := getTrace(s, key, p, id); !ok || got.Len() != tr.Len() {
 		t.Fatal("store unusable after faults cleared")
 	}
 }

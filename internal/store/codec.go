@@ -44,9 +44,11 @@ import (
 // target leans on that). Decode refuses anything it cannot vouch for:
 // wrong magic or version, identity mismatch, truncation, trailing bytes,
 // checksum failure, and records that do not validate against the program.
-// It copies the columns out of the blob exactly once, into whole-trace
-// storage the restored trace then adopts, so a decoded trace never pins
-// the blob.
+// DecodeTrace copies the columns out of the blob exactly once, into
+// whole-trace storage the restored trace then adopts, so a decoded trace
+// never pins the blob. Store.ReadTrace instead streams the columns out
+// chunk by chunk through one reused batch, after the same checks, so a
+// warm read holds the blob and one chunk, never a second whole-trace copy.
 const (
 	codecMagic   = "OGTR"
 	codecVersion = 2
@@ -104,8 +106,8 @@ func DecodeTrace(data []byte, p *prog.Program, identity Hash) (*emu.Trace, error
 	if err != nil {
 		return nil, err
 	}
-	if stored != identity {
-		return nil, fmt.Errorf("store: trace identity mismatch (stored %x…, want %x…)", stored[:4], identity[:4])
+	if err := checkIdentity(stored, identity); err != nil {
+		return nil, err
 	}
 	tr, err := emu.NewTraceFromRecords(p, recs)
 	if err != nil {
@@ -123,58 +125,111 @@ func DecodeTrace(data []byte, p *prog.Program, identity Hash) (*emu.Trace, error
 // program it derives. DecodeTrace composes this with the identity check
 // and emu.NewTraceFromRecords. Never panics on malformed input.
 func DecodeTraceRecords(data []byte) (emu.RecBatch, Hash, error) {
+	n, stored, err := frame(data)
+	if err != nil {
+		return emu.RecBatch{}, stored, err
+	}
+	return readRecords(data, colOffsets(n), allocRecs(n), 0, n, false), stored, nil
+}
+
+// frame checks a codec blob's framing — magic, version, reserved bytes,
+// length, checksum — and returns its event count and the identity its
+// header declares. Never panics on malformed input.
+func frame(data []byte) (int, Hash, error) {
 	var stored Hash
 	if len(data) < codecHeaderSize+codecTrailerSize {
-		return emu.RecBatch{}, stored, fmt.Errorf("store: trace blob truncated (%d bytes)", len(data))
+		return 0, stored, fmt.Errorf("store: trace blob truncated (%d bytes)", len(data))
 	}
 	if string(data[:4]) != codecMagic {
-		return emu.RecBatch{}, stored, fmt.Errorf("store: bad trace magic %q", data[:4])
+		return 0, stored, fmt.Errorf("store: bad trace magic %q", data[:4])
 	}
 	if v := binary.LittleEndian.Uint16(data[4:]); v != codecVersion {
-		return emu.RecBatch{}, stored, fmt.Errorf("store: unsupported trace format version %d (want %d)", v, codecVersion)
+		return 0, stored, fmt.Errorf("store: unsupported trace format version %d (want %d)", v, codecVersion)
 	}
 	if data[6] != 0 || data[7] != 0 {
 		// Encoding is canonical: accepting nonzero reserved bytes would
 		// admit blobs that do not re-encode bit-identically.
-		return emu.RecBatch{}, stored, fmt.Errorf("store: nonzero reserved header bytes %x", data[6:8])
+		return 0, stored, fmt.Errorf("store: nonzero reserved header bytes %x", data[6:8])
 	}
 	copy(stored[:], data[8:40])
 	events := binary.LittleEndian.Uint64(data[40:])
 	if events > math.MaxInt64/codecRecBytes {
-		return emu.RecBatch{}, stored, fmt.Errorf("store: absurd trace event count %d", events)
+		return 0, stored, fmt.Errorf("store: absurd trace event count %d", events)
 	}
 	want := uint64(codecHeaderSize) + events*codecRecBytes + codecTrailerSize
 	if uint64(len(data)) != want {
-		return emu.RecBatch{}, stored, fmt.Errorf("store: trace blob is %d bytes, want %d for %d events", len(data), want, events)
+		return 0, stored, fmt.Errorf("store: trace blob is %d bytes, want %d for %d events", len(data), want, events)
 	}
 	crcOff := len(data) - codecTrailerSize
 	if got, sum := trailerSum(data[:crcOff]), binary.LittleEndian.Uint64(data[crcOff:]); got != sum {
-		return emu.RecBatch{}, stored, fmt.Errorf("store: trace checksum mismatch (%#x != %#x)", got, sum)
+		return 0, stored, fmt.Errorf("store: trace checksum mismatch (%#x != %#x)", got, sum)
 	}
+	return int(events), stored, nil
+}
 
-	n := int(events)
-	cols := colOffsets(n)
-	recs := emu.RecBatch{
+// checkIdentity refuses a blob whose header names another binary.
+func checkIdentity(stored, identity Hash) error {
+	if stored != identity {
+		return fmt.Errorf("store: trace identity mismatch (stored %x…, want %x…)", stored[:4], identity[:4])
+	}
+	return nil
+}
+
+// eachChunk decodes the records of a framed n-record blob chunk by chunk
+// into buf and hands each chunk to fn, stopping at fn's first error.
+// Narrow decodes only the columns emu.RecordValidator reads.
+func eachChunk(data []byte, n int, buf emu.RecBatch, narrow bool, fn func(emu.RecBatch) error) error {
+	c := colOffsets(n)
+	for lo := 0; lo < n; lo += buf.Len() {
+		if err := fn(readRecords(data, c, buf, lo, min(lo+buf.Len(), n), narrow)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// allocRecs allocates a batch of n zeroed records.
+func allocRecs(n int) emu.RecBatch {
+	return emu.RecBatch{
 		Idx: make([]int32, n), Next: make([]int32, n),
 		Op: make([]uint8, n), WBytes: make([]uint8, n), Flags: make([]uint8, n),
 		Addr: make([]int64, n), Value: make([]int64, n),
 		SrcA: make([]int64, n), SrcB: make([]int64, n),
 	}
-	getInt32s(recs.Idx, data[cols.idx:])
-	getInt32s(recs.Next, data[cols.next:])
-	copy(recs.Op, data[cols.op:])
-	copy(recs.WBytes, data[cols.wbytes:])
-	copy(recs.Flags, data[cols.flags:])
-	getInt64s(recs.Addr, data[cols.addr:])
-	getInt64s(recs.Value, data[cols.value:])
-	getInt64s(recs.SrcA, data[cols.srcA:])
-	getInt64s(recs.SrcB, data[cols.srcB:])
-	return recs, stored, nil
 }
+
+// readRecords decodes records [lo, hi) of a framed blob with column
+// offsets c into the front of buf (capacity at least hi-lo) and returns
+// that view. Narrow decodes only the columns emu.RecordValidator reads,
+// leaving the four value columns nil.
+func readRecords(data []byte, c columns, buf emu.RecBatch, lo, hi int, narrow bool) emu.RecBatch {
+	m := hi - lo
+	b := emu.RecBatch{
+		Idx: buf.Idx[:m], Next: buf.Next[:m],
+		Op: buf.Op[:m], WBytes: buf.WBytes[:m], Flags: buf.Flags[:m],
+	}
+	getInt32s(b.Idx, data[c.idx+4*lo:])
+	getInt32s(b.Next, data[c.next+4*lo:])
+	copy(b.Op, data[c.op+lo:])
+	copy(b.WBytes, data[c.wbytes+lo:])
+	copy(b.Flags, data[c.flags+lo:])
+	if narrow {
+		return b
+	}
+	b.Addr, b.Value, b.SrcA, b.SrcB = buf.Addr[:m], buf.Value[:m], buf.SrcA[:m], buf.SrcB[:m]
+	getInt64s(b.Addr, data[c.addr+8*lo:])
+	getInt64s(b.Value, data[c.value+8*lo:])
+	getInt64s(b.SrcA, data[c.srcA+8*lo:])
+	getInt64s(b.SrcB, data[c.srcB+8*lo:])
+	return b
+}
+
+// columns holds the file offsets of the nine record columns.
+type columns struct{ idx, next, op, wbytes, flags, addr, value, srcA, srcB int }
 
 // colOffsets returns the file offsets of the nine record columns for an
 // n-event trace.
-func colOffsets(n int) (c struct{ idx, next, op, wbytes, flags, addr, value, srcA, srcB int }) {
+func colOffsets(n int) (c columns) {
 	c.idx = codecHeaderSize
 	c.next = c.idx + 4*n
 	c.op = c.next + 4*n

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"opgate/internal/emu"
@@ -12,7 +13,9 @@ import (
 // invariants: the decoder never panics; anything it rejects is an error;
 // anything it accepts is the canonical encoding of a valid trace —
 // re-encoding reproduces the input bit-for-bit, and replay delivers
-// exactly the advertised number of events without faulting. Seed corpus:
+// exactly the advertised number of events without faulting. The streamed
+// reader (Store.ReadTrace) accepts exactly the blobs DecodeTrace accepts,
+// delivers the same records, and delivers nothing when it refuses. Seed corpus:
 // one valid encoding plus damaged derivatives under
 // testdata/fuzz/FuzzTraceCodec, regenerable with
 // `go test ./internal/store -run TestFuzzCorpusSeeds -regen-corpus`.
@@ -22,10 +25,28 @@ func FuzzTraceCodec(f *testing.F) {
 	for _, seed := range fuzzCorpusSeeds() {
 		f.Add(seed)
 	}
+	st := NewStore(newMemBackend())
+	key := TraceKey("mini", "base", "train", id)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := st.Put(key, data); err != nil {
+			t.Fatal(err)
+		}
+		var streamed recCollector
+		read := st.ReadTrace(key, p, id, 0, &streamed)
 		tr, err := DecodeTrace(data, p, id)
+		if read != (err == nil) {
+			t.Fatalf("ReadTrace accepted=%v, DecodeTrace error %v", read, err)
+		}
 		if err != nil {
+			if streamed.batches != 0 {
+				t.Fatalf("refused blob delivered %d batches", streamed.batches)
+			}
 			return // rejected cleanly
+		}
+		var decoded recCollector
+		tr.Records(&decoded)
+		if !reflect.DeepEqual(streamed.recs, decoded.recs) {
+			t.Fatal("ReadTrace and DecodeTrace yield different records")
 		}
 		re := EncodeTrace(tr, id)
 		if !bytes.Equal(re, data) {

@@ -309,8 +309,8 @@ func (b *DirBackend) evictLocked(keep Key) {
 }
 
 // Store layers the trace/report codec helpers over any Backend: raw
-// blobs come straight from the backend; GetTrace/PutTrace add the
-// versioned codec, and any object the codec rejects is dropped and
+// blobs come straight from the backend; ReadTrace/PutTrace add
+// the versioned codec, and any object the codec rejects is dropped and
 // reclassified as a miss (the miss-on-any-defect contract holds
 // regardless of the tier underneath).
 type Store struct {
@@ -361,22 +361,43 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// GetTrace returns the packed trace stored under key, decoded and bound to
-// p. Any defect — absent, truncated, corrupted, wrong identity, records
-// that do not validate against p — is a miss: the unusable object is
-// dropped and the caller re-emulates.
-func (s *Store) GetTrace(key Key, p *prog.Program, identity Hash) (*emu.Trace, bool) {
+// ReadTrace streams the packed trace stored under key into sink, chunk by
+// chunk through one reused batch, without building a whole-trace copy.
+// Every check — framing, checksum, identity, and every record against p
+// (emu.RecordValidator) — runs before the first batch reaches sink, so a
+// defective object delivers nothing: it is dropped, counted as a reject,
+// and ReadTrace returns false for the caller to re-emulate. A sound
+// object whose trace exceeds budget bytes (emu.TraceBytes; <= 0 admits
+// any size) is left in place and reads false too, undelivered. The sink
+// must not retain a batch.
+func (s *Store) ReadTrace(key Key, p *prog.Program, identity Hash, budget int64, sink emu.Sink) bool {
 	data, ok := s.Get(key)
 	if !ok {
-		return nil, false
+		return false
 	}
-	tr, err := DecodeTrace(data, p, identity)
+	n, stored, err := frame(data)
+	if err == nil {
+		err = checkIdentity(stored, identity)
+	}
+	if err == nil && budget > 0 && emu.TraceBytes(int64(n)) > budget {
+		return false
+	}
+	var buf emu.RecBatch
+	if err == nil {
+		buf = allocRecs(min(n, emu.TraceChunkEvents))
+		err = eachChunk(data, n, buf, true, emu.NewRecordValidator(p).Check)
+	}
 	if err != nil {
 		s.Delete(key)
 		s.rejects.Add(1) // reclassify: the object was not usable
-		return nil, false
+		return false
 	}
-	return tr, true
+	// Delivery cannot fail: every record has passed the checks above.
+	_ = eachChunk(data, n, buf, false, func(b emu.RecBatch) error {
+		sink.ConsumeRecs(b)
+		return nil
+	})
+	return true
 }
 
 // PutTrace serializes and stores a trace captured from a binary with the

@@ -53,7 +53,7 @@ func TestStoreTraceDefectIsMiss(t *testing.T) {
 	if err := s.PutTrace(key, tr, id); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.GetTrace(key, p, id); !ok {
+	if _, ok := getTrace(s, key, p, id); !ok {
 		t.Fatal("fresh trace did not read back")
 	}
 
@@ -68,7 +68,7 @@ func TestStoreTraceDefectIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre := s.Stats()
-	if _, ok := s.GetTrace(key, p, id); ok {
+	if _, ok := getTrace(s, key, p, id); ok {
 		t.Fatal("corrupted trace read back as a hit")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -82,7 +82,7 @@ func TestStoreTraceDefectIsMiss(t *testing.T) {
 	if err := s.PutTrace(key, tr, id); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s.GetTrace(key, p, id); !ok || got.Len() != tr.Len() {
+	if got, ok := getTrace(s, key, p, id); !ok || got.Len() != tr.Len() {
 		t.Fatal("re-put trace did not read back")
 	}
 }
@@ -213,7 +213,7 @@ func TestStoreConcurrent(t *testing.T) {
 						return
 					}
 				case 1:
-					if got, ok := s.GetTrace(key, p, id); ok && got.Len() != tr.Len() {
+					if got, ok := getTrace(s, key, p, id); ok && got.Len() != tr.Len() {
 						t.Errorf("trace read back with %d events, want %d", got.Len(), tr.Len())
 						return
 					}
@@ -267,7 +267,7 @@ func TestStoreConcurrentUnderRemoveRenameFaults(t *testing.T) {
 						return
 					}
 				case 1:
-					if got, ok := s.GetTrace(key, p, id); ok && got.Len() != tr.Len() {
+					if got, ok := getTrace(s, key, p, id); ok && got.Len() != tr.Len() {
 						t.Errorf("trace read back with %d events, want %d", got.Len(), tr.Len())
 						return
 					}
@@ -291,7 +291,7 @@ func TestStoreConcurrentUnderRemoveRenameFaults(t *testing.T) {
 	if err := s.PutTrace(key, tr, id); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.GetTrace(key, p, id); !ok {
+	if _, ok := getTrace(s, key, p, id); !ok {
 		t.Fatal("store unusable after the faulty run")
 	}
 }

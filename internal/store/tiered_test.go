@@ -234,7 +234,7 @@ func TestStoreOverTieredBackend(t *testing.T) {
 	}
 	tiered.Flush()
 	local.Delete(key)
-	if got, ok := s.GetTrace(key, p, id); !ok || got.Len() != trc.Len() {
+	if got, ok := getTrace(s, key, p, id); !ok || got.Len() != trc.Len() {
 		t.Fatal("trace not served through the remote tier")
 	}
 
@@ -245,7 +245,7 @@ func TestStoreOverTieredBackend(t *testing.T) {
 	_ = local.Put(key, blob)
 	_ = remote.Put(key, blob)
 	pre := s.Stats()
-	if _, ok := s.GetTrace(key, p, id); ok {
+	if _, ok := getTrace(s, key, p, id); ok {
 		t.Fatal("corrupt tiered object served as a trace")
 	}
 	post := s.Stats()

@@ -196,7 +196,7 @@ func (l *Library) Lookup(name string, class workload.InputClass) (*Meta, error) 
 // identity, re-synthesizing the skeleton from the stored blob and
 // verifying it still hashes to the registered identity. The harness
 // calls this in place of Workload.Build for "trace:" names; the
-// returned pair makes the ordinary store.GetTrace path hit the
+// returned pair makes the ordinary store.ReadTrace path hit the
 // canonical blob.
 func (l *Library) Skeleton(name string, class workload.InputClass) (*prog.Program, store.Hash, error) {
 	m, err := l.Lookup(name, class)

@@ -11,7 +11,7 @@ import (
 
 // Synthetic workloads are progen-generated programs registered as
 // first-class benchmarks: they resolve through ByName like the eight
-// kernels, so every experiment driver, trace cache and figure matrix runs
+// kernels, so every experiment driver, traversal and figure matrix runs
 // over them unmodified. The Train input class maps to the generator's
 // train variant and Ref to the (longer, reseeded) ref variant, preserving
 // the profiling/evaluation methodology end-to-end.

@@ -2,9 +2,9 @@
 # Regenerate BENCH_sim.json, the machine-readable trajectory of the
 # simulation-substrate benchmarks: emulated MIPS, trace capture/replay
 # throughput, the trace codec (encode/decode MB/s), the fused timing core
-# and its meter bank (records/s at 1, 2 and 6 gating modes), the cold
-# figure matrices with and without the trace cache (a one-byte
-# TraceBudget forces the live fallback), and the single-pass threshold
+# and its meter bank (records/s at 1, 2 and 6 gating modes), the
+# figure matrices live and over a warm store (a cold run fills it
+# before timing starts), and the single-pass threshold
 # sweep (grid cells/s vs independent per-threshold runs), plus one VRP
 # analysis of gcc's ref binary (ns/op).
 #
