@@ -11,8 +11,8 @@
 // CompareGating. The experiment pipeline (session.go) regenerates the
 // paper's tables and figures over the whole workload suite: a Session is
 // configured once with functional options (WithQuick, WithWorkers,
-// WithStore, WithSynthetics, WithTraceBudget, WithThreshold) and driven
-// with Run/RunAll under a context.Context that really cancels —
+// WithStore, WithSynthetics, WithThreshold) and driven with Run/RunAll
+// under a context.Context that really cancels —
 // mid-suite, the per-workload fan-out stops scheduling. Results are
 // structured Report values (units and schema metadata, stable canonical
 // JSON, cell-level Diff) rendered by pluggable Renderers: TextRenderer

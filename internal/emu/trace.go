@@ -21,7 +21,7 @@ import (
 // bytes, flags), and four int64s (addr, value, srcA, srcB). The machine
 // already emits exactly these columns, so capture is a column copy per
 // batch. A recorder refuses to grow past its byte budget
-// (DefaultTraceBudget unless overridden): the capture is dropped and
+// (DefaultTraceBudget): the capture is dropped and
 // Trace() reports the overflow, while the live run it rode goes on
 // feeding the recorder's rider. A dropped capture costs only the copy
 // that would have been kept — a trace is an accelerator, never a
@@ -129,13 +129,6 @@ type TraceRecorder struct {
 // default memory budget.
 func NewTraceRecorder(p *prog.Program) *TraceRecorder {
 	return &TraceRecorder{p: p, budget: DefaultTraceBudget}
-}
-
-// SetBudget overrides the recorder's byte budget (<= 0 keeps the default).
-func (r *TraceRecorder) SetBudget(bytes int64) {
-	if bytes > 0 {
-		r.budget = bytes
-	}
 }
 
 // SetRider makes rs consume every record batch the recorder is handed, so

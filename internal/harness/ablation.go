@@ -121,53 +121,51 @@ type ablationConfig struct {
 	opts    vrp.Options
 }
 
-// ablationSuiteLabels are the variants an ablation binary is matched
-// against by identity: the binaries every evaluation builds anyway.
-var ablationSuiteLabels = [...]string{"base", "vrp", "vrp-conv"}
+// ablationSuiteLabels are the variants a timed ablation binary is
+// matched against by identity: the ones the evaluation simulates anyway.
+var ablationSuiteLabels = [...]string{"base", "vrp"}
 
-// ablationMeasure returns the software-gated simulation (when timed) and
-// the dynamic width histogram of an ablation row's binary. A binary whose
-// key equals one of the workload's suite binaries — most one-off
-// configurations rebuild one — reads that binary's memoized results
-// through its label. Any other binary costs exactly one live traversal
-// (ablationRun).
+// ablationMeasure returns the dynamic width histogram of an ablation
+// row's binary and, when timed, its software-gated simulation. Every
+// ablation binary is a width-only rewrite, so its histogram costs it no
+// traversal (binRecords). A timed binary whose key equals the workload's
+// base or vrp binary reads that binary's memoized simulation through its
+// label; any other costs one live timing pass (ablationRun).
 func (s *Suite) ablationMeasure(name string, cfg ablationConfig, timed bool) (*uarch.Result, vrp.WidthHistogram, error) {
-	var b variantBin
-	var err error
-	if cfg.variant != "" {
-		b, err = s.variantBinary(name, cfg.variant)
-	} else {
-		b, err = s.ablationProgram(name, cfg.opts)
-	}
+	b, err := s.ablationProgram(name, cfg)
 	if err != nil {
 		return nil, vrp.WidthHistogram{}, err
+	}
+	prof, err := s.binRecords(b)
+	if err != nil {
+		return nil, vrp.WidthHistogram{}, err
+	}
+	h := prof.widths()
+	if !timed {
+		return nil, h, nil
 	}
 	for _, label := range ablationSuiteLabels {
 		sb, err := s.variantBinary(name, label)
 		if err != nil {
-			return nil, vrp.WidthHistogram{}, err
+			return nil, h, err
 		}
-		if sb.key != b.key {
-			continue
+		if sb.key == b.key {
+			g, err := s.Sim(name, label, power.GateSoftware)
+			return g, h, err
 		}
-		var g *uarch.Result
-		if timed {
-			if g, err = s.Sim(name, label, power.GateSoftware); err != nil {
-				return nil, vrp.WidthHistogram{}, err
-			}
-		}
-		h, err := s.histogram(name, label, timed)
-		return g, h, err
 	}
-	return s.ablationRun(b, timed)
+	g, err := s.ablationRun(b)
+	return g, h, err
 }
 
-// ablationProgram analyses the evaluation binary under a one-off VRP
-// configuration, applies it and resolves the result's identity, which
-// ablationMeasure matches against the suite's binaries. A trace skeleton
-// has no analyzable control flow, so trace-backed workloads are gated as
-// in VRP.
-func (s *Suite) ablationProgram(name string, opts vrp.Options) (variantBin, error) {
+// ablationProgram resolves an ablation row's binary: its suite variant,
+// or the evaluation binary analysed under the row's one-off VRP
+// configuration and applied. A trace skeleton has no analyzable control
+// flow, so trace-backed workloads are gated as in VRP.
+func (s *Suite) ablationProgram(name string, cfg ablationConfig) (variantBin, error) {
+	if cfg.variant != "" {
+		return s.variantBinary(name, cfg.variant)
+	}
 	if workload.IsTrace(name) {
 		return variantBin{}, traceOnlyErr(name, "VRP analysis")
 	}
@@ -175,38 +173,29 @@ func (s *Suite) ablationProgram(name string, opts vrp.Options) (variantBin, erro
 	if err != nil {
 		return variantBin{}, err
 	}
-	r, err := vrp.Analyze(p, opts)
+	r, err := vrp.Analyze(p, cfg.opts)
 	if err != nil {
 		return variantBin{}, fmt.Errorf("harness: ablation vrp %s: %w", name, err)
 	}
 	q := r.Apply()
-	return variantBin{q, binKey{name, store.ProgramIdentity(q)}}, nil
+	return variantBin{q, binKey{name, store.ProgramIdentity(q)}, true}, nil
 }
 
-// ablationRun makes the single live traversal of an ablation binary that
-// no suite variant builds: one emulation whose records feed a record
-// profile (for the width histogram) and, when timed, a one-meter
-// software-gated timing pass — the same fan-out as a suite traversal. Its
-// trace is never captured or stored, and Emulations does not count it;
-// the ablationRuns probe does.
-func (s *Suite) ablationRun(b variantBin, timed bool) (*uarch.Result, vrp.WidthHistogram, error) {
-	ps := &pass{prof: newRecProfile(b.p, false)}
-	if timed {
-		var err error
-		if ps.sim, err = s.newSim(b, []power.GatingMode{power.GateSoftware}); err != nil {
-			return nil, vrp.WidthHistogram{}, err
-		}
+// ablationRun makes the single live traversal of a timed ablation binary
+// the evaluation does not otherwise simulate: one emulation feeding a
+// one-meter software-gated timing pass. Its trace is never captured or
+// stored, and Emulations does not count it; the ablationRuns probe does.
+func (s *Suite) ablationRun(b variantBin) (*uarch.Result, error) {
+	sim, err := s.newSim(b, []power.GatingMode{power.GateSoftware})
+	if err != nil {
+		return nil, err
 	}
 	m := emu.New(b.p)
 	defer m.Release()
-	m.Sink = ps
+	m.Sink = sim
 	s.ablationRuns.Add(1)
 	if err := m.Run(); err != nil {
-		return nil, vrp.WidthHistogram{}, fmt.Errorf("harness: ablation run %v: %w", b.key, err)
+		return nil, fmt.Errorf("harness: ablation run %v: %w", b.key, err)
 	}
-	var g *uarch.Result
-	if timed {
-		g = ps.sim.FinishAll()[0]
-	}
-	return g, ps.prof.widths(), nil
+	return sim.FinishAll()[0], nil
 }

@@ -62,9 +62,9 @@ var (
 // is analysed and applied, simulated by an independent software-gated
 // uarch.Run against an independent ungated baseline, and tallied by a
 // separate live emulation. Averages accumulate in suite order, as the
-// drivers do. oneOff counts the (workload, row) binaries that are none of
-// the workload's base, vrp and vrp-conv binaries, by the oracle's own
-// hashing: the live traversals the suite may make.
+// drivers do. oneOff counts the timed (opcode-row) binaries that are
+// neither the workload's base nor its vrp binary, by the oracle's own
+// hashing: the live timing passes the suite may make.
 func liveAblationCells(t *testing.T, s *Suite) (opcodes, analysis [][]float64, oneOff int64) {
 	t.Helper()
 	names := s.Names()
@@ -74,15 +74,11 @@ func liveAblationCells(t *testing.T, s *Suite) (opcodes, analysis [][]float64, o
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids := map[store.Hash]bool{store.ProgramIdentity(p): true}
-		for _, mode := range []vrp.Mode{vrp.Useful, vrp.Conventional} {
-			r, err := vrp.Analyze(p, vrp.Options{Mode: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids[store.ProgramIdentity(r.Apply())] = true
+		r, err := vrp.Analyze(p, vrp.Options{Mode: vrp.Useful})
+		if err != nil {
+			t.Fatal(err)
 		}
-		suiteIDs[name] = ids
+		suiteIDs[name] = map[store.Hash]bool{store.ProgramIdentity(p): true, store.ProgramIdentity(r.Apply()): true}
 	}
 	build := func(name string, opts vrp.Options) *prog.Program {
 		p, err := s.Program(name, s.evalClass())
@@ -93,11 +89,7 @@ func liveAblationCells(t *testing.T, s *Suite) (opcodes, analysis [][]float64, o
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := r.Apply()
-		if !suiteIDs[name][store.ProgramIdentity(q)] {
-			oneOff++
-		}
-		return q
+		return r.Apply()
 	}
 	for _, opts := range oracleOpcodeRows {
 		var savedSum float64
@@ -112,6 +104,9 @@ func liveAblationCells(t *testing.T, s *Suite) (opcodes, analysis [][]float64, o
 				t.Fatal(err)
 			}
 			q := build(name, opts)
+			if !suiteIDs[name][store.ProgramIdentity(q)] {
+				oneOff++
+			}
 			g, err := uarch.Run(q, s.Uarch, s.Power, power.GateSoftware)
 			if err != nil {
 				t.Fatal(err)
@@ -174,14 +169,15 @@ func reportByID(t *testing.T, reports []*Report, id string) *Report {
 }
 
 // TestAblationsMatchLiveOracle: the ablations resolve each row's binary by
-// identity and serve suite binaries from the suite's caches, yet every
-// cell equals the live, uncached computation, while each binary costs
-// one traversal: one fused pass per simulated binary (the base-ISA row's
-// software meter rides the unmodified binary's pass) and one live
-// traversal per binary no suite variant builds. It runs on the quick
-// evaluation (cached and uncached) and on a synthetic-extended suite,
-// whose generated programs meet different identity coincidences than the
-// kernels.
+// identity, histogram it from the base binary's record profile and serve
+// suite binaries from the suite's caches, yet every cell equals the live,
+// uncached computation, while each timed binary costs one traversal: one
+// fused pass per simulated binary (the base-ISA row's software meter
+// rides the unmodified binary's pass) and one live timing pass per timed
+// binary the evaluation does not otherwise simulate. It runs on the quick
+// evaluation (no store and a cold store) and on a synthetic-extended
+// suite, whose generated programs meet different identity coincidences
+// than the kernels.
 func TestAblationsMatchLiveOracle(t *testing.T) {
 	opcodes, analysis, _ := liveAblationCells(t, NewSuite(true))
 	for i, in := range quickInputs {
@@ -219,16 +215,16 @@ func TestAblationsMatchLiveOracle(t *testing.T) {
 }
 
 // quickAblationTraversals is how many live ablation traversals a quick
-// RunAll makes: the one-off binaries no suite variant builds (8 ideal-ISA,
-// 2 no-branch-refinement and 7 ranges-only). The other 23 of the 40
-// one-off configurations rebuild a base, vrp or vrp-conv binary.
-const quickAblationTraversals = 17
+// RunAll makes: the 8 ideal-ISA binaries, the timed one-offs that are
+// neither a base nor a vrp binary. The base-ISA row rebuilds one of the
+// two on every kernel, and the analysis rows are only histogrammed.
+const quickAblationTraversals = 8
 
-// TestRunAllAblationTraversals is the one-off traversal probe: each
-// ablation binary that no suite variant builds costs exactly one live
-// traversal, feeding its timing pass and width tally together, and none
-// of them is counted by Emulations — a quick evaluation emulates its 26
-// suite binaries cold and none warm.
+// TestRunAllAblationTraversals is the one-off traversal probe: each timed
+// ablation binary the evaluation does not otherwise simulate costs
+// exactly one live timing pass, and none of them is counted by
+// Emulations — a quick evaluation emulates its 18 simulated binaries cold
+// and none warm.
 func TestRunAllAblationTraversals(t *testing.T) {
 	for i, in := range quickInputs {
 		t.Run(in.name, func(t *testing.T) {
@@ -237,10 +233,8 @@ func TestRunAllAblationTraversals(t *testing.T) {
 			if got := s.ablationRuns.Load(); got != quickAblationTraversals {
 				t.Errorf("%d live ablation traversals, want %d", got, quickAblationTraversals)
 			}
-			if in.budget == 0 {
-				if got, distinct := s.Emulations(), distinctBinaries(t, s, paperLabels()...); got != 26 || got != distinct {
-					t.Errorf("%d emulations, want 26, one per distinct suite binary (hashing counts %d)", got, distinct)
-				}
+			if got, distinct := s.Emulations(), distinctBinaries(t, s, simulatedLabels()...); got != 18 || got != distinct {
+				t.Errorf("%d emulations, want 18, one per distinct simulated binary (hashing counts %d)", got, distinct)
 			}
 		})
 	}

@@ -17,9 +17,7 @@ func (s *Suite) Figure2(ctx context.Context) (*Report, error) {
 	pairs, err := mapNames(ctx, s, func(name string) (pair, error) {
 		var pr pair
 		var err error
-		// The evaluation histograms the conventional-VRP binary but
-		// never simulates it.
-		if pr.conv, err = s.histogram(name, "vrp-conv", false); err != nil {
+		if pr.conv, err = s.DynWidthHistogram(name, "vrp-conv"); err != nil {
 			return pr, err
 		}
 		pr.useful, err = s.DynWidthHistogram(name, "vrp")
@@ -156,7 +154,7 @@ func (s *Suite) Figure6(ctx context.Context, threshold float64) (*Report, error)
 		}
 		// Per-static execution counts come from the variant binary's
 		// record profile; no fresh emulation or InsCount run is needed.
-		prof, err := s.records(name, vrsVariant(threshold), true)
+		prof, err := s.records(name, vrsVariant(threshold))
 		if err != nil {
 			return Row{}, err
 		}
@@ -255,7 +253,7 @@ func (s *Suite) Figure12(ctx context.Context) (*Report, error) {
 	// tally rides the base binary's traversal without re-deriving Dest()
 	// per event.
 	sizes, err := mapNames(ctx, s, func(name string) (*[9]int64, error) {
-		prof, err := s.records(name, "base", true)
+		prof, err := s.records(name, "base")
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,14 @@ import (
 // paperLabels is every variant label a quick evaluation resolves: base,
 // vrp, vrp-conv and one vrs<θ> per paper threshold.
 func paperLabels() []string {
-	labels := []string{"base", "vrp", "vrp-conv"}
+	return append(simulatedLabels(), "vrp-conv")
+}
+
+// simulatedLabels are the labels a quick evaluation simulates: base, vrp
+// and one vrs<θ> per paper threshold. vrp-conv is only histogrammed,
+// from the base binary's record profile, so it costs no traversal.
+func simulatedLabels() []string {
+	labels := []string{"base", "vrp"}
 	for _, th := range Thresholds {
 		labels = append(labels, vrsVariant(th))
 	}
@@ -69,27 +76,22 @@ func TestFigureMatricesEmulateOncePerBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Labels touched: base, vrp, and the five VRS thresholds.
-	labels := []string{"base", "vrp"}
-	for _, th := range Thresholds {
-		labels = append(labels, vrsVariant(th))
-	}
-	want := distinctBinaries(t, s, labels...)
+	want := distinctBinaries(t, s, simulatedLabels()...)
 	if got := s.Emulations(); got != want {
 		t.Errorf("Figure 3+8 matrices performed %d emulations, want %d (one per distinct binary)", got, want)
 	}
 
-	// The width histograms of Figure 2 read the cached traces: only the
-	// binaries the vrp-conv label adds cost new emulations.
+	// Figure 2's histograms are the base binaries' record profiles under
+	// the vrp and vrp-conv widths: no new emulation.
 	if _, err := s.Figure2(testCtx); err != nil {
 		t.Fatal(err)
 	}
-	want = distinctBinaries(t, s, append(labels, "vrp-conv")...)
 	if got := s.Emulations(); got != want {
-		t.Errorf("after Figure 2: %d emulations, want %d (only vrp-conv binaries added)", got, want)
+		t.Errorf("after Figure 2: %d emulations, want %d (none added)", got, want)
 	}
 
-	// DynWidthHistogram is memoized and trace-backed: repeated calls add
-	// no emulations at all.
+	// DynWidthHistogram is memoized: repeated calls add no emulations at
+	// all.
 	for _, name := range s.Names() {
 		if _, err := s.DynWidthHistogram(name, "vrp"); err != nil {
 			t.Fatal(err)
@@ -105,13 +107,8 @@ func TestFigureMatricesEmulateOncePerBinary(t *testing.T) {
 
 // TestRunAllOneFusedPassPerBinary: mode groups follow binary roles, so a
 // full evaluation simulates every binary under exactly one group — one
-// fused timing pass per distinct simulated binary. The simulated labels
-// are base, vrp and the VRS thresholds; vrp-conv is only histogrammed.
+// fused timing pass per distinct simulated binary (simulatedLabels).
 func TestRunAllOneFusedPassPerBinary(t *testing.T) {
-	labels := []string{"base", "vrp"}
-	for _, th := range Thresholds {
-		labels = append(labels, vrsVariant(th))
-	}
 	for i, in := range quickInputs {
 		t.Run(in.name, func(t *testing.T) {
 			quickReports(t, i)
@@ -125,7 +122,7 @@ func TestRunAllOneFusedPassPerBinary(t *testing.T) {
 					t.Errorf("%v: %d fused passes, want 1", bin, n)
 				}
 			}
-			if got, want := int64(len(s.families.m)), distinctBinaries(t, s, labels...); got != want {
+			if got, want := int64(len(s.families.m)), distinctBinaries(t, s, simulatedLabels()...); got != want {
 				t.Errorf("%d fused passes, want %d (one per distinct simulated binary)", got, want)
 			}
 		})
@@ -181,32 +178,31 @@ func TestLabelsSharingABinaryShareResults(t *testing.T) {
 }
 
 // TestRunAllOneTraversalPerBinary is the traversal probe: a full
-// evaluation reads each distinct binary's records exactly once, however
-// its consumers (fused timing, width histograms, Table 3, Figures 6 and
-// 12) and its labels spread over it. That holds with no store, with a
-// budget that admits no trace over a filled store, over a cold store and
-// over a warm one,
-// when the experiments run one at a time on one suite, and with
-// generated workloads. The ablations add one live traversal per one-off
-// binary.
+// evaluation reads each distinct simulated binary's records exactly once,
+// however its consumers (fused timing, width histograms, Table 3, Figures
+// 6 and 12) and its labels spread over it, and never traverses a binary
+// it only histograms. That holds with no store, over a cold store and
+// over a warm one, when the experiments run one at a time on one suite,
+// and with generated workloads. The ablations add one live timing pass
+// per timed one-off binary.
 func TestRunAllOneTraversalPerBinary(t *testing.T) {
 	check := func(t *testing.T, s *Suite, emulations int64) {
 		t.Helper()
-		want := distinctBinaries(t, s, paperLabels()...)
+		want := distinctBinaries(t, s, simulatedLabels()...)
 		if got := s.traversals.Load(); got != want {
-			t.Errorf("%d traversals, want %d (one per distinct binary)", got, want)
-		}
-		if emulations < 0 {
-			emulations = want
+			t.Errorf("%d traversals, want %d (one per distinct simulated binary)", got, want)
 		}
 		if got := s.Emulations(); got != emulations {
 			t.Errorf("%d emulations, want %d", got, emulations)
 		}
+		if got, want := s.TrainEmulations(), int64(len(s.Names())); got != want {
+			t.Errorf("%d train emulations, want %d (one per workload)", got, want)
+		}
 	}
 	quick := func(t *testing.T, s *Suite, emulations int64) {
 		t.Helper()
-		if got := distinctBinaries(t, s, paperLabels()...); got != 26 {
-			t.Fatalf("quick suite builds %d distinct binaries, want 26", got)
+		if got := distinctBinaries(t, s, simulatedLabels()...); got != 18 {
+			t.Fatalf("quick suite simulates %d distinct binaries, want 18", got)
 		}
 		check(t, s, emulations)
 		if got := s.ablationRuns.Load(); got != quickAblationTraversals {
@@ -216,12 +212,11 @@ func TestRunAllOneTraversalPerBinary(t *testing.T) {
 	for i, in := range quickInputs {
 		t.Run(in.name, func(t *testing.T) {
 			quickReports(t, i)
-			quick(t, quickRuns[i].suite, 26)
+			quick(t, quickRuns[i].suite, 18)
 		})
 	}
 	t.Run("store", func(t *testing.T) {
 		storeReports(t)
-		quick(t, storeRun.cold, 26)
 		quick(t, storeRun.suite, 0)
 	})
 	t.Run("one-by-one", func(t *testing.T) {
@@ -231,32 +226,33 @@ func TestRunAllOneTraversalPerBinary(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		quick(t, s, 26)
+		quick(t, s, 18)
 	})
 	t.Run("synthetic", func(t *testing.T) {
 		s := synthSuite()
 		if _, err := s.RunAll(testCtx, 50); err != nil {
 			t.Fatal(err)
 		}
-		check(t, s, -1)
+		check(t, s, 24)
 	})
 }
 
-// TestLateDemandCostsACountedTraversal: a binary first reached by a
-// histogram-only request is timed under no mode group, so a later Sim of
-// it is a late demand — one more traversal, and with no store one more
-// live emulation, which Emulations counts like any other.
+// TestLateDemandCostsACountedTraversal: a VRP binary first reached by a
+// software-gated Sim is timed under its role group, which lacks the
+// ungated baseline, so a later Sim of it without gating is a late demand
+// — one more traversal, and with no store one more live emulation, which
+// Emulations counts like any other.
 func TestLateDemandCostsACountedTraversal(t *testing.T) {
 	s := NewSuite(true)
 	const name = "compress"
-	if _, err := s.histogram(name, "vrp-conv", false); err != nil {
+	if _, err := s.Sim(name, "vrp", power.GateSoftware); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Emulations(); got != 1 {
-		t.Fatalf("histogram-only request: %d emulations, want 1", got)
+		t.Fatalf("first Sim: %d emulations, want 1", got)
 	}
-	for _, mode := range []power.GatingMode{power.GateSoftware, power.GateCooperative} {
-		if _, err := s.Sim(name, "vrp-conv", mode); err != nil {
+	for _, mode := range []power.GatingMode{power.GateNone, power.GateCooperative} {
+		if _, err := s.Sim(name, "vrp", mode); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,5 +261,28 @@ func TestLateDemandCostsACountedTraversal(t *testing.T) {
 	}
 	if got := s.Emulations(); got != 2 {
 		t.Errorf("%d emulations, want 2: a late demand's live emulation counts", got)
+	}
+}
+
+// TestWidthOnlyRewritesEmulateOnlyTheBase: on a fresh suite, the
+// conventional-VRP histograms and Table 3 (measured on the proposed-VRP
+// binaries) read the base binaries' record profiles under their own
+// widths, so they emulate the base binaries and nothing else.
+func TestWidthOnlyRewritesEmulateOnlyTheBase(t *testing.T) {
+	s := NewSuite(true)
+	for _, name := range s.Names() {
+		if _, err := s.DynWidthHistogram(name, "vrp-conv"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Table3(testCtx); err != nil {
+		t.Fatal(err)
+	}
+	want := distinctBinaries(t, s, "base")
+	if got := s.Emulations(); got != want {
+		t.Errorf("%d emulations, want %d (the base binaries only)", got, want)
+	}
+	if got := s.traversals.Load(); got != want {
+		t.Errorf("%d traversals, want %d (the base binaries only)", got, want)
 	}
 }

@@ -17,17 +17,15 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden report files")
 
 // quickInputs are the suites the goldens are rendered from: the default
-// suite with no store, and one whose one-byte TraceBudget admits no trace,
-// run over a store a cold RunAll filled. The budget bounds only what the
-// store gives and keeps, so that suite skips every stored trace, stores
-// none of its captures and emulates each binary once, live, like the
-// default one: the pair pins that the budget never reaches a report byte.
-// storeReports adds the third input, the warm read of the same store.
+// suite with no store, and the cold RunAll that fills a store ("uncached":
+// it starts with no stored trace), whose live traversals capture every
+// trace on the side and write it back. Both emulate each simulated binary
+// once. storeReports adds the third input, the warm read of the same
+// store.
 var quickInputs = [...]struct {
-	name   string
-	budget int64
-	store  bool
-}{{"cached", 0, false}, {"uncached", 1, true}}
+	name  string
+	store bool
+}{{"cached", false}, {"uncached", true}}
 
 // quickRuns builds the full quick-mode report sequence (every table,
 // figure and ablation at the default threshold) exactly once per input
@@ -45,12 +43,11 @@ func quickReports(t *testing.T, input int) []*Report {
 	t.Helper()
 	in := quickInputs[input]
 	if in.store {
-		storeReports(t) // runs every store-reading input
+		storeReports(t) // runs every store-filling input
 	}
 	run := &quickRuns[input]
 	run.once.Do(func() {
 		s := NewSuite(true)
-		s.TraceBudget = in.budget
 		run.suite = s
 		run.reports, run.err = s.RunAll(context.Background(), 50)
 		run.emulations = s.Emulations()
@@ -61,37 +58,32 @@ func quickReports(t *testing.T, input int) []*Report {
 	return run.reports
 }
 
-// storeRun fills a store with a cold quick RunAll (the cold suite is kept
-// for the traversal probe), runs every quick input that reads a store
-// over it, then the third quick input: a warm RunAll whose every report
-// byte comes back through the streamed store reader (store.ReadTrace)
-// rather than a live emulation. The store lives in the first caller's
-// temporary directory, removed when that test ends, so all of them run
-// together. No reader deletes a sound object, so each sees the cold
-// run's objects.
+// storeRun fills a store with a cold quick RunAll — the store-filling
+// quick input — then runs the third quick input: a warm RunAll whose
+// every report byte comes back through the streamed store reader
+// (store.ReadTrace) rather than a live emulation. The store lives in the
+// first caller's temporary directory, removed when that test ends, so all
+// of them run together.
 var storeRun struct {
-	once        sync.Once
-	cold, suite *Suite
-	reports     []*Report
-	err         error
+	once    sync.Once
+	suite   *Suite
+	reports []*Report
+	err     error
 }
 
 func storeReports(t *testing.T) []*Report {
 	t.Helper()
 	storeRun.once.Do(func() {
 		dir := t.TempDir()
-		run := func(budget int64) (*Suite, []*Report, error) {
+		run := func() (*Suite, []*Report, error) {
 			st, err := store.Open(dir, 0)
 			if err != nil {
 				return nil, nil, err
 			}
 			s := NewSuite(true)
-			s.Store, s.TraceBudget = st, budget
+			s.Store = st
 			reports, err := s.RunAll(context.Background(), 50)
 			return s, reports, err
-		}
-		if storeRun.cold, _, storeRun.err = run(0); storeRun.err != nil {
-			return
 		}
 		for i, in := range quickInputs {
 			if !in.store {
@@ -99,13 +91,16 @@ func storeReports(t *testing.T) []*Report {
 			}
 			q := &quickRuns[i]
 			q.once.Do(func() {
-				q.suite, q.reports, q.err = run(in.budget)
+				q.suite, q.reports, q.err = run()
 				if q.suite != nil {
 					q.emulations = q.suite.Emulations()
 				}
 			})
+			if storeRun.err = q.err; storeRun.err != nil {
+				return
+			}
 		}
-		storeRun.suite, storeRun.reports, storeRun.err = run(0)
+		storeRun.suite, storeRun.reports, storeRun.err = run()
 	})
 	if storeRun.err != nil {
 		t.Fatal(storeRun.err)
@@ -116,8 +111,8 @@ func storeReports(t *testing.T) []*Report {
 // forEachQuickInput runs check as a subtest over every quick input's
 // reports — the two live suites and the warm store — then holds each
 // input that ran to the emulation contract: the live suites emulate each
-// distinct binary exactly once, the one over a store writing none of its
-// captures back, and the warm store emulates nothing.
+// distinct simulated binary exactly once (18), the cold store storing
+// every capture, and the warm store emulates nothing.
 func forEachQuickInput(t *testing.T, check func(t *testing.T, reports []*Report)) {
 	for i, in := range quickInputs {
 		t.Run(in.name, func(t *testing.T) { check(t, quickReports(t, i)) })
@@ -128,12 +123,12 @@ func forEachQuickInput(t *testing.T, check func(t *testing.T, reports []*Report)
 		if run.reports == nil {
 			continue
 		}
-		if want := distinctBinaries(t, run.suite, paperLabels()...); run.emulations != want {
-			t.Errorf("%s suite performed %d emulations, want %d (one per distinct binary)", in.name, run.emulations, want)
+		if want := distinctBinaries(t, run.suite, simulatedLabels()...); run.emulations != want || want != 18 {
+			t.Errorf("%s suite performed %d emulations, want %d, one per distinct simulated binary (18)", in.name, run.emulations, want)
 		}
 		if st := run.suite.Store; st != nil {
-			if s := st.Stats(); s.Puts != 0 || s.Rejects != 0 {
-				t.Errorf("%s suite stored %d over-budget captures and rejected %d objects, want 0 and 0", in.name, s.Puts, s.Rejects)
+			if s := st.Stats(); s.Puts != run.emulations || s.Rejects != 0 {
+				t.Errorf("%s suite stored %d traces and rejected %d objects, want %d and 0", in.name, s.Puts, s.Rejects, run.emulations)
 			}
 		}
 	}

@@ -70,32 +70,6 @@ func TestStoreWarmRunIsEmulationFree(t *testing.T) {
 	}
 }
 
-// TestStoreHitHonoursTraceBudget: a stored trace larger than this suite's
-// TraceBudget must be skipped like an over-budget capture, not cached.
-func TestStoreHitHonoursTraceBudget(t *testing.T) {
-	dir := t.TempDir()
-	_, coldOut := runAllWithStore(t, storeSuite(t, dir))
-
-	warm := NewSuite(true)
-	warm.Synthetics = []string{"syn:narrow/small/1"}
-	warm.Store = storeSuite(t, dir)
-	warm.TraceBudget = 1024 // far below any suite trace
-	reports, err := warm.RunAll(context.Background(), 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := (TextRenderer{}).Render(&buf, reports); err != nil {
-		t.Fatal(err)
-	}
-	if warm.Emulations() == 0 {
-		t.Fatal("tiny TraceBudget still served multi-MB traces from the store")
-	}
-	if !bytes.Equal(coldOut, buf.Bytes()) {
-		t.Fatal("budget-constrained run drifted from the cold report")
-	}
-}
-
 // TestStoreDamageFallsBackToEmulation: damaging stored objects between
 // runs must cost only re-emulation, never correctness — the reports stay
 // byte-identical.

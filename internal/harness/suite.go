@@ -16,21 +16,18 @@
 // Simulation follows "one traversal per binary". A variant label
 // ("base", "vrp", "vrp-conv", "vrs<θ>") only says how to build a program;
 // traversals, simulations and record profiles are keyed by the workload
-// and the built binary's identity (store.ProgramIdentity). Labels that
-// build the same binary — VRS emits the VRP binary whenever it selects no
-// region — share everything below. Each distinct binary's retirement
-// records are read exactly once, by one live emulation or one streamed
-// store read, and fanned out to every consumer the evaluation needs: a
-// record profile (per-static retirement counts, from which every width
-// histogram, Table 3 and Figure 6 are integer sums, plus Figure 12's
-// value-size tally on the base binary) and one fused timing pass
-// (uarch.NewMulti with a meter bank). The request that reaches a binary
-// first decides which modes that pass accrues: the requested mode's
-// group (modeGroups) for a Sim call, the binary's role group for a record
-// request whose label the evaluation also simulates, none for a
-// histogram-only one. A full evaluation thus costs one traversal and at
-// most one fused pass per binary. No trace is kept in memory: a demand
-// for a mode the first traversal did not time costs one more traversal.
+// and the built binary's identity (store.ProgramIdentity), so labels that
+// build one binary share everything below. A binary's retirement records
+// are read once, by one live emulation or one streamed store read, and
+// fanned out to its record profile (per-static retirement counts, from
+// which every width histogram, Table 3 and Figure 6 are integer sums,
+// plus Figure 12's value sizes on the base binary) and one fused timing
+// pass of the mode group the first request asks for (modeGroups). A
+// width-only rewrite (vrp.Result.Apply: "vrp", "vrp-conv", the ablations'
+// one-off configurations) retires its base binary's path, so its record
+// profile is the base binary's counts over its own widths, and only
+// timing it costs a traversal. No trace is kept in memory: a demand for
+// a mode the first traversal did not time costs one more traversal.
 //
 // With a Store attached, a binary's trace is looked up on disk
 // (content-addressed by workload, input class and the binary's identity
@@ -87,16 +84,9 @@ type Suite struct {
 	// Store, when non-nil, persists packed traces across processes: a
 	// binary's traversal streams its stored trace instead of emulating,
 	// and a live traversal writes its capture back, so a warm run
-	// re-emulates nothing (cmd/ogbench -store, cmd/opgated).
+	// re-emulates nothing (cmd/ogbench -store, cmd/opgated). A capture
+	// over emu.DefaultTraceBudget is not stored; that binary stays live.
 	Store *store.Store
-
-	// TraceBudget caps the packed-trace bytes (emu.TraceBytes) of one
-	// binary that the suite writes to or reads from the Store; <= 0 means
-	// emu.DefaultTraceBudget. An over-budget capture is not stored and an
-	// over-budget stored trace is not read, so that binary is emulated
-	// live. Without a store the budget has no effect: no trace is kept,
-	// and correctness never depends on one.
-	TraceBudget int64
 
 	Uarch uarch.Config
 	Power power.Params
@@ -148,10 +138,13 @@ type binKey struct {
 
 func (k binKey) String() string { return fmt.Sprintf("%s@%.12s", k.name, k.id) }
 
-// variantBin is a resolved variant: the program and the key it is cached by.
+// variantBin is a resolved variant: the program, the key it is cached by,
+// and whether it is a width-only rewrite of the evaluation binary
+// (vrp.Result.Apply), whose record profile is the base binary's (records).
 type variantBin struct {
-	p   *prog.Program
-	key binKey
+	p         *prog.Program
+	key       binKey
+	widthOnly bool
 }
 
 type groupKey struct {
@@ -277,36 +270,36 @@ func (s *Suite) VRS(name string, threshold float64) (*vrs.Result, error) {
 // together with its identity — computed once per label, here.
 func (s *Suite) variantBinary(name, variant string) (variantBin, error) {
 	return s.variants.do(variantKey{name, variant}, func() (variantBin, error) {
-		p, err := s.buildVariant(name, variant)
+		p, widthOnly, err := s.buildVariant(name, variant)
 		if err != nil {
 			return variantBin{}, err
 		}
-		return variantBin{p, binKey{name, store.ProgramIdentity(p)}}, nil
+		return variantBin{p, binKey{name, store.ProgramIdentity(p)}, widthOnly}, nil
 	})
 }
 
-// buildVariant builds a named program variant (variantBinary's miss path).
-func (s *Suite) buildVariant(name, variant string) (*prog.Program, error) {
+// buildVariant builds a named program variant (variantBinary's miss path)
+// and says whether it is a width-only rewrite of the evaluation binary.
+func (s *Suite) buildVariant(name, variant string) (*prog.Program, bool, error) {
 	if workload.IsTrace(name) && variant != "base" {
 		// Every non-base variant is a re-optimized rebuild; a trace
 		// workload's only binary is its skeleton.
-		return nil, traceOnlyErr(name, "variant "+variant)
+		return nil, false, traceOnlyErr(name, "variant "+variant)
 	}
 	switch variant {
 	case "base":
-		return s.Program(name, s.evalClass())
-	case "vrp":
-		r, err := s.VRP(name, vrp.Useful)
-		if err != nil {
-			return nil, err
+		p, err := s.Program(name, s.evalClass())
+		return p, false, err
+	case "vrp", "vrp-conv":
+		mode := vrp.Useful
+		if variant == "vrp-conv" {
+			mode = vrp.Conventional
 		}
-		return r.Apply(), nil
-	case "vrp-conv":
-		r, err := s.VRP(name, vrp.Conventional)
+		r, err := s.VRP(name, mode)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return r.Apply(), nil
+		return r.Apply(), true, nil
 	default: // "vrs<threshold>"
 		// Parse the whole suffix and insist on the canonical spelling
 		// (vrsVariant(th) == variant): Sscanf-style prefix matching
@@ -315,38 +308,32 @@ func (s *Suite) buildVariant(name, variant string) (*prog.Program, error) {
 		// second label.
 		suffix, ok := strings.CutPrefix(variant, "vrs")
 		if !ok {
-			return nil, fmt.Errorf("harness: unknown variant %q", variant)
+			return nil, false, fmt.Errorf("harness: unknown variant %q", variant)
 		}
 		th, err := strconv.ParseFloat(suffix, 64)
 		if err != nil || !(th > 0) || vrsVariant(th) != variant {
-			return nil, fmt.Errorf("harness: unknown variant %q", variant)
+			return nil, false, fmt.Errorf("harness: unknown variant %q", variant)
 		}
 		r, err := s.VRS(name, th)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return r.Apply(), nil
+		return r.Apply(), false, nil
 	}
 }
 
 // modeGroups are the mode sets one fused timing pass accrues, one per
-// role of the binary the evaluation runs them on, as the paper does: the
-// ungated baseline and the two hardware compression schemes (Figures
-// 13/14) run on the unmodified binary, while software gating and the two
-// cooperative schemes (Figures 3, 8–12, 15) run on the VRP/VRS binaries.
-// A binary's role is its key, not its label: a binary whose key equals
-// the workload's "base" key has the base role, whichever label or
-// ablation configuration asks (roleGroup). The base group holds every
-// mode: the opcode ablation's base-ISA row gates the unmodified binary in
-// software (§4.3: without ALU widths VRP narrows nothing, so that binary
-// is usually the workload's own), and with the cooperative pair on top,
-// no sequence of Sim calls on the unmodified binary needs a second
-// traversal. A binary is read under the group of whichever request
-// reaches it first (Sim, records), and that group serves every mode it
-// holds. Each binary a full evaluation simulates is thus read under one
-// group only, and one fused timing pass on its one traversal serves
-// every mode it is asked for. The price is that a run reading a single
-// mode — Figure 3 alone — accrues meters it never reads.
+// binary role, as the paper runs them: the ungated baseline and the
+// hardware schemes (Figures 13/14) on the unmodified binary, software
+// gating and the cooperative schemes (Figures 3, 8–12, 15) on the VRP/VRS
+// binaries. A role is a key, not a label (roleGroup). The base group
+// holds every mode: the opcode ablation's base-ISA row gates the
+// unmodified binary in software (§4.3: without ALU widths VRP narrows
+// nothing, so that binary is usually the workload's own), and with the
+// cooperative pair on top no sequence of Sim calls on it needs a second
+// traversal. So each binary a full evaluation simulates is timed in one
+// fused pass; a run reading a single mode, Figure 3 alone, accrues meters
+// it never reads.
 var modeGroups = [...][]power.GatingMode{
 	{power.GateNone, power.GateHWSize, power.GateHWSignificance, power.GateSoftware,
 		power.GateCooperative, power.GateCooperativeSig},
@@ -376,13 +363,12 @@ func modeGroup(mode power.GatingMode, base bool) (int, int) {
 }
 
 // Emulations returns how many live emulations of suite binaries the suite
-// has run: every traversal no store served, whether it is a binary's
-// first traversal or a late demand's (Sim). A full evaluation emulates
-// each distinct binary (workload, identity) once, however many variant
-// labels build it; tests assert that contract against this probe. Two kinds of live emulation are not
-// counted: the train profiling runs inside VRS construction (see
-// TrainEmulations), and the single live traversal of each ablation binary
-// that no suite variant builds (ablationRun).
+// has run: every traversal no store served, first or late (Sim). A full
+// evaluation emulates each distinct simulated binary (workload, identity)
+// once, however many labels build it; tests assert that contract against
+// this probe. Not counted: the train profiling runs inside VRS
+// construction (TrainEmulations) and the ablations' live timing passes
+// (ablationRun).
 func (s *Suite) Emulations() int64 { return s.emuRuns.Load() }
 
 // TrainEmulations returns how many VRS train profiling emulations the
@@ -391,18 +377,11 @@ func (s *Suite) Emulations() int64 { return s.emuRuns.Load() }
 // sweep leaves this at exactly len(Names()): the profile-reuse probe.
 func (s *Suite) TrainEmulations() int64 { return s.trainRuns.Load() }
 
-// resolve returns a variant's binary and whether it is the workload's
-// unmodified binary — its role, by key, whichever label built it.
-func (s *Suite) resolve(name, variant string) (variantBin, bool, error) {
-	b, err := s.variantBinary(name, variant)
-	if err != nil {
-		return variantBin{}, false, err
-	}
-	base, err := s.variantBinary(name, "base")
-	if err != nil {
-		return variantBin{}, false, err
-	}
-	return b, b.key == base.key, nil
+// isBase reports whether b is its workload's unmodified binary — its
+// role, by key, whichever label or ablation configuration built it.
+func (s *Suite) isBase(b variantBin) (bool, error) {
+	base, err := s.variantBinary(b.key.name, "base")
+	return err == nil && b.key == base.key, err
 }
 
 // Sim returns (cached) the timing+energy simulation of a program variant
@@ -413,7 +392,11 @@ func (s *Suite) resolve(name, variant string) (variantBin, bool, error) {
 // lacks arrives late and costs one more traversal, timing the mode's
 // group.
 func (s *Suite) Sim(name, variant string, mode power.GatingMode) (*uarch.Result, error) {
-	b, isBase, err := s.resolve(name, variant)
+	b, err := s.variantBinary(name, variant)
+	if err != nil {
+		return nil, err
+	}
+	isBase, err := s.isBase(b)
 	if err != nil {
 		return nil, err
 	}
@@ -425,10 +408,8 @@ func (s *Suite) Sim(name, variant string, mode power.GatingMode) (*uarch.Result,
 	if err != nil {
 		return nil, err
 	}
-	if first.group >= 0 {
-		if i := slices.Index(modeGroups[first.group], mode); i >= 0 {
-			gi, mi = first.group, i
-		}
+	if i := slices.Index(modeGroups[first.group], mode); i >= 0 {
+		gi, mi = first.group, i
 	}
 	rs, err := s.families.do(groupKey{b.key, gi}, func() ([]*uarch.Result, error) {
 		if gi == first.group {
@@ -443,27 +424,38 @@ func (s *Suite) Sim(name, variant string, mode power.GatingMode) (*uarch.Result,
 }
 
 // records returns (cached) the record profile of a program variant's
-// binary. If this call makes the binary's first traversal, timed says
-// whether the caller's evaluation also simulates the label: the
-// traversal then times the binary's role group alongside. The base
-// binary's group is timed either way, since every evaluation reads its
-// baseline; an untimed traversal of any other binary times nothing.
-func (s *Suite) records(name, variant string, timed bool) (*recProfile, error) {
-	b, isBase, err := s.resolve(name, variant)
+// binary.
+func (s *Suite) records(name, variant string) (*recProfile, error) {
+	b, err := s.variantBinary(name, variant)
 	if err != nil {
 		return nil, err
 	}
-	group := -1
-	if timed || isBase {
-		group = roleGroup(isBase)
+	return s.binRecords(b)
+}
+
+// binRecords returns (cached) the record profile of b. A width-only
+// rewrite retires its base binary's exact path (difftest.CheckRewrites),
+// so its profile is the base binary's counts over its own widths and
+// costs it no traversal. Any other binary's first traversal times its
+// role group alongside.
+func (s *Suite) binRecords(b variantBin) (*recProfile, error) {
+	isBase, err := s.isBase(b)
+	if err != nil {
+		return nil, err
 	}
-	first, err := s.firstPass(b, isBase, group)
+	if b.widthOnly && !isBase {
+		base, err := s.records(b.key.name, "base")
+		if err != nil {
+			return nil, err
+		}
+		return &recProfile{p: b.p, counts: base.counts}, nil
+	}
+	first, err := s.firstPass(b, isBase, roleGroup(isBase))
 	return first.prof, err
 }
 
 // traversal is what a binary's first traversal leaves behind: its record
-// profile and the results of the mode group timed alongside (group -1:
-// none).
+// profile and the results of the mode group timed alongside.
 type traversal struct {
 	prof  *recProfile
 	group int
@@ -481,21 +473,23 @@ func (s *Suite) firstPass(b variantBin, isBase bool, group int) (traversal, erro
 	})
 }
 
-// walk makes one traversal of b feeding prof (when non-nil) and, for
-// group >= 0, a fused timing pass of that mode group, whose results it
-// returns.
+// walk makes one traversal of b feeding prof (when non-nil) and a fused
+// timing pass of a mode group, whose results it returns.
 func (s *Suite) walk(b variantBin, prof *recProfile, group int) ([]*uarch.Result, error) {
-	ps := &pass{prof: prof}
-	if group >= 0 {
-		var err error
-		if ps.sim, err = s.newSim(b, modeGroups[group]); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.traverse(b, ps); err != nil || ps.sim == nil {
+	sim, err := s.newSim(b, modeGroups[group])
+	if err != nil {
 		return nil, err
 	}
-	return ps.sim.FinishAll(), nil
+	err = s.traverse(b, emu.RecFunc(func(rb emu.RecBatch) {
+		if prof != nil {
+			prof.ConsumeRecs(rb)
+		}
+		sim.ConsumeRecs(rb)
+	}))
+	if err != nil {
+		return nil, err
+	}
+	return sim.FinishAll(), nil
 }
 
 // newSim starts a fused timing pass of b accruing every mode of modes.
@@ -505,24 +499,6 @@ func (s *Suite) newSim(b variantBin, modes []power.GatingMode) (*uarch.Sim, erro
 		return nil, fmt.Errorf("harness: sim %v/%v: %w", b.key, modes, err)
 	}
 	return sim, nil
-}
-
-// pass is the fan-out sink of one traversal: every record batch feeds the
-// record profile (first traversals and ablation runs) and the fused timing
-// pass (when a mode group is demanded).
-type pass struct {
-	prof *recProfile
-	sim  *uarch.Sim
-}
-
-// ConsumeRecs implements emu.Sink.
-func (ps *pass) ConsumeRecs(b emu.RecBatch) {
-	if ps.prof != nil {
-		ps.prof.ConsumeRecs(b)
-	}
-	if ps.sim != nil {
-		ps.sim.ConsumeRecs(b)
-	}
 }
 
 // recProfile is what the evaluation reads of a binary's records besides
@@ -589,24 +565,13 @@ func (s *Suite) traceKey(b variantBin) store.Key {
 // live emulation. With a store attached, a recorder rides the live pass
 // and the capture is written back; no trace outlives the call. Imported
 // trace workloads have no live form, so for them a store miss is an
-// error, and the budget does not apply — replaying the imported records
-// is the workload's only way to run.
+// error.
 func (s *Suite) traverse(b variantBin, sink emu.Sink) error {
 	s.traversals.Add(1)
-	imported := workload.IsTrace(b.key.name)
-	if s.Store != nil {
-		budget := s.TraceBudget
-		switch {
-		case imported:
-			budget = 0
-		case budget <= 0:
-			budget = emu.DefaultTraceBudget
-		}
-		if s.Store.ReadTrace(s.traceKey(b), b.p, b.key.id, budget, sink) {
-			return nil
-		}
+	if s.Store != nil && s.Store.ReadTrace(s.traceKey(b), b.p, b.key.id, sink) {
+		return nil
 	}
-	if imported {
+	if workload.IsTrace(b.key.name) {
 		// The skeleton resolved but its blob is gone (eviction,
 		// corruption): same remedy as never imported.
 		return &tracework.NotImportedError{Name: b.key.name, Class: s.evalClass().String()}
@@ -618,7 +583,6 @@ func (s *Suite) traverse(b variantBin, sink emu.Sink) error {
 	var rec *emu.TraceRecorder
 	if s.Store != nil {
 		rec = emu.NewTraceRecorder(b.p)
-		rec.SetBudget(s.TraceBudget)
 		rec.SetRider(sink)
 		m.Sink = rec
 	}
@@ -678,17 +642,11 @@ func (s *Suite) ED2Saving(name, variant string, mode power.GatingMode) (float64,
 }
 
 // DynWidthHistogram returns the dynamic width histogram of a program
-// variant, summed from its binary's record profile. Like any request for
-// a label the evaluation simulates, a call that reaches the binary first
-// times its role group alongside (records).
+// variant, summed from its binary's record profile (records): a
+// width-only rewrite's costs no traversal of its own, and any other
+// binary's first traversal times its role group alongside.
 func (s *Suite) DynWidthHistogram(name, variant string) (vrp.WidthHistogram, error) {
-	return s.histogram(name, variant, true)
-}
-
-// histogram is DynWidthHistogram for a caller that states whether its
-// evaluation also simulates the label (records).
-func (s *Suite) histogram(name, variant string, timed bool) (vrp.WidthHistogram, error) {
-	r, err := s.records(name, variant, timed)
+	r, err := s.records(name, variant)
 	if err != nil {
 		return vrp.WidthHistogram{}, err
 	}

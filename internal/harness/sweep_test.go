@@ -14,21 +14,20 @@ var sweepGrid = []float64{110, 90, 70, 50, 30}
 // TestSweepMatchesPerThresholdRuns is the sweep equivalence probe: every
 // cell of Suite.Sweep must be bit-identical (canonical encoding and all)
 // to a plain RunExperiment at that threshold — both with no store and
-// over a shared store at a one-byte TraceBudget that admits no trace, so
-// no capture is ever written back. The sweep changes how the grid is
+// over a store the two suites share, cold when the sweep starts
+// ("uncached"): the sweep captures every binary it traverses, and the
+// plain runs then read them all back. The sweep changes how the grid is
 // computed, never what it contains.
 func TestSweepMatchesPerThresholdRuns(t *testing.T) {
 	for _, mode := range []struct {
-		name   string
-		budget int64
-	}{{"fused", 0}, {"uncached", 1}} {
+		name  string
+		store bool
+	}{{"fused", false}, {"uncached", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			swept := NewSuite(true)
-			swept.TraceBudget = mode.budget
 			plain := NewSuite(true)
-			plain.TraceBudget = mode.budget
 			var st *store.Store
-			if mode.budget > 0 {
+			if mode.store {
 				var err error
 				if st, err = store.Open(t.TempDir(), 0); err != nil {
 					t.Fatal(err)
@@ -64,8 +63,11 @@ func TestSweepMatchesPerThresholdRuns(t *testing.T) {
 				}
 			}
 			if st != nil {
-				if got := st.Stats(); got.Puts != 0 || got.Hits != 0 {
-					t.Errorf("over-budget suites stored %d traces and read %d, want none", got.Puts, got.Hits)
+				if got := st.Stats(); got.Puts != swept.Emulations() || got.Rejects != 0 {
+					t.Errorf("the sweep stored %d traces of its %d emulations, with %d rejects", got.Puts, swept.Emulations(), got.Rejects)
+				}
+				if n := plain.Emulations(); n != 0 {
+					t.Errorf("plain runs over the sweep's store performed %d emulations, want 0", n)
 				}
 			}
 		})

@@ -70,7 +70,7 @@ func (s *Suite) Table3(ctx context.Context) (*Report, error) {
 		total      int64
 	}
 	tallies, err := mapNames(ctx, s, func(name string) (*tally, error) {
-		prof, err := s.records(name, "vrp", true)
+		prof, err := s.records(name, "vrp")
 		if err != nil {
 			return nil, err
 		}

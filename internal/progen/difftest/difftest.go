@@ -4,7 +4,9 @@
 //   - batched Run, per-Step execution and Trace.Replay deliver the same
 //     retirement stream and the same architectural outcome;
 //   - a fused uarch.RunModes pass is bit-identical to independent
-//     per-mode uarch.Run calls.
+//     per-mode uarch.Run calls;
+//   - a width-only VRP rewrite (vrp.Result.Apply) retires its base
+//     binary's exact path.
 //
 // The eight hand-built kernels exercise these invariants on 16 fixed
 // (workload, input) points; driven by progen seeds, difftest turns them
@@ -18,10 +20,12 @@ import (
 	"fmt"
 
 	"opgate/internal/emu"
+	"opgate/internal/isa"
 	"opgate/internal/power"
 	"opgate/internal/prog"
 	"opgate/internal/progen"
 	"opgate/internal/uarch"
+	"opgate/internal/vrp"
 )
 
 // outcome is the observable result of one execution: the flattened
@@ -172,6 +176,96 @@ func CheckExec(p *prog.Program) error {
 	return nil
 }
 
+// rewriteConfigs are the VRP configurations whose rewrites the
+// evaluation reads: both modes and the five ablation configurations.
+var rewriteConfigs = []struct {
+	name string
+	opts vrp.Options
+}{
+	{"useful", vrp.Options{Mode: vrp.Useful}},
+	{"conventional", vrp.Options{Mode: vrp.Conventional}},
+	{"no-loop", vrp.Options{Mode: vrp.Useful, DisableLoopAnalysis: true}},
+	{"no-branch", vrp.Options{Mode: vrp.Useful, DisableBranchRefinement: true}},
+	{"ranges-only", vrp.Options{Mode: vrp.Conventional, DisableLoopAnalysis: true, DisableBranchRefinement: true}},
+	{"base-opcodes", vrp.Options{Mode: vrp.Useful, Opcodes: isa.BaseOpcodeSet()}},
+	{"full-opcodes", vrp.Options{Mode: vrp.Useful, Opcodes: isa.FullOpcodeSet()}},
+}
+
+// CheckRewrites asserts the path premise the harness histograms
+// width-only rewrites by: under every rewrite configuration, the binary
+// vrp.Result.Apply builds retires p's exact path (every record matches
+// p's in Idx, Next, Op, Flags and Addr) and produces p's output. In
+// conventional mode, which narrows no demanded bit, Value, SrcA and SrcB
+// match too, so only WBytes differs.
+func CheckRewrites(p *prog.Program) error {
+	base, err := runLive(p, false)
+	if err != nil {
+		return err
+	}
+	for _, rc := range rewriteConfigs {
+		r, err := vrp.Analyze(p, rc.opts)
+		if err == nil {
+			c := &pathCheck{base: base, values: rc.opts.Mode == vrp.Conventional}
+			err = c.run(r.Apply())
+		}
+		if err != nil {
+			return fmt.Errorf("%s rewrite: %w", rc.name, err)
+		}
+	}
+	return nil
+}
+
+// pathCheck compares a rewrite's records against its base binary's as
+// they retire, ignoring WBytes and, unless values is set, the value
+// columns. It keeps the first difference.
+type pathCheck struct {
+	base   *outcome
+	values bool
+	n      int
+	err    error
+}
+
+// run executes the rewrite q against the base outcome.
+func (c *pathCheck) run(q *prog.Program) error {
+	m := emu.New(q)
+	defer m.Release()
+	m.Sink = c
+	err := m.Run()
+	switch {
+	case c.err != nil:
+		return c.err
+	case err != nil:
+		return err
+	case c.n != len(c.base.recs):
+		return fmt.Errorf("rewrite retired %d records, base %d", c.n, len(c.base.recs))
+	case !bytes.Equal(m.Output, c.base.output):
+		return fmt.Errorf("output streams differ")
+	}
+	return nil
+}
+
+// ConsumeRecs implements emu.Sink.
+func (c *pathCheck) ConsumeRecs(b emu.RecBatch) {
+	for i := range b.Idx {
+		if c.err != nil {
+			return
+		}
+		if c.n == len(c.base.recs) {
+			c.err = fmt.Errorf("rewrite retires more than the base's %d records", c.n)
+			return
+		}
+		want := c.base.recs[c.n]
+		got := rec{b.Idx[i], b.Next[i], b.Op[i], want.wbytes, b.Flags[i], b.Addr[i], want.value, want.srcA, want.srcB}
+		if c.values {
+			got.value, got.srcA, got.srcB = b.Value[i], b.SrcA[i], b.SrcB[i]
+		}
+		if got != want {
+			c.err = fmt.Errorf("record %d differs: base %+v, rewrite %+v", c.n, want, got)
+		}
+		c.n++
+	}
+}
+
 // sameResult requires bit-identical timing and accounting between a fused
 // and a solo simulation result.
 func sameResult(fused, solo *uarch.Result, mode power.GatingMode) error {
@@ -216,49 +310,46 @@ func CheckFusedModes(p *prog.Program) error {
 	return nil
 }
 
+// checkBoth asserts CheckExec and CheckRewrites on the train and ref
+// programs gen builds.
+func checkBoth(label string, gen func(ref bool) (*prog.Program, error)) error {
+	for _, ref := range []bool{false, true} {
+		p, err := gen(ref)
+		if err != nil {
+			return err
+		}
+		if err = CheckExec(p); err == nil {
+			err = CheckRewrites(p)
+		}
+		if err != nil {
+			return fmt.Errorf("%s ref=%v: %w", label, ref, err)
+		}
+	}
+	return nil
+}
+
 // Check generates the (family, seed, class) train and ref programs and
-// asserts the execution-equivalence invariant on both.
+// asserts the execution-equivalence invariant and the rewrite path
+// premise on both.
 func Check(f progen.Family, seed uint64, c progen.Class) error {
-	for _, ref := range []bool{false, true} {
-		p, err := progen.Generate(f, seed, c, ref)
-		if err != nil {
-			return err
-		}
-		if err := CheckExec(p); err != nil {
-			return fmt.Errorf("%s/%s/%d ref=%v: %w", f, c, seed, ref, err)
-		}
-	}
-	return nil
+	return checkBoth(fmt.Sprintf("%s/%s/%d", f, c, seed), func(ref bool) (*prog.Program, error) {
+		return progen.Generate(f, seed, c, ref)
+	})
 }
 
-// CheckPhased generates the phase-structured composite's train and ref
-// programs and asserts the execution-equivalence invariant on both —
-// the same property Check asserts, over the non-stationary program
-// space.
+// CheckPhased asserts what Check does on the phase-structured
+// composite's train and ref programs: the non-stationary program space.
 func CheckPhased(families []progen.Family, seed uint64, c progen.Class) error {
-	for _, ref := range []bool{false, true} {
+	return checkBoth(fmt.Sprintf("phase/%s/%s/%d", progen.PhaseLabel(families), c, seed), func(ref bool) (*prog.Program, error) {
 		p, _, err := progen.GeneratePhased(families, seed, c, ref)
-		if err != nil {
-			return err
-		}
-		if err := CheckExec(p); err != nil {
-			return fmt.Errorf("phase/%s/%s/%d ref=%v: %w", progen.PhaseLabel(families), c, seed, ref, err)
-		}
-	}
-	return nil
+		return p, err
+	})
 }
 
-// CheckFlip generates the width-flip program's train and ref variants
-// and asserts the execution-equivalence invariant on both.
+// CheckFlip asserts what Check does on the width-flip program's train
+// and ref variants.
 func CheckFlip(period int, seed uint64, c progen.Class) error {
-	for _, ref := range []bool{false, true} {
-		p, err := progen.GenerateFlip(period, seed, c, ref)
-		if err != nil {
-			return err
-		}
-		if err := CheckExec(p); err != nil {
-			return fmt.Errorf("flip/%d/%s/%d ref=%v: %w", period, c, seed, ref, err)
-		}
-	}
-	return nil
+	return checkBoth(fmt.Sprintf("flip/%d/%s/%d", period, c, seed), func(ref bool) (*prog.Program, error) {
+		return progen.GenerateFlip(period, seed, c, ref)
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"opgate/internal/progen"
+	"opgate/internal/workload"
 )
 
 // seedsPerFamily × NumFamilies is the CI differential sweep size; the
@@ -80,6 +81,23 @@ func TestDifferentialPhasedSweep(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestKernelRewritesKeepBasePath: the rewrite path premise holds on the
+// eight kernels, on train and ref inputs — the binaries the evaluation
+// histograms from their base binaries' record profiles.
+func TestKernelRewritesKeepBasePath(t *testing.T) {
+	for _, w := range workload.All() {
+		for _, class := range []workload.InputClass{workload.Train, workload.Ref} {
+			p, err := w.Build(class)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := CheckRewrites(p); err != nil {
+				t.Errorf("%s/%v: %v", w.Name, class, err)
+			}
+		}
+	}
 }
 
 // TestFusedModesSmoke: the fused-accounting invariant holds on a

@@ -10,8 +10,9 @@ import (
 )
 
 // FuzzDiffExec decodes a generator tuple from raw fuzz bytes, generates
-// the program and asserts the execution-equivalence invariant: Run ==
-// Step == Replay, no panics, no traps. The generator is total over valid
+// the program and asserts the execution-equivalence invariant (Run ==
+// Step == Replay, no panics, no traps) and the rewrite path premise
+// (CheckRewrites). The generator is total over valid
 // tuples, so any error is a finding. Input layout:
 //
 //	data[0]      generator selector (mod NumFamilies+2): a behavioral
@@ -56,7 +57,10 @@ func FuzzDiffExec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generator failed on valid tuple %s/%v/%d: %v", label, class, seed, err)
 		}
-		if err := CheckExec(p); err != nil {
+		if err = CheckExec(p); err == nil {
+			err = CheckRewrites(p)
+		}
+		if err != nil {
 			t.Fatalf("%s/%v/%d ref=%v: %v", label, class, seed, ref, err)
 		}
 	})

@@ -32,7 +32,7 @@ func FuzzTraceCodec(f *testing.F) {
 			t.Fatal(err)
 		}
 		var streamed recCollector
-		read := st.ReadTrace(key, p, id, 0, &streamed)
+		read := st.ReadTrace(key, p, id, &streamed)
 		tr, err := DecodeTrace(data, p, id)
 		if read != (err == nil) {
 			t.Fatalf("ReadTrace accepted=%v, DecodeTrace error %v", read, err)

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,8 +15,7 @@ import (
 // compare whole traces.
 func getTrace(s *Store, key Key, p *prog.Program, id Hash) (*emu.Trace, bool) {
 	rec := emu.NewTraceRecorder(p)
-	rec.SetBudget(math.MaxInt64)
-	if !s.ReadTrace(key, p, id, 0, rec) {
+	if !s.ReadTrace(key, p, id, rec) {
 		return nil, false
 	}
 	tr, err := rec.Trace()
@@ -74,7 +72,7 @@ func TestReadTraceStreamsChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got recCollector
-	if !s.ReadTrace(key, p, id, 0, &got) {
+	if !s.ReadTrace(key, p, id, &got) {
 		t.Fatal("sound trace did not stream")
 	}
 	if !reflect.DeepEqual(got.recs, want.recs) {
@@ -110,7 +108,7 @@ func TestReadTraceRejectsBeforeDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got recCollector
-	if s.ReadTrace(key, p, id, 0, &got) {
+	if s.ReadTrace(key, p, id, &got) {
 		t.Fatal("a blob with an invalid record streamed")
 	}
 	if got.batches != 0 {
@@ -121,28 +119,5 @@ func TestReadTraceRejectsBeforeDelivery(t *testing.T) {
 	}
 	if st := s.Stats(); st.Rejects != 1 {
 		t.Errorf("%d rejects, want 1", st.Rejects)
-	}
-}
-
-// TestReadTraceBudget: a sound object larger than the reader's budget is
-// not delivered, and, being sound, is neither dropped nor rejected.
-func TestReadTraceBudget(t *testing.T) {
-	p := mustMiniProgram()
-	id := ProgramIdentity(p)
-	tr := capture(t, p)
-	s := NewStore(newMemBackend())
-	key := TraceKey("mini", "base", "train", id)
-	if err := s.PutTrace(key, tr, id); err != nil {
-		t.Fatal(err)
-	}
-	var got recCollector
-	if s.ReadTrace(key, p, id, emu.TraceBytes(tr.Len())-1, &got) || got.batches != 0 {
-		t.Fatal("an over-budget trace was delivered")
-	}
-	if st := s.Stats(); st.Rejects != 0 {
-		t.Errorf("an over-budget object was rejected: %+v", st)
-	}
-	if !s.ReadTrace(key, p, id, emu.TraceBytes(tr.Len()), &got) {
-		t.Fatal("a trace exactly at the budget was refused")
 	}
 }

@@ -366,11 +366,9 @@ func (s *Store) Stats() Stats {
 // Every check — framing, checksum, identity, and every record against p
 // (emu.RecordValidator) — runs before the first batch reaches sink, so a
 // defective object delivers nothing: it is dropped, counted as a reject,
-// and ReadTrace returns false for the caller to re-emulate. A sound
-// object whose trace exceeds budget bytes (emu.TraceBytes; <= 0 admits
-// any size) is left in place and reads false too, undelivered. The sink
-// must not retain a batch.
-func (s *Store) ReadTrace(key Key, p *prog.Program, identity Hash, budget int64, sink emu.Sink) bool {
+// and ReadTrace returns false for the caller to re-emulate. The sink must
+// not retain a batch.
+func (s *Store) ReadTrace(key Key, p *prog.Program, identity Hash, sink emu.Sink) bool {
 	data, ok := s.Get(key)
 	if !ok {
 		return false
@@ -378,9 +376,6 @@ func (s *Store) ReadTrace(key Key, p *prog.Program, identity Hash, budget int64,
 	n, stored, err := frame(data)
 	if err == nil {
 		err = checkIdentity(stored, identity)
-	}
-	if err == nil && budget > 0 && emu.TraceBytes(int64(n)) > budget {
-		return false
 	}
 	var buf emu.RecBatch
 	if err == nil {

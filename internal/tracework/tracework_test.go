@@ -164,7 +164,7 @@ func TestLibrary(t *testing.T) {
 	// The harness's ordinary trace path must hit the stored blob.
 	key := store.TraceKey(name, "base", workload.Train.String(), id)
 	var events eventCounter
-	if !st.ReadTrace(key, p, id, 0, &events) {
+	if !st.ReadTrace(key, p, id, &events) {
 		t.Error("blob not under the harness TraceKey")
 	} else if int(events) != ing.Events {
 		t.Errorf("stored trace has %d events, want %d", events, ing.Events)

@@ -41,35 +41,42 @@ type candidate struct {
 	Best   float64 // optimistic savings (result narrowed to one byte)
 }
 
-// findCandidates implements §3.3: instructions whose downstream energy
-// would shrink if their output range were narrower, filtered by a
-// preliminary benefit analysis that assumes the minimum possible cost (a
-// single comparison) and the maximum possible narrowing.
-func findCandidates(p *prog.Program, base *vrp.Result, counts []int64, opts Options) []candidate {
+// profilable lists the instructions of p that could become candidates
+// whatever their execution counts: only value-producing instructions of
+// a class whose narrower output saves energy downstream, and whose
+// statically known width is still wide, can benefit (§3.3).
+func profilable(p *prog.Program, base *vrp.Result) []int {
+	var out []int
+	for i := range p.Ins {
+		in := &p.Ins[i]
+		if _, ok := in.Dest(); !ok {
+			continue
+		}
+		switch isa.ClassOf(in.Op) {
+		case isa.ClassLoad, isa.ClassAdd, isa.ClassSub, isa.ClassMul,
+			isa.ClassLogic, isa.ClassShift, isa.ClassMask:
+			if effectiveBytes(base, i) > 1 {
+				out = append(out, i)
+			}
+		}
+	}
+	return out
+}
+
+// findCandidates implements §3.3 over static, the profilable
+// instructions: those whose downstream energy would shrink if their
+// output range were narrower, filtered by a preliminary benefit analysis
+// that assumes the minimum possible cost (a single comparison) and the
+// maximum possible narrowing.
+func findCandidates(p *prog.Program, base *vrp.Result, static []int, counts []int64, opts Options) []candidate {
 	var out []candidate
 	// The paper's preliminary filter assumes the minimum possible cost: a
 	// single comparison per execution of the candidate.
 	minCostPerExec := power.OpEnergy(opts.Power, 1)
 
-	for i := range p.Ins {
-		in := &p.Ins[i]
+	for _, i := range static {
 		if counts[i] == 0 {
 			continue
-		}
-		if _, ok := in.Dest(); !ok {
-			continue
-		}
-		// Only value-producing instructions whose statically known width
-		// is still wide can benefit.
-		switch isa.ClassOf(in.Op) {
-		case isa.ClassLoad, isa.ClassAdd, isa.ClassSub, isa.ClassMul,
-			isa.ClassLogic, isa.ClassShift, isa.ClassMask:
-		default:
-			continue
-		}
-		curBytes := effectiveBytes(base, i)
-		if curBytes <= 1 {
-			continue // already as narrow as possible
 		}
 		// Optimistic savings: the output becomes a single byte (and, if
 		// it turns out to be a single value, foldable consumers vanish).

@@ -134,13 +134,12 @@ func (r *Result) Apply() *prog.Program {
 }
 
 // Profile is the threshold-independent front half of the VRS pipeline:
-// the baseline analysis of the reference binary, the train-input block
-// profile (instruction counts), candidate identification at the minimum
-// possible cost, and the candidates' TNV value profiles. None of it
-// depends on Options.Threshold — the threshold only enters the §3.4
-// cost/benefit test — so one Profile serves a whole threshold grid via
-// Select, paying the train emulation exactly once instead of once per
-// point.
+// the baseline analysis of the reference binary, then, from one train
+// emulation, the block profile (instruction counts), candidate
+// identification at the minimum possible cost and the candidates' TNV
+// value profiles. None of it depends on Options.Threshold — the
+// threshold only enters the §3.4 cost/benefit test — so one Profile
+// serves a whole threshold grid via Select.
 //
 // A Profile is immutable after NewProfile returns: Select only reads the
 // shared tables (and transforms fresh per-call state), so concurrent
@@ -172,47 +171,22 @@ func NewProfile(trainProg, refProg *prog.Program, opts Options) (*Profile, error
 		return nil, fmt.Errorf("vrs: baseline VRP: %w", err)
 	}
 
-	// Step 1 (§3.3): block profile on the train input, then candidate
-	// identification with the minimum-cost preliminary filter. The run is
-	// captured as a packed trace so step 2's value profiling can replay
-	// it instead of emulating the train input a second time.
-	trainMachine := emu.New(trainProg)
-	defer trainMachine.Release()
-	trainMachine.EnableCounts()
-	rec := emu.NewTraceRecorder(trainProg)
-	trainMachine.Sink = rec
-	if err := trainMachine.Run(); err != nil {
+	// Steps 1 and 2 (§3.3) ride one train run: counts for the block
+	// profile, and TNV tables over every instruction that could become a
+	// candidate whatever its count (profilable). Tables are per
+	// instruction, so filtering that set by counts afterwards leaves each
+	// candidate's table as if only the candidates had been profiled.
+	static := profilable(refProg, base)
+	pf := &Profile{refProg: refProg, base: base, profiler: emu.NewProfiler(static), opts: opts}
+	m := emu.New(trainProg)
+	defer m.Release()
+	m.EnableCounts()
+	m.Sink = pf.profiler
+	if err := m.Run(); err != nil {
 		return nil, fmt.Errorf("vrs: train profiling run: %w", err)
 	}
-	counts := trainMachine.InsCount
-	trainTrace, traceErr := rec.Trace()
-
-	pf := &Profile{refProg: refProg, base: base, counts: counts, opts: opts}
-	pf.cands = findCandidates(refProg, base, counts, opts)
-	if len(pf.cands) == 0 {
-		return pf, nil
-	}
-
-	// Step 2 (§3.3): value-profile the candidates on the train input,
-	// replaying the captured trace's packed records (index and value
-	// columns) through the profiler. Only when the capture blew its
-	// memory budget does the profiler fall back to a second emulation
-	// feeding it the same records live.
-	idxs := make([]int, len(pf.cands))
-	for i, c := range pf.cands {
-		idxs[i] = c.InsIdx
-	}
-	pf.profiler = emu.NewProfiler(idxs)
-	if traceErr == nil {
-		trainTrace.Records(pf.profiler)
-	} else {
-		trainMachine.InsCount = nil // pf.counts keeps the first run's tally
-		trainMachine.Reset()
-		trainMachine.Sink = pf.profiler
-		if err := trainMachine.Run(); err != nil {
-			return nil, fmt.Errorf("vrs: value profiling run: %w", err)
-		}
-	}
+	pf.counts = m.InsCount
+	pf.cands = findCandidates(refProg, base, static, pf.counts, opts)
 	return pf, nil
 }
 

@@ -90,14 +90,6 @@ func WithThreshold(nj float64) Option {
 	}
 }
 
-// WithTraceBudget caps the packed-trace bytes of one binary that the
-// session writes to or reads from its store; <= 0 means the emulator
-// default. Over-budget binaries are emulated live and not stored — the
-// budget never affects results, only what the store serves.
-func WithTraceBudget(bytes int64) Option {
-	return func(s *Session) error { s.suite.TraceBudget = bytes; return nil }
-}
-
 // WithSynthetics appends generated workloads — registry names like
 // "syn:narrow/small/7", typically from ExpandSynthetics — to the paper's
 // eight benchmarks in every experiment. Unknown names fail construction.

@@ -23,7 +23,7 @@ func TestSessionOptionValidation(t *testing.T) {
 		}
 	}
 	if _, err := NewSession(WithQuick(true), WithWorkers(2), WithThreshold(70),
-		WithTraceBudget(1<<20), WithSynthetics("syn:narrow/small/1")); err != nil {
+		WithSynthetics("syn:narrow/small/1")); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
 }
