@@ -355,8 +355,10 @@ func BenchmarkTraceReplayMIPS(b *testing.B) {
 // encoded trace over one quick workload's base trace: encode serializes
 // the captured trace (what a suite capture writes to the store), decode
 // checks the checksum, copies the columns out and restores a validated
-// whole trace bound to the program (DecodeTrace; warm suite reads stream
-// through Store.ReadTrace instead, over the same checks).
+// whole trace bound to the program (DecodeTrace), and read is a warm
+// suite read: Store.ReadTrace of the stored trace from a directory store
+// (map, both CRCs, identity, validation, chunked decode) into a no-op
+// sink.
 func BenchmarkTraceStore(b *testing.B) {
 	w, _ := workload.ByName("compress")
 	p, _ := w.Build(workload.Train)
@@ -384,6 +386,24 @@ func BenchmarkTraceStore(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := store.DecodeTrace(enc, p, id); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		s, err := store.Open(b.TempDir(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		key := store.TraceKey("compress", "base", "train", id)
+		if err := s.PutTrace(key, tr, id); err != nil {
+			b.Fatal(err)
+		}
+		sink := emu.RecFunc(func(emu.RecBatch) {})
+		b.SetBytes(int64(len(enc)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !s.ReadTrace(key, p, id, sink) {
+				b.Fatal("stored trace did not read")
 			}
 		}
 	})

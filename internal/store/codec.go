@@ -47,8 +47,10 @@ import (
 // DecodeTrace copies the columns out of the blob exactly once, into
 // whole-trace storage the restored trace then adopts, so a decoded trace
 // never pins the blob. Store.ReadTrace instead streams the columns out
-// chunk by chunk through one reused batch, after the same checks, so a
-// warm read holds the blob and one chunk, never a second whole-trace copy.
+// chunk by chunk through one pooled batch, after the same checks, reading
+// a directory-tier object in place through a read-only mapping, so a warm
+// read holds the mapping and one pooled chunk: no heap blob and no
+// whole-trace copy.
 const (
 	codecMagic   = "OGTR"
 	codecVersion = 2

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"fmt"
 	"io"
 	"os"
+	"runtime/debug"
 	"time"
 )
 
@@ -16,6 +18,14 @@ type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	ReadDir(name string) ([]os.DirEntry, error)
 	ReadFile(name string) ([]byte, error)
+	// Map returns a read-only view of the named file's bytes and the
+	// function that releases it; the view must not be touched after
+	// release. On unix the view is a shared mapping of the file, not a
+	// copy: a file removed or replaced by rename while mapped keeps its
+	// mapped contents, but one truncated in place faults on access past
+	// its new end (SIGBUS), so callers read a view under guardFaults.
+	// Elsewhere it is a ReadFile copy.
+	Map(name string) (data []byte, release func(), err error)
 	Stat(name string) (os.FileInfo, error)
 	Chtimes(name string, atime, mtime time.Time) error
 	Remove(name string) error
@@ -27,6 +37,23 @@ type FS interface {
 	// SyncDir fsyncs a directory: a rename is only durable across power
 	// loss once the parent directory's entry for it has reached disk.
 	SyncDir(name string) error
+}
+
+// guardFaults runs fn, which reads a Map view, and turns a memory fault
+// raised on the way — the view's file was truncated in place under it —
+// into an error, so a shrunken object reads as a defect rather than
+// killing the process. Any other panic propagates.
+func guardFaults(fn func() error) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			if _, fault := r.(interface{ Addr() uintptr }); !fault {
+				panic(r)
+			}
+			err = fmt.Errorf("store: object changed under its mapping: %v", r)
+		}
+	}()
+	return fn()
 }
 
 // File is the slice of *os.File the store's staged writes and the job
@@ -48,6 +75,7 @@ type osFS struct{}
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 func (osFS) ReadDir(name string) ([]os.DirEntry, error)   { return os.ReadDir(name) }
 func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
+func (osFS) Map(name string) ([]byte, func(), error)      { return mapFile(name) }
 func (osFS) Stat(name string) (os.FileInfo, error)        { return os.Stat(name) }
 func (osFS) Chtimes(name string, a, m time.Time) error    { return os.Chtimes(name, a, m) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }

@@ -155,13 +155,14 @@ func due(counter *int, every int) bool {
 }
 
 // Pass-throughs: the store's read and setup paths fault only via the
-// write/rename/remove classes above — failing ReadFile would just be the
-// trivially-handled miss the production code already takes for absent
-// objects, so there is nothing extra to prove by injecting it.
+// write/rename/remove classes above — failing ReadFile or Map would just
+// be the trivially-handled miss the production code already takes for
+// absent objects, so there is nothing extra to prove by injecting it.
 
 func (f *FaultFS) MkdirAll(path string, perm os.FileMode) error { return f.fs.MkdirAll(path, perm) }
 func (f *FaultFS) ReadDir(name string) ([]os.DirEntry, error)   { return f.fs.ReadDir(name) }
 func (f *FaultFS) ReadFile(name string) ([]byte, error)         { return f.fs.ReadFile(name) }
+func (f *FaultFS) Map(name string) ([]byte, func(), error)      { return f.fs.Map(name) }
 func (f *FaultFS) Stat(name string) (os.FileInfo, error)        { return f.fs.Stat(name) }
 func (f *FaultFS) Chtimes(name string, a, m time.Time) error    { return f.fs.Chtimes(name, a, m) }
 

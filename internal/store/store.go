@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -54,7 +55,10 @@ func ParseSize(s string) (int64, error) {
 // DirBackend is the local directory tier, Tiered composes a local
 // backend in front of a remote one, and the opgate/client package
 // provides an HTTP backend speaking opgated's /v1/objects API. The
-// trace/report codec helpers layer on top via Store.
+// trace/report codec helpers layer on top via Store. Get hands out a
+// copy the caller owns; the directory tier (and Tiered over it) also
+// lends an object in place to Store.ReadTrace as a read-only mapping, so
+// a warm trace read holds the mapping and one pooled chunk, no heap blob.
 type Backend interface {
 	// Get returns the object stored under key; ok is false on a miss
 	// (absent, unreadable, or unreachable — faults are misses).
@@ -176,19 +180,55 @@ func (b *DirBackend) objectPath(key Key) string {
 	return filepath.Join(b.root, "objects", string(key))
 }
 
-// Get returns the object stored under key, touching its recency. A missing
-// object is (nil, false); read errors count as misses — the store
-// accelerates the pipeline and must never fail it.
-func (b *DirBackend) Get(key Key) ([]byte, bool) {
+// viewer is a Backend that can lend an object in place instead of
+// copying it: view returns the object's bytes and the function that
+// releases them, counting the hit or miss as Get would. The bytes may be
+// a file mapping, so reads of them run under guardFaults.
+type viewer interface {
+	view(key Key) (data []byte, release func(), ok bool)
+}
+
+// lend returns the object stored under key through b's view when b has
+// one, else as a Get copy with nothing to release.
+func lend(b Backend, key Key) ([]byte, func(), bool) {
+	if v, ok := b.(viewer); ok {
+		return v.view(key)
+	}
+	data, ok := b.Get(key)
+	return data, func() {}, ok
+}
+
+// view lends the object stored under key as a read-only mapping,
+// touching its recency. Objects are installed by rename and never
+// rewritten in place, so the mapping keeps the bytes it was opened on
+// even if the object is evicted or replaced meanwhile.
+func (b *DirBackend) view(key Key) ([]byte, func(), bool) {
 	path := b.objectPath(key)
-	data, err := b.fs.ReadFile(path)
+	data, release, err := b.fs.Map(path)
 	if err != nil {
 		b.misses.Add(1)
-		return nil, false
+		return nil, nil, false
 	}
 	now := time.Now()
 	_ = b.fs.Chtimes(path, now, now) // LRU touch; best-effort
 	b.hits.Add(1)
+	return data, release, true
+}
+
+// Get returns a copy of the object stored under key, taken out of its
+// view. A missing object is (nil, false); read errors count as misses —
+// the store accelerates the pipeline and must never fail it.
+func (b *DirBackend) Get(key Key) ([]byte, bool) {
+	data, release, ok := b.view(key)
+	if !ok {
+		return nil, false
+	}
+	defer release()
+	if guardFaults(func() error { data = bytes.Clone(data); return nil }) != nil {
+		b.hits.Add(-1) // the object shrank under the copy: a miss after all
+		b.misses.Add(1)
+		return nil, false
+	}
 	return data, true
 }
 
@@ -361,34 +401,56 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
+// batchPool recycles ReadTrace's chunk batch (emu.TraceChunkEvents
+// records, ~1.4 MB of columns) across reads.
+var batchPool = sync.Pool{New: func() any {
+	b := allocRecs(emu.TraceChunkEvents)
+	return &b
+}}
+
 // ReadTrace streams the packed trace stored under key into sink, chunk by
-// chunk through one reused batch, without building a whole-trace copy.
-// Every check — framing, checksum, identity, and every record against p
-// (emu.RecordValidator) — runs before the first batch reaches sink, so a
-// defective object delivers nothing: it is dropped, counted as a reject,
-// and ReadTrace returns false for the caller to re-emulate. The sink must
-// not retain a batch.
+// chunk through one pooled batch, without building a whole-trace copy.
+// A backend with a view (the directory tier, and Tiered on a local hit)
+// lends the object as a read-only mapping, so a warm read holds the
+// mapping and one pooled chunk and no heap blob; other backends hand over
+// a Get copy. Every check — framing, both trailer CRCs, identity, and
+// every record against p (emu.RecordValidator) — runs before the first
+// batch reaches sink, so a defective object delivers nothing: it is
+// dropped, counted as a reject, and ReadTrace returns false for the
+// caller to re-emulate. An object truncated in place under its mapping
+// faults during those checks and is rejected the same way. Delivery then
+// reads the bytes that were validated: store objects are installed by
+// rename and never rewritten in place, and an evicted or replaced
+// object's mapping keeps its old contents. The sink must not retain a
+// batch.
 func (s *Store) ReadTrace(key Key, p *prog.Program, identity Hash, sink emu.Sink) bool {
-	data, ok := s.Get(key)
+	data, release, ok := lend(s.Backend, key)
 	if !ok {
 		return false
 	}
-	n, stored, err := frame(data)
-	if err == nil {
-		err = checkIdentity(stored, identity)
-	}
-	var buf emu.RecBatch
-	if err == nil {
-		buf = allocRecs(min(n, emu.TraceChunkEvents))
-		err = eachChunk(data, n, buf, true, emu.NewRecordValidator(p).Check)
-	}
+	defer release()
+	buf := batchPool.Get().(*emu.RecBatch)
+	defer batchPool.Put(buf)
+	var n int
+	err := guardFaults(func() error {
+		var stored Hash
+		var err error
+		n, stored, err = frame(data)
+		if err == nil {
+			err = checkIdentity(stored, identity)
+		}
+		if err == nil {
+			err = eachChunk(data, n, *buf, true, emu.NewRecordValidator(p).Check)
+		}
+		return err
+	})
 	if err != nil {
 		s.Delete(key)
 		s.rejects.Add(1) // reclassify: the object was not usable
 		return false
 	}
 	// Delivery cannot fail: every record has passed the checks above.
-	_ = eachChunk(data, n, buf, false, func(b emu.RecBatch) error {
+	_ = eachChunk(data, n, *buf, false, func(b emu.RecBatch) error {
 		sink.ConsumeRecs(b)
 		return nil
 	})

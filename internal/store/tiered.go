@@ -78,6 +78,24 @@ func (t *Tiered) Get(key Key) ([]byte, bool) {
 		t.localHits.Add(1)
 		return data, true
 	}
+	return t.getRemote(key)
+}
+
+// view is Get with a local hit lent through the local tier's view (see
+// lend); a remote hit still arrives as bytes and still fills the local
+// tier. The hit and miss accounting is Get's.
+func (t *Tiered) view(key Key) ([]byte, func(), bool) {
+	if data, release, ok := lend(t.local, key); ok {
+		t.localHits.Add(1)
+		return data, release, true
+	}
+	data, ok := t.getRemote(key)
+	return data, func() {}, ok
+}
+
+// getRemote is the read after a local miss: the remote tier, filling the
+// local tier on a hit.
+func (t *Tiered) getRemote(key Key) ([]byte, bool) {
 	if data, ok := t.remote.Get(key); ok {
 		t.remoteHits.Add(1)
 		_ = t.local.Put(key, data) // best-effort fill

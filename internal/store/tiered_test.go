@@ -256,3 +256,58 @@ func TestStoreOverTieredBackend(t *testing.T) {
 		t.Fatal("corrupt object not dropped from both tiers")
 	}
 }
+
+// TestTieredViewAccounting: over a directory local tier, ReadTrace takes
+// a local hit through the local tier's view and a remote hit as bytes
+// that fill the local tier, and the LocalHits/RemoteHits/Misses
+// accounting is exactly Get's.
+func TestTieredViewAccounting(t *testing.T) {
+	p := mustMiniProgram()
+	id := ProgramIdentity(p)
+	trc := capture(t, p)
+	key := TraceKey("tiered", "base", "train", id)
+
+	for _, read := range []struct {
+		name string
+		get  func(*Store) bool
+	}{
+		{"Get", func(s *Store) bool { _, ok := s.Get(key); return ok }},
+		{"ReadTrace", func(s *Store) bool { _, ok := getTrace(s, key, p, id); return ok }},
+	} {
+		t.Run(read.name, func(t *testing.T) {
+			local, err := OpenDir(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			remote := newMemBackend()
+			tiered := NewTiered(local, remote, 8)
+			defer tiered.Close()
+			s := NewStore(tiered)
+
+			if read.get(s) {
+				t.Fatal("hit out of nowhere")
+			}
+			if err := s.PutTrace(key, trc, id); err != nil {
+				t.Fatal(err)
+			}
+			tiered.Flush()
+			local.Delete(key)
+			if !read.get(s) {
+				t.Fatal("remote object not read through")
+			}
+			if _, ok := local.Get(key); !ok {
+				t.Fatal("remote hit did not fill the local tier")
+			}
+			if !read.get(s) {
+				t.Fatal("refilled object not served locally")
+			}
+			st := s.Stats()
+			if st.LocalHits != 1 || st.RemoteHits != 1 || st.Hits != 2 || st.Misses != 1 || st.Rejects != 0 {
+				t.Fatalf("tiered stats drifted: %+v", st)
+			}
+			if n := remote.hits.get(); n != 1 {
+				t.Fatalf("remote tier read %d times, want once (the local hit must not reach it)", n)
+			}
+		})
+	}
+}

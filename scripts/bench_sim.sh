@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Regenerate BENCH_sim.json, the machine-readable trajectory of the
 # simulation-substrate benchmarks: emulated MIPS, trace capture/replay
-# throughput, the trace codec (encode/decode MB/s), the fused timing core
+# throughput, the trace codec (encode/decode MB/s) and a warm store read
+# (read MB/s), the fused timing core
 # and its meter bank (records/s at 1, 2 and 6 gating modes), the
 # figure matrices live and over a warm store (a cold run fills it
 # before timing starts), and the single-pass threshold
