@@ -411,13 +411,16 @@ func BenchmarkTraceStore(b *testing.B) {
 
 // BenchmarkReplayModes reports the fused timing core's throughput, in
 // millions of retired records per second, replaying the eight train
-// traces through uarch.ReplayModes. The {none} leg is the timing core
+// traces through the fused timing core. The {none} leg is the timing core
 // with one meter; the others add meters ({software}, the cooperative pair
 // of Figure 15) up to all six modes, so the step between legs prices the
 // table-driven meter bank. The opt-trio leg is the mode group of the
-// optimized binaries; the unmodified binary's group is the all-six leg.
+// optimized binaries; the unmodified binary's group is the all-six leg,
+// and base+overlay adds the ideal-ISA software overlay its pass carries
+// for the opcode ablation.
 func BenchmarkReplayModes(b *testing.B) {
 	var traces []*emu.Trace
+	var ideal [][]isa.Width
 	var events int64
 	for _, w := range workload.All() {
 		p, err := w.Build(workload.Train)
@@ -434,28 +437,42 @@ func BenchmarkReplayModes(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		r, err := vrp.Analyze(p, vrp.Options{Mode: vrp.Useful, Opcodes: isa.FullOpcodeSet()})
+		if err != nil {
+			b.Fatal(err)
+		}
 		traces = append(traces, tr)
+		ideal = append(ideal, r.Width)
 		events += tr.Len()
 	}
 	cfg := uarch.DefaultConfig()
 	params := power.DefaultParams()
 	for _, leg := range []struct {
-		name  string
-		modes []power.GatingMode
+		name    string
+		modes   []power.GatingMode
+		overlay bool
 	}{
-		{"none", []power.GatingMode{power.GateNone}},
-		{"software", []power.GatingMode{power.GateSoftware}},
-		{"coop-pair", []power.GatingMode{power.GateCooperative, power.GateCooperativeSig}},
-		{"all6", power.Modes()},
-		{"base-trio", []power.GatingMode{power.GateNone, power.GateHWSize, power.GateHWSignificance}},
-		{"opt-trio", []power.GatingMode{power.GateSoftware, power.GateCooperative, power.GateCooperativeSig}},
+		{"none", []power.GatingMode{power.GateNone}, false},
+		{"software", []power.GatingMode{power.GateSoftware}, false},
+		{"coop-pair", []power.GatingMode{power.GateCooperative, power.GateCooperativeSig}, false},
+		{"all6", power.Modes(), false},
+		{"base-trio", []power.GatingMode{power.GateNone, power.GateHWSize, power.GateHWSignificance}, false},
+		{"opt-trio", []power.GatingMode{power.GateSoftware, power.GateCooperative, power.GateCooperativeSig}, false},
+		{"base+overlay", power.Modes(), true},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for _, tr := range traces {
-					if _, err := uarch.ReplayModes(tr, cfg, params, leg.modes); err != nil {
+				for k, tr := range traces {
+					var overlays [][]isa.Width
+					if leg.overlay {
+						overlays = ideal[k : k+1]
+					}
+					sim, err := uarch.NewMulti(tr.Program(), cfg, params, leg.modes, overlays...)
+					if err != nil {
 						b.Fatal(err)
 					}
+					tr.Records(sim)
+					sim.FinishAll()
 				}
 			}
 			b.ReportMetric(float64(events*int64(b.N))/b.Elapsed().Seconds()/1e6, "MIPS")

@@ -3,13 +3,24 @@ package harness
 import (
 	"context"
 	"fmt"
+	"slices"
 
-	"opgate/internal/emu"
 	"opgate/internal/isa"
 	"opgate/internal/power"
-	"opgate/internal/store"
 	"opgate/internal/uarch"
 	"opgate/internal/vrp"
+)
+
+// The opcode ablation's configurations (§4.3). The one-off sets are made
+// once, so that the options are a key (rewriteWidths).
+var (
+	baseISA  = vrp.Options{Mode: vrp.Useful, Opcodes: isa.BaseOpcodeSet()}
+	paperISA = vrp.Options{Mode: vrp.Useful}
+	idealISA = vrp.Options{Mode: vrp.Useful, Opcodes: isa.FullOpcodeSet()}
+	// overlaid are the one-off configurations the opcode ablation times:
+	// each workload's base pass times them as software overlays
+	// (Suite.overlays).
+	overlaid = []vrp.Options{baseISA, idealISA}
 )
 
 // AblationOpcodeSets quantifies §4.3's design decision: how much of the
@@ -20,11 +31,11 @@ import (
 func (s *Suite) AblationOpcodeSets(ctx context.Context) (*Report, error) {
 	sets := []struct {
 		label string
-		cfg   ablationConfig
+		opts  vrp.Options
 	}{
-		{"base ISA (no ALU widths)", ablationConfig{opts: vrp.Options{Mode: vrp.Useful, Opcodes: isa.BaseOpcodeSet()}}},
-		{"paper extension set", ablationConfig{variant: "vrp"}},
-		{"ideal (all widths)", ablationConfig{opts: vrp.Options{Mode: vrp.Useful, Opcodes: isa.FullOpcodeSet()}}},
+		{"base ISA (no ALU widths)", baseISA},
+		{"paper extension set", paperISA},
+		{"ideal (all widths)", idealISA},
 	}
 	rep := &Report{
 		ID:      "ablation-opcodes",
@@ -33,37 +44,35 @@ func (s *Suite) AblationOpcodeSets(ctx context.Context) (*Report, error) {
 		Columns: []string{"energy saved", "64-bit share"},
 		Percent: true,
 	}
-	type point struct {
-		saved float64
-		hist  vrp.WidthHistogram
-	}
 	for _, set := range sets {
-		points, err := mapNames(ctx, s, func(name string) (point, error) {
-			g, h, err := s.ablationMeasure(name, set.cfg, true)
-			if err != nil {
-				return point{}, err
-			}
+		hist, err := sumWidths(ctx, s, func(name string) (vrp.WidthHistogram, error) {
+			return s.ablationWidths(name, set.opts)
+		})
+		if err != nil {
+			return nil, err
+		}
+		saved, err := mapNames(ctx, s, func(name string) (float64, error) {
 			base, err := s.Baseline(name)
 			if err != nil {
-				return point{}, err
+				return 0, err
 			}
-			_, saved := power.Savings(base.Energy, g.Energy)
-			return point{saved, h}, nil
+			g, err := s.ablationSim(name, set.opts)
+			if err != nil {
+				return 0, err
+			}
+			_, total := power.Savings(base.Energy, g.Energy)
+			return total, nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		var savedSum float64
-		var hist vrp.WidthHistogram
-		for _, pt := range points {
-			savedSum += pt.saved
-			for i := 0; i < 4; i++ {
-				hist.Count[i] += pt.hist.Count[i]
-			}
+		for _, v := range saved {
+			savedSum += v
 		}
 		rep.Rows = append(rep.Rows, Row{
 			Label:  set.label,
-			Values: []float64{savedSum / float64(len(points)), hist.Fraction(3)},
+			Values: []float64{savedSum / float64(len(saved)), hist.Fraction(3)},
 		})
 	}
 	rep.Note = "the paper's set should capture most of the ideal set's benefit (§4.3: few 16-bit ops, MUL not worth encoding)"
@@ -77,14 +86,14 @@ func (s *Suite) AblationOpcodeSets(ctx context.Context) (*Report, error) {
 func (s *Suite) AblationAnalysis(ctx context.Context) (*Report, error) {
 	configs := []struct {
 		label string
-		cfg   ablationConfig
+		opts  vrp.Options
 	}{
-		{"full (proposed VRP)", ablationConfig{variant: "vrp"}},
-		{"no useful ranges", ablationConfig{variant: "vrp-conv"}},
-		{"no loop analysis", ablationConfig{opts: vrp.Options{Mode: vrp.Useful, DisableLoopAnalysis: true}}},
-		{"no branch refinement", ablationConfig{opts: vrp.Options{Mode: vrp.Useful, DisableBranchRefinement: true}}},
-		{"ranges only (all off)", ablationConfig{opts: vrp.Options{Mode: vrp.Conventional,
-			DisableLoopAnalysis: true, DisableBranchRefinement: true}}},
+		{"full (proposed VRP)", vrp.Options{Mode: vrp.Useful}},
+		{"no useful ranges", vrp.Options{Mode: vrp.Conventional}},
+		{"no loop analysis", vrp.Options{Mode: vrp.Useful, DisableLoopAnalysis: true}},
+		{"no branch refinement", vrp.Options{Mode: vrp.Useful, DisableBranchRefinement: true}},
+		{"ranges only (all off)", vrp.Options{Mode: vrp.Conventional,
+			DisableLoopAnalysis: true, DisableBranchRefinement: true}},
 	}
 	rep := &Report{
 		ID:      "ablation-analysis",
@@ -94,101 +103,87 @@ func (s *Suite) AblationAnalysis(ctx context.Context) (*Report, error) {
 		Percent: true,
 	}
 	for _, c := range configs {
-		hists, err := mapNames(ctx, s, func(name string) (vrp.WidthHistogram, error) {
-			_, h, err := s.ablationMeasure(name, c.cfg, false)
-			return h, err
+		hist, err := sumWidths(ctx, s, func(name string) (vrp.WidthHistogram, error) {
+			return s.ablationWidths(name, c.opts)
 		})
 		if err != nil {
 			return nil, err
-		}
-		var hist vrp.WidthHistogram
-		for _, h := range hists {
-			for i := 0; i < 4; i++ {
-				hist.Count[i] += h.Count[i]
-			}
 		}
 		rep.Rows = append(rep.Rows, Row{Label: c.label, Values: []float64{hist.Fraction(3)}})
 	}
 	return rep, nil
 }
 
-// ablationConfig names the binary of one ablation row: a suite variant
-// label when set, otherwise a one-off VRP configuration of the evaluation
-// binary.
-type ablationConfig struct {
-	variant string
-	opts    vrp.Options
+// sumWidths fans a per-workload width histogram out across the suite and
+// sums it.
+func sumWidths(ctx context.Context, s *Suite, fn func(name string) (vrp.WidthHistogram, error)) (vrp.WidthHistogram, error) {
+	hists, err := mapNames(ctx, s, fn)
+	var sum vrp.WidthHistogram
+	for _, h := range hists {
+		for i := range sum.Count {
+			sum.Count[i] += h.Count[i]
+		}
+	}
+	return sum, err
 }
 
-// ablationMeasure returns the dynamic width histogram of an ablation
-// row's binary and, when timed, its software-gated simulation. Every
-// ablation binary is a width-only rewrite, so its histogram costs it no
-// traversal (binRecords). A timed binary whose key is the workload's base
-// or vrp binary, which the evaluation simulates anyway, reads that
-// binary's one pass (simBinary); any other is a one-off (ablationRun).
-func (s *Suite) ablationMeasure(name string, cfg ablationConfig, timed bool) (*uarch.Result, vrp.WidthHistogram, error) {
-	b, err := s.ablationProgram(name, cfg)
-	if err != nil {
-		return nil, vrp.WidthHistogram{}, err
-	}
-	prof, err := s.binRecords(b)
-	if err != nil {
-		return nil, vrp.WidthHistogram{}, err
-	}
-	h := prof.widths()
-	if !timed {
-		return nil, h, nil
-	}
-	isBase, err := s.isBase(b)
-	if err != nil {
-		return nil, h, err
-	}
-	vb, err := s.variantBinary(name, "vrp")
-	if err != nil {
-		return nil, h, err
-	}
-	var g *uarch.Result
-	if isBase || b.key == vb.key {
-		g, err = s.simBinary(b, power.GateSoftware)
-	} else {
-		g, err = s.ablationRun(b)
-	}
-	return g, h, err
-}
-
-// ablationProgram resolves an ablation row's binary: its suite variant,
-// or the evaluation binary analysed under the row's one-off VRP
-// configuration (analyze, gated like VRP) and applied.
-func (s *Suite) ablationProgram(name string, cfg ablationConfig) (variantBin, error) {
-	if cfg.variant != "" {
-		return s.variantBinary(name, cfg.variant)
-	}
-	r, err := s.analyze(name, cfg.opts)
-	if err != nil {
-		return variantBin{}, err
-	}
-	q := r.Apply()
-	return variantBin{q, binKey{name, store.ProgramIdentity(q)}, true}, nil
-}
-
-// ablationRun returns (cached) the software-gated simulation of a timed
-// one-off ablation binary, one the evaluation does not otherwise
-// simulate: one live emulation feeding a one-meter timing pass, once per
-// suite. Its trace is never captured or stored, and Emulations does not
-// count it; the ablationRuns probe does.
-func (s *Suite) ablationRun(b variantBin) (*uarch.Result, error) {
-	return s.oneOffs.do(b.key, func() (*uarch.Result, error) {
-		sim, err := s.newSim(b, []power.GatingMode{power.GateSoftware})
+// rewriteWidths returns (cached) the operand widths VRP assigns the
+// evaluation binary under an ablation configuration: VRP's own analysis
+// for a plain mode, otherwise a one-off analysis (analyze, gated like
+// VRP) of which only the widths are kept.
+func (s *Suite) rewriteWidths(name string, opts vrp.Options) ([]isa.Width, error) {
+	if opts == (vrp.Options{Mode: opts.Mode}) {
+		r, err := s.VRP(name, opts.Mode)
 		if err != nil {
 			return nil, err
 		}
-		m := emu.New(b.p)
-		defer m.Release()
-		m.Sink = sim
-		s.ablationRuns.Add(1)
-		if err := m.Run(); err != nil {
-			return nil, fmt.Errorf("harness: ablation run %v: %w", b.key, err)
+		return r.Width, nil
+	}
+	return s.rewrites.do(rewriteKey{name, opts}, func() ([]isa.Width, error) {
+		r, err := s.analyze(name, opts)
+		if err != nil {
+			return nil, err
 		}
-		return sim.FinishAll()[0], nil
+		return r.Width, nil
 	})
+}
+
+// ablationWidths returns the dynamic width histogram of an ablation row's
+// binary, the evaluation binary rewritten to the row's widths. A
+// width-only rewrite retires its base binary's exact path
+// (difftest.CheckRewrites), so that is the base binary's retirement
+// counts over those widths: no traversal of its own.
+func (s *Suite) ablationWidths(name string, opts vrp.Options) (vrp.WidthHistogram, error) {
+	w, err := s.rewriteWidths(name, opts)
+	if err != nil {
+		return vrp.WidthHistogram{}, err
+	}
+	base, err := s.records(name, "base")
+	if err != nil {
+		return vrp.WidthHistogram{}, err
+	}
+	return (&recProfile{p: base.p, counts: base.counts, w: w}).widths(), nil
+}
+
+// ablationSim returns the software-gated simulation of an opcode
+// ablation row's binary from a pass the evaluation makes anyway: the
+// paper set's from its vrp binary's, a one-off set's from the workload's
+// base pass (Suite.overlays).
+func (s *Suite) ablationSim(name string, opts vrp.Options) (*uarch.Result, error) {
+	if opts == paperISA {
+		return s.Sim(name, "vrp", power.GateSoftware)
+	}
+	base, err := s.variantBinary(name, "base")
+	if err != nil {
+		return nil, err
+	}
+	t, err := s.binPass(base, true)
+	if err != nil {
+		return nil, err
+	}
+	k := slices.Index(overlaid, opts)
+	if k < 0 || k >= len(t.at) {
+		return nil, fmt.Errorf("harness: ablation %s: %+v is not timed", name, opts)
+	}
+	return t.rs[t.at[k]], nil
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"testing"
 
 	"opgate/internal/emu"
@@ -62,24 +63,12 @@ var (
 // is analysed and applied, simulated by an independent software-gated
 // uarch.Run against an independent ungated baseline, and tallied by a
 // separate live emulation. Averages accumulate in suite order, as the
-// drivers do. oneOff counts the distinct timed (opcode-row) binaries
-// that are neither the workload's base nor its vrp binary, by the
-// oracle's own hashing: the live timing passes the suite may make.
-func liveAblationCells(t *testing.T, s *Suite) (opcodes, analysis [][]float64, oneOff int64) {
+// drivers do. overlays counts the timed one-off (opcode-set) rows whose
+// binary is not the workload's base binary, by the oracle's own hashing:
+// the software overlays the suite's base passes carry.
+func liveAblationCells(t *testing.T, s *Suite) (opcodes, analysis [][]float64, overlays int64) {
 	t.Helper()
 	names := s.Names()
-	suiteIDs := map[string]map[store.Hash]bool{}
-	for _, name := range names {
-		p, err := s.Program(name, s.evalClass())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := vrp.Analyze(p, vrp.Options{Mode: vrp.Useful})
-		if err != nil {
-			t.Fatal(err)
-		}
-		suiteIDs[name] = map[store.Hash]bool{store.ProgramIdentity(p): true, store.ProgramIdentity(r.Apply()): true}
-	}
 	build := func(name string, opts vrp.Options) *prog.Program {
 		p, err := s.Program(name, s.evalClass())
 		if err != nil {
@@ -104,9 +93,8 @@ func liveAblationCells(t *testing.T, s *Suite) (opcodes, analysis [][]float64, o
 				t.Fatal(err)
 			}
 			q := build(name, opts)
-			if id := store.ProgramIdentity(q); !suiteIDs[name][id] {
-				suiteIDs[name][id] = true // a repeat is no new one-off
-				oneOff++
+			if opts.Opcodes != nil && store.ProgramIdentity(q) != store.ProgramIdentity(p) {
+				overlays++
 			}
 			g, err := uarch.Run(q, s.Uarch, s.Power, power.GateSoftware)
 			if err != nil {
@@ -137,7 +125,7 @@ func liveAblationCells(t *testing.T, s *Suite) (opcodes, analysis [][]float64, o
 		}
 		analysis = append(analysis, []float64{hist.Fraction(3)})
 	}
-	return opcodes, analysis, oneOff
+	return opcodes, analysis, overlays
 }
 
 // checkCells asserts every value of a report equals the oracle's cell.
@@ -169,13 +157,12 @@ func reportByID(t *testing.T, reports []*Report, id string) *Report {
 	return nil
 }
 
-// TestAblationsMatchLiveOracle: the ablations resolve each row's binary by
-// identity, histogram it from the base binary's record profile and serve
-// suite binaries from the suite's caches, yet every cell equals the live,
-// uncached computation, while each timed binary costs one traversal: one
-// fused pass per simulated binary (the base-ISA row's software meter
-// rides the unmodified binary's pass) and one live timing pass per
-// distinct timed binary the evaluation does not otherwise simulate. It runs on the quick
+// TestAblationsMatchLiveOracle: the ablations analyse each row's
+// configuration once, histogram it from the base binary's record profile,
+// time the one-off rows as software overlays on the base binary's pass
+// and serve suite binaries from the suite's caches, yet every cell equals
+// the live, uncached computation, while the ablations cost no traversal
+// beyond one fused pass per base or vrp binary. It runs on the quick
 // evaluation (no store and a cold store) and on a synthetic-extended
 // suite, whose generated programs meet different identity coincidences
 // than the kernels.
@@ -190,7 +177,7 @@ func TestAblationsMatchLiveOracle(t *testing.T) {
 	}
 	t.Run("synthetic", func(t *testing.T) {
 		s := synthSuite()
-		opcodes, analysis, oneOff := liveAblationCells(t, s)
+		opcodes, analysis, overlays := liveAblationCells(t, s)
 		rep, err := s.AblationOpcodeSets(testCtx)
 		if err != nil {
 			t.Fatal(err)
@@ -200,8 +187,8 @@ func TestAblationsMatchLiveOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkCells(t, rep, analysis)
-		if got := s.ablationRuns.Load(); got != oneOff {
-			t.Errorf("%d live ablation traversals, oracle counts %d one-off binaries", got, oneOff)
+		if got := overlayCount(t, s); got != overlays {
+			t.Errorf("base passes carry %d overlays, oracle counts %d one-off binaries off the base", got, overlays)
 		}
 		// Every other timed binary is a workload's base or vrp binary,
 		// and the analysis rows' histograms ride the base binary's pass.
@@ -215,65 +202,81 @@ func TestAblationsMatchLiveOracle(t *testing.T) {
 	})
 }
 
-// quickAblationTraversals is how many live ablation traversals a quick
-// RunAll makes: the 8 ideal-ISA binaries, the timed one-offs that are
-// neither a base nor a vrp binary. The base-ISA row rebuilds one of the
-// two on every kernel, and the analysis rows are only histogrammed.
-const quickAblationTraversals = 8
+// overlayCount is how many software overlays the suite's base passes
+// carry, over every workload whose base pass has run.
+func overlayCount(t *testing.T, s *Suite) int64 {
+	t.Helper()
+	var n int64
+	for _, name := range s.Names() {
+		b, err := s.variantBinary(name, "base")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, ok := s.passes.m[b.key]; ok {
+			n += int64(len(e.val.rs) - len(modeGroups[0]))
+		}
+	}
+	return n
+}
 
-// TestRunAllAblationTraversals is the one-off traversal probe: each timed
-// ablation binary the evaluation does not otherwise simulate costs
-// exactly one live timing pass, and none of them is counted by
-// Emulations — a quick evaluation emulates its 18 simulated binaries cold
-// and none warm.
-func TestRunAllAblationTraversals(t *testing.T) {
+// TestAblationsRideTheBasePass is the ablation traversal probe: the
+// opcode ablation's one-off rows ride each workload's base pass as
+// software overlays, so the ablations traverse nothing the evaluation
+// does not simulate anyway. On every quick input (no store, a cold store
+// and a warm one) a RunAll makes exactly one traversal per distinct
+// simulated binary (18), emulating them cold and none warm, and a 5-point
+// sweep of the opcode ablation alone traverses only its base and vrp
+// binaries. On every kernel the base pass carries exactly one overlay,
+// the ideal ISA's: the base-ISA row's widths are the base binary's, so it
+// reads that binary's own software meter.
+func TestAblationsRideTheBasePass(t *testing.T) {
+	check := func(t *testing.T, s *Suite, labels []string, emulations int64) {
+		t.Helper()
+		if got, want := s.traversals.Load(), distinctBinaries(t, s, labels...); got != want {
+			t.Errorf("%d traversals, want %d (one per distinct simulated binary)", got, want)
+		}
+		if got := s.Emulations(); got != emulations {
+			t.Errorf("%d emulations, want %d", got, emulations)
+		}
+		soft := slices.Index(modeGroups[0], power.GateSoftware)
+		for _, name := range s.Names() {
+			b, err := s.variantBinary(name, "base")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pass, err := s.binPass(b, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pass.rs) != len(modeGroups[0])+1 || len(pass.at) != len(overlaid) {
+				t.Fatalf("%s: base pass times %d results for %d overlaid rows, want %d and %d", name, len(pass.rs), len(pass.at), len(modeGroups[0])+1, len(overlaid))
+			}
+			if pass.at[0] != soft {
+				t.Errorf("%s: the base-ISA row does not read the base binary's software meter", name)
+			}
+			if pass.at[1] != len(modeGroups[0]) {
+				t.Errorf("%s: the ideal-ISA row does not read the base pass's overlay", name)
+			}
+		}
+	}
 	for i, in := range quickInputs {
 		t.Run(in.name, func(t *testing.T) {
 			quickReports(t, i)
-			s := quickRuns[i].suite
-			if got := s.ablationRuns.Load(); got != quickAblationTraversals {
-				t.Errorf("%d live ablation traversals, want %d", got, quickAblationTraversals)
+			if got := distinctBinaries(t, quickRuns[i].suite, simulatedLabels()...); got != 18 {
+				t.Fatalf("quick suite simulates %d distinct binaries, want 18", got)
 			}
-			if got, distinct := s.Emulations(), distinctBinaries(t, s, simulatedLabels()...); got != 18 || got != distinct {
-				t.Errorf("%d emulations, want 18, one per distinct simulated binary (hashing counts %d)", got, distinct)
-			}
+			check(t, quickRuns[i].suite, simulatedLabels(), 18)
 		})
 	}
 	t.Run("warm", func(t *testing.T) {
-		dir := t.TempDir()
-		for _, pass := range []string{"cold", "warm"} {
-			s := NewSuite(true)
-			s.Store = storeSuite(t, dir)
-			if _, err := s.RunAll(testCtx, 50); err != nil {
-				t.Fatal(err)
-			}
-			if got := s.ablationRuns.Load(); got != quickAblationTraversals {
-				t.Errorf("%s: %d live ablation traversals, want %d", pass, got, quickAblationTraversals)
-			}
-			if pass == "warm" && s.Emulations() != 0 {
-				t.Errorf("warm: %d emulations, want 0", s.Emulations())
-			}
-		}
+		storeReports(t)
+		check(t, storeRun.suite, simulatedLabels(), 0)
 	})
-}
-
-// TestAblationOneOffsTimedOncePerSuite is the one-off memo probe: a timed
-// one-off ablation binary is timed once per suite, however often the
-// opcode ablation runs — a 5-point sweep of it makes the quick
-// evaluation's 8 one-off traversals, not 8 per threshold, and a later
-// plain run on the same suite makes none.
-func TestAblationOneOffsTimedOncePerSuite(t *testing.T) {
-	s := NewSuite(true)
-	if _, err := s.Sweep(testCtx, "ablation-opcodes", sweepGrid); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.ablationRuns.Load(); got != quickAblationTraversals {
-		t.Errorf("%d-point sweep made %d ablation traversals, want %d", len(sweepGrid), got, quickAblationTraversals)
-	}
-	if _, err := s.RunExperiment(testCtx, "ablation-opcodes", 50); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.ablationRuns.Load(); got != quickAblationTraversals {
-		t.Errorf("a second run made %d ablation traversals, want 0", got-quickAblationTraversals)
-	}
+	t.Run("sweep", func(t *testing.T) {
+		s := NewSuite(true)
+		if _, err := s.Sweep(testCtx, "ablation-opcodes", sweepGrid); err != nil {
+			t.Fatal(err)
+		}
+		check(t, s, []string{"base", "vrp"}, distinctBinaries(t, s, "base", "vrp"))
+	})
 }

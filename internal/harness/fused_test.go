@@ -189,8 +189,8 @@ func TestLabelsSharingABinaryShareResults(t *testing.T) {
 // 6 and 12) and its labels spread over it, and never traverses a binary
 // it only histograms. That holds with no store, over a cold store and
 // over a warm one, when the experiments run one at a time on one suite,
-// and with generated workloads. The ablations add one live timing pass
-// per timed one-off binary.
+// and with generated workloads. The ablations' one-off binaries ride the
+// base binaries' passes as overlays and add none.
 func TestRunAllOneTraversalPerBinary(t *testing.T) {
 	check := func(t *testing.T, s *Suite, emulations int64) {
 		t.Helper()
@@ -211,8 +211,8 @@ func TestRunAllOneTraversalPerBinary(t *testing.T) {
 			t.Fatalf("quick suite simulates %d distinct binaries, want 18", got)
 		}
 		check(t, s, emulations)
-		if got := s.ablationRuns.Load(); got != quickAblationTraversals {
-			t.Errorf("%d ablation traversals, want %d", got, quickAblationTraversals)
+		if got := overlayCount(t, s); got != 8 {
+			t.Errorf("base passes carry %d overlays, want 8 (the ideal ISA's, one per kernel)", got)
 		}
 	}
 	for i, in := range quickInputs {

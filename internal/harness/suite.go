@@ -24,12 +24,13 @@
 // plus Figure 12's value sizes on the base binary) and one fused timing
 // pass of the binary's role group (modeGroups): every mode on the
 // unmodified binary, software and cooperative gating on a rewrite. A
-// width-only rewrite (vrp.Result.Apply: "vrp", "vrp-conv", the ablations'
-// one-off configurations) retires its base binary's path, so its record
-// profile is the base binary's counts over its own widths, and only
-// timing it costs a traversal. No trace is kept in memory, and no request
-// can cost a binary a second traversal: a mode outside its role group is
-// an error.
+// width-only rewrite (vrp.Result.Apply: "vrp", "vrp-conv", every ablation
+// row) retires its base binary's path with the same opcodes, so its
+// record profile is the base binary's counts over its own widths, and the
+// base binary's pass times the opcode ablation's one-off rows as software
+// overlays: of the width-only rewrites, only the vrp binary costs a
+// traversal. No trace is kept in memory, and no request can cost a binary
+// a second traversal: a mode outside its role group is an error.
 //
 // With a Store attached, a binary's trace is looked up on disk
 // (content-addressed by workload, input class and the binary's identity
@@ -51,6 +52,7 @@ import (
 	"sync/atomic"
 
 	"opgate/internal/emu"
+	"opgate/internal/isa"
 	"opgate/internal/power"
 	"opgate/internal/prog"
 	"opgate/internal/store"
@@ -97,16 +99,15 @@ type Suite struct {
 
 	progs    memo[progKey, *prog.Program]
 	vrps     memo[vrpKey, *vrp.Result]
+	rewrites memo[rewriteKey, []isa.Width]
 	profiles memo[string, *vrs.Profile]
 	vrss     memo[vrsKey, *vrs.Result]
 	variants memo[variantKey, variantBin]
 	passes   memo[binKey, traversal]
-	oneOffs  memo[binKey, *uarch.Result] // ablationRun
 
-	emuRuns      atomic.Int64
-	trainRuns    atomic.Int64
-	traversals   atomic.Int64 // traversals of suite binaries, one per binPass
-	ablationRuns atomic.Int64 // live traversals of one-off ablation binaries
+	emuRuns    atomic.Int64
+	trainRuns  atomic.Int64
+	traversals atomic.Int64 // traversals of suite binaries, one per binPass
 }
 
 type progKey struct {
@@ -117,6 +118,11 @@ type progKey struct {
 type vrpKey struct {
 	name string
 	mode vrp.Mode
+}
+
+type rewriteKey struct {
+	name string
+	opts vrp.Options
 }
 
 type vrsKey struct {
@@ -331,8 +337,10 @@ func (s *Suite) buildVariant(name, variant string) (*prog.Program, bool, error) 
 // a vrp or vrs<θ> label builds the unmodified binary whenever nothing
 // narrows, and the opcode ablation's base-ISA row gates that binary in
 // software (§4.3: without ALU widths VRP narrows nothing), so every
-// figure's request on it is served from its one pass. A run reading a
-// single mode, Figure 3 alone, accrues meters it never reads.
+// figure's request on it is served from its one pass. That pass also
+// times the opcode ablation's other one-off rows, as software overlays
+// (binPass). A run reading a single mode, Figure 3 alone, accrues meters
+// it never reads.
 var modeGroups = [...][]power.GatingMode{
 	{power.GateNone, power.GateHWSize, power.GateHWSignificance, power.GateSoftware,
 		power.GateCooperative, power.GateCooperativeSig},
@@ -351,10 +359,10 @@ func roleGroup(base bool) int {
 // Emulations returns how many live emulations of suite binaries the suite
 // has run: every traversal no store served. A full evaluation emulates
 // each distinct simulated binary (workload, identity) once, however many
-// labels build it; tests assert that contract against this probe. Not
-// counted: the train profiling runs inside VRS construction
-// (TrainEmulations) and the ablations' one-off timing passes
-// (ablationRun).
+// labels build it, and nothing else: the ablations' one-off binaries ride
+// their base binary's pass. Tests assert that contract against this
+// probe. Not counted: the train profiling runs inside VRS construction
+// (TrainEmulations).
 func (s *Suite) Emulations() int64 { return s.emuRuns.Load() }
 
 // TrainEmulations returns how many VRS train profiling emulations the
@@ -364,7 +372,7 @@ func (s *Suite) Emulations() int64 { return s.emuRuns.Load() }
 func (s *Suite) TrainEmulations() int64 { return s.trainRuns.Load() }
 
 // isBase reports whether b is its workload's unmodified binary — its
-// role, by key, whichever label or ablation configuration built it.
+// role, by key, whichever label built it.
 func (s *Suite) isBase(b variantBin) (bool, error) {
 	base, err := s.variantBinary(b.key.name, "base")
 	return err == nil && b.key == base.key, err
@@ -379,11 +387,6 @@ func (s *Suite) Sim(name, variant string, mode power.GatingMode) (*uarch.Result,
 	if err != nil {
 		return nil, err
 	}
-	return s.simBinary(b, mode)
-}
-
-// simBinary is Sim over a resolved binary.
-func (s *Suite) simBinary(b variantBin, mode power.GatingMode) (*uarch.Result, error) {
 	isBase, err := s.isBase(b)
 	if err != nil {
 		return nil, err
@@ -400,20 +403,15 @@ func (s *Suite) simBinary(b variantBin, mode power.GatingMode) (*uarch.Result, e
 }
 
 // records returns (cached) the record profile of a program variant's
-// binary.
+// binary. A width-only rewrite retires its base binary's exact path
+// (difftest.CheckRewrites), so its profile is the base binary's counts
+// over its own widths and costs it no traversal. Any other binary's
+// profile rides its one pass.
 func (s *Suite) records(name, variant string) (*recProfile, error) {
 	b, err := s.variantBinary(name, variant)
 	if err != nil {
 		return nil, err
 	}
-	return s.binRecords(b)
-}
-
-// binRecords returns (cached) the record profile of b. A width-only
-// rewrite retires its base binary's exact path (difftest.CheckRewrites),
-// so its profile is the base binary's counts over its own widths and
-// costs it no traversal. Any other binary's profile rides its one pass.
-func (s *Suite) binRecords(b variantBin) (*recProfile, error) {
 	isBase, err := s.isBase(b)
 	if err != nil {
 		return nil, err
@@ -430,20 +428,32 @@ func (s *Suite) binRecords(b variantBin) (*recProfile, error) {
 }
 
 // traversal is what a binary's one traversal leaves behind: its record
-// profile and the results of its role group's fused timing pass.
+// profile, the results of its fused timing pass (its role group's modes,
+// then its overlays) and, on a workload's base binary, the index in rs of
+// each overlaid configuration's result.
 type traversal struct {
 	prof *recProfile
 	rs   []*uarch.Result
+	at   []int
 }
 
 // binPass returns (cached) a binary's one traversal, feeding its record
-// profile and a fused timing pass of its role group; concurrent requests
-// share it.
+// profile and a fused timing pass of its role group, plus on a base
+// binary the overlays; concurrent requests share it.
 func (s *Suite) binPass(b variantBin, isBase bool) (traversal, error) {
 	return s.passes.do(b.key, func() (traversal, error) {
-		sim, err := s.newSim(b, modeGroups[roleGroup(isBase)])
+		modes := modeGroups[roleGroup(isBase)]
+		var widths [][]isa.Width
+		var at []int
+		if isBase && !workload.IsTrace(b.key.name) {
+			var err error
+			if widths, at, err = s.overlays(b, modes); err != nil {
+				return traversal{}, err
+			}
+		}
+		sim, err := uarch.NewMulti(b.p, s.Uarch, s.Power, modes, widths...)
 		if err != nil {
-			return traversal{}, err
+			return traversal{}, fmt.Errorf("harness: sim %v/%v: %w", b.key, modes, err)
 		}
 		prof := newRecProfile(b.p, isBase)
 		err = s.traverse(b, emu.RecFunc(func(rb emu.RecBatch) {
@@ -453,17 +463,35 @@ func (s *Suite) binPass(b variantBin, isBase bool) (traversal, error) {
 		if err != nil {
 			return traversal{}, err
 		}
-		return traversal{prof, sim.FinishAll()}, nil
+		return traversal{prof, sim.FinishAll(), at}, nil
 	})
 }
 
-// newSim starts a fused timing pass of b accruing every mode of modes.
-func (s *Suite) newSim(b variantBin, modes []power.GatingMode) (*uarch.Sim, error) {
-	sim, err := uarch.NewMulti(b.p, s.Uarch, s.Power, modes)
-	if err != nil {
-		return nil, fmt.Errorf("harness: sim %v/%v: %w", b.key, modes, err)
+// overlays resolves the overlaid configurations on a workload's base
+// binary b. A width-only rewrite retires b's path with b's opcodes, so a
+// software overlay of its widths on b's pass times it bit for bit
+// (uarch.NewMulti). overlays returns the widths of each configuration
+// whose widths differ from b's and, per configuration, the index of its
+// result in the pass: b's own GateSoftware meter when the widths match,
+// as the base ISA's do on every kernel.
+func (s *Suite) overlays(b variantBin, modes []power.GatingMode) ([][]isa.Width, []int, error) {
+	var widths [][]isa.Width
+	at := make([]int, len(overlaid))
+	for k, opts := range overlaid {
+		w, err := s.rewriteWidths(b.key.name, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		at[k] = slices.Index(modes, power.GateSoftware)
+		for i := range b.p.Ins {
+			if b.p.Ins[i].Width != w[i] {
+				at[k] = len(modes) + len(widths)
+				widths = append(widths, w)
+				break
+			}
+		}
 	}
-	return sim, nil
+	return widths, at, nil
 }
 
 // recProfile is what the evaluation reads of a binary's records besides
@@ -474,8 +502,9 @@ func (s *Suite) newSim(b variantBin, modes []power.GatingMode) (*uarch.Sim, erro
 // base binary alone.
 type recProfile struct {
 	p      *prog.Program
-	counts []int64   // retirements per static instruction
-	sizes  *[9]int64 // destination writes by significant bytes; nil unless base
+	counts []int64     // retirements per static instruction
+	sizes  *[9]int64   // destination writes by significant bytes; nil unless base
+	w      []isa.Width // a width-only rewrite's widths, replacing p's; nil for p's own
 }
 
 func newRecProfile(p *prog.Program, sizes bool) *recProfile {
@@ -507,7 +536,11 @@ func (r *recProfile) widths() vrp.WidthHistogram {
 	var h vrp.WidthHistogram
 	for idx, n := range r.counts {
 		if in := &r.p.Ins[idx]; n > 0 && vrp.CountsWidth(in.Op) {
-			h.Add(in.Width, n)
+			w := in.Width
+			if r.w != nil {
+				w = r.w[idx]
+			}
+			h.Add(w, n)
 		}
 	}
 	return h

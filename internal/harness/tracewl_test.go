@@ -48,7 +48,8 @@ func exportNative(t *testing.T, name string, class workload.InputClass) []byte {
 // it aggregates the record streams of every suite workload into one row,
 // so the native run (kernels + syn twin) and the traced run (kernels +
 // trace: twin) must agree bit-for-bit iff the imported trace replays the
-// native record stream exactly.
+// native record stream exactly. The trace workload's base pass carries
+// no software overlay: the ablations' configurations need an analysis.
 func TestTraceWorkloadRoundTrip(t *testing.T) {
 	const twin = "syn:narrow/small/5"
 	st := storeSuite(t, t.TempDir())
@@ -96,6 +97,25 @@ func TestTraceWorkloadRoundTrip(t *testing.T) {
 	}
 	if n := traced.Emulations(); n != 0 {
 		t.Errorf("traced run performed %d emulations, want 0", n)
+	}
+	// A skeleton cannot be analysed, so the trace workload's base pass
+	// carries no overlay, while every kernel's carries the ideal ISA's.
+	for _, w := range traced.Names() {
+		b, err := traced.variantBinary(w, "base")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pass, err := traced.binPass(b, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := len(modeGroups[0]) + 1
+		if w == name {
+			want = len(modeGroups[0])
+		}
+		if len(pass.rs) != want {
+			t.Errorf("%s: base pass times %d results, want %d", w, len(pass.rs), want)
+		}
 	}
 }
 

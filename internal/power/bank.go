@@ -1,5 +1,7 @@
 package power
 
+import "slices"
+
 // Bank is the table-driven power-accounting stage of a fused simulation:
 // it accrues every access under several gating modes at once. A timing
 // model describes each access as (structure, software width, value) and
@@ -18,14 +20,19 @@ package power
 // meter accrues it and Meters copies that sum into the others — the same
 // additions in the same order, hence the same bits.
 type Bank struct {
-	params   Params
-	modes    []GatingMode
-	sext     bool // Meter.SignExtendToCache of every meter
-	tabs     []bankTab
-	accesses [NumStructures]int64
+	params Params
+	modes  []GatingMode // per meter: the requested modes, then GateSoftware per overlay
+	sext   bool         // Meter.SignExtendToCache of every meter
+	tabs   []bankTab    // one per requested mode, then one per overlay
+	over   []bankTab    // the overlays: tabs[len(requested modes):]
+	// accesses[s] counts the fixed and explicit-width accesses to s,
+	// ops[s] its operand accesses, of which the overlays accrued done[s].
+	accesses, ops, done [NumStructures]int64
 	// accrue[s] is the meters that accrue s: tabs[:1] for an ungated
-	// structure, every meter otherwise.
-	accrue [NumStructures][]bankTab
+	// structure, every meter otherwise; opMeters[s] leaves out overlays,
+	// and gated lists the structures that overlays accrue.
+	accrue, opMeters [NumStructures][]bankTab
+	gated            []Structure
 }
 
 // bankTab is one meter's energy tables and accumulators.
@@ -37,28 +44,56 @@ type bankTab struct {
 	// full[s] is the energy of a full-width (8-byte) access:
 	// AccessCacheValue under SignExtendToCache.
 	full [NumStructures]float64
+	// widths is an overlay's software width per static instruction (nil
+	// for a requested mode).
+	widths []uint8
 }
 
 // bankWidths is the span of the table's software-width and
 // significant-byte axes (0–8).
 const bankWidths = 9
 
-// NewBank returns a bank accruing one meter per mode, in order.
-// signExtendToCache sets every meter's SignExtendToCache.
-func NewBank(params Params, modes []GatingMode, signExtendToCache bool) *Bank {
+// NewBank returns a bank accruing one meter per mode, in order, then one
+// software overlay per entry of overlays. signExtendToCache sets every
+// meter's SignExtendToCache.
+//
+// An overlay is a GateSoftware meter that takes an instruction's operand
+// width from its own table, by static index, instead of from the caller,
+// so over a program's accesses it accrues, bit for bit, what a
+// GateSoftware meter accrues over a width-only rewrite's (software gating
+// never looks at a value). It accrues fixed and explicit-width accesses
+// in their calls, and an instruction's operand accesses (AccessSig,
+// AccessCacheSig) in order when Retire closes it, so a bank without
+// overlays pays one test per instruction for them. The caller keeps
+// every width at most 8, calls Retire after each instruction's accesses,
+// and makes no other access to a structure after an operand access to it
+// in one instruction.
+func NewBank(params Params, modes []GatingMode, signExtendToCache bool, overlays ...[]uint8) *Bank {
+	all := slices.Clone(modes)
+	for range overlays {
+		all = append(all, GateSoftware)
+	}
 	b := &Bank{
 		params: params,
-		modes:  append([]GatingMode(nil), modes...),
+		modes:  all,
 		sext:   signExtendToCache,
-		tabs:   make([]bankTab, len(modes)),
+		tabs:   make([]bankTab, len(all)),
+	}
+	b.over = b.tabs[len(modes):]
+	for i, w := range overlays {
+		b.over[i].widths = w
 	}
 	for s := range b.accrue {
 		b.accrue[s] = b.tabs
 		if params.Gated[s] == 0 {
-			b.accrue[s] = b.tabs[:min(1, len(modes))]
+			b.accrue[s] = b.tabs[:min(1, len(all))]
+		}
+		b.opMeters[s] = b.accrue[s][:min(len(modes), len(b.accrue[s]))]
+		if params.Gated[s] != 0 {
+			b.gated = append(b.gated, Structure(s))
 		}
 	}
-	for i, mode := range modes {
+	for i, mode := range all {
 		m := NewMeter(params, mode)
 		t := &b.tabs[i]
 		for s := Structure(0); s < NumStructures; s++ {
@@ -73,6 +108,35 @@ func NewBank(params Params, modes []GatingMode, signExtendToCache bool) *Bank {
 	return b
 }
 
+// Retire closes static instruction idx after its accesses: each overlay
+// accrues the operand accesses made since the last Retire at its width
+// for idx.
+func (b *Bank) Retire(idx int32) {
+	if len(b.over) != 0 {
+		b.retire(idx)
+	}
+}
+
+// retire is Retire's overlay accrual, kept out of line so that Retire
+// inlines to one test.
+//
+//go:noinline
+func (b *Bank) retire(idx int32) {
+	for i := range b.over {
+		t := &b.over[i]
+		w := t.widths[idx]
+		for _, s := range b.gated {
+			// A software meter's entry is the same for every sig.
+			for k := b.done[s]; k < b.ops[s]; k++ {
+				t.energy[s] += t.value[s][w][1]
+			}
+		}
+	}
+	for _, s := range b.gated {
+		b.done[s] = b.ops[s]
+	}
+}
+
 // AccessFixed records a width-independent access on every meter.
 func (b *Bank) AccessFixed(s Structure) {
 	b.accesses[s]++
@@ -83,16 +147,12 @@ func (b *Bank) AccessFixed(s Structure) {
 	}
 }
 
-// AccessValue records on every meter an access moving value through an
-// opcode of swWidth bytes (Meter.AccessValue).
+// AccessValue records on every meter, overlays included, an access
+// moving value at a width of swWidth bytes that no opcode narrows, such
+// as an address (Meter.AccessValue).
 func (b *Bank) AccessValue(s Structure, swWidth int, value int64) {
-	b.AccessSig(s, swWidth, SignificantBytes(value))
-}
-
-// AccessSig is AccessValue for a value whose SignificantBytes is sig, for
-// callers that reuse one significance scan across several accesses.
-func (b *Bank) AccessSig(s Structure, swWidth, sig int) {
 	b.accesses[s]++
+	sig := SignificantBytes(value)
 	tabs := b.accrue[s]
 	for i := range tabs {
 		t := &tabs[i]
@@ -100,8 +160,21 @@ func (b *Bank) AccessSig(s Structure, swWidth, sig int) {
 	}
 }
 
+// AccessSig records on every requested meter an operand access of the
+// current instruction (Retire), moving a value whose SignificantBytes is
+// sig through an opcode of swWidth bytes (Meter.AccessValue).
+func (b *Bank) AccessSig(s Structure, swWidth, sig int) {
+	b.ops[s]++
+	tabs := b.opMeters[s]
+	for i := range tabs {
+		t := &tabs[i]
+		t.energy[s] += t.value[s][swWidth][sig]
+	}
+}
+
 // AccessCacheSig records a data-cache access (Meter.AccessCacheValue) of
-// a value whose SignificantBytes is sig.
+// a value whose SignificantBytes is sig: an operand access (AccessSig),
+// or under SignExtendToCache a full-width access on every meter.
 func (b *Bank) AccessCacheSig(s Structure, swWidth, sig int) {
 	if !b.sext {
 		b.AccessSig(s, swWidth, sig)
@@ -115,14 +188,17 @@ func (b *Bank) AccessCacheSig(s Structure, swWidth, sig int) {
 	}
 }
 
-// Meters returns one freshly built Meter per mode, in NewBank order,
-// holding the accesses and energy accrued so far (no idle cycles).
+// Meters returns one freshly built Meter per mode and then per overlay,
+// in NewBank order, holding the accesses and energy accrued so far (no
+// idle cycles).
 func (b *Bank) Meters() []*Meter {
 	ms := make([]*Meter, len(b.modes))
 	for i, mode := range b.modes {
 		m := NewMeter(b.params, mode)
 		m.SignExtendToCache = b.sext
-		m.Accesses = b.accesses
+		for s := range m.Accesses {
+			m.Accesses[s] = b.accesses[s] + b.ops[s]
+		}
 		m.Energy = b.tabs[i].energy
 		for s, tabs := range b.accrue {
 			if i >= len(tabs) {

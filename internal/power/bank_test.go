@@ -109,3 +109,98 @@ func TestBankMatchesMeters(t *testing.T) {
 		}
 	}
 }
+
+// TestBankOverlaysMatchSoftwareMeters: an overlay fed a program's
+// accesses accrues exactly what a GateSoftware meter accrues fed the same
+// accesses at the overlay's own operand width, and the requested meters
+// are untouched by it. Each random instruction makes fixed and
+// explicit-width accesses and then operand accesses, as the timing core
+// does, over both parameter sets of TestBankMatchesMeters and both cache
+// approaches.
+func TestBankOverlaysMatchSoftwareMeters(t *testing.T) {
+	swapped := DefaultParams()
+	swapped.Gated[IQ] = 0
+	swapped.Gated[L2Cache] = 0.5
+	modes := []GatingMode{GateNone, GateSoftware, GateCooperative}
+	vals := sigValues()
+	rng := rand.New(rand.NewSource(2))
+	const statics = 64
+	widths := func() []uint8 {
+		w := make([]uint8, statics)
+		for i := range w {
+			w[i] = uint8([]int{0, 1, 2, 4, 8}[rng.Intn(5)])
+		}
+		return w
+	}
+	for pi, params := range []Params{DefaultParams(), swapped} {
+		for _, sext := range []bool{false, true} {
+			overlays := [][]uint8{widths(), widths()}
+			b := NewBank(params, modes, sext, overlays...)
+			solo := make([]*Meter, len(modes)+len(overlays))
+			for i := range solo {
+				mode := GateSoftware
+				if i < len(modes) {
+					mode = modes[i]
+				}
+				solo[i] = NewMeter(params, mode)
+				solo[i].SignExtendToCache = sext
+			}
+			for range 5000 {
+				idx := int32(rng.Intn(statics))
+				sw := []int{0, 1, 2, 4, 8}[rng.Intn(5)]
+				for range rng.Intn(3) {
+					s := Structure(rng.Intn(int(NumStructures)))
+					if rng.Intn(2) == 0 {
+						b.AccessFixed(s)
+						for _, m := range solo {
+							m.AccessFixed(s)
+						}
+						continue
+					}
+					v := vals[rng.Intn(len(vals))] >> rng.Intn(64)
+					b.AccessValue(s, 8, v)
+					for _, m := range solo {
+						m.AccessValue(s, 8, v)
+					}
+				}
+				for range rng.Intn(5) {
+					// Under SignExtendToCache a data-cache access is
+					// not an operand access, so the data cache takes
+					// only those, as in the timing core.
+					s := Structure(rng.Intn(int(NumStructures) - 1))
+					if s >= DCache {
+						s++
+					}
+					v := vals[rng.Intn(len(vals))] >> rng.Intn(64)
+					cache := rng.Intn(2) == 0
+					if cache {
+						s = DCache
+					}
+					if cache {
+						b.AccessCacheSig(s, sw, SignificantBytes(v))
+					} else {
+						b.AccessSig(s, sw, SignificantBytes(v))
+					}
+					for i, m := range solo {
+						w := sw
+						if i >= len(modes) {
+							w = int(overlays[i-len(modes)][idx])
+						}
+						if cache {
+							m.AccessCacheValue(s, w, v)
+						} else {
+							m.AccessValue(s, w, v)
+						}
+					}
+				}
+				b.Retire(idx)
+			}
+			got := b.Meters()
+			for i := range got {
+				if !reflect.DeepEqual(got[i], solo[i]) {
+					t.Errorf("params %d sext=%v: meter %d (%v) differs from its solo meter", pi, sext, i, solo[i].Mode)
+				}
+			}
+		}
+	}
+}

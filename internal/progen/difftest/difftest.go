@@ -6,7 +6,9 @@
 //   - a fused uarch.RunModes pass is bit-identical to independent
 //     per-mode uarch.Run calls;
 //   - a width-only VRP rewrite (vrp.Result.Apply) retires its base
-//     binary's exact path.
+//     binary's exact path, and a software overlay carrying its widths
+//     (uarch.NewMulti), fed the base binary's records, times it bit for
+//     bit.
 //
 // The eight hand-built kernels exercise these invariants on 16 fixed
 // (workload, input) points; driven by progen seeds, difftest turns them
@@ -18,6 +20,7 @@ package difftest
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"opgate/internal/emu"
 	"opgate/internal/isa"
@@ -45,14 +48,18 @@ type rec struct {
 	addr, value, srcA, srcB int64
 }
 
-// collect copies every retired record out of the machine-owned batches.
-func collect(recs *[]rec) emu.Sink {
+// collect copies every retired record out of the machine-owned batches,
+// then hands each batch on to the sinks.
+func collect(recs *[]rec, sinks ...emu.Sink) emu.Sink {
 	return emu.RecFunc(func(b emu.RecBatch) {
 		for i := range b.Idx {
 			*recs = append(*recs, rec{
 				b.Idx[i], b.Next[i], b.Op[i], b.WBytes[i], b.Flags[i],
 				b.Addr[i], b.Value[i], b.SrcA[i], b.SrcB[i],
 			})
+		}
+		for _, s := range sinks {
+			s.ConsumeRecs(b)
 		}
 	})
 }
@@ -74,12 +81,12 @@ func eventRec(ev emu.Event) rec {
 }
 
 // runLive executes p with the batched dispatch loop, or one Step at a
-// time when stepped.
-func runLive(p *prog.Program, stepped bool) (*outcome, error) {
+// time when stepped, handing each batch on to the sinks.
+func runLive(p *prog.Program, stepped bool, sinks ...emu.Sink) (*outcome, error) {
 	o := &outcome{}
 	m := emu.New(p)
 	defer m.Release()
-	m.Sink = collect(&o.recs)
+	m.Sink = collect(&o.recs, sinks...)
 	var err error
 	if !stepped {
 		err = m.Run()
@@ -191,22 +198,45 @@ var rewriteConfigs = []struct {
 	{"full-opcodes", vrp.Options{Mode: vrp.Useful, Opcodes: isa.FullOpcodeSet()}},
 }
 
-// CheckRewrites asserts the path premise the harness histograms
-// width-only rewrites by: under every rewrite configuration, the binary
+// CheckRewrites asserts the premises the harness reads width-only
+// rewrites by: under every rewrite configuration, the binary
 // vrp.Result.Apply builds retires p's exact path (every record matches
-// p's in Idx, Next, Op, Flags and Addr) and produces p's output. In
-// conventional mode, which narrows no demanded bit, Value, SrcA and SrcB
-// match too, so only WBytes differs.
+// p's in Idx, Next, Op, Flags and Addr) and produces p's output, and a
+// software overlay of its widths over p's records is bit-identical to its
+// live GateSoftware timing run (sameResult). In conventional mode, which
+// narrows no demanded bit, Value, SrcA and SrcB match too, so only WBytes
+// differs.
 func CheckRewrites(p *prog.Program) error {
-	base, err := runLive(p, false)
+	var rs []*vrp.Result
+	var widths [][]isa.Width
+	for _, rc := range rewriteConfigs {
+		r, err := vrp.Analyze(p, rc.opts)
+		if err != nil {
+			return fmt.Errorf("%s rewrite: %w", rc.name, err)
+		}
+		rs = append(rs, r)
+		widths = append(widths, r.Width)
+	}
+	cfg, params := uarch.DefaultConfig(), power.DefaultParams()
+	software := []power.GatingMode{power.GateSoftware}
+	overlaid, err := uarch.NewMulti(p, cfg, params, software, widths...)
 	if err != nil {
 		return err
 	}
-	for _, rc := range rewriteConfigs {
-		r, err := vrp.Analyze(p, rc.opts)
+	base, err := runLive(p, false, overlaid)
+	if err != nil {
+		return err
+	}
+	overlays := overlaid.FinishAll()[len(software):]
+	for k, rc := range rewriteConfigs {
+		q := rs[k].Apply()
+		live, err := uarch.NewMulti(q, cfg, params, software)
 		if err == nil {
 			c := &pathCheck{base: base, values: rc.opts.Mode == vrp.Conventional}
-			err = c.run(r.Apply())
+			err = c.run(q, live)
+		}
+		if err == nil {
+			err = sameResult(overlays[k], live.FinishAll()[0], power.GateSoftware)
 		}
 		if err != nil {
 			return fmt.Errorf("%s rewrite: %w", rc.name, err)
@@ -225,11 +255,15 @@ type pathCheck struct {
 	err    error
 }
 
-// run executes the rewrite q against the base outcome.
-func (c *pathCheck) run(q *prog.Program) error {
+// run executes the rewrite q against the base outcome, feeding its
+// records to sink too.
+func (c *pathCheck) run(q *prog.Program, sink emu.Sink) error {
 	m := emu.New(q)
 	defer m.Release()
-	m.Sink = c
+	m.Sink = emu.RecFunc(func(b emu.RecBatch) {
+		c.ConsumeRecs(b)
+		sink.ConsumeRecs(b)
+	})
 	err := m.Run()
 	switch {
 	case c.err != nil:
@@ -267,7 +301,7 @@ func (c *pathCheck) ConsumeRecs(b emu.RecBatch) {
 }
 
 // sameResult requires bit-identical timing and accounting between a fused
-// and a solo simulation result.
+// and a solo simulation result: every energy compares by its bits.
 func sameResult(fused, solo *uarch.Result, mode power.GatingMode) error {
 	if fused.Cycles != solo.Cycles || fused.Instructions != solo.Instructions ||
 		fused.IPC != solo.IPC || fused.BranchMissRate != solo.BranchMissRate ||
@@ -277,8 +311,10 @@ func sameResult(fused, solo *uarch.Result, mode power.GatingMode) error {
 	if fused.Energy.Cycles != solo.Energy.Cycles {
 		return fmt.Errorf("mode %v: meter cycles differ", mode)
 	}
-	if fused.Energy.Energy != solo.Energy.Energy {
-		return fmt.Errorf("mode %v: energy differs: fused %v, solo %v", mode, fused.Energy.Energy, solo.Energy.Energy)
+	for s, e := range fused.Energy.Energy {
+		if math.Float64bits(e) != math.Float64bits(solo.Energy.Energy[s]) {
+			return fmt.Errorf("mode %v: %v energy differs: fused %v, solo %v", mode, power.Structure(s), e, solo.Energy.Energy[s])
+		}
 	}
 	if fused.Energy.Accesses != solo.Energy.Accesses {
 		return fmt.Errorf("mode %v: access counts differ", mode)

@@ -239,14 +239,30 @@ func (c *Config) validate() error {
 }
 
 // NewMulti builds a fused simulator of p whose power bank accrues every
-// listed gating mode in one traversal of the retirement stream. FinishAll
-// returns one Result per mode, in the given order.
-func NewMulti(p *prog.Program, cfg Config, params power.Params, modes []power.GatingMode) (*Sim, error) {
+// listed gating mode in one traversal of the retirement stream, plus a
+// software overlay (power.NewBank) per entry of overlays: the widths of a
+// width-only rewrite of p (vrp.Result.Width). The rewrite retires p's
+// path with p's opcodes, so p's timing is its timing and the overlay's
+// Result equals a GateSoftware run of the rewrite, bit for bit. FinishAll
+// returns one Result per mode, then one per overlay, in the given order.
+func NewMulti(p *prog.Program, cfg Config, params power.Params, modes []power.GatingMode, overlays ...[]isa.Width) (*Sim, error) {
 	if len(modes) == 0 {
 		return nil, fmt.Errorf("uarch: no gating modes requested")
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	over := make([][]uint8, len(overlays))
+	for k, ws := range overlays {
+		if len(ws) != len(p.Ins) {
+			return nil, fmt.Errorf("uarch: overlay %d: %d widths for %d instructions", k, len(ws), len(p.Ins))
+		}
+		for i, w := range ws {
+			if w.Bytes() > 8 {
+				return nil, fmt.Errorf("uarch: overlay %d: instruction %d: operand width %d bytes", k, i, w.Bytes())
+			}
+			over[k] = append(over[k], uint8(w.Bytes()))
+		}
 	}
 	hier, err := cache.NewHierarchy(cfg.Memory)
 	if err != nil {
@@ -259,7 +275,7 @@ func NewMulti(p *prog.Program, cfg Config, params power.Params, modes []power.Ga
 	}
 	return &Sim{
 		cfg:           cfg,
-		bank:          power.NewBank(params, modes, cfg.SignExtendToCache),
+		bank:          power.NewBank(params, modes, cfg.SignExtendToCache, over...),
 		pred:          bpred.New(cfg.Predictor),
 		hier:          hier,
 		stat:          stat,
@@ -456,6 +472,7 @@ func (s *Sim) ConsumeRecs(b emu.RecBatch) {
 		if st.fu {
 			bank.AccessSig(power.FU, w, sigAB)
 		}
+		bank.Retire(idx) // the overlays accrue the operand accesses above
 
 		// --- Branch resolution ----------------------------------------------
 		if st.branch != brNone {
@@ -509,8 +526,8 @@ func (s *Sim) ConsumeRecs(b emu.RecBatch) {
 }
 
 // FinishAll closes the simulation and returns one Result per gating mode
-// in the bank, in NewMulti order. Timing fields are shared (gating is
-// energy-only); each Result carries its own meter. Idempotent.
+// and then per overlay, in NewMulti order. Timing fields are shared
+// (gating is energy-only); each Result carries its own meter. Idempotent.
 func (s *Sim) FinishAll() []*Result {
 	if s.results != nil {
 		return s.results

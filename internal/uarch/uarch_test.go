@@ -7,9 +7,11 @@ import (
 
 	"opgate/internal/asm"
 	"opgate/internal/emu"
+	"opgate/internal/isa"
 	"opgate/internal/power"
 	"opgate/internal/prog"
 	"opgate/internal/uarch"
+	"opgate/internal/vrp"
 	"opgate/internal/workload"
 )
 
@@ -343,6 +345,82 @@ func TestReplayModesMatchesRunModes(t *testing.T) {
 					w.Name, cfg.SignExtendToCache)
 			}
 		}
+	}
+}
+
+// TestOverlaysMatchRewriteRuns: a software overlay carrying a width-only
+// rewrite's widths, fed the base program's records, equals a live
+// GateSoftware run of the rewrite in every field, and leaves the
+// requested modes' results as they are without it, on every workload and
+// under both cache-tagging approaches.
+func TestOverlaysMatchRewriteRuns(t *testing.T) {
+	sext := uarch.DefaultConfig()
+	sext.SignExtendToCache = true
+	params := power.DefaultParams()
+	modes := power.Modes()
+	for _, w := range workload.All() {
+		p, err := w.Build(workload.Train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var overlays [][]isa.Width
+		var rewrites []*prog.Program
+		for _, opcodes := range []*isa.OpcodeSet{isa.FullOpcodeSet(), isa.PaperOpcodeSet()} {
+			r, err := vrp.Analyze(p, vrp.Options{Mode: vrp.Useful, Opcodes: opcodes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			overlays = append(overlays, r.Width)
+			rewrites = append(rewrites, r.Apply())
+		}
+		for _, cfg := range []uarch.Config{uarch.DefaultConfig(), sext} {
+			sim, err := uarch.NewMulti(p, cfg, params, modes, overlays...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := emu.New(p)
+			m.Sink = sim
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			m.Release()
+			got := sim.FinishAll()
+			plain, err := uarch.RunModes(p, cfg, params, modes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[:len(modes)], plain) {
+				t.Errorf("%s (SignExtendToCache=%v): overlays changed the requested modes' results", w.Name, cfg.SignExtendToCache)
+			}
+			for k, q := range rewrites {
+				live, err := uarch.Run(q, cfg, params, power.GateSoftware)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got[len(modes)+k], live) {
+					t.Errorf("%s (SignExtendToCache=%v): overlay %d differs from the rewrite's live run", w.Name, cfg.SignExtendToCache, k)
+				}
+			}
+		}
+	}
+}
+
+// TestOverlayValidation: an overlay must name one width of at most 8
+// bytes per instruction.
+func TestOverlayValidation(t *testing.T) {
+	p := buildLoop(t, "\tmul r2, r2, #3\n", 10)
+	cfg, params, modes := uarch.DefaultConfig(), power.DefaultParams(), []power.GatingMode{power.GateNone}
+	short := make([]isa.Width, len(p.Ins)-1)
+	if _, err := uarch.NewMulti(p, cfg, params, modes, short); err == nil || !strings.Contains(err.Error(), "widths") {
+		t.Errorf("short overlay: error %v, want a width-count rejection", err)
+	}
+	wide := make([]isa.Width, len(p.Ins))
+	for i := range wide {
+		wide[i] = isa.W64
+	}
+	wide[1] = isa.Width(16)
+	if _, err := uarch.NewMulti(p, cfg, params, modes, wide); err == nil || !strings.Contains(err.Error(), "operand width") {
+		t.Errorf("16-byte overlay width: error %v, want a rejection", err)
 	}
 }
 
