@@ -27,11 +27,16 @@ type Request struct {
 
 // Job is the wire form of a server-side job, also used as the ?follow=1
 // NDJSON stream frame. opgated constructs its job views from this exact
-// type, so client and server cannot drift.
+// type, so client and server cannot drift. A job's definition is the
+// Request fields it was submitted with: Experiment is always a plain
+// experiment ID, and a sweep job carries its grid in Thresholds (with
+// Threshold 0), so re-submitting {experiment, thresholds} from a listing
+// derives the same report key.
 type Job struct {
 	ID         string          `json:"id"`
 	Experiment string          `json:"experiment"`
 	Threshold  float64         `json:"threshold"`
+	Thresholds []float64       `json:"thresholds,omitempty"`
 	Synthetics []string        `json:"synthetics,omitempty"`
 	Status     string          `json:"status"`
 	ReportKey  string          `json:"report_key"`

@@ -244,7 +244,7 @@ func (b *fleetBackend) Stats() store.Stats {
 // instead of a forwarding cycle.
 func forwardRequest(j *job) client.Request {
 	return client.Request{
-		Experiment: j.expID,
+		Experiment: j.experiment,
 		Threshold:  j.threshold,
 		Thresholds: j.thresholds,
 		Synthetic:  strings.Join(j.synthetics, ","),

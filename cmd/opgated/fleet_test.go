@@ -216,8 +216,8 @@ func TestFleetDirectPinsJob(t *testing.T) {
 	}
 }
 
-// TestFleetSweepForwarding: sweep jobs ride the same forwarding path via
-// their spec form, and the sweep document replicates byte-identically.
+// TestFleetSweepForwarding: sweep jobs ride the same forwarding path with
+// their typed grid, and the sweep document replicates byte-identically.
 func TestFleetSweepForwarding(t *testing.T) {
 	nodes := newFleetRing(t, 2)
 	req := client.Request{Experiment: "fig6", Thresholds: []float64{110, 50}}

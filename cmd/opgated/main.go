@@ -23,10 +23,8 @@
 // or store) is always admitted — serving it is one read. Cold
 // submissions, which buy real emulation work, are shed with 503 once the
 // queue depth reaches -shed-watermark (default 3/4 of -queue; -1
-// disables) or the estimated footprint of admitted cold jobs exceeds
-// -max-inflight-bytes (0 = unbounded). The Retry-After on a shed or
-// queue-full response is derived from observed job service times, not a
-// constant.
+// disables). The Retry-After on a shed or queue-full response is derived
+// from observed job service times, not a constant.
 //
 // Fleet: with -peers (the comma-separated base URLs of every member,
 // this node included) and -self (this node's URL as it appears there),
@@ -49,7 +47,9 @@
 //	                          → 202 + job; identical in-flight requests
 //	                          coalesce onto one job (200); 503 +
 //	                          Retry-After when the queue is full or the
-//	                          server is draining
+//	                          server is draining. {"experiment":"fig4",
+//	                          "thresholds":[110,50]} is one sweep job;
+//	                          its view lists the same two fields
 //	GET    /v1/experiments    list runnable experiment IDs and titles
 //	GET    /v1/jobs/{id}      job snapshot; ?follow=1 streams NDJSON
 //	                          progress frames until the job finishes
@@ -110,7 +110,6 @@ func main() {
 	storeLimit := flag.String("store-limit", "2GiB", "store size budget for -store, e.g. 256MiB, 2GiB, or bytes (0 = unlimited)")
 	journalPath := flag.String("journal", "auto", "durable job journal: a file path, \"auto\" (<store>/journal.log when -store is set), or \"off\"")
 	shedWatermark := flag.Int("shed-watermark", 0, "queue depth at which uncached submissions shed with 503 (0 = 3/4 of -queue; -1 disables)")
-	maxInflight := flag.String("max-inflight-bytes", "0", "estimated uncached-work footprint admitted concurrently, e.g. 64MiB (0 = unbounded)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline once running (terminal status \"timeout\"; 0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for running jobs before cancelling them")
 	peers := flag.String("peers", "", "comma-separated base URLs of every fleet member (including this node); enables consistent-hash routing")
@@ -122,12 +121,6 @@ func main() {
 		JobTimeout: *jobTimeout, DrainTimeout: *drainTimeout,
 		ShedWatermark: *shedWatermark,
 	}
-	inflight, err := store.ParseSize(*maxInflight)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "opgated: -max-inflight-bytes:", err)
-		os.Exit(2)
-	}
-	cfg.MaxInflightBytes = inflight
 	var local *store.DirBackend
 	if *storeDir != "" {
 		limit, err := store.ParseSize(*storeLimit)

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -181,6 +184,105 @@ func TestRecoveryNeverResurrectsCompletedJob(t *testing.T) {
 	}
 }
 
+// restartOn boots a server over the journal at jpath, as a process
+// restarted after a crash does. check, when set, sees the replayed
+// records first.
+func restartOn(t *testing.T, jpath string, check func([]journal.Record)) *httptest.Server {
+	t.Helper()
+	jnl, recovered := openJournal(t, jpath)
+	t.Cleanup(func() { jnl.Close() })
+	if check != nil {
+		check(recovered)
+	}
+	ts := httptest.NewServer(newServer(serverConfig{
+		Quick: true, Workers: 1, Journal: jnl, Recovered: recovered,
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestRecoveryRerunsTypedSweep: a sweep job that dies queued is
+// journaled with its grid in the record's typed field, re-adopted after a
+// restart, runs, and serves exactly the document a direct Session.Sweep
+// encodes.
+func TestRecoveryRerunsTypedSweep(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "journal.log")
+	jnlA, _ := openJournal(t, jpath)
+	tsA := httptest.NewServer(newServer(serverConfig{
+		Quick: true, Workers: 1, Journal: jnlA,
+		hookJobStart: func(ctx context.Context, _ *job) { <-ctx.Done() },
+	}))
+	// A plain job parks the only worker, so the sweep is still queued
+	// when the process dies.
+	park, code := submit(t, tsA, `{"experiment":"table1","threshold":50}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit returned %d", code)
+	}
+	awaitStatus(t, tsA, park.ID, "running")
+	v, code := submit(t, tsA, `{"experiment":"fig4","thresholds":[110,50]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("sweep submit returned %d", code)
+	}
+	tsA.Close()
+	jnlA.Close()
+
+	ts := restartOn(t, jpath, func(recs []journal.Record) {
+		last := journal.Reduce(recs)[1]
+		if last.Job != v.ID || last.Status != client.StatusQueued || last.Experiment != "fig4" ||
+			!slices.Equal(last.Thresholds, []float64{110, 50}) {
+			t.Fatalf("sweep journaled as %+v", last)
+		}
+	})
+	got := awaitJob(t, ts, v.ID)
+	if got.Status != client.StatusDone {
+		t.Fatalf("recovered sweep ended %q (%s), want done", got.Status, got.Error)
+	}
+	if got.Experiment != "fig4" || !slices.Equal(got.Thresholds, []float64{110, 50}) || got.ReportKey != v.ReportKey {
+		t.Fatalf("recovered sweep definition drifted: %+v vs %+v", got, v)
+	}
+	if !bytes.Equal(reportJSON(t, ts, got.ReportKey), directSweep(t, "fig4", 110, 50)) {
+		t.Fatal("recovered sweep's document drifted from a direct Session.Sweep")
+	}
+	awaitJob(t, ts, park.ID) // no transition may race the journal's close
+}
+
+// TestRecoveryFailsLegacySweepSpec: a sweep record journaled by a build
+// that packed the grid into the experiment field ("sweep:fig4@110,50",
+// no typed grid) still decodes, and its job fails with the
+// unknown-experiment error at boot instead of hanging or panicking.
+// In-flight sweep jobs therefore do not survive that upgrade.
+func TestRecoveryFailsLegacySweepSpec(t *testing.T) {
+	names, err := opgate.ExpandSynthetics("", 1, "small", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := journal.Record{
+		Job: "job-000007", Status: client.StatusQueued, Experiment: "sweep:fig4@110,50", Synthetics: names,
+		ReportKey: string(store.SweepKey("fig4", true, []float64{110, 50}, names, store.SelfIdentity())),
+	}
+	jpath := filepath.Join(t.TempDir(), "journal.log")
+	jnl, _ := openJournal(t, jpath)
+	if _, err := jnl.Append(legacy); err != nil {
+		t.Fatal(err)
+	}
+	jnl.Close()
+
+	ts := restartOn(t, jpath, func(recs []journal.Record) {
+		if len(recs) != 1 {
+			t.Fatalf("journal replayed %d records, want 1", len(recs))
+		}
+		r := recs[0]
+		r.Seq, r.Time = 0, 0
+		if !reflect.DeepEqual(r, legacy) {
+			t.Fatalf("legacy record replayed as %+v", r)
+		}
+	})
+	got := awaitJob(t, ts, legacy.Job)
+	if want := `unknown experiment "sweep:fig4@110,50"`; got.Status != client.StatusFailed || got.Error != want {
+		t.Fatalf("legacy sweep job ended %q (%s), want failed (%s)", got.Status, got.Error, want)
+	}
+}
+
 // shedConfig builds a one-worker server whose worker parks forever, so
 // queue depth is fully controlled by the test.
 func shedConfig(st *store.Store) serverConfig {
@@ -261,25 +363,5 @@ func TestAdmissionShedsColdKeepsWarm(t *testing.T) {
 	}
 	if health.Admission.Sheds < 1 {
 		t.Fatalf("healthz reports %d sheds, want >= 1", health.Admission.Sheds)
-	}
-}
-
-// TestAdmissionMaxInflightBytes: with the watermark disabled, the cold
-// ledger alone sheds — the first cold job is always admitted, the second
-// exceeds the budget.
-func TestAdmissionMaxInflightBytes(t *testing.T) {
-	ts := httptest.NewServer(newServer(serverConfig{
-		Quick: true, Workers: 1, Queue: 8, ShedWatermark: -1, MaxInflightBytes: 1,
-		hookJobStart: func(ctx context.Context, _ *job) { <-ctx.Done() },
-	}))
-	defer ts.Close()
-
-	if _, code := submit(t, ts, `{"experiment":"fig2","threshold":50}`); code != http.StatusAccepted {
-		t.Fatalf("first cold submission returned %d (one is always admitted)", code)
-	}
-	// The ledger is charged before the first response, so the second cold
-	// submission sheds deterministically.
-	if _, code := submit(t, ts, `{"experiment":"fig2","threshold":60}`); code != http.StatusServiceUnavailable {
-		t.Fatalf("second cold submission returned %d, want 503", code)
 	}
 }

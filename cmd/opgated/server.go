@@ -59,10 +59,6 @@ type serverConfig struct {
 	// the queue is full. 0 selects 3/4 of Queue; negative disables
 	// watermark shedding. Warm and coalesced submissions are never shed.
 	ShedWatermark int
-	// MaxInflightBytes bounds the estimated footprint of admitted cold
-	// jobs; past it cold submissions shed even below the watermark
-	// (0 = unbounded).
-	MaxInflightBytes int64
 
 	// hookJobStart, when set (tests only), runs in the worker goroutine
 	// right after a job turns "running", under the job's run context —
@@ -95,10 +91,8 @@ type server struct {
 	followers atomic.Int64
 
 	// sheds counts submissions refused by admission control (not by a
-	// literally full queue); coldBytes is the estimated footprint of the
-	// cold jobs currently admitted, the MaxInflightBytes ledger.
-	sheds     atomic.Int64
-	coldBytes atomic.Int64
+	// literally full queue).
+	sheds atomic.Int64
 
 	// svcTimes is a ring of observed cold-job service times; its mean
 	// turns queue depth into the honest Retry-After a shed client gets.
@@ -148,12 +142,6 @@ const jobRetainMax = 512
 // serviceWindow is how many recent cold-job service times feed the
 // Retry-After estimate.
 const serviceWindow = 32
-
-// coldSyntheticEstimate is the per-workload footprint a cold job is
-// assumed to add (traces + report) for the MaxInflightBytes ledger — a
-// coarse planning figure, deliberately on the high side so the bound
-// sheds early rather than late.
-const coldSyntheticEstimate int64 = 256 << 10
 
 // newServer builds the service and starts its worker pool.
 func newServer(cfg serverConfig) *server {
@@ -222,6 +210,7 @@ func (s *server) bindJournal(j *job) {
 			Status:     status,
 			Experiment: j.experiment,
 			Threshold:  j.threshold,
+			Thresholds: j.thresholds,
 			Synthetics: j.synthetics,
 			ReportKey:  string(j.reportKey),
 			Err:        errmsg,
@@ -268,6 +257,7 @@ func (s *server) recoverJournal() {
 			ID:         r.Job,
 			Experiment: r.Experiment,
 			Threshold:  r.Threshold,
+			Thresholds: r.Thresholds,
 			Synthetics: r.Synthetics,
 			ReportKey:  string(key),
 			Status:     r.Status,
@@ -284,13 +274,20 @@ func (s *server) recoverJournal() {
 			j = s.newJob(rec, "recovered: report already in store")
 			j.transition(client.StatusDone, "", client.StatusDone)
 			completed++
+		case !validExperiment(r.Experiment):
+			// A definition this build cannot run, such as a sweep an older
+			// build journaled with its grid packed into the experiment
+			// field: it fails here instead of reaching a worker.
+			j = s.newJob(rec, "recovered: unrunnable definition")
+			msg := fmt.Sprintf("unknown experiment %q", r.Experiment)
+			j.transition(client.StatusFailed, msg, "failed: "+msg)
+			terminal++
 		default:
 			rec.Status = client.StatusQueued
 			j = s.newJob(rec, "recovered: re-adopted after restart (was "+r.Status+")")
 			select {
 			case s.queue <- j:
 				s.pending[key] = j
-				s.admitCold(j)
 				requeued++
 			default:
 				j.transition(client.StatusAborted, "queue full at recovery", "aborted: queue full at recovery")
@@ -315,34 +312,6 @@ type (
 	jobView           = client.Job
 	progressEvent     = client.ProgressEvent
 )
-
-// sweepSpec packs a sweep job's whole definition into the experiment
-// field — "sweep:fig6@110,90,70,50,30" — so the durable journal record
-// (whose codec carries a single experiment string and threshold) holds
-// everything recovery needs to re-run the job unchanged.
-func sweepSpec(id string, thresholds []float64) string {
-	return "sweep:" + id + "@" + opgate.FormatThresholds(thresholds)
-}
-
-// parseSweepSpec inverts sweepSpec; ok is false for plain experiment IDs.
-func parseSweepSpec(spec string) (id string, thresholds []float64, ok bool) {
-	rest, found := strings.CutPrefix(spec, "sweep:")
-	if !found {
-		return "", nil, false
-	}
-	id, grid, found := strings.Cut(rest, "@")
-	if !found || id == "" || grid == "" {
-		return "", nil, false
-	}
-	for _, part := range strings.Split(grid, ",") {
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return "", nil, false
-		}
-		thresholds = append(thresholds, v)
-	}
-	return id, thresholds, true
-}
 
 // validExperiment reports whether id names a runnable experiment.
 func validExperiment(id string) bool {
@@ -371,12 +340,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
-	}
-	// A sweep arrives as an explicit grid (thresholds) or already in spec
-	// form ("sweep:fig6@110,90" — e.g. re-submitted from a job listing);
-	// normalize the spec form into the grid form first.
-	if id, ths, ok := parseSweepSpec(req.Experiment); ok && len(req.Thresholds) == 0 {
-		req.Experiment, req.Thresholds = id, ths
 	}
 	sweep := len(req.Thresholds) > 0
 	if !validExperiment(req.Experiment) {
@@ -453,10 +416,8 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// per-threshold cells inside it are additionally content-addressed
 	// under their individual ReportKeys by Session.Sweep, so a grown grid
 	// only computes missing cells.
-	experiment := req.Experiment
 	key := store.ReportKey(req.Experiment, s.cfg.Quick, req.Threshold, names, store.SelfIdentity())
 	if sweep {
-		experiment = sweepSpec(req.Experiment, req.Thresholds)
 		key = store.SweepKey(req.Experiment, s.cfg.Quick, req.Thresholds, names, store.SelfIdentity())
 	}
 	s.mu.Lock()
@@ -476,17 +437,11 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Admission control. A submission whose report already exists is warm
 	// — serving it costs one cache/store read, so it is always admitted.
 	// A cold submission buys real emulation work; under load (queue depth
-	// at the shed watermark, or the cold-footprint ledger over budget)
-	// it is shed first, with a Retry-After derived from observed service
-	// times rather than a flat guess.
-	_, warm := s.getReport(key)
-	if !warm {
+	// at the shed watermark) it is shed first, with a Retry-After derived
+	// from observed service times rather than a flat guess.
+	if _, warm := s.getReport(key); !warm {
 		depth := len(s.queue)
-		wm := s.shedWatermark()
-		ledger := s.coldBytes.Load()
-		over := s.cfg.MaxInflightBytes > 0 && ledger > 0 &&
-			ledger+coldEstimate(names) > s.cfg.MaxInflightBytes
-		if (wm >= 0 && depth >= wm) || over {
+		if wm := s.shedWatermark(); wm >= 0 && depth >= wm {
 			s.sheds.Add(1)
 			w.Header().Set("Retry-After", retryAfterSeconds(s.predictWait(depth)))
 			httpError(w, http.StatusServiceUnavailable,
@@ -507,8 +462,9 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.seq++
 	j := s.newJob(client.Job{
 		ID:         fmt.Sprintf("job-%06d", s.seq),
-		Experiment: experiment,
+		Experiment: req.Experiment,
 		Threshold:  req.Threshold,
+		Thresholds: req.Thresholds,
 		Synthetics: names,
 		ReportKey:  string(key),
 		Status:     client.StatusQueued,
@@ -548,25 +504,8 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.jobOrder = append(s.jobOrder, j.id)
 	s.retireJobsLocked()
-	if !warm {
-		s.admitCold(j)
-	}
 	s.mu.Unlock()
 	s.respondJob(w, http.StatusAccepted, j)
-}
-
-// coldEstimate is the footprint a cold job is assumed to add while in
-// flight, for the MaxInflightBytes ledger.
-func coldEstimate(synthetics []string) int64 {
-	return int64(max(1, len(synthetics))) * coldSyntheticEstimate
-}
-
-// admitCold charges a job's estimated footprint to the cold ledger; the
-// worker releases it when the job leaves the pipeline.
-func (s *server) admitCold(j *job) {
-	j.cold = true
-	j.coldCharge = coldEstimate(j.synthetics)
-	s.coldBytes.Add(j.coldCharge)
 }
 
 // observeService feeds one completed cold-job duration into the ring
@@ -903,12 +842,11 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		"followers":  s.followers.Load(),
 		"emulations": emulations,
 		"admission": map[string]any{
-			"queueDepth":        len(s.queue),
-			"queueCapacity":     s.cfg.Queue,
-			"shedWatermark":     s.shedWatermark(),
-			"sheds":             s.sheds.Load(),
-			"coldInflightBytes": s.coldBytes.Load(),
-			"meanServiceMs":     s.meanService().Milliseconds(),
+			"queueDepth":    len(s.queue),
+			"queueCapacity": s.cfg.Queue,
+			"shedWatermark": s.shedWatermark(),
+			"sheds":         s.sheds.Load(),
+			"meanServiceMs": s.meanService().Milliseconds(),
 		},
 		"serving": map[string]any{
 			"coalesced": s.srvCoalesced.Load(),
@@ -1125,9 +1063,6 @@ func (s *server) runJob(j *job) {
 			log.Printf("opgated: job %s panicked: %v\n%s", j.id, p, debug.Stack())
 		}
 		j.cancel() // release the context's resources on every exit path
-		if j.cold {
-			s.coldBytes.Add(-j.coldCharge)
-		}
 		s.mu.Lock()
 		if s.pending[j.reportKey] == j {
 			delete(s.pending, j.reportKey)
@@ -1205,7 +1140,7 @@ func (s *server) serve(ctx context.Context, j *job) error {
 		return err
 	}
 	s.putReport(j.reportKey, blob)
-	if j.thresholds != nil {
+	if len(j.thresholds) > 0 {
 		j.log(fmt.Sprintf("sweep report stored (%d bytes, %d thresholds)", len(blob), len(j.thresholds)))
 	} else {
 		j.log(fmt.Sprintf("report stored (%d bytes)", len(blob)))
@@ -1220,8 +1155,8 @@ func (s *server) serve(ctx context.Context, j *job) error {
 // evaluate computes job j's document on sess: the canonical sweep
 // document for a sweep job, else the canonical report sequence.
 func evaluate(ctx context.Context, sess *opgate.Session, j *job) ([]byte, error) {
-	if j.thresholds != nil {
-		sw, err := sess.Sweep(ctx, j.expID, j.thresholds...)
+	if len(j.thresholds) > 0 {
+		sw, err := sess.Sweep(ctx, j.experiment, j.thresholds...)
 		if err != nil {
 			return nil, err
 		}
@@ -1229,7 +1164,7 @@ func evaluate(ctx context.Context, sess *opgate.Session, j *job) ([]byte, error)
 	}
 	at := opgate.AtThreshold(j.threshold)
 	var reports []*opgate.Report
-	if j.expID == "all" {
+	if j.experiment == "all" {
 		exps := opgate.Experiments()
 		for i, e := range exps {
 			r, err := sess.Run(ctx, e.ID, at)
@@ -1240,12 +1175,12 @@ func evaluate(ctx context.Context, sess *opgate.Session, j *job) ([]byte, error)
 			j.log(fmt.Sprintf("%s done (%d/%d)", e.ID, i+1, len(exps)))
 		}
 	} else {
-		r, err := sess.Run(ctx, j.expID, at)
+		r, err := sess.Run(ctx, j.experiment, at)
 		if err != nil {
 			return nil, err
 		}
 		reports = []*opgate.Report{r}
-		j.log(j.expID + " done")
+		j.log(j.experiment + " done")
 	}
 	return opgate.EncodeReports(reports)
 }
@@ -1299,20 +1234,13 @@ func terminalStatus(status string) bool { return client.TerminalStatus(status) }
 // moves.
 type job struct {
 	id         string
-	experiment string    // wire and journal spelling: "fig6", or a sweep spec "sweep:fig6@110,90"
-	expID      string    // the experiment evaluated: experiment itself, or the one a sweep spec names
-	thresholds []float64 // a sweep's grid, parsed once from its spec; nil for a plain job
+	experiment string
+	thresholds []float64 // a sweep's grid; empty for a plain job
 	threshold  float64
 	synthetics []string
 	reportKey  store.Key
 	ctx        context.Context
 	cancel     context.CancelFunc
-
-	// cold marks a job admitted without a pre-existing report; coldCharge
-	// is what it added to the server's in-flight ledger (released when the
-	// worker retires it).
-	cold       bool
-	coldCharge int64
 
 	// direct pins the job to this node (Request.Direct): a forwarded
 	// submission must never forward again.
@@ -1332,15 +1260,14 @@ type job struct {
 // or recovered in, with msg as its first progress line. That first state
 // is not a transition and is not journaled: a submission journals it
 // through journalInitial once the job is registered, and a recovered
-// job's state is what the journal already holds. A sweep spec in the
-// experiment field is parsed here, once, into the typed grid.
+// job's state is what the journal already holds.
 func (s *server) newJob(rec client.Job, msg string) *job {
 	ctx, cancel := context.WithCancel(context.Background())
 	rec.Progress = []progressEvent{{Time: time.Now(), Msg: msg}}
 	j := &job{
 		id:         rec.ID,
 		experiment: rec.Experiment,
-		expID:      rec.Experiment,
+		thresholds: rec.Thresholds,
 		threshold:  rec.Threshold,
 		synthetics: rec.Synthetics,
 		reportKey:  store.Key(rec.ReportKey),
@@ -1348,9 +1275,6 @@ func (s *server) newJob(rec client.Job, msg string) *job {
 		cancel:     cancel,
 		rec:        rec,
 		changed:    make(chan struct{}),
-	}
-	if id, ths, ok := parseSweepSpec(rec.Experiment); ok {
-		j.expID, j.thresholds = id, ths
 	}
 	s.bindJournal(j)
 	return j

@@ -3,11 +3,16 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"opgate"
+	"opgate/client"
 )
 
 // TestSweepLifecycle drives a threshold-sweep job end to end: submit a
@@ -21,10 +26,10 @@ func TestSweepLifecycle(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("sweep submit returned %d", code)
 	}
-	// The job carries its whole definition in spec form — what the
+	// The job carries its whole definition in typed fields — what the
 	// journal records and a resubmission can replay.
-	if v.Experiment != "sweep:fig4@110,50" {
-		t.Fatalf("sweep job experiment = %q, want spec form", v.Experiment)
+	if v.Experiment != "fig4" || !slices.Equal(v.Thresholds, []float64{110, 50}) || v.Threshold != 0 {
+		t.Fatalf("sweep job definition = %q %v %g, want fig4 [110 50] 0", v.Experiment, v.Thresholds, v.Threshold)
 	}
 	done := awaitJob(t, ts, v.ID)
 	if done.Status != "done" {
@@ -52,64 +57,79 @@ func TestSweepLifecycle(t *testing.T) {
 
 	// JSON form: the canonical opgate.sweep/v1 document, byte-identical
 	// to encoding a direct Session.Sweep.
-	req, err := http.NewRequest("GET", ts.URL+"/v1/reports/"+done.ReportKey, nil)
+	if got := reportJSON(t, ts, done.ReportKey); !bytes.Equal(got, directSweep(t, "fig4", 110, 50)) {
+		t.Fatal("served sweep JSON drifted from a direct Session.Sweep's canonical encoding")
+	}
+}
+
+// reportJSON fetches the stored document under key in its canonical JSON
+// form.
+func reportJSON(t *testing.T, ts *httptest.Server, key string) []byte {
+	t.Helper()
+	req, err := http.NewRequest("GET", ts.URL+"/v1/reports/"+key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Accept", "application/json")
-	jresp, err := http.DefaultClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jresp.Body.Close()
-	var jgot bytes.Buffer
-	if _, err := jgot.ReadFrom(jresp.Body); err != nil {
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := opgate.DecodeSweep(jgot.Bytes())
-	if err != nil {
-		t.Fatalf("served sweep is not canonical JSON: %v", err)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("report fetch returned %d: %s", resp.StatusCode, body)
 	}
+	return body
+}
+
+// directSweep is the canonical encoding of a quick Session.Sweep of id
+// over thresholds — what a sweep job must serve byte for byte.
+func directSweep(t *testing.T, id string, thresholds ...float64) []byte {
+	t.Helper()
 	sess, err := opgate.NewSession(opgate.WithQuick(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sess.Sweep(context.Background(), "fig4", 110, 50)
+	sw, err := sess.Sweep(context.Background(), id, thresholds...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sw.Equal(want) {
-		t.Fatal("served sweep drifted from a direct Session.Sweep")
-	}
-	wantBlob, err := opgate.EncodeSweep(want)
+	blob, err := opgate.EncodeSweep(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(jgot.Bytes(), wantBlob) {
-		t.Fatal("served sweep JSON is not the canonical encoding")
-	}
+	return blob
 }
 
-// TestSweepSpecResubmission: a sweep job resubmitted in its spec form
-// ("sweep:fig4@110,50" — e.g. copied from a job listing or replayed from
-// the journal) derives the same report key and is served warm.
-func TestSweepSpecResubmission(t *testing.T) {
+// TestSweepListedResubmission: a sweep job resubmitted from its listed
+// definition — the job view's experiment and thresholds, as a client
+// copies them — derives the same report key and is served warm.
+func TestSweepListedResubmission(t *testing.T) {
 	ts := newTestServer(t, nil)
 
 	first, code := submit(t, ts, `{"experiment":"fig4","thresholds":[110,50]}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit returned %d", code)
 	}
-	if done := awaitJob(t, ts, first.ID); done.Status != "done" {
-		t.Fatalf("sweep job ended %q (%s)", done.Status, done.Error)
+	listed := awaitJob(t, ts, first.ID)
+	if listed.Status != "done" {
+		t.Fatalf("sweep job ended %q (%s)", listed.Status, listed.Error)
 	}
 
-	redo, code := submit(t, ts, `{"experiment":"sweep:fig4@110,50"}`)
+	body, err := json.Marshal(client.Request{Experiment: listed.Experiment, Thresholds: listed.Thresholds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	redo, code := submit(t, ts, string(body))
 	if code != http.StatusAccepted && code != http.StatusOK {
-		t.Fatalf("spec-form resubmit returned %d", code)
+		t.Fatalf("listed-definition resubmit returned %d", code)
 	}
 	if redo.ReportKey != first.ReportKey {
-		t.Fatalf("spec form derived key %s, grid form %s", redo.ReportKey, first.ReportKey)
+		t.Fatalf("listed definition derived key %s, first submission %s", redo.ReportKey, first.ReportKey)
 	}
 	done := awaitJob(t, ts, redo.ID)
 	if done.Status != "done" {
@@ -133,10 +153,8 @@ func TestSweepRequestValidation(t *testing.T) {
 	for name, body := range map[string]string{
 		"all-experiments":     `{"experiment":"all","thresholds":[110,50]}`,
 		"both-axes":           `{"experiment":"fig4","threshold":50,"thresholds":[110,50]}`,
-		"empty-grid-spec":     `{"experiment":"sweep:fig4@"}`,
-		"bad-grid-spec":       `{"experiment":"sweep:fig4@junk"}`,
 		"unknown-exp":         `{"experiment":"fig99","thresholds":[50]}`,
-		"unknown-exp-spec":    `{"experiment":"sweep:fig99@50"}`,
+		"unknown-exp-spec":    `{"experiment":"sweep:fig4@110,50"}`, // grids ride in thresholds
 		"duplicate-threshold": `{"experiment":"fig4","thresholds":[50,50]}`,
 		"negative-threshold":  `{"experiment":"fig4","thresholds":[-50]}`,
 	} {
@@ -159,7 +177,12 @@ func TestSweepRequestValidation(t *testing.T) {
 	if sweep.ReportKey == single.ReportKey {
 		t.Fatal("a one-point sweep shares its report key with a plain run")
 	}
-	for _, id := range []string{sweep.ID, single.ID} {
+	// An empty grid is no grid: the job is a plain run.
+	plain, code := submit(t, ts, `{"experiment":"fig4","threshold":60,"thresholds":[]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("empty-grid submit returned %d", code)
+	}
+	for _, id := range []string{sweep.ID, single.ID, plain.ID} {
 		if done := awaitJob(t, ts, id); done.Status != "done" {
 			t.Fatalf("job %s ended %q (%s)", id, done.Status, done.Error)
 		}

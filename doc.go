@@ -30,8 +30,8 @@
 // run uses, so a grown grid recomputes only its missing cells. `ogbench
 // -sweep lo:hi:step` (or an explicit comma list) drives a sweep from the
 // CLI, and an opgated experiment request carrying a "thresholds" grid
-// submits one as a single job, journalled for crash recovery as a
-// sweep:<id>@<grid> spec.
+// submits one as a single job, whose journal record carries the grid in
+// a typed field for crash recovery.
 //
 // Everything else adapts this surface. `ogbench` renders a session to
 // stdout (-format text|json); `opgated` serves it over HTTP (POST
@@ -42,12 +42,12 @@
 // "failed" with its stack recorded; the worker pool survives), a
 // SIGTERM graceful drain (-drain-timeout: /readyz flips unready, new
 // submissions get 503 + Retry-After, queued jobs end "aborted"),
-// load-aware admission control (-shed-watermark/-max-inflight-bytes:
-// uncached submissions shed first, with Retry-After derived from
-// observed service times), and SIGKILL crash recovery via a durable job
-// journal (-journal, on by default with -store: a restarted process
-// re-adopts in-flight jobs under their original IDs and never re-runs
-// work whose report is already stored). Several opgated nodes shard
+// load-aware admission control (-shed-watermark: uncached submissions
+// shed first, with Retry-After derived from observed service times),
+// and SIGKILL crash recovery via a durable job journal (-journal, on by
+// default with -store: a restarted process re-adopts in-flight jobs
+// under their original IDs and never re-runs work whose report is
+// already stored). Several opgated nodes shard
 // their stores into one fleet (-peers: consistent-hash routing of
 // report keys, peer-object replication over GET/PUT /v1/objects/{key},
 // local compute whenever a peer fails), and `ogload` load-tests a node

@@ -13,7 +13,10 @@ var regenCorpus = flag.Bool("regen-corpus", false, "rewrite the committed FuzzJo
 
 // fuzzCorpusSeeds returns the deterministic seed inputs: a valid
 // multi-record stream plus one representative of each damage class, so
-// the fuzzer starts at every rejection branch.
+// the fuzzer starts at every rejection branch, and a sweep record with a
+// threshold grid. New seeds go last: an unchanged earlier seed file shows
+// that records written before a format extension still decode as they
+// did.
 func fuzzCorpusSeeds() [][]byte {
 	full := Record{
 		Seq: 1, Time: 1700000000000000000, Job: "job-000001", Status: "queued",
@@ -35,6 +38,8 @@ func fuzzCorpusSeeds() [][]byte {
 	binary.LittleEndian.PutUint32(lengthLies, maxPayload+1)
 	backwards := append([]byte{}, EncodeRecord(done)...)
 	backwards = append(backwards, EncodeRecord(full)...) // seq 2 then 1
+	sweep := full
+	sweep.Experiment, sweep.Threshold, sweep.Thresholds = "fig4", 0, []float64{110, 50}
 
 	return [][]byte{
 		stream,
@@ -44,6 +49,7 @@ func fuzzCorpusSeeds() [][]byte {
 		backwards,
 		{0x01, 0x00, 0x00, 0x00}, // header shorter than frameHeaderSize
 		{},
+		EncodeRecord(sweep), // the optional grid field, after the seeds above
 	}
 }
 

@@ -48,15 +48,16 @@ import (
 // job's full definition, not just the transition, so any single surviving
 // record is enough to re-adopt the job after a crash.
 type Record struct {
-	Seq        uint64   // monotonic, assigned by Append
-	Time       int64    // UnixNano of the transition
-	Job        string   // job ID ("job-000042")
-	Status     string   // lifecycle status at this transition
-	Experiment string   // job definition: experiment ID
-	Threshold  float64  // job definition: VRS threshold
-	Synthetics []string // job definition: expanded synthetic names
-	ReportKey  string   // content address the finished report lands under
-	Err        string   // terminal error message, when there is one
+	Seq        uint64    // monotonic, assigned by Append
+	Time       int64     // UnixNano of the transition
+	Job        string    // job ID ("job-000042")
+	Status     string    // lifecycle status at this transition
+	Experiment string    // job definition: experiment ID
+	Threshold  float64   // job definition: VRS threshold
+	Synthetics []string  // job definition: expanded synthetic names
+	Thresholds []float64 // job definition: a sweep's grid; empty for a plain job
+	ReportKey  string    // content address the finished report lands under
+	Err        string    // terminal error message, when there is one
 }
 
 // Wire-format bounds: a frame advertising more than maxPayload bytes (or
@@ -87,8 +88,10 @@ func appendString(buf []byte, s string) []byte {
 }
 
 // encodePayload renders the canonical payload: fixed field order, every
-// variable-length field length-prefixed, no optionality — the bijection
-// FuzzJournalDecode leans on.
+// variable-length field length-prefixed — the bijection FuzzJournalDecode
+// leans on. The one optional field is last: a sweep's grid, a count and
+// then that many float64 bit patterns, written only when non-empty, so a
+// grid-less record encodes exactly as it did before the field existed.
 func encodePayload(r Record) []byte {
 	buf := make([]byte, 0, 64+len(r.Job)+len(r.Status)+len(r.Experiment)+len(r.ReportKey)+len(r.Err))
 	buf = appendUint64(buf, r.Seq)
@@ -102,6 +105,12 @@ func encodePayload(r Record) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Synthetics)))
 	for _, s := range r.Synthetics {
 		buf = appendString(buf, s)
+	}
+	if len(r.Thresholds) > 0 {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Thresholds)))
+		for _, th := range r.Thresholds {
+			buf = appendUint64(buf, math.Float64bits(th))
+		}
 	}
 	return buf
 }
@@ -193,6 +202,23 @@ func decodePayload(payload []byte) (Record, error) {
 			return r, err
 		}
 		r.Synthetics = append(r.Synthetics, s)
+	}
+	if p.off < len(payload) {
+		// A grid is never written empty, so a count of 0 is not canonical;
+		// a count the payload cannot hold fails at its first short read.
+		if n, err = p.uint32(); err != nil {
+			return r, err
+		}
+		if n == 0 {
+			return r, errors.New("journal: empty threshold grid")
+		}
+		for i := uint32(0); i < n; i++ {
+			bits, err := p.uint64()
+			if err != nil {
+				return r, err
+			}
+			r.Thresholds = append(r.Thresholds, math.Float64frombits(bits))
+		}
 	}
 	if p.off != len(payload) {
 		return r, fmt.Errorf("journal: %d trailing payload bytes", len(payload)-p.off)

@@ -1,6 +1,9 @@
 package journal
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -257,5 +260,42 @@ func TestJournalUsesFSSeam(t *testing.T) {
 	_, recs := openTest(t, path, 0)
 	if len(recs) != 1 {
 		t.Fatalf("replayed %d records written through the seam", len(recs))
+	}
+}
+
+// TestThresholdGridEncoding: a sweep's grid rides after every other
+// field, so a grid-less record encodes exactly as it did before the field
+// existed, a gridded one round-trips, and the two non-canonical grid
+// spellings — an explicit count of 0, and a count the payload cannot
+// hold — are rejected.
+func TestThresholdGridEncoding(t *testing.T) {
+	plain := rec("job-000001", "queued")
+	plain.Seq = 1
+	sweep := plain
+	sweep.Thresholds = []float64{110, 50}
+
+	base := encodePayload(plain)
+	gridded := encodePayload(sweep)
+	if len(gridded) != len(base)+4+8*2 || !bytes.Equal(gridded[:len(base)], base) {
+		t.Fatalf("grid is not a pure suffix: %d-byte payload over a %d-byte grid-less one", len(gridded), len(base))
+	}
+	got, n, err := DecodeRecord(EncodeRecord(sweep))
+	if err != nil || n != len(EncodeRecord(sweep)) || !reflect.DeepEqual(got, sweep) {
+		t.Fatalf("gridded record round trip: %+v, %d bytes, %v", got, n, err)
+	}
+
+	frame := func(payload []byte) []byte {
+		f := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		f = binary.LittleEndian.AppendUint32(f, crc32.Checksum(payload, crcTable))
+		return append(f, payload...)
+	}
+	for name, payload := range map[string][]byte{
+		"zero-count": binary.LittleEndian.AppendUint32(bytes.Clone(base), 0),
+		"over-count": append(binary.LittleEndian.AppendUint32(bytes.Clone(base), 3), gridded[len(base)+4:]...),
+		"short-grid": gridded[:len(gridded)-1],
+	} {
+		if _, _, err := DecodeRecord(frame(payload)); err == nil {
+			t.Errorf("%s: non-canonical grid accepted", name)
+		}
 	}
 }

@@ -25,14 +25,12 @@ type Bank struct {
 	sext   bool         // Meter.SignExtendToCache of every meter
 	tabs   []bankTab    // one per requested mode, then one per overlay
 	over   []bankTab    // the overlays: tabs[len(requested modes):]
-	// accesses[s] counts the fixed and explicit-width accesses to s,
-	// ops[s] its operand accesses, of which the overlays accrued done[s].
-	accesses, ops, done [NumStructures]int64
+	// accesses[s] counts the accesses to s.
+	accesses [NumStructures]int64
 	// accrue[s] is the meters that accrue s: tabs[:1] for an ungated
-	// structure, every meter otherwise; opMeters[s] leaves out overlays,
-	// and gated lists the structures that overlays accrue.
-	accrue, opMeters [NumStructures][]bankTab
-	gated            []Structure
+	// structure, every meter otherwise. Of those, opMeters[s] are the
+	// requested modes and opOver[s] the overlays.
+	accrue, opMeters, opOver [NumStructures][]bankTab
 }
 
 // bankTab is one meter's energy tables and accumulators.
@@ -45,8 +43,9 @@ type bankTab struct {
 	// AccessCacheValue under SignExtendToCache.
 	full [NumStructures]float64
 	// widths is an overlay's software width per static instruction (nil
-	// for a requested mode).
+	// for a requested mode), and width its entry for the current one.
 	widths []uint8
+	width  uint8
 }
 
 // bankWidths is the span of the table's software-width and
@@ -61,13 +60,8 @@ const bankWidths = 9
 // width from its own table, by static index, instead of from the caller,
 // so over a program's accesses it accrues, bit for bit, what a
 // GateSoftware meter accrues over a width-only rewrite's (software gating
-// never looks at a value). It accrues fixed and explicit-width accesses
-// in their calls, and an instruction's operand accesses (AccessSig,
-// AccessCacheSig) in order when Retire closes it, so a bank without
-// overlays pays one test per instruction for them. The caller keeps
-// every width at most 8, calls Retire after each instruction's accesses,
-// and makes no other access to a structure after an operand access to it
-// in one instruction.
+// never looks at a value). The caller keeps every width at most 8 and
+// calls Begin before each instruction's operand accesses.
 func NewBank(params Params, modes []GatingMode, signExtendToCache bool, overlays ...[]uint8) *Bank {
 	all := slices.Clone(modes)
 	for range overlays {
@@ -89,9 +83,7 @@ func NewBank(params Params, modes []GatingMode, signExtendToCache bool, overlays
 			b.accrue[s] = b.tabs[:min(1, len(all))]
 		}
 		b.opMeters[s] = b.accrue[s][:min(len(modes), len(b.accrue[s]))]
-		if params.Gated[s] != 0 {
-			b.gated = append(b.gated, Structure(s))
-		}
+		b.opOver[s] = b.accrue[s][len(b.opMeters[s]):]
 	}
 	for i, mode := range all {
 		m := NewMeter(params, mode)
@@ -108,32 +100,12 @@ func NewBank(params Params, modes []GatingMode, signExtendToCache bool, overlays
 	return b
 }
 
-// Retire closes static instruction idx after its accesses: each overlay
-// accrues the operand accesses made since the last Retire at its width
-// for idx.
-func (b *Bank) Retire(idx int32) {
-	if len(b.over) != 0 {
-		b.retire(idx)
-	}
-}
-
-// retire is Retire's overlay accrual, kept out of line so that Retire
-// inlines to one test.
-//
-//go:noinline
-func (b *Bank) retire(idx int32) {
+// Begin opens static instruction idx: each overlay takes its width for
+// idx as the operand width of the accesses that follow.
+func (b *Bank) Begin(idx int32) {
 	for i := range b.over {
 		t := &b.over[i]
-		w := t.widths[idx]
-		for _, s := range b.gated {
-			// A software meter's entry is the same for every sig.
-			for k := b.done[s]; k < b.ops[s]; k++ {
-				t.energy[s] += t.value[s][w][1]
-			}
-		}
-	}
-	for _, s := range b.gated {
-		b.done[s] = b.ops[s]
+		t.width = t.widths[idx]
 	}
 }
 
@@ -160,15 +132,21 @@ func (b *Bank) AccessValue(s Structure, swWidth int, value int64) {
 	}
 }
 
-// AccessSig records on every requested meter an operand access of the
-// current instruction (Retire), moving a value whose SignificantBytes is
-// sig through an opcode of swWidth bytes (Meter.AccessValue).
+// AccessSig records an operand access of the current instruction
+// (Begin), moving a value whose SignificantBytes is sig through an opcode
+// of swWidth bytes on every requested meter and of the overlay's own
+// width on every overlay (Meter.AccessValue).
 func (b *Bank) AccessSig(s Structure, swWidth, sig int) {
-	b.ops[s]++
+	b.accesses[s]++
 	tabs := b.opMeters[s]
 	for i := range tabs {
 		t := &tabs[i]
 		t.energy[s] += t.value[s][swWidth][sig]
+	}
+	over := b.opOver[s]
+	for i := range over {
+		t := &over[i]
+		t.energy[s] += t.value[s][t.width][sig]
 	}
 }
 
@@ -197,7 +175,7 @@ func (b *Bank) Meters() []*Meter {
 		m := NewMeter(b.params, mode)
 		m.SignExtendToCache = b.sext
 		for s := range m.Accesses {
-			m.Accesses[s] = b.accesses[s] + b.ops[s]
+			m.Accesses[s] = b.accesses[s]
 		}
 		m.Energy = b.tabs[i].energy
 		for s, tabs := range b.accrue {

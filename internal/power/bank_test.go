@@ -113,15 +113,14 @@ func TestBankMatchesMeters(t *testing.T) {
 // TestBankOverlaysMatchSoftwareMeters: an overlay fed a program's
 // accesses accrues exactly what a GateSoftware meter accrues fed the same
 // accesses at the overlay's own operand width, and the requested meters
-// are untouched by it. Each random instruction makes fixed and
-// explicit-width accesses and then operand accesses, as the timing core
-// does, over both parameter sets of TestBankMatchesMeters and both cache
-// approaches.
+// are untouched by it. Each random instruction interleaves fixed,
+// explicit-width, operand and cache accesses in any order, over both
+// parameter sets of TestBankMatchesMeters, both cache approaches, and a
+// bank of overlays alone.
 func TestBankOverlaysMatchSoftwareMeters(t *testing.T) {
 	swapped := DefaultParams()
 	swapped.Gated[IQ] = 0
 	swapped.Gated[L2Cache] = 0.5
-	modes := []GatingMode{GateNone, GateSoftware, GateCooperative}
 	vals := sigValues()
 	rng := rand.New(rand.NewSource(2))
 	const statics = 64
@@ -132,73 +131,61 @@ func TestBankOverlaysMatchSoftwareMeters(t *testing.T) {
 		}
 		return w
 	}
-	for pi, params := range []Params{DefaultParams(), swapped} {
-		for _, sext := range []bool{false, true} {
-			overlays := [][]uint8{widths(), widths()}
-			b := NewBank(params, modes, sext, overlays...)
-			solo := make([]*Meter, len(modes)+len(overlays))
-			for i := range solo {
-				mode := GateSoftware
-				if i < len(modes) {
-					mode = modes[i]
+	for _, modes := range [][]GatingMode{{GateNone, GateSoftware, GateCooperative}, nil} {
+		for pi, params := range []Params{DefaultParams(), swapped} {
+			for _, sext := range []bool{false, true} {
+				overlays := [][]uint8{widths(), widths()}
+				b := NewBank(params, modes, sext, overlays...)
+				solo := make([]*Meter, len(modes)+len(overlays))
+				for i := range solo {
+					mode := GateSoftware
+					if i < len(modes) {
+						mode = modes[i]
+					}
+					solo[i] = NewMeter(params, mode)
+					solo[i].SignExtendToCache = sext
 				}
-				solo[i] = NewMeter(params, mode)
-				solo[i].SignExtendToCache = sext
-			}
-			for range 5000 {
-				idx := int32(rng.Intn(statics))
-				sw := []int{0, 1, 2, 4, 8}[rng.Intn(5)]
-				for range rng.Intn(3) {
-					s := Structure(rng.Intn(int(NumStructures)))
-					if rng.Intn(2) == 0 {
-						b.AccessFixed(s)
-						for _, m := range solo {
-							m.AccessFixed(s)
+				for range 5000 {
+					idx := int32(rng.Intn(statics))
+					sw := []int{0, 1, 2, 4, 8}[rng.Intn(5)]
+					b.Begin(idx)
+					for range rng.Intn(8) {
+						s := Structure(rng.Intn(int(NumStructures)))
+						v := vals[rng.Intn(len(vals))] >> rng.Intn(64)
+						kind := rng.Intn(4)
+						switch kind {
+						case 0:
+							b.AccessFixed(s)
+						case 1:
+							b.AccessValue(s, 8, v)
+						case 2:
+							b.AccessSig(s, sw, SignificantBytes(v))
+						case 3:
+							b.AccessCacheSig(s, sw, SignificantBytes(v))
 						}
-						continue
-					}
-					v := vals[rng.Intn(len(vals))] >> rng.Intn(64)
-					b.AccessValue(s, 8, v)
-					for _, m := range solo {
-						m.AccessValue(s, 8, v)
-					}
-				}
-				for range rng.Intn(5) {
-					// Under SignExtendToCache a data-cache access is
-					// not an operand access, so the data cache takes
-					// only those, as in the timing core.
-					s := Structure(rng.Intn(int(NumStructures) - 1))
-					if s >= DCache {
-						s++
-					}
-					v := vals[rng.Intn(len(vals))] >> rng.Intn(64)
-					cache := rng.Intn(2) == 0
-					if cache {
-						s = DCache
-					}
-					if cache {
-						b.AccessCacheSig(s, sw, SignificantBytes(v))
-					} else {
-						b.AccessSig(s, sw, SignificantBytes(v))
-					}
-					for i, m := range solo {
-						w := sw
-						if i >= len(modes) {
-							w = int(overlays[i-len(modes)][idx])
-						}
-						if cache {
-							m.AccessCacheValue(s, w, v)
-						} else {
-							m.AccessValue(s, w, v)
+						for i, m := range solo {
+							w := sw
+							if i >= len(modes) {
+								w = int(overlays[i-len(modes)][idx])
+							}
+							switch kind {
+							case 0:
+								m.AccessFixed(s)
+							case 1:
+								m.AccessValue(s, 8, v)
+							case 2:
+								m.AccessValue(s, w, v)
+							case 3:
+								m.AccessCacheValue(s, w, v)
+							}
 						}
 					}
 				}
-				b.Retire(idx)
-			}
-			got := b.Meters()
-			for i := range got {
-				if !reflect.DeepEqual(got[i], solo[i]) {
-					t.Errorf("params %d sext=%v: meter %d (%v) differs from its solo meter", pi, sext, i, solo[i].Mode)
+				got := b.Meters()
+				for i := range got {
+					if !reflect.DeepEqual(got[i], solo[i]) {
+						t.Errorf("%d modes, params %d sext=%v: meter %d (%v) differs from its solo meter", len(modes), pi, sext, i, solo[i].Mode)
+					}
 				}
 			}
 		}

@@ -435,6 +435,7 @@ func (s *Sim) ConsumeRecs(b emu.RecBatch) {
 
 		// --- Execute / memory ---------------------------------------------
 		w := int(st.wbytes)
+		bank.Begin(idx) // the overlays' operand width for the accesses below
 		sigV := power.SignificantBytes(values[i])
 		done := issue + st.lat
 		if st.mem {
@@ -472,7 +473,6 @@ func (s *Sim) ConsumeRecs(b emu.RecBatch) {
 		if st.fu {
 			bank.AccessSig(power.FU, w, sigAB)
 		}
-		bank.Retire(idx) // the overlays accrue the operand accesses above
 
 		// --- Branch resolution ----------------------------------------------
 		if st.branch != brNone {

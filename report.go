@@ -52,13 +52,6 @@ func DecodeReports(data []byte) ([]*Report, error) {
 	return harness.DecodeReports(data)
 }
 
-// FormatThresholds renders a threshold grid in its canonical
-// comma-separated %g form — the spelling shared by sweep report labels,
-// store keys and opgated sweep specs.
-func FormatThresholds(thresholds []float64) string {
-	return harness.FormatThresholds(thresholds)
-}
-
 // ValidThresholds rejects grids Sweep cannot evaluate: empty,
 // non-positive values, or duplicates.
 func ValidThresholds(thresholds []float64) error {
