@@ -16,6 +16,7 @@ import (
 	"opgate/internal/harness"
 	"opgate/internal/isa"
 	"opgate/internal/power"
+	"opgate/internal/prog"
 	"opgate/internal/store"
 	"opgate/internal/uarch"
 	"opgate/internal/vrp"
@@ -417,16 +418,11 @@ func BenchmarkTraceStore(b *testing.B) {
 // table-driven meter bank. The opt-trio leg is the mode group of the
 // optimized binaries; the unmodified binary's group is the all-six leg,
 // and base+overlay adds the ideal-ISA software overlay its pass carries
-// for the opcode ablation.
+// for the opcode ablation. The rewrite leg is what a vrp binary's pass
+// costs instead of an opt-trio timing pass: the energy-only sink over
+// the eight vrp train traces, given each base binary's timing result.
 func BenchmarkReplayModes(b *testing.B) {
-	var traces []*emu.Trace
-	var ideal [][]isa.Width
-	var events int64
-	for _, w := range workload.All() {
-		p, err := w.Build(workload.Train)
-		if err != nil {
-			b.Fatal(err)
-		}
+	capture := func(p *prog.Program) *emu.Trace {
 		rec := emu.NewTraceRecorder(p)
 		m := emu.New(p)
 		m.Sink = rec
@@ -437,16 +433,41 @@ func BenchmarkReplayModes(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		return tr
+	}
+	cfg := uarch.DefaultConfig()
+	params := power.DefaultParams()
+	optTrio := []power.GatingMode{power.GateSoftware, power.GateCooperative, power.GateCooperativeSig}
+	var traces, rewrites []*emu.Trace
+	var ideal [][]isa.Width
+	var timed []*uarch.Result
+	var events, rewriteEvents int64
+	for _, w := range workload.All() {
+		p, err := w.Build(workload.Train)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr := capture(p)
 		r, err := vrp.Analyze(p, vrp.Options{Mode: vrp.Useful, Opcodes: isa.FullOpcodeSet()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		u, err := vrp.Analyze(p, vrp.Options{Mode: vrp.Useful})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rw := capture(u.Apply())
+		base, err := uarch.ReplayModes(tr, cfg, params, []power.GatingMode{power.GateNone})
 		if err != nil {
 			b.Fatal(err)
 		}
 		traces = append(traces, tr)
 		ideal = append(ideal, r.Width)
+		rewrites = append(rewrites, rw)
+		timed = append(timed, base[0])
 		events += tr.Len()
+		rewriteEvents += rw.Len()
 	}
-	cfg := uarch.DefaultConfig()
-	params := power.DefaultParams()
 	for _, leg := range []struct {
 		name    string
 		modes   []power.GatingMode
@@ -457,7 +478,7 @@ func BenchmarkReplayModes(b *testing.B) {
 		{"coop-pair", []power.GatingMode{power.GateCooperative, power.GateCooperativeSig}, false},
 		{"all6", power.Modes(), false},
 		{"base-trio", []power.GatingMode{power.GateNone, power.GateHWSize, power.GateHWSignificance}, false},
-		{"opt-trio", []power.GatingMode{power.GateSoftware, power.GateCooperative, power.GateCooperativeSig}, false},
+		{"opt-trio", optTrio, false},
 		{"base+overlay", power.Modes(), true},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
@@ -478,6 +499,19 @@ func BenchmarkReplayModes(b *testing.B) {
 			b.ReportMetric(float64(events*int64(b.N))/b.Elapsed().Seconds()/1e6, "MIPS")
 		})
 	}
+	b.Run("rewrite", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k, tr := range rewrites {
+				sink, err := uarch.NewRewrite(tr.Program(), cfg, params, optTrio, timed[k])
+				if err != nil {
+					b.Fatal(err)
+				}
+				tr.Records(sink)
+				sink.FinishAll()
+			}
+		}
+		b.ReportMetric(float64(rewriteEvents*int64(b.N))/b.Elapsed().Seconds()/1e6, "MIPS")
+	})
 }
 
 // benchFigureMatrix runs an experiment on a fresh suite live (no store:

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"opgate/internal/power"
+	"opgate/internal/prog"
 	"opgate/internal/store"
 	"opgate/internal/uarch"
 )
@@ -120,6 +123,48 @@ func TestFigureMatricesEmulateOncePerBinary(t *testing.T) {
 	}
 }
 
+// coreBinaries counts the distinct binaries the labels build across the
+// suite's workloads that are not width-only rewrites of their workload's
+// base binary, comparing instructions afresh rather than reading the
+// suite's marks: the timing-core passes the traversal contract allows.
+// Every other binary's traversal feeds an energy-only sink.
+func coreBinaries(t *testing.T, s *Suite, labels ...string) int64 {
+	t.Helper()
+	var n int64
+	for _, name := range s.Names() {
+		base, err := s.variantBinary(name, "base")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, group := range labelGroups(t, s, name, labels) {
+			b, err := s.variantBinary(name, group[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if store.ProgramIdentity(b.p) == store.ProgramIdentity(base.p) || !sameButWidths(base.p, b.p) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// sameButWidths reports whether q is p with only instruction widths
+// changed.
+func sameButWidths(p, q *prog.Program) bool {
+	if len(p.Ins) != len(q.Ins) {
+		return false
+	}
+	for i := range p.Ins {
+		in := q.Ins[i]
+		in.Width = p.Ins[i].Width
+		if in != p.Ins[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestRunAllOneFusedPassPerBinary: mode groups follow binary roles, so a
 // full evaluation simulates every binary in exactly one fused timing
 // pass — one pass per distinct simulated binary (simulatedLabels).
@@ -190,13 +235,19 @@ func TestLabelsSharingABinaryShareResults(t *testing.T) {
 // it only histograms. That holds with no store, over a cold store and
 // over a warm one, when the experiments run one at a time on one suite,
 // and with generated workloads. The ablations' one-off binaries ride the
-// base binaries' passes as overlays and add none.
+// base binaries' passes as overlays and add none. It is also the
+// timing-core probe: only the binaries that are not width-only rewrites
+// run the core, the 8 base binaries and 2 VRS binaries of a quick run;
+// the 8 vrp binaries' traversals feed energy-only sinks.
 func TestRunAllOneTraversalPerBinary(t *testing.T) {
 	check := func(t *testing.T, s *Suite, emulations int64) {
 		t.Helper()
 		want := distinctBinaries(t, s, simulatedLabels()...)
 		if got := s.traversals.Load(); got != want {
 			t.Errorf("%d traversals, want %d (one per distinct simulated binary)", got, want)
+		}
+		if got, want := s.cores.Load(), coreBinaries(t, s, simulatedLabels()...); got != want {
+			t.Errorf("%d timing-core passes, want %d (one per simulated binary that is no width-only rewrite)", got, want)
 		}
 		if got := s.Emulations(); got != emulations {
 			t.Errorf("%d emulations, want %d", got, emulations)
@@ -209,6 +260,9 @@ func TestRunAllOneTraversalPerBinary(t *testing.T) {
 		t.Helper()
 		if got := distinctBinaries(t, s, simulatedLabels()...); got != 18 {
 			t.Fatalf("quick suite simulates %d distinct binaries, want 18", got)
+		}
+		if got := coreBinaries(t, s, simulatedLabels()...); got != 10 {
+			t.Fatalf("quick suite times %d binaries in the core, want 10", got)
 		}
 		check(t, s, emulations)
 		if got := overlayCount(t, s); got != 8 {
@@ -263,5 +317,55 @@ func TestWidthOnlyRewritesEmulateOnlyTheBase(t *testing.T) {
 	}
 	if got := s.traversals.Load(); got != want {
 		t.Errorf("%d traversals, want %d (the base binaries only)", got, want)
+	}
+}
+
+// TestWidthOnlyIsTheBinarysProperty: whether a binary's pass runs the
+// timing core is decided by the binary, not by the label that reaches it
+// first. compress's VRS selects nothing, so its vrs50 label builds the
+// vrp binary; asked first, it still takes the base binary's timing pass
+// and charges only its own energy, and the vrp label then reads that
+// same pass. Its results equal the binary's own fused timing pass.
+func TestWidthOnlyIsTheBinarysProperty(t *testing.T) {
+	s := NewSuite(true)
+	soft := slices.Index(modeGroups[1], power.GateSoftware)
+	first, err := s.Sim("compress", "vrs50", power.GateSoftware)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vrs, err := s.variantBinary("compress", "vrs50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vrpBin, err := s.variantBinary("compress", "vrp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vrs.key != vrpBin.key {
+		t.Fatal("compress's vrs50 label no longer builds its vrp binary; the test cannot observe label order")
+	}
+	if got := s.cores.Load(); got != 1 {
+		t.Errorf("vrs50 asked first ran the timing core %d times, want 1 (its base binary's pass only)", got)
+	}
+	if got := s.traversals.Load(); got != 2 {
+		t.Errorf("%d traversals, want 2 (the base binary and the rewrite)", got)
+	}
+	if got, err := s.Sim("compress", "vrp", power.GateSoftware); err != nil {
+		t.Fatal(err)
+	} else if got != first {
+		t.Error("vrp and vrs50 build one binary but return different results")
+	}
+	if got := s.traversals.Load(); got != 2 {
+		t.Errorf("vrp after vrs50: %d traversals, want 2", got)
+	}
+	live, err := uarch.NewMulti(vrs.p, s.Uarch, s.Power, modeGroups[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.traverse(vrs, live); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(live.FinishAll()[soft], first) {
+		t.Error("the rewrite's energy-only results differ from its own timing pass")
 	}
 }

@@ -44,7 +44,9 @@ func TestParallelSuiteDeterministic(t *testing.T) {
 // duplicate work or torn state — also when the callers reach it through
 // different variant labels that build one binary (compress's VRS emits
 // its VRP binary at every paper threshold). Each caller asks for its
-// label's role mode.
+// label's role mode. That binary is a width-only rewrite, whose pass
+// takes its base binary's timing pass first, so the race emulates two
+// binaries, the rewrite and its base, once each.
 func TestSuiteMemoizesUnderConcurrency(t *testing.T) {
 	s := NewSuite(true)
 	labels := []string{"vrp", "vrs110", "vrs50"}
@@ -78,8 +80,11 @@ func TestSuiteMemoizesUnderConcurrency(t *testing.T) {
 			t.Fatalf("caller %d saw a different result than the first caller", i)
 		}
 	}
-	if n := s.Emulations(); n != 1 {
-		t.Errorf("%d callers over %v performed %d emulations, want 1", callers, labels, n)
+	if n := s.Emulations(); n != 2 {
+		t.Errorf("%d callers over %v performed %d emulations, want 2 (the rewrite and its base)", callers, labels, n)
+	}
+	if n := s.cores.Load(); n != 1 {
+		t.Errorf("%d callers over %v ran the timing core %d times, want 1 (the base binary's pass)", callers, labels, n)
 	}
 }
 

@@ -24,13 +24,17 @@
 // plus Figure 12's value sizes on the base binary) and one fused timing
 // pass of the binary's role group (modeGroups): every mode on the
 // unmodified binary, software and cooperative gating on a rewrite. A
-// width-only rewrite (vrp.Result.Apply: "vrp", "vrp-conv", every ablation
-// row) retires its base binary's path with the same opcodes, so its
-// record profile is the base binary's counts over its own widths, and the
+// width-only rewrite (vrp.Result.Apply: "vrp", "vrp-conv", a "vrs<θ>"
+// that selects nothing, every ablation row) retires its base binary's
+// path with the same opcodes, so its record profile is the base binary's
+// counts over its own widths, its timing is the base binary's, and the
 // base binary's pass times the opcode ablation's one-off rows as software
-// overlays: of the width-only rewrites, only the vrp binary costs a
-// traversal. No trace is kept in memory, and no request can cost a binary
-// a second traversal: a mode outside its role group is an error.
+// overlays. Of the width-only rewrites only the vrp binary costs a
+// traversal, and that traversal runs no timing core: it feeds an
+// energy-only sink (uarch.NewRewrite) that takes the base binary's pass
+// for timing and charges the role group's value-driven meters alone. No
+// trace is kept in memory, and no request can cost a binary a second
+// traversal: a mode outside its role group is an error.
 //
 // With a Store attached, a binary's trace is looked up on disk
 // (content-addressed by workload, input class and the binary's identity
@@ -108,6 +112,7 @@ type Suite struct {
 	emuRuns    atomic.Int64
 	trainRuns  atomic.Int64
 	traversals atomic.Int64 // traversals of suite binaries, one per binPass
+	cores      atomic.Int64 // timing-core passes: binPasses of binaries no rewritePass serves
 }
 
 type progKey struct {
@@ -148,7 +153,10 @@ func (k binKey) String() string { return fmt.Sprintf("%s@%.12s", k.name, k.id) }
 
 // variantBin is a resolved variant: the program, the key it is cached by,
 // and whether it is a width-only rewrite of the evaluation binary
-// (vrp.Result.Apply), whose record profile is the base binary's (records).
+// (vrp.Result.Apply), whose record profile is the base binary's (records)
+// and whose pass takes the base binary's timing (binPass). Every label
+// that builds a binary marks it alike, so whichever reaches it first
+// decides nothing.
 type variantBin struct {
 	p         *prog.Program
 	key       binKey
@@ -324,7 +332,10 @@ func (s *Suite) buildVariant(name, variant string) (*prog.Program, bool, error) 
 		if err != nil {
 			return nil, false, err
 		}
-		return r.Apply(), false, nil
+		// A selection of nothing transforms nothing: its binary is
+		// the evaluation binary under the baseline analysis, the
+		// vrp label's width-only rewrite.
+		return r.Apply(), r.NumSpecialized() == 0, nil
 	}
 }
 
@@ -428,9 +439,10 @@ func (s *Suite) records(name, variant string) (*recProfile, error) {
 }
 
 // traversal is what a binary's one traversal leaves behind: its record
-// profile, the results of its fused timing pass (its role group's modes,
-// then its overlays) and, on a workload's base binary, the index in rs of
-// each overlaid configuration's result.
+// profile (nil on a width-only rewrite, which reads its base binary's),
+// the results of its pass (its role group's modes, then its overlays)
+// and, on a workload's base binary, the index in rs of each overlaid
+// configuration's result.
 type traversal struct {
 	prof *recProfile
 	rs   []*uarch.Result
@@ -439,10 +451,17 @@ type traversal struct {
 
 // binPass returns (cached) a binary's one traversal, feeding its record
 // profile and a fused timing pass of its role group, plus on a base
-// binary the overlays; concurrent requests share it.
+// binary the overlays; concurrent requests share it. A width-only
+// rewrite's traversal feeds neither: it takes its base binary's pass,
+// whose timing is its own, and charges only its value-driven energy
+// (uarch.NewRewrite). Its record profile is the base's (records).
 func (s *Suite) binPass(b variantBin, isBase bool) (traversal, error) {
 	return s.passes.do(b.key, func() (traversal, error) {
 		modes := modeGroups[roleGroup(isBase)]
+		if b.widthOnly && !isBase {
+			return s.rewritePass(b, modes)
+		}
+		s.cores.Add(1)
 		var widths [][]isa.Width
 		var at []int
 		if isBase && !workload.IsTrace(b.key.name) {
@@ -465,6 +484,27 @@ func (s *Suite) binPass(b variantBin, isBase bool) (traversal, error) {
 		}
 		return traversal{prof, sim.FinishAll(), at}, nil
 	})
+}
+
+// rewritePass is binPass of a width-only rewrite b: its base binary's
+// pass, then one traversal of b into an energy-only sink.
+func (s *Suite) rewritePass(b variantBin, modes []power.GatingMode) (traversal, error) {
+	base, err := s.variantBinary(b.key.name, "base")
+	if err != nil {
+		return traversal{}, err
+	}
+	t, err := s.binPass(base, true)
+	if err != nil {
+		return traversal{}, err
+	}
+	sink, err := uarch.NewRewrite(b.p, s.Uarch, s.Power, modes, t.rs[0])
+	if err != nil {
+		return traversal{}, fmt.Errorf("harness: sim %v/%v: %w", b.key, modes, err)
+	}
+	if err := s.traverse(b, sink); err != nil {
+		return traversal{}, err
+	}
+	return traversal{rs: sink.FinishAll()}, nil
 }
 
 // overlays resolves the overlaid configurations on a workload's base

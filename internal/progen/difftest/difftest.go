@@ -6,9 +6,10 @@
 //   - a fused uarch.RunModes pass is bit-identical to independent
 //     per-mode uarch.Run calls;
 //   - a width-only VRP rewrite (vrp.Result.Apply) retires its base
-//     binary's exact path, and a software overlay carrying its widths
+//     binary's exact path; a software overlay carrying its widths
 //     (uarch.NewMulti), fed the base binary's records, times it bit for
-//     bit.
+//     bit; and so does its energy-only sink (uarch.NewRewrite), fed its
+//     own records and the base binary's timing result.
 //
 // The eight hand-built kernels exercise these invariants on 16 fixed
 // (workload, input) points; driven by progen seeds, difftest turns them
@@ -201,11 +202,13 @@ var rewriteConfigs = []struct {
 // CheckRewrites asserts the premises the harness reads width-only
 // rewrites by: under every rewrite configuration, the binary
 // vrp.Result.Apply builds retires p's exact path (every record matches
-// p's in Idx, Next, Op, Flags and Addr) and produces p's output, and a
-// software overlay of its widths over p's records is bit-identical to its
-// live GateSoftware timing run (sameResult). In conventional mode, which
-// narrows no demanded bit, Value, SrcA and SrcB match too, so only WBytes
-// differs.
+// p's in Idx, Next, Op, Flags and Addr) and produces p's output. Its
+// live timing pass of the rewrite modes (software and both cooperative
+// schemes) is the reference, compared by sameResult: a software overlay
+// of its widths over p's records must equal its GateSoftware result, and
+// its energy-only sink, fed its own records and p's timing result, every
+// mode's. In conventional mode, which narrows no demanded bit, Value,
+// SrcA and SrcB match too, so only WBytes differs.
 func CheckRewrites(p *prog.Program) error {
 	var rs []*vrp.Result
 	var widths [][]isa.Width
@@ -227,19 +230,44 @@ func CheckRewrites(p *prog.Program) error {
 	if err != nil {
 		return err
 	}
-	overlays := overlaid.FinishAll()[len(software):]
+	timed := overlaid.FinishAll()
+	overlays := timed[len(software):]
 	for k, rc := range rewriteConfigs {
-		q := rs[k].Apply()
-		live, err := uarch.NewMulti(q, cfg, params, software)
-		if err == nil {
-			c := &pathCheck{base: base, values: rc.opts.Mode == vrp.Conventional}
-			err = c.run(q, live)
-		}
-		if err == nil {
-			err = sameResult(overlays[k], live.FinishAll()[0], power.GateSoftware)
-		}
-		if err != nil {
+		if err := checkRewrite(rs[k].Apply(), base, timed[0], overlays[k], rc.opts.Mode == vrp.Conventional); err != nil {
 			return fmt.Errorf("%s rewrite: %w", rc.name, err)
+		}
+	}
+	return nil
+}
+
+// rewriteModes are the modes the harness times a rewrite under.
+var rewriteModes = []power.GatingMode{power.GateSoftware, power.GateCooperative, power.GateCooperativeSig}
+
+// checkRewrite runs the rewrite q against the base outcome (values:
+// comparing the value columns too), feeding its records to its live
+// timing pass and to its energy-only sink given baseTiming, the base's
+// timing result, and holds the overlay and the sink to that live pass.
+func checkRewrite(q *prog.Program, base *outcome, baseTiming, overlay *uarch.Result, values bool) error {
+	cfg, params := uarch.DefaultConfig(), power.DefaultParams()
+	live, err := uarch.NewMulti(q, cfg, params, rewriteModes)
+	if err != nil {
+		return err
+	}
+	sink, err := uarch.NewRewrite(q, cfg, params, rewriteModes, baseTiming)
+	if err != nil {
+		return err
+	}
+	c := &pathCheck{base: base, values: values}
+	if err := c.run(q, live, sink); err != nil {
+		return err
+	}
+	want := live.FinishAll()
+	if err := sameResult(overlay, want[0], power.GateSoftware); err != nil {
+		return fmt.Errorf("overlay: %w", err)
+	}
+	for i, mode := range rewriteModes {
+		if err := sameResult(sink.FinishAll()[i], want[i], mode); err != nil {
+			return fmt.Errorf("energy-only sink: %w", err)
 		}
 	}
 	return nil
@@ -256,13 +284,15 @@ type pathCheck struct {
 }
 
 // run executes the rewrite q against the base outcome, feeding its
-// records to sink too.
-func (c *pathCheck) run(q *prog.Program, sink emu.Sink) error {
+// records to the sinks too.
+func (c *pathCheck) run(q *prog.Program, sinks ...emu.Sink) error {
 	m := emu.New(q)
 	defer m.Release()
 	m.Sink = emu.RecFunc(func(b emu.RecBatch) {
 		c.ConsumeRecs(b)
-		sink.ConsumeRecs(b)
+		for _, s := range sinks {
+			s.ConsumeRecs(b)
+		}
 	})
 	err := m.Run()
 	switch {

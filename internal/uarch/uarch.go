@@ -9,6 +9,15 @@
 // This is the classic sim-outorder decomposition: timing is modelled on
 // the architecturally correct path, with branch mispredictions charged as
 // fetch redirect bubbles plus wrong-path activity energy.
+//
+// A width-only rewrite (vrp.Result.Apply) retires its base binary's path
+// with the base's opcodes, so the core's output for it is, bit for bit,
+// the base binary's: the timing, and every structure the core reaches
+// only through fixed-cost accesses. Its pass is therefore not a timing
+// pass: an energy-only sink (NewRewrite) takes those from the base
+// binary's Result and charges the rewrite's own records only the
+// value-driven accesses, through the same function the core calls
+// (accrue).
 package uarch
 
 import (
@@ -162,8 +171,9 @@ type static struct {
 	branch uint8
 }
 
-// predecode builds the static table of p for cfg.
-func predecode(p *prog.Program, cfg *Config, lineBytes int) ([]static, error) {
+// predecode builds the static table of p. The I-cache line of each entry
+// is the timing core's to fill (NewMulti).
+func predecode(p *prog.Program) ([]static, error) {
 	tab := make([]static, len(p.Ins))
 	for i := range p.Ins {
 		in := &p.Ins[i]
@@ -171,7 +181,6 @@ func predecode(p *prog.Program, cfg *Config, lineBytes int) ([]static, error) {
 		if w := in.Width.Bytes(); w > 8 {
 			return nil, fmt.Errorf("uarch: instruction %d: operand width %d bytes", i, w)
 		}
-		st.line = int64(i) * int64(cfg.InstrBytes) / int64(lineBytes)
 		st.lat = int64(isa.Latency(in.Op))
 		st.wbytes = uint8(in.Width.Bytes())
 		uses, n := in.Uses()
@@ -269,9 +278,12 @@ func NewMulti(p *prog.Program, cfg Config, params power.Params, modes []power.Ga
 		return nil, err
 	}
 	l1i := hier.L1I.Config()
-	stat, err := predecode(p, &cfg, l1i.LineBytes)
+	stat, err := predecode(p)
 	if err != nil {
 		return nil, err
+	}
+	for i := range stat {
+		stat[i].line = int64(i) * int64(cfg.InstrBytes) / int64(l1i.LineBytes)
 	}
 	return &Sim{
 		cfg:           cfg,
@@ -434,45 +446,19 @@ func (s *Sim) ConsumeRecs(b emu.RecBatch) {
 		}
 
 		// --- Execute / memory ---------------------------------------------
-		w := int(st.wbytes)
-		bank.Begin(idx) // the overlays' operand width for the accesses below
-		sigV := power.SignificantBytes(values[i])
 		done := issue + st.lat
 		if st.mem {
-			addr := addrs[i]
-			lat, l2 := s.hier.DataAccess(addr, st.store)
+			lat, l2 := s.hier.DataAccess(addrs[i], st.store)
 			done = issue + int64(lat)
-			// LSQ: address CAM plus data movement. The address access is
-			// a full-width (8-byte) value access, gated by each meter's
-			// own view of the address bytes.
-			bank.AccessValue(power.LSQ, 8, addr)
-			bank.AccessSig(power.LSQ, w, sigV)
-			bank.AccessCacheSig(power.DCache, w, sigV)
 			if l2 {
 				bank.AccessFixed(power.L2Cache)
 			}
 		}
-
-		// --- Energy: window, operands, execution --------------------------
-		// Dual-operand structures are gated by the wider operand.
-		sigA, sigB := power.SignificantBytes(srcAs[i]), power.SignificantBytes(srcBs[i])
-		sigAB := max(sigA, sigB)
-		bank.AccessSig(power.IQ, w, sigAB)
 		bank.AccessFixed(power.ROB)
-		if st.readsA {
-			bank.AccessSig(power.RegFile, w, sigA)
-		}
-		for k := uint8(0); k < st.readsB; k++ {
-			bank.AccessSig(power.RegFile, w, sigB)
-		}
-		if st.writes {
-			bank.AccessSig(power.RegFile, w, sigV)
-			bank.AccessSig(power.RenameBuf, w, sigV)
-			bank.AccessSig(power.ResultBus, w, sigV)
-		}
-		if st.fu {
-			bank.AccessSig(power.FU, w, sigAB)
-		}
+
+		// --- Energy: the value-driven accesses ------------------------------
+		bank.Begin(idx) // the overlays' operand width for the accesses below
+		st.accrue(bank, addrs[i], values[i], srcAs[i], srcBs[i])
 
 		// --- Branch resolution ----------------------------------------------
 		if st.branch != brNone {
@@ -552,4 +538,118 @@ func (s *Sim) FinishAll() []*Result {
 		}
 	}
 	return s.results
+}
+
+// accrue charges bank with every value-driven access of one retirement
+// of st: the LSQ and data cache of a memory access, then the
+// instruction queue, the register reads and write, the rename buffer,
+// the result bus and the functional unit, each at the instruction's
+// software width and the significant bytes of the value it moves. No
+// other code reaches these structures, and each keeps its own
+// accumulator, so the timing core and the energy-only sink (Rewrite),
+// both calling accrue in retirement order, charge them alike. The core
+// reaches the rest only through AccessFixed (fixedOnly).
+func (st *static) accrue(bank *power.Bank, addr, value, srcA, srcB int64) {
+	w := int(st.wbytes)
+	sigV := power.SignificantBytes(value)
+	if st.mem {
+		// LSQ: address CAM plus data movement. The address access is
+		// a full-width (8-byte) value access, gated by each meter's
+		// own view of the address bytes.
+		bank.AccessValue(power.LSQ, 8, addr)
+		bank.AccessSig(power.LSQ, w, sigV)
+		bank.AccessCacheSig(power.DCache, w, sigV)
+	}
+	// Dual-operand structures are gated by the wider operand.
+	sigA, sigB := power.SignificantBytes(srcA), power.SignificantBytes(srcB)
+	sigAB := max(sigA, sigB)
+	bank.AccessSig(power.IQ, w, sigAB)
+	if st.readsA {
+		bank.AccessSig(power.RegFile, w, sigA)
+	}
+	for k := uint8(0); k < st.readsB; k++ {
+		bank.AccessSig(power.RegFile, w, sigB)
+	}
+	if st.writes {
+		bank.AccessSig(power.RegFile, w, sigV)
+		bank.AccessSig(power.RenameBuf, w, sigV)
+		bank.AccessSig(power.ResultBus, w, sigV)
+	}
+	if st.fu {
+		bank.AccessSig(power.FU, w, sigAB)
+	}
+}
+
+// fixedOnly are the structures the timing core reaches only through
+// AccessFixed, outside accrue. Each access adds one mode-independent
+// constant, so their access counts and energy depend on the retired path
+// and the cycle count alone.
+var fixedOnly = [...]power.Structure{power.ICache, power.L2Cache, power.Rename, power.ROB, power.BPred}
+
+// Rewrite is the energy-only sink of a width-only rewrite (vrp.Result.Apply)
+// of a binary whose timing pass has run. The rewrite retires that base
+// binary's path with its opcodes, so the base's timing is its timing and
+// the base's fixedOnly structures are its structures, access for access.
+// Rewrite therefore runs no timing core: it holds no cache hierarchy,
+// predictor or issue, window and register rings, and charges only the
+// value-driven accesses (accrue) of the rewrite's own records, at the
+// rewrite's widths and values.
+type Rewrite struct {
+	bank    *power.Bank
+	stat    []static
+	base    *Result
+	results []*Result // built once by FinishAll
+}
+
+// NewRewrite returns the energy-only sink of q, a width-only rewrite of
+// the binary whose timing pass gave base (any of its meters' Results),
+// accruing every listed gating mode. Fed q's records, its FinishAll
+// equals FinishAll of NewMulti(q, cfg, params, modes) fed the same
+// records, bit for bit.
+func NewRewrite(q *prog.Program, cfg Config, params power.Params, modes []power.GatingMode, base *Result) (*Rewrite, error) {
+	if len(modes) == 0 {
+		return nil, fmt.Errorf("uarch: no gating modes requested")
+	}
+	stat, err := predecode(q)
+	if err != nil {
+		return nil, err
+	}
+	return &Rewrite{
+		bank: power.NewBank(params, modes, cfg.SignExtendToCache),
+		stat: stat,
+		base: base,
+	}, nil
+}
+
+// ConsumeRecs charges a batch of the rewrite's retired instructions (it
+// implements emu.Sink).
+func (r *Rewrite) ConsumeRecs(b emu.RecBatch) {
+	n := len(b.Idx)
+	addrs, values, srcAs, srcBs := b.Addr[:n], b.Value[:n], b.SrcA[:n], b.SrcB[:n]
+	for i, idx := range b.Idx {
+		r.stat[idx].accrue(r.bank, addrs[i], values[i], srcAs[i], srcBs[i])
+	}
+}
+
+// FinishAll returns one Result per gating mode, in NewRewrite order: the
+// base's timing and fixedOnly structures, and the rewrite's own
+// value-driven energy. Idempotent.
+func (r *Rewrite) FinishAll() []*Result {
+	if r.results != nil {
+		return r.results
+	}
+	base := r.base
+	meters := r.bank.Meters()
+	r.results = make([]*Result, len(meters))
+	for i, m := range meters {
+		m.Tick(base.Cycles)
+		for _, s := range fixedOnly {
+			m.Energy[s] = base.Energy.Energy[s]
+			m.Accesses[s] = base.Energy.Accesses[s]
+		}
+		res := *base
+		res.Energy = m
+		r.results[i] = &res
+	}
+	return r.results
 }

@@ -405,8 +405,57 @@ func TestOverlaysMatchRewriteRuns(t *testing.T) {
 	}
 }
 
+// TestRewriteMatchesRewriteRuns: the energy-only sink of a width-only
+// rewrite, fed the rewrite's records and given its base program's
+// ungated timing result, equals the rewrite's own fused timing pass in
+// every field of every mode, on every workload, for both VRP modes and
+// under both cache-tagging approaches.
+func TestRewriteMatchesRewriteRuns(t *testing.T) {
+	sext := uarch.DefaultConfig()
+	sext.SignExtendToCache = true
+	params := power.DefaultParams()
+	modes := power.Modes()
+	for _, w := range workload.All() {
+		p, err := w.Build(workload.Train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []uarch.Config{uarch.DefaultConfig(), sext} {
+			base, err := uarch.Run(p, cfg, params, power.GateNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range []vrp.Mode{vrp.Useful, vrp.Conventional} {
+				r, err := vrp.Analyze(p, vrp.Options{Mode: mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				q := r.Apply()
+				sink, err := uarch.NewRewrite(q, cfg, params, modes, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := emu.New(q)
+				m.Sink = sink
+				if err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+				m.Release()
+				live, err := uarch.RunModes(q, cfg, params, modes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := sink.FinishAll(); !reflect.DeepEqual(got, live) {
+					t.Errorf("%s %v rewrite (SignExtendToCache=%v): energy-only results differ from the rewrite's timing pass", w.Name, mode, cfg.SignExtendToCache)
+				}
+			}
+		}
+	}
+}
+
 // TestOverlayValidation: an overlay must name one width of at most 8
-// bytes per instruction.
+// bytes per instruction, and so must an energy-only sink's program; the
+// sink needs at least one mode.
 func TestOverlayValidation(t *testing.T) {
 	p := buildLoop(t, "\tmul r2, r2, #3\n", 10)
 	cfg, params, modes := uarch.DefaultConfig(), power.DefaultParams(), []power.GatingMode{power.GateNone}
@@ -421,6 +470,15 @@ func TestOverlayValidation(t *testing.T) {
 	wide[1] = isa.Width(16)
 	if _, err := uarch.NewMulti(p, cfg, params, modes, wide); err == nil || !strings.Contains(err.Error(), "operand width") {
 		t.Errorf("16-byte overlay width: error %v, want a rejection", err)
+	}
+	base := simulate(t, p, power.GateNone)
+	if _, err := uarch.NewRewrite(p, cfg, params, nil, base); err == nil {
+		t.Error("energy-only sink of no modes: no error")
+	}
+	q := p.Clone()
+	q.Ins[1].Width = isa.Width(16)
+	if _, err := uarch.NewRewrite(q, cfg, params, modes, base); err == nil || !strings.Contains(err.Error(), "operand width") {
+		t.Errorf("energy-only sink of a 16-byte width: error %v, want a rejection", err)
 	}
 }
 

@@ -16,6 +16,7 @@ cd "$(dirname "$0")/.."
 ADDR="127.0.0.1:18437"
 BASE="http://$ADDR"
 WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
 BIN="$WORK/opgated"
 STORE="$WORK/store"
 ERRLOG="$WORK/opgated.err"
@@ -27,7 +28,7 @@ start() { # start — launch opgated with the same store (+auto journal)
   PID=$!
 }
 start
-trap 'kill -9 $PID 2>/dev/null || true; sed "s/^/opgated: /" "$ERRLOG" >&2 || true' EXIT
+trap 'kill -9 $PID 2>/dev/null || true; sed "s/^/opgated: /" "$ERRLOG" >&2 || true; rm -rf "$WORK"' EXIT
 
 poll() { # poll <deadline-seconds> <cmd...> — retry until success
   local deadline=$((SECONDS + $1)); shift
@@ -91,5 +92,5 @@ echo "ok: resubmit served from cache with zero store misses"
 
 kill -TERM $PID
 wait $PID || true
-trap - EXIT
+trap 'rm -rf "$WORK"' EXIT
 echo "ok: crash recovery contract holds"

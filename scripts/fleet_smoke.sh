@@ -21,6 +21,7 @@ BASE_A="http://$ADDR_A"
 BASE_B="http://$ADDR_B"
 PEERS="$BASE_A,$BASE_B"
 WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
 BIN="$WORK/opgated"
 LOAD="$WORK/ogload"
 
@@ -35,7 +36,8 @@ PID_A=$!
 PID_B=$!
 trap 'kill -9 $PID_A $PID_B 2>/dev/null || true;
       sed "s/^/node-a: /" "$WORK/a.err" >&2 || true;
-      sed "s/^/node-b: /" "$WORK/b.err" >&2 || true' EXIT
+      sed "s/^/node-b: /" "$WORK/b.err" >&2 || true;
+      rm -rf "$WORK"' EXIT
 
 poll() { # poll <deadline-seconds> <cmd...> — retry until success
   local deadline=$((SECONDS + $1)); shift
@@ -111,5 +113,5 @@ echo "ok: B answers cold submissions with its peer dead"
 
 kill -TERM $PID_B
 wait $PID_B || { echo "node B did not drain cleanly" >&2; exit 1; }
-trap - EXIT
+trap 'rm -rf "$WORK"' EXIT
 echo "ok: fleet contract holds"

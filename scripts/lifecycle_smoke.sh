@@ -15,6 +15,9 @@ ADDR="127.0.0.1:18436"
 BASE="http://$ADDR"
 BIN=$(mktemp -d)/opgated
 ERRLOG=$(mktemp)
+HDRS=
+cleanup() { rm -rf "$(dirname "$BIN")" "$ERRLOG" ${HDRS:+"$HDRS"}; }
+trap cleanup EXIT
 
 go build -o "$BIN" ./cmd/opgated
 
@@ -24,7 +27,7 @@ go build -o "$BIN" ./cmd/opgated
 # finishes naturally rather than being cancelled.
 "$BIN" -addr "$ADDR" -quick -workers 1 -queue 8 -drain-timeout 120s 2> "$ERRLOG" &
 PID=$!
-trap 'kill -9 $PID 2>/dev/null || true; sed "s/^/opgated: /" "$ERRLOG" >&2 || true' EXIT
+trap 'kill -9 $PID 2>/dev/null || true; sed "s/^/opgated: /" "$ERRLOG" >&2 || true; cleanup' EXIT
 
 poll() { # poll <deadline-seconds> <cmd...> — retry until success
   local deadline=$((SECONDS + $1)); shift
@@ -72,5 +75,5 @@ if wait $PID; then WAITED=$?; else WAITED=$?; fi
 [ "$WAITED" = "0" ] || { echo "opgated exited $WAITED, want 0" >&2; exit 1; }
 grep -q 'drained cleanly' "$ERRLOG" || { echo "no clean-drain log line" >&2; exit 1; }
 grep -q 'aborted 1 queued job' "$ERRLOG" || { echo "no aborted-queued-job log line" >&2; exit 1; }
-trap - EXIT
+trap cleanup EXIT
 echo "ok: clean exit (drained cleanly, 1 queued job aborted)"

@@ -13,6 +13,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
 STORE="$WORK/store"
 TWIN="syn:narrow/small/5"
 
@@ -49,7 +50,7 @@ ADDR="127.0.0.1:18439"
 BASE="http://$ADDR"
 "$WORK/opgated" -addr "$ADDR" -quick -workers 1 -store "$STORE" 2>> "$WORK/opgated.err" &
 PID=$!
-trap 'kill -9 $PID 2>/dev/null || true; sed "s/^/opgated: /" "$WORK/opgated.err" >&2 || true' EXIT
+trap 'kill -9 $PID 2>/dev/null || true; sed "s/^/opgated: /" "$WORK/opgated.err" >&2 || true; rm -rf "$WORK"' EXIT
 
 poll() { # poll <deadline-seconds> <cmd...> — retry until success
   local deadline=$((SECONDS + $1)); shift
@@ -79,5 +80,5 @@ echo "ok: oversized upload refused with 413"
 
 kill -TERM $PID
 wait $PID || true
-trap - EXIT
+trap 'rm -rf "$WORK"' EXIT
 echo "ok: trace ingestion contract holds"
