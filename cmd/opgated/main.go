@@ -22,9 +22,9 @@
 // Admission control: a submission whose report already exists (in cache
 // or store) is always admitted — serving it is one read. Cold
 // submissions, which buy real emulation work, are shed with 503 once the
-// queue depth reaches -shed-watermark (default 3/4 of -queue; -1
-// disables). The Retry-After on a shed or queue-full response is derived
-// from observed job service times, not a constant.
+// queue depth reaches 3/4 of -queue. The Retry-After on a shed or
+// queue-full response is derived from observed job service times, not a
+// constant.
 //
 // Fleet: with -peers (the comma-separated base URLs of every member,
 // this node included) and -self (this node's URL as it appears there),
@@ -109,7 +109,6 @@ func main() {
 	storeDir := flag.String("store", "", "persistent trace/report store directory")
 	storeLimit := flag.String("store-limit", "2GiB", "store size budget for -store, e.g. 256MiB, 2GiB, or bytes (0 = unlimited)")
 	journalPath := flag.String("journal", "auto", "durable job journal: a file path, \"auto\" (<store>/journal.log when -store is set), or \"off\"")
-	shedWatermark := flag.Int("shed-watermark", 0, "queue depth at which uncached submissions shed with 503 (0 = 3/4 of -queue; -1 disables)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline once running (terminal status \"timeout\"; 0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for running jobs before cancelling them")
 	peers := flag.String("peers", "", "comma-separated base URLs of every fleet member (including this node); enables consistent-hash routing")
@@ -119,7 +118,6 @@ func main() {
 	cfg := serverConfig{
 		Quick: *quick, Workers: *workers, Queue: *queue,
 		JobTimeout: *jobTimeout, DrainTimeout: *drainTimeout,
-		ShedWatermark: *shedWatermark,
 	}
 	var local *store.DirBackend
 	if *storeDir != "" {

@@ -284,10 +284,12 @@ func TestRecoveryFailsLegacySweepSpec(t *testing.T) {
 }
 
 // shedConfig builds a one-worker server whose worker parks forever, so
-// queue depth is fully controlled by the test.
+// queue depth is fully controlled by the test. A queue of 2 puts the shed
+// watermark (3/4 of the queue, at least 1) at depth 1 and leaves one slot
+// for the warm submission.
 func shedConfig(st *store.Store) serverConfig {
 	return serverConfig{
-		Quick: true, Workers: 1, Queue: 8, ShedWatermark: 1, Store: st,
+		Quick: true, Workers: 1, Queue: 2, Store: st,
 		hookJobStart: func(ctx context.Context, _ *job) { <-ctx.Done() },
 	}
 }

@@ -53,13 +53,6 @@ type serverConfig struct {
 	Journal   *journal.Journal
 	Recovered []journal.Record
 
-	// ShedWatermark is the queue depth at which cold submissions — those
-	// whose report is in neither the memory cache nor the store, so
-	// admitting them buys real emulation work — are shed with 503 before
-	// the queue is full. 0 selects 3/4 of Queue; negative disables
-	// watermark shedding. Warm and coalesced submissions are never shed.
-	ShedWatermark int
-
 	// hookJobStart, when set (tests only), runs in the worker goroutine
 	// right after a job turns "running", under the job's run context —
 	// the injection point for deterministic stalls and panics.
@@ -184,17 +177,12 @@ func newServer(cfg serverConfig) *server {
 	return s
 }
 
-// shedWatermark resolves the effective cold-shedding queue depth
-// (negative = disabled).
-func (s *server) shedWatermark() int {
-	switch {
-	case s.cfg.ShedWatermark > 0:
-		return s.cfg.ShedWatermark
-	case s.cfg.ShedWatermark < 0:
-		return -1
-	}
-	return max(1, s.cfg.Queue*3/4)
-}
+// shedWatermark is the queue depth, 3/4 of Queue and at least 1, at which
+// cold submissions — those whose report is in neither the memory cache nor
+// the store, so admitting them buys real emulation work — are shed with
+// 503 before the queue is full. Warm and coalesced submissions are never
+// shed.
+func (s *server) shedWatermark() int { return max(1, s.cfg.Queue*3/4) }
 
 // bindJournal points a job's transition hook at the configured journal:
 // every status change appends one durable record carrying the full job
@@ -441,7 +429,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// from observed service times rather than a flat guess.
 	if _, warm := s.getReport(key); !warm {
 		depth := len(s.queue)
-		if wm := s.shedWatermark(); wm >= 0 && depth >= wm {
+		if depth >= s.shedWatermark() {
 			s.sheds.Add(1)
 			w.Header().Set("Retry-After", retryAfterSeconds(s.predictWait(depth)))
 			httpError(w, http.StatusServiceUnavailable,

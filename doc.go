@@ -42,8 +42,9 @@
 // "failed" with its stack recorded; the worker pool survives), a
 // SIGTERM graceful drain (-drain-timeout: /readyz flips unready, new
 // submissions get 503 + Retry-After, queued jobs end "aborted"),
-// load-aware admission control (-shed-watermark: uncached submissions
-// shed first, with Retry-After derived from observed service times),
+// load-aware admission control (once the queue is 3/4 full, uncached
+// submissions shed first, with Retry-After derived from observed service
+// times),
 // and SIGKILL crash recovery via a durable job journal (-journal, on by
 // default with -store: a restarted process re-adopts in-flight jobs
 // under their original IDs and never re-runs work whose report is

@@ -93,10 +93,10 @@ func (b *Builder) Emit(in isa.Instruction) int {
 	return len(b.ins) - 1
 }
 
-// InsCount returns the number of instructions emitted so far — the index
-// the next emitted instruction will occupy. Phase-structured generators
+// Len returns the number of instructions emitted so far — the index the
+// next emitted instruction will occupy. Phase-structured generators
 // use it to record the instruction range each phase body occupies.
-func (b *Builder) InsCount() int { return len(b.ins) }
+func (b *Builder) Len() int { return len(b.ins) }
 
 // --- Data segment -----------------------------------------------------
 

@@ -72,9 +72,6 @@ type Machine struct {
 	Fuel int64
 	// Dyn is the number of retired instructions.
 	Dyn int64
-	// InsCount[i] counts executions of static instruction i (the paper's
-	// InstCount(D)). Allocated lazily by EnableCounts.
-	InsCount []int64
 
 	// Sink receives every retired instruction, in record batches, when
 	// non-nil.
@@ -219,14 +216,7 @@ func (m *Machine) Reset() {
 	m.Halted = false
 	m.Output = m.Output[:0]
 	m.Dyn = 0
-	if m.InsCount != nil {
-		// Zeroes (and resizes, if m.P changed) the existing counts in place.
-		m.InsCount = append(m.InsCount[:0], make([]int64, len(m.P.Ins))...)
-	}
 }
-
-// EnableCounts switches on per-static-instruction execution counting.
-func (m *Machine) EnableCounts() { m.InsCount = make([]int64, len(m.P.Ins)) }
 
 // predecode builds the dispatch loop's flat form of p, including the
 // record metadata every retirement of each instruction carries.
@@ -290,7 +280,6 @@ func (m *Machine) run(limit int64) error {
 
 	dec := m.dec
 	regs := &m.Regs
-	counts := m.InsCount
 	mem := m.Mem
 	dirty := m.img.dirty
 	base := m.P.DataBase
@@ -315,9 +304,6 @@ loop:
 		d := &dec[pc]
 		idx := pc
 		executed++
-		if counts != nil {
-			counts[idx]++
-		}
 
 		ra := regs[d.ra&31]
 		rb := d.imm

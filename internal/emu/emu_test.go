@@ -177,16 +177,27 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
+	prof := emu.NewProfiler(len(p.Ins), nil)
 	m := emu.New(p)
-	m.EnableCounts()
+	m.Sink = prof
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.InsCount[1] != 10 {
-		t.Errorf("add executed %d times, want 10", m.InsCount[1])
+	if prof.Counts[1] != 10 {
+		t.Errorf("add executed %d times, want 10", prof.Counts[1])
 	}
-	if m.InsCount[0] != 1 {
-		t.Errorf("init executed %d times, want 1", m.InsCount[0])
+	if prof.Counts[0] != 1 {
+		t.Errorf("init executed %d times, want 1", prof.Counts[0])
+	}
+	if prof.Counts[4] != 1 {
+		t.Errorf("halt executed %d times, want 1", prof.Counts[4])
+	}
+	var sum int64
+	for _, c := range prof.Counts {
+		sum += c
+	}
+	if sum != m.Dyn {
+		t.Errorf("counts sum to %d, machine retired %d", sum, m.Dyn)
 	}
 }
 

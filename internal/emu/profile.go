@@ -193,27 +193,35 @@ func (t *TNVTable) CoverageRange(frac float64) (min, max int64, freq float64, ok
 	return min, max, float64(covered) / float64(t.Total), true
 }
 
-// Profiler collects basic-block execution counts (via Machine.InsCount)
-// and per-instruction value profiles at selected points.
+// Profiler is a train run's whole profile, read from its record stream
+// (§3.3): Counts[i] is how often static instruction i retired — the
+// paper's InstCount, the block profile — and Points[i] is i's TNV value
+// table, nil where i is not value-profiled. A run that completes emits one
+// record per retired instruction, HALT included, so Counts sums to the
+// machine's Dyn.
 type Profiler struct {
-	Points map[int]*TNVTable // instruction index -> value table
+	Counts []int64
+	Points []*TNVTable
 }
 
-// NewProfiler builds a profiler over the given candidate points.
-func NewProfiler(points []int) *Profiler {
-	p := &Profiler{Points: make(map[int]*TNVTable, len(points))}
+// NewProfiler builds a profiler for a program of n static instructions
+// that value-profiles the given points.
+func NewProfiler(n int, points []int) *Profiler {
+	p := &Profiler{Counts: make([]int64, n), Points: make([]*TNVTable, n)}
 	for _, idx := range points {
 		p.Points[idx] = NewTNVTable(0, 0)
 	}
 	return p
 }
 
-// ConsumeRecs implements Sink, the profiler's only input: it reads the
-// record's index and value columns directly, from a live run's batches or
+// ConsumeRecs implements Sink, the profiler's only input: one indexed pass
+// over the batch's index and value columns, from a live run's batches or
 // a captured trace's chunks alike.
 func (p *Profiler) ConsumeRecs(b RecBatch) {
-	for i := range b.Idx {
-		if t, ok := p.Points[int(b.Idx[i])]; ok {
+	counts, points := p.Counts, p.Points
+	for i, idx := range b.Idx {
+		counts[idx]++
+		if t := points[idx]; t != nil {
 			t.Record(b.Value[i])
 		}
 	}

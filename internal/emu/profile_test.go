@@ -78,7 +78,7 @@ loop:
 		t.Fatal(err)
 	}
 	mulIdx := 1
-	prof := emu.NewProfiler([]int{mulIdx})
+	prof := emu.NewProfiler(len(p.Ins), []int{mulIdx})
 	m := emu.New(p)
 	m.Sink = prof
 	if err := m.Run(); err != nil {

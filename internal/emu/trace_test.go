@@ -201,21 +201,24 @@ func TestTraceBudgetOverflow(t *testing.T) {
 }
 
 // TestProfilerRecordsMatchAttach: feeding the profiler the records of a
-// replayed trace must produce the identical value tables as attaching it
-// to a live run (the over-budget fallback of VRS profiling).
+// replayed trace must produce the identical counts and value tables as
+// attaching it to a live run.
 func TestProfilerRecordsMatchAttach(t *testing.T) {
 	p := assembleProg(t, branchyProgram)
 	points := []int{2, 3, 5} // store, load, add inside the loop
 
 	tr, _ := recordTrace(t, p)
-	fromRecs := emu.NewProfiler(points)
+	fromRecs := emu.NewProfiler(len(p.Ins), points)
 	tr.Records(fromRecs)
 
-	fromLive := emu.NewProfiler(points)
+	fromLive := emu.NewProfiler(len(p.Ins), points)
 	m := emu.New(p)
 	m.Sink = fromLive
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromRecs.Counts, fromLive.Counts) {
+		t.Fatalf("counts differ: %v vs %v", fromRecs.Counts, fromLive.Counts)
 	}
 	for _, idx := range points {
 		a, b := fromRecs.Points[idx], fromLive.Points[idx]

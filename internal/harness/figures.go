@@ -153,7 +153,7 @@ func (s *Suite) Figure6(ctx context.Context, threshold float64) (*Report, error)
 			return Row{}, err
 		}
 		// Per-static execution counts come from the variant binary's
-		// record profile; no fresh emulation or InsCount run is needed.
+		// record profile; no fresh emulation is needed.
 		prof, err := s.records(name, vrsVariant(threshold))
 		if err != nil {
 			return Row{}, err

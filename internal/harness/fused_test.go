@@ -9,6 +9,7 @@ import (
 	"opgate/internal/prog"
 	"opgate/internal/store"
 	"opgate/internal/uarch"
+	"opgate/internal/workload"
 )
 
 // paperLabels is every variant label a quick evaluation resolves: base,
@@ -367,5 +368,34 @@ func TestWidthOnlyIsTheBinarysProperty(t *testing.T) {
 	}
 	if !reflect.DeepEqual(live.FinishAll()[soft], first) {
 		t.Error("the rewrite's energy-only results differ from its own timing pass")
+	}
+}
+
+// TestVRSProfileCountsAreTheBaseRecords: in quick mode the train binary is
+// the evaluation binary, so the block profile each kernel's VRS profile
+// reads from its train run equals the base binary's record profile — two
+// sinks over the same retirement stream.
+func TestVRSProfileCountsAreTheBaseRecords(t *testing.T) {
+	s := NewSuite(true)
+	checked := 0
+	for _, name := range s.Names() {
+		if workload.IsTrace(name) {
+			continue
+		}
+		checked++
+		pf, err := s.vrsProfile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := s.records(name, "base")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pf.Counts(), base.counts) {
+			t.Errorf("%s: VRS profile counts differ from the base binary's record profile", name)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("the suite names no live kernel; the test compares nothing")
 	}
 }

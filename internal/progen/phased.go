@@ -69,9 +69,9 @@ func GeneratePhased(families []Family, seed uint64, c Class, ref bool) (*prog.Pr
 	phases := make([]Phase, len(families))
 	for i, f := range families {
 		g.pfx = fmt.Sprintf("p%d_", i)
-		start := g.b.InsCount()
+		start := g.b.Len()
 		g.family(f)
-		phases[i] = Phase{Family: f, Start: start, End: g.b.InsCount()}
+		phases[i] = Phase{Family: f, Start: start, End: g.b.Len()}
 		if g.err != nil {
 			break
 		}

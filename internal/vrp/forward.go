@@ -147,7 +147,7 @@ func (r *Result) propagate() error {
 	}
 	entry.reached = true
 
-	for round := 0; round < r.Opts.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		changed := false
 		for fi, f := range p.Funcs {
 			if !r.summaries[fi].reached {
@@ -160,7 +160,7 @@ func (r *Result) propagate() error {
 		if !changed {
 			break
 		}
-		if round == r.Opts.MaxRounds-2 {
+		if round == maxRounds-2 {
 			// Last chance to converge: force every summary to Top so
 			// the final recording pass is sound even without a true
 			// fixpoint (the paper's traversal limit).
@@ -294,7 +294,7 @@ func (r *Result) analyzeFunc(f *prog.Func, record bool) bool {
 	// Ascending (widened) fixpoint, then two descending (narrowing)
 	// passes to recover precision lost to widening — both directions are
 	// sound because every transfer is a superset of concrete execution.
-	for pass := 0; pass < r.Opts.MaxPasses; pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		if !runPass(true, false, false) {
 			break
 		}

@@ -35,32 +35,31 @@ func (m Mode) String() string {
 	return "useful"
 }
 
-// Options configures an analysis run.
+// Options configures an analysis run. The zero value is the conventional
+// analysis over the paper's opcode set with every refinement on.
 type Options struct {
+	// Mode selects conventional or useful (demanded-byte) ranges.
 	Mode Mode
 	// Opcodes restricts assignable widths per operation class; nil means
 	// the paper's extension set (§4.3).
 	Opcodes *isa.OpcodeSet
-	// MaxRounds bounds the interprocedural fixpoint (paper: "a limit on
-	// the number of traversals"). 0 means the default.
-	MaxRounds int
-	// MaxPasses bounds the intraprocedural fixpoint per round.
-	MaxPasses int
 	// DisableLoopAnalysis turns off §2.3 trip-count ranges (ablation).
 	DisableLoopAnalysis bool
 	// DisableBranchRefinement turns off §2.2.4 edge constraints (ablation).
 	DisableBranchRefinement bool
 }
 
+// Fixpoint bounds: maxRounds limits the interprocedural iteration (the
+// paper's "limit on the number of traversals"), maxPasses the
+// intraprocedural one within a round.
+const (
+	maxRounds = 10
+	maxPasses = 40
+)
+
 func (o *Options) defaults() {
 	if o.Opcodes == nil {
 		o.Opcodes = isa.PaperOpcodeSet()
-	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 10
-	}
-	if o.MaxPasses <= 0 {
-		o.MaxPasses = 40
 	}
 }
 

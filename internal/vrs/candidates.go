@@ -245,7 +245,8 @@ func otherInputBytes(p *prog.Program, base *vrp.Result, useIdx, defIdx int) int 
 // evaluate implements §3.4's first step: with profiled value ranges in
 // hand, compute Savings·Freq − Cost − Threshold for every candidate and
 // keep the profitable ones.
-func evaluate(p *prog.Program, base *vrp.Result, cands []candidate, prof *emu.Profiler, counts []int64, opts Options) []Point {
+func evaluate(p *prog.Program, base *vrp.Result, cands []candidate, prof *emu.Profiler, opts Options) []Point {
+	counts := prof.Counts
 	points := make([]Point, 0, len(cands))
 	for _, c := range cands {
 		pt := Point{InsIdx: c.InsIdx, Count: c.Count, Outcome: NoBenefit}
@@ -254,7 +255,7 @@ func evaluate(p *prog.Program, base *vrp.Result, cands []candidate, prof *emu.Pr
 			points = append(points, pt)
 			continue
 		}
-		min, max, freq, ok := table.CoverageRange(opts.Coverage)
+		min, max, freq, ok := table.CoverageRange(coverage)
 		if !ok {
 			points = append(points, pt)
 			continue

@@ -54,7 +54,7 @@ type chosenRegion struct {
 // specialized copy, and — after rebuilding — run constant propagation and
 // dead-code elimination inside single-value clones, followed by a final
 // VRP pass that narrows the clones through the guards' branch refinement.
-func transform(p *prog.Program, base *vrp.Result, points []Point, counts []int64, opts Options) (*Result, error) {
+func transform(p *prog.Program, base *vrp.Result, points []Point, counts []int64) (*Result, error) {
 	ed := prog.NewEditor(p)
 	res := &Result{
 		Original: p,
@@ -78,9 +78,6 @@ func transform(p *prog.Program, base *vrp.Result, points []Point, counts []int64
 		pt := &points[i]
 		if pt.Benefit <= 0 {
 			continue // sorted by benefit: everything after is unprofitable
-		}
-		if opts.MaxPoints > 0 && len(picked) >= opts.MaxPoints {
-			break
 		}
 		f := p.FuncOf(pt.InsIdx)
 		if f == nil {
@@ -217,7 +214,7 @@ func transform(p *prog.Program, base *vrp.Result, points []Point, counts []int64
 
 	// Final analysis: the guards' compare+branch shapes let VRP narrow
 	// the clones via ordinary branch refinement.
-	final, err := vrp.Analyze(q, opts.VRP)
+	final, err := vrp.Analyze(q, analysis)
 	if err != nil {
 		return nil, fmt.Errorf("vrs: final VRP: %w", err)
 	}

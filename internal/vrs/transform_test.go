@@ -167,27 +167,6 @@ func TestRegionSingleEntry(t *testing.T) {
 	}
 }
 
-// TestMaxPointsCap respects the configuration limit.
-func TestMaxPointsCap(t *testing.T) {
-	w, _ := workload.ByName("m88ksim")
-	trainP, _ := w.Build(workload.Train)
-	refP, _ := w.Build(workload.Ref)
-	res, err := Specialize(trainP, refP, Options{Threshold: 50, MaxPoints: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	capped, err := Specialize(trainP, refP, Options{Threshold: 50, MaxPoints: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped.NumSpecialized() > 1 {
-		t.Errorf("MaxPoints=1 specialized %d points", capped.NumSpecialized())
-	}
-	if res.NumSpecialized() < capped.NumSpecialized() {
-		t.Error("uncapped run specialized fewer points than capped")
-	}
-}
-
 // TestLayoutMismatchRejected: train and ref binaries must share a static
 // layout.
 func TestLayoutMismatchRejected(t *testing.T) {

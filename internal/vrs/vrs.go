@@ -31,24 +31,22 @@ type Options struct {
 	// Threshold is the fixed per-specialization energy overhead charged
 	// in the benefit test — the paper's "VRS 110nJ ... VRS 30nJ"
 	// configurations (Fig. 8): lower thresholds specialize more points.
+	// 0 means 50.
 	Threshold float64
-	// Coverage is the TNV range-coverage target (fraction of profiled
-	// events the chosen [min,max] must cover). Default 0.95.
-	Coverage float64
-	// MaxPoints caps the number of specializations (0: unlimited).
-	MaxPoints int
-	// VRP options used for the analyses before and after transformation.
-	// The mode defaults to Useful — VRS builds on the proposed VRP.
-	VRP vrp.Options
-	// Power parameters for the energy model (Table 1 energies).
+	// Power parameters for the energy model (Table 1 energies); the zero
+	// value means power.DefaultParams().
 	Power power.Params
 }
 
+// coverage is the TNV range-coverage target: the fraction of a point's
+// profiled values its chosen [min,max] must cover.
+const coverage = 0.95
+
+// analysis configures the VRP runs before and after transformation: VRS
+// builds on the proposed (useful) VRP.
+var analysis = vrp.Options{Mode: vrp.Useful}
+
 func (o *Options) defaults() {
-	if o.Coverage <= 0 {
-		o.Coverage = 0.95
-	}
-	o.VRP.Mode = vrp.Useful
 	if o.Threshold == 0 {
 		o.Threshold = 50
 	}
@@ -147,7 +145,6 @@ func (r *Result) Apply() *prog.Program {
 type Profile struct {
 	refProg  *prog.Program
 	base     *vrp.Result
-	counts   []int64
 	cands    []candidate
 	profiler *emu.Profiler
 	opts     Options // defaults applied; Threshold ignored by Select
@@ -166,29 +163,32 @@ func NewProfile(trainProg, refProg *prog.Program, opts Options) (*Profile, error
 	}
 
 	// Static analysis of the reference binary.
-	base, err := vrp.Analyze(refProg, opts.VRP)
+	base, err := vrp.Analyze(refProg, analysis)
 	if err != nil {
 		return nil, fmt.Errorf("vrs: baseline VRP: %w", err)
 	}
 
-	// Steps 1 and 2 (§3.3) ride one train run: counts for the block
-	// profile, and TNV tables over every instruction that could become a
-	// candidate whatever its count (profilable). Tables are per
-	// instruction, so filtering that set by counts afterwards leaves each
-	// candidate's table as if only the candidates had been profiled.
+	// Steps 1 and 2 (§3.3) ride one train run, read by one profiler sink:
+	// counts for the block profile, and TNV tables over every instruction
+	// that could become a candidate whatever its count (profilable).
+	// Tables are per instruction, so filtering that set by counts
+	// afterwards leaves each candidate's table as if only the candidates
+	// had been profiled.
 	static := profilable(refProg, base)
-	pf := &Profile{refProg: refProg, base: base, profiler: emu.NewProfiler(static), opts: opts}
+	pf := &Profile{refProg: refProg, base: base, profiler: emu.NewProfiler(len(trainProg.Ins), static), opts: opts}
 	m := emu.New(trainProg)
 	defer m.Release()
-	m.EnableCounts()
 	m.Sink = pf.profiler
 	if err := m.Run(); err != nil {
 		return nil, fmt.Errorf("vrs: train profiling run: %w", err)
 	}
-	pf.counts = m.InsCount
-	pf.cands = findCandidates(refProg, base, static, pf.counts, opts)
+	pf.cands = findCandidates(refProg, base, static, pf.profiler.Counts, opts)
 	return pf, nil
 }
+
+// Counts is the train run's block profile, read from its profiler sink:
+// retirements per static instruction. Callers must not modify it.
+func (pf *Profile) Counts() []int64 { return pf.profiler.Counts }
 
 // NumCandidates reports how many specialization candidates survived the
 // preliminary minimum-cost filter.
@@ -219,8 +219,8 @@ func (pf *Profile) Select(threshold float64) (*Result, error) {
 	// Step 3 (§3.4): evaluate profitability with the profiled ranges and
 	// transform the survivors. evaluate builds fresh Points from the
 	// candidate list, so the shared profile stays untouched.
-	points := evaluate(pf.refProg, pf.base, pf.cands, pf.profiler, pf.counts, opts)
-	return transform(pf.refProg, pf.base, points, pf.counts, opts)
+	points := evaluate(pf.refProg, pf.base, pf.cands, pf.profiler, opts)
+	return transform(pf.refProg, pf.base, points, pf.profiler.Counts)
 }
 
 // Specialize runs the full VRS pipeline at opts.Threshold: NewProfile

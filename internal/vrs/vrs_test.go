@@ -179,7 +179,7 @@ func TestNoPickSelectReusesBaseline(t *testing.T) {
 		if res.FinalVRP != pf.base || res.Transformed != refP {
 			t.Fatalf("%s: a no-pick Select did not reuse the baseline analysis", w.Name)
 		}
-		fresh, err := vrp.Analyze(refP, pf.opts.VRP)
+		fresh, err := vrp.Analyze(refP, analysis)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,5 +192,48 @@ func TestNoPickSelectReusesBaseline(t *testing.T) {
 	}
 	if noPicks == 0 {
 		t.Fatal("no workload took the no-pick path at threshold 110; the test proves nothing")
+	}
+}
+
+// TestProfileCountsAreTheRecordStream: the block profile NewProfile reads
+// from its profiler sink is the record stream's per-instruction tally —
+// one record per retired instruction, HALT included — so its counts equal
+// a separate run's tally of record indices and sum to that run's Dyn.
+func TestProfileCountsAreTheRecordStream(t *testing.T) {
+	for _, w := range workload.All() {
+		trainP, err := w.Build(workload.Train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refP, err := w.Build(workload.Ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := NewProfile(trainP, refP, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tally := make([]int64, len(trainP.Ins))
+		m := emu.New(trainP)
+		m.Sink = emu.RecFunc(func(b emu.RecBatch) {
+			for _, idx := range b.Idx {
+				tally[idx]++
+			}
+		})
+		err = m.Run()
+		m.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pf.Counts(), tally) {
+			t.Fatalf("%s: profile counts differ from the record stream's tally", w.Name)
+		}
+		var sum int64
+		for _, c := range pf.Counts() {
+			sum += c
+		}
+		if sum != m.Dyn {
+			t.Fatalf("%s: profile counts sum to %d, the train run retired %d", w.Name, sum, m.Dyn)
+		}
 	}
 }

@@ -22,10 +22,11 @@ trap cleanup EXIT
 go build -o "$BIN" ./cmd/opgated
 
 # One worker so the second job is guaranteed to still be queued when the
-# drain begins; a generous drain window so the running job (quick-mode
-# "all" over the full synthetic set — the slowest request we can make)
-# finishes naturally rather than being cancelled.
-"$BIN" -addr "$ADDR" -quick -workers 1 -queue 8 -drain-timeout 120s 2> "$ERRLOG" &
+# drain begins; a generous drain window so the running job finishes
+# naturally rather than being cancelled. The server runs on reference
+# inputs (no -quick) so that job holds the drain open well past the
+# probes below.
+"$BIN" -addr "$ADDR" -workers 1 -queue 8 -drain-timeout 120s 2> "$ERRLOG" &
 PID=$!
 trap 'kill -9 $PID 2>/dev/null || true; sed "s/^/opgated: /" "$ERRLOG" >&2 || true; cleanup' EXIT
 
@@ -43,7 +44,13 @@ poll 15 ready
 submit() { curl -s -X POST "$BASE/v1/experiments" -d "$1"; }
 status() { curl -s "$BASE/v1/jobs/$1" | jq -r .status; }
 
-RUNNING=$(submit '{"experiment":"all","synthetic":"all"}' | jq -r .id)
+# The holding job: "all" over 180 large generated workloads, ~16 s of CPU
+# (about 9 s of wall time on two cores, timed with ogbench). A shorter job
+# can finish the drain and exit the server before the probes run.
+SYNS=$(for seed in $(seq 1 30); do
+  for fam in narrow wide pointer branchy stream churn; do printf 'syn:%s/large/%d,' "$fam" "$seed"; done
+done)
+RUNNING=$(submit "{\"experiment\":\"all\",\"synthetic\":\"${SYNS%,}\"}" | jq -r .id)
 QUEUED=$(submit '{"experiment":"table1"}' | jq -r .id)
 [ -n "$RUNNING" ] && [ -n "$QUEUED" ] || { echo "submissions failed" >&2; exit 1; }
 
