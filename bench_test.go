@@ -502,7 +502,7 @@ func BenchmarkReplayModes(b *testing.B) {
 	b.Run("rewrite", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for k, tr := range rewrites {
-				sink, err := uarch.NewRewrite(tr.Program(), cfg, params, optTrio, timed[k])
+				sink, err := uarch.NewRewrite(tr.Program(), params, optTrio, timed[k])
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -31,7 +31,6 @@ type ObjectOption func(*objectConfig)
 
 type objectConfig struct {
 	timeout time.Duration
-	hc      *http.Client
 	policy  RetryPolicy
 }
 
@@ -39,11 +38,6 @@ type objectConfig struct {
 // covers all retry attempts of the operation, not each attempt alone.
 func ObjectTimeout(d time.Duration) ObjectOption {
 	return func(cfg *objectConfig) { cfg.timeout = d }
-}
-
-// ObjectHTTPClient substitutes the underlying *http.Client.
-func ObjectHTTPClient(hc *http.Client) ObjectOption {
-	return func(cfg *objectConfig) { cfg.hc = hc }
 }
 
 // ObjectRetryPolicy replaces the backend's default backoff shape
@@ -58,7 +52,6 @@ func ObjectRetryPolicy(p RetryPolicy) ObjectOption {
 func NewObjectBackend(baseURL string, opts ...ObjectOption) (*ObjectBackend, error) {
 	cfg := objectConfig{
 		timeout: 2 * time.Second,
-		hc:      http.DefaultClient,
 		policy: RetryPolicy{
 			MaxAttempts: 3,
 			BaseDelay:   25 * time.Millisecond,
@@ -68,15 +61,12 @@ func NewObjectBackend(baseURL string, opts ...ObjectOption) (*ObjectBackend, err
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	c, err := New(baseURL, WithHTTPClient(cfg.hc), WithRetryPolicy(cfg.policy))
+	c, err := New(baseURL, WithRetryPolicy(cfg.policy))
 	if err != nil {
 		return nil, err
 	}
 	return &ObjectBackend{c: c, timeout: cfg.timeout}, nil
 }
-
-// BaseURL returns the peer base URL this backend talks to.
-func (b *ObjectBackend) BaseURL() string { return b.c.base }
 
 func (b *ObjectBackend) opCtx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), b.timeout)

@@ -79,6 +79,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ogbench: -format %q: want text or json\n", *format)
 		os.Exit(2)
 	}
+	if *threshold <= 0 {
+		fmt.Fprintf(os.Stderr, "ogbench: -threshold %g: must be > 0\n", *threshold)
+		os.Exit(2)
+	}
 
 	names, err := opgate.ExpandSynthetics(*synthetic, *seed, *class, explicit["seed"] || explicit["class"])
 	if err != nil {
@@ -87,7 +91,6 @@ func main() {
 	}
 	opts := []opgate.Option{
 		opgate.WithQuick(*quick),
-		opgate.WithThreshold(*threshold),
 		opgate.WithSynthetics(names...),
 	}
 	if *storeDir != "" {
@@ -150,10 +153,10 @@ func main() {
 		}
 		var reports []*opgate.Report
 		if *experiment == "all" {
-			reports, err = sess.RunAll(ctx)
+			reports, err = sess.RunAll(ctx, opgate.AtThreshold(*threshold))
 		} else {
 			var r *opgate.Report
-			r, err = sess.Run(ctx, *experiment)
+			r, err = sess.Run(ctx, *experiment, opgate.AtThreshold(*threshold))
 			reports = []*opgate.Report{r}
 		}
 		if err != nil {

@@ -78,11 +78,11 @@ func run(wl, gating string, optimize bool, args []string) error {
 		run = opt.Program
 	}
 
-	base, err := opgate.Simulate(p, opgate.SimOptions{Gating: power.GateNone})
+	base, err := opgate.Simulate(p, power.GateNone)
 	if err != nil {
 		return err
 	}
-	g, err := opgate.Simulate(run, opgate.SimOptions{Gating: mode})
+	g, err := opgate.Simulate(run, mode)
 	if err != nil {
 		return err
 	}

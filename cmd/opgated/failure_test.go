@@ -13,10 +13,10 @@ import (
 )
 
 // awaitStatus polls a job until it reports the wanted status.
-func awaitStatus(t *testing.T, ts *httptest.Server, id, want string) jobView {
+func awaitStatus(t *testing.T, ts *httptest.Server, id, want string) client.Job {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	var v jobView
+	var v client.Job
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 		if err != nil {
@@ -30,13 +30,13 @@ func awaitStatus(t *testing.T, ts *httptest.Server, id, want string) jobView {
 		if v.Status == want {
 			return v
 		}
-		if terminalStatus(v.Status) {
+		if client.TerminalStatus(v.Status) {
 			t.Fatalf("job %s ended %q (%s), want %q", id, v.Status, v.Error, want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s never reached %q (last %q)", id, want, v.Status)
-	return jobView{}
+	return client.Job{}
 }
 
 // TestGracefulDrain is the lifecycle acceptance test: with one running
@@ -262,7 +262,7 @@ func TestFollowDisconnectReleasesHandler(t *testing.T) {
 	}
 	// The job is genuinely still in flight — the handler exit came from
 	// the disconnect, not from the job finishing.
-	if got := awaitStatus(t, ts, v.ID, "running"); terminalStatus(got.Status) {
+	if got := awaitStatus(t, ts, v.ID, "running"); client.TerminalStatus(got.Status) {
 		t.Fatalf("job unexpectedly terminal: %q", got.Status)
 	}
 }

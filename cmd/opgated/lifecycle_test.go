@@ -149,7 +149,7 @@ func TestLifecycleConcurrentTransitions(t *testing.T) {
 			if st == client.StatusRunning && i != 1 {
 				fail("running at position %d", i)
 			}
-			if terminalStatus(st) && i != len(got)-1 {
+			if client.TerminalStatus(st) && i != len(got)-1 {
 				fail("terminal %q is followed by another record", st)
 			}
 		}

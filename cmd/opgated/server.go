@@ -235,7 +235,7 @@ func (s *server) recoverJournal() {
 	requeued, completed, terminal := 0, 0, 0
 	for _, r := range recs {
 		key, kerr := store.ParseKey(r.ReportKey)
-		if kerr != nil && !terminalStatus(r.Status) {
+		if kerr != nil && !client.TerminalStatus(r.Status) {
 			// A record whose report key does not parse cannot be re-run
 			// safely; CRC framing makes this damage, not skew.
 			log.Printf("opgated: journal: skipping unrecoverable job %s: %v", r.Job, kerr)
@@ -254,7 +254,7 @@ func (s *server) recoverJournal() {
 		}
 		var j *job
 		switch {
-		case terminalStatus(r.Status):
+		case client.TerminalStatus(r.Status):
 			j = s.newJob(rec, "recovered: "+r.Status)
 			terminal++
 		case func() bool { _, ok := s.getReport(key); return ok }():
@@ -293,14 +293,6 @@ func (s *server) recoverJournal() {
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// The wire types are the public client package's — server and client
-// serialize through the same structs, so the two cannot drift.
-type (
-	experimentRequest = client.Request
-	jobView           = client.Job
-	progressEvent     = client.ProgressEvent
-)
-
 // validExperiment reports whether id names a runnable experiment.
 func validExperiment(id string) bool {
 	if id == "all" {
@@ -324,7 +316,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	var req experimentRequest
+	var req client.Request
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -396,14 +388,13 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// The report key carries the executable's own hash: a rebuilt server
 	// (changed coefficient, new schema) derives fresh addresses, so a
-	// shared store can never serve a stale report. Derived directly —
-	// Session.ReportKey is a thin wrapper over the same derivation
-	// (asserted in the root package's tests) — so a submission that will
-	// be rejected or coalesced never touches the bounded session cache.
-	// Sweep jobs address their assembled grid document via SweepKey; the
-	// per-threshold cells inside it are additionally content-addressed
-	// under their individual ReportKeys by Session.Sweep, so a grown grid
-	// only computes missing cells.
+	// shared store can never serve a stale report. Derived here, without
+	// a session, so a submission that will be rejected or coalesced never
+	// touches the bounded session cache. Sweep jobs address their
+	// assembled grid document via SweepKey; Session.Sweep files each
+	// per-threshold cell under this same ReportKey derivation, so a grown
+	// grid only computes missing cells and a swept cell answers the
+	// matching single-threshold job.
 	key := store.ReportKey(req.Experiment, s.cfg.Quick, req.Threshold, names, store.SelfIdentity())
 	if sweep {
 		key = store.SweepKey(req.Experiment, s.cfg.Quick, req.Thresholds, names, store.SelfIdentity())
@@ -595,7 +586,7 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if terminalStatus(v.Status) {
+		if client.TerminalStatus(v.Status) {
 			return
 		}
 		select {
@@ -1212,10 +1203,6 @@ func (s *server) cacheReport(key store.Key, data []byte) {
 	s.reports[key] = data
 }
 
-// terminalStatus reports whether a job status is final — delegated to the
-// client package, the single owner of the status state machine.
-func terminalStatus(status string) bool { return client.TerminalStatus(status) }
-
 // job is one enqueued experiment evaluation. Its definition is fixed by
 // newJob and read without locking; its lifecycle — status, error, stack
 // and progress — lives in rec, the wire record, which only transition
@@ -1251,7 +1238,7 @@ type job struct {
 // job's state is what the journal already holds.
 func (s *server) newJob(rec client.Job, msg string) *job {
 	ctx, cancel := context.WithCancel(context.Background())
-	rec.Progress = []progressEvent{{Time: time.Now(), Msg: msg}}
+	rec.Progress = []client.ProgressEvent{{Time: time.Now(), Msg: msg}}
 	j := &job{
 		id:         rec.ID,
 		experiment: rec.Experiment,
@@ -1306,11 +1293,11 @@ func (j *job) transition(status, errmsg, msg string, from ...string) bool {
 
 // transitionLocked is transition with j.mu held.
 func (j *job) transitionLocked(status, errmsg, msg string, from ...string) bool {
-	if terminalStatus(j.rec.Status) || (len(from) > 0 && !slices.Contains(from, j.rec.Status)) {
+	if client.TerminalStatus(j.rec.Status) || (len(from) > 0 && !slices.Contains(from, j.rec.Status)) {
 		return false
 	}
 	j.rec.Status, j.rec.Error = status, errmsg
-	j.rec.Progress = append(j.rec.Progress, progressEvent{Time: time.Now(), Msg: msg})
+	j.rec.Progress = append(j.rec.Progress, client.ProgressEvent{Time: time.Now(), Msg: msg})
 	if j.onEvent != nil {
 		j.onEvent(status, errmsg)
 	}
@@ -1346,7 +1333,7 @@ func (j *job) failPanic(p any, stack []byte) {
 
 func (j *job) log(msg string) {
 	j.mu.Lock()
-	j.rec.Progress = append(j.rec.Progress, progressEvent{Time: time.Now(), Msg: msg})
+	j.rec.Progress = append(j.rec.Progress, client.ProgressEvent{Time: time.Now(), Msg: msg})
 	j.bumpLocked()
 	j.mu.Unlock()
 }
@@ -1354,14 +1341,14 @@ func (j *job) log(msg string) {
 func (j *job) terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return terminalStatus(j.rec.Status)
+	return client.TerminalStatus(j.rec.Status)
 }
 
-func (j *job) view() jobView {
+func (j *job) view() client.Job {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := j.rec
-	v.Progress = append([]progressEvent(nil), j.rec.Progress...)
+	v.Progress = append([]client.ProgressEvent(nil), j.rec.Progress...)
 	return v
 }
 

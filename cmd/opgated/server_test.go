@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"opgate"
+	"opgate/client"
 	"opgate/internal/harness"
 	"opgate/internal/store"
 )
@@ -27,14 +28,14 @@ func newTestServer(t *testing.T, st *store.Store) *httptest.Server {
 }
 
 // submit POSTs an experiment request and decodes the job view.
-func submit(t *testing.T, ts *httptest.Server, body string) (jobView, int) {
+func submit(t *testing.T, ts *httptest.Server, body string) (client.Job, int) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/experiments", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var v jobView
+	var v client.Job
 	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 			t.Fatal(err)
@@ -44,7 +45,7 @@ func submit(t *testing.T, ts *httptest.Server, body string) (jobView, int) {
 }
 
 // awaitJob polls a job until it reaches a terminal state.
-func awaitJob(t *testing.T, ts *httptest.Server, id string) jobView {
+func awaitJob(t *testing.T, ts *httptest.Server, id string) client.Job {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -52,19 +53,19 @@ func awaitJob(t *testing.T, ts *httptest.Server, id string) jobView {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var v jobView
+		var v client.Job
 		err = json.NewDecoder(resp.Body).Decode(&v)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if terminalStatus(v.Status) {
+		if client.TerminalStatus(v.Status) {
 			return v
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatal("job did not finish in time")
-	return jobView{}
+	return client.Job{}
 }
 
 // TestExperimentLifecycle drives the whole request path: submit, follow to
@@ -238,11 +239,11 @@ func TestFollowStreamsProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var frames []jobView
+	var frames []client.Job
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		var f jobView
+		var f client.Job
 		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
 			t.Fatalf("bad NDJSON frame %q: %v", sc.Text(), err)
 		}
@@ -450,7 +451,7 @@ func TestQueueBound(t *testing.T) {
 		}
 		codes[resp.StatusCode]++
 		if resp.StatusCode == http.StatusAccepted {
-			var v jobView
+			var v client.Job
 			if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 				t.Fatal(err)
 			}

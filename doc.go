@@ -10,9 +10,10 @@
 // binary — Assemble, Optimize (VRP), Specialize (VRS), Simulate,
 // CompareGating. The experiment pipeline (session.go) regenerates the
 // paper's tables and figures over the whole workload suite: a Session is
-// configured once with functional options (WithQuick, WithWorkers,
-// WithStore, WithSynthetics, WithThreshold) and driven with Run/RunAll
-// under a context.Context that really cancels —
+// configured once with functional options (WithQuick, WithStore,
+// WithSynthetics) and driven with Run/RunAll, each call at
+// DefaultThreshold unless AtThreshold names another, under a
+// context.Context that really cancels —
 // mid-suite, the per-workload fan-out stops scheduling. Results are
 // structured Report values (units and schema metadata, stable canonical
 // JSON, cell-level Diff) rendered by pluggable Renderers: TextRenderer

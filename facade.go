@@ -25,12 +25,6 @@ type Program = prog.Program
 // RunResult is a functional execution's observable outcome.
 type RunResult = emu.RunResult
 
-// UarchConfig parameterises the out-of-order timing model (Table 2).
-type UarchConfig = uarch.Config
-
-// PowerParams are the per-structure energy coefficients.
-type PowerParams = power.Params
-
 // GatingMode selects how datapath bytes are gated during simulation.
 type GatingMode = power.GatingMode
 
@@ -86,9 +80,6 @@ type OptimizeOptions struct {
 	// Conventional disables the useful-range (demanded-byte) analysis,
 	// reproducing the paper's "conventional VRP" baseline.
 	Conventional bool
-	// SkipVerify disables the behavioural equivalence re-execution of
-	// the re-encoded binary against the original.
-	SkipVerify bool
 }
 
 // Optimized is the result of running the binary optimizer.
@@ -114,7 +105,8 @@ func (o *Optimized) Summary() string {
 }
 
 // Optimize runs value range propagation over the program and returns the
-// re-encoded binary, verifying behavioural equivalence unless disabled.
+// re-encoded binary, after re-executing it against the original to
+// verify behavioural equivalence.
 func Optimize(p *Program, opts OptimizeOptions) (*Optimized, error) {
 	mode := vrp.Useful
 	if opts.Conventional {
@@ -125,10 +117,8 @@ func Optimize(p *Program, opts OptimizeOptions) (*Optimized, error) {
 		return nil, err
 	}
 	q := r.Apply()
-	if !opts.SkipVerify {
-		if err := emu.CheckEquivalence(p, q); err != nil {
-			return nil, fmt.Errorf("opgate: re-encoded binary diverges: %w", err)
-		}
+	if err := emu.CheckEquivalence(p, q); err != nil {
+		return nil, fmt.Errorf("opgate: re-encoded binary diverges: %w", err)
 	}
 	return &Optimized{Program: q, Analysis: r, Original: p}, nil
 }
@@ -138,8 +128,6 @@ type SpecializeOptions struct {
 	// Threshold is the VRS energy threshold (the paper's 110..30 nJ
 	// sweep); zero means DefaultThreshold.
 	Threshold float64
-	// SkipVerify disables the behavioural equivalence check.
-	SkipVerify bool
 }
 
 // Specialized is the result of the full VRS pipeline.
@@ -151,17 +139,16 @@ type Specialized struct {
 }
 
 // Specialize profiles trainProg (same code layout, training input) and
-// applies value range specialization to refProg.
+// applies value range specialization to refProg, then verifies the
+// transformed binary's behavioural equivalence to refProg.
 func Specialize(trainProg, refProg *Program, opts SpecializeOptions) (*Specialized, error) {
 	r, err := vrs.Specialize(trainProg, refProg, vrs.Options{Threshold: opts.Threshold})
 	if err != nil {
 		return nil, err
 	}
 	q := r.Apply()
-	if !opts.SkipVerify {
-		if err := emu.CheckEquivalence(refProg, q); err != nil {
-			return nil, fmt.Errorf("opgate: specialized binary diverges: %w", err)
-		}
+	if err := emu.CheckEquivalence(refProg, q); err != nil {
+		return nil, fmt.Errorf("opgate: specialized binary diverges: %w", err)
 	}
 	return &Specialized{Program: q, Result: r}, nil
 }
@@ -169,37 +156,21 @@ func Specialize(trainProg, refProg *Program, opts SpecializeOptions) (*Specializ
 // Run executes a program functionally and returns its observable result.
 func Run(p *Program) (*RunResult, error) { return emu.Execute(p) }
 
-// SimOptions configures a timing+energy simulation.
-type SimOptions struct {
-	Gating GatingMode
-	// Config overrides the Table 2 machine; nil uses the default.
-	Config *UarchConfig
-	// Params overrides the power coefficients; nil uses the default.
-	Params *PowerParams
-}
-
-// Simulate runs the out-of-order timing model with the operand-gated
-// power model and returns cycles, energy, and rates.
-func Simulate(p *Program, opts SimOptions) (*uarch.Result, error) {
-	cfg := uarch.DefaultConfig()
-	if opts.Config != nil {
-		cfg = *opts.Config
-	}
-	params := power.DefaultParams()
-	if opts.Params != nil {
-		params = *opts.Params
-	}
-	return uarch.Run(p, cfg, params, opts.Gating)
+// Simulate runs the paper's machine (Table 2) through the out-of-order
+// timing model with the operand-gated power model under one gating mode,
+// and returns cycles, energy, and rates.
+func Simulate(p *Program, mode GatingMode) (*uarch.Result, error) {
+	return uarch.Run(p, uarch.DefaultConfig(), power.DefaultParams(), mode)
 }
 
 // CompareGating simulates the same program under baseline (ungated) and a
 // gated mode, returning the fractional energy and ED² savings.
 func CompareGating(p *Program, mode GatingMode) (energySaving, ed2Saving float64, err error) {
-	base, err := Simulate(p, SimOptions{Gating: GateNone})
+	base, err := Simulate(p, GateNone)
 	if err != nil {
 		return 0, 0, err
 	}
-	g, err := Simulate(p, SimOptions{Gating: mode})
+	g, err := Simulate(p, mode)
 	if err != nil {
 		return 0, 0, err
 	}

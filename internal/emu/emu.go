@@ -546,18 +546,6 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// LoadBytes copies out a memory region by virtual address (for tests and
-// result checking).
-func (m *Machine) LoadBytes(addr, n int64) ([]byte, error) {
-	off := addr - m.P.DataBase
-	if off < 0 || off+n > int64(len(m.Mem)) {
-		return nil, fmt.Errorf("emu: read of %d bytes at %#x out of bounds", n, addr)
-	}
-	out := make([]byte, n)
-	copy(out, m.Mem[off:off+n])
-	return out, nil
-}
-
 // StoreBytes pokes a memory region by virtual address before a run
 // (workload inputs).
 func (m *Machine) StoreBytes(addr int64, data []byte) error {

@@ -88,7 +88,7 @@ func liveAblationCells(t *testing.T, s *Suite) (opcodes, analysis [][]float64, o
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := uarch.Run(p, s.Uarch, s.Power, power.GateNone)
+			base, err := uarch.Run(p, uarch.DefaultConfig(), power.DefaultParams(), power.GateNone)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func liveAblationCells(t *testing.T, s *Suite) (opcodes, analysis [][]float64, o
 			if opts.Opcodes != nil && store.ProgramIdentity(q) != store.ProgramIdentity(p) {
 				overlays++
 			}
-			g, err := uarch.Run(q, s.Uarch, s.Power, power.GateSoftware)
+			g, err := uarch.Run(q, uarch.DefaultConfig(), power.DefaultParams(), power.GateSoftware)
 			if err != nil {
 				t.Fatal(err)
 			}

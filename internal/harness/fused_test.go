@@ -359,7 +359,7 @@ func TestWidthOnlyIsTheBinarysProperty(t *testing.T) {
 	if got := s.traversals.Load(); got != 2 {
 		t.Errorf("vrp after vrs50: %d traversals, want 2", got)
 	}
-	live, err := uarch.NewMulti(vrs.p, s.Uarch, s.Power, modeGroups[1])
+	live, err := uarch.NewMulti(vrs.p, uarch.DefaultConfig(), power.DefaultParams(), modeGroups[1])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,9 +96,6 @@ type Suite struct {
 	// over emu.DefaultTraceBudget is not stored; that binary stays live.
 	Store *store.Store
 
-	Uarch uarch.Config
-	Power power.Params
-
 	traceLibState
 
 	progs    memo[progKey, *prog.Program]
@@ -165,11 +162,7 @@ type variantBin struct {
 
 // NewSuite builds a suite with the paper's machine parameters.
 func NewSuite(quick bool) *Suite {
-	return &Suite{
-		Quick: quick,
-		Uarch: uarch.DefaultConfig(),
-		Power: power.DefaultParams(),
-	}
+	return &Suite{Quick: quick}
 }
 
 // Names returns the benchmark names in paper order, followed by any
@@ -257,7 +250,7 @@ func (s *Suite) vrsProfile(name string) (*vrs.Profile, error) {
 			return nil, err
 		}
 		s.trainRuns.Add(1)
-		pf, err := vrs.NewProfile(trainP, refP, vrs.Options{Power: s.Power})
+		pf, err := vrs.NewProfile(trainP, refP, vrs.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("harness: vrs profile %s: %w", name, err)
 		}
@@ -470,7 +463,7 @@ func (s *Suite) binPass(b variantBin, isBase bool) (traversal, error) {
 				return traversal{}, err
 			}
 		}
-		sim, err := uarch.NewMulti(b.p, s.Uarch, s.Power, modes, widths...)
+		sim, err := uarch.NewMulti(b.p, uarch.DefaultConfig(), power.DefaultParams(), modes, widths...)
 		if err != nil {
 			return traversal{}, fmt.Errorf("harness: sim %v/%v: %w", b.key, modes, err)
 		}
@@ -497,7 +490,7 @@ func (s *Suite) rewritePass(b variantBin, modes []power.GatingMode) (traversal, 
 	if err != nil {
 		return traversal{}, err
 	}
-	sink, err := uarch.NewRewrite(b.p, s.Uarch, s.Power, modes, t.rs[0])
+	sink, err := uarch.NewRewrite(b.p, power.DefaultParams(), modes, t.rs[0])
 	if err != nil {
 		return traversal{}, fmt.Errorf("harness: sim %v/%v: %w", b.key, modes, err)
 	}

@@ -162,7 +162,7 @@ func DecodeSweep(data []byte) (*SweepReport, error) {
 }
 
 // ValidThresholds rejects grids no sweep can evaluate: empty, non-positive
-// values (WithThreshold's rule), or duplicates (which would make cell
+// values (AtThreshold's rule), or duplicates (which would make cell
 // addressing by threshold ambiguous).
 func ValidThresholds(thresholds []float64) error {
 	if len(thresholds) == 0 {

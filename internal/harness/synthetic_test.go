@@ -79,7 +79,7 @@ func TestSyntheticSuiteMatchesLiveRuns(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := uarch.Run(b.p, s.Uarch, s.Power, mode)
+				want, err := uarch.Run(b.p, uarch.DefaultConfig(), power.DefaultParams(), mode)
 				if err != nil {
 					t.Fatal(err)
 				}

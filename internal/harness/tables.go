@@ -6,6 +6,7 @@ import (
 
 	"opgate/internal/isa"
 	"opgate/internal/power"
+	"opgate/internal/uarch"
 	"opgate/internal/vrp"
 )
 
@@ -14,7 +15,7 @@ import (
 // The power model's width profile is calibrated so these match the paper's
 // integers exactly (6/5/3/2/1 nJ pattern).
 func (s *Suite) Table1() *Report {
-	t := power.ALUSavingsTable(s.Power)
+	t := power.ALUSavingsTable(power.DefaultParams())
 	names := []string{"64", "32", "16", "8"}
 	rep := &Report{
 		ID:      "table1",
@@ -31,7 +32,7 @@ func (s *Suite) Table1() *Report {
 // Table2 reports the machine parameters the simulator implements, as a
 // freeform-text listing (the paper's Table 2 is prose, not a matrix).
 func (s *Suite) Table2() *Report {
-	c := s.Uarch
+	c := uarch.DefaultConfig()
 	mem := c.Memory
 	f := fmt.Sprintf
 	return &Report{

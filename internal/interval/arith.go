@@ -59,9 +59,6 @@ func Mul(a, b Interval) Interval {
 	return Interval{lo, hi, true}
 }
 
-// Neg returns the range of -a.
-func Neg(a Interval) Interval { return Sub(Const(0), a) }
-
 // And returns a conservative range of a&b. Precise bounds for bitwise
 // operations on intervals require bit-blasting; the cases that matter for
 // operand gating are masks and non-negative operands, which are handled

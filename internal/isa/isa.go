@@ -447,19 +447,6 @@ func widthMatters(op Op) bool {
 	return op != OpInvalid
 }
 
-// WidthAffectsSemantics reports whether narrowing the opcode's width can
-// change the architectural result (as opposed to merely gating energy).
-// For LD/ST/MSKL/SEXT/OUT the width is part of the semantics; for plain ALU
-// ops the paper's model computes full-width results, and the width opcode
-// is a contract that the upper bytes are never useful downstream.
-func WidthAffectsSemantics(op Op) bool {
-	switch op {
-	case OpLD, OpST, OpMSKL, OpSEXT, OpOUT:
-		return true
-	}
-	return false
-}
-
 // Latency returns the execution latency in cycles for the functional-unit
 // stage of the pipeline model.
 func Latency(op Op) int {

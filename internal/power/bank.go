@@ -22,7 +22,6 @@ import "slices"
 type Bank struct {
 	params Params
 	modes  []GatingMode // per meter: the requested modes, then GateSoftware per overlay
-	sext   bool         // Meter.SignExtendToCache of every meter
 	tabs   []bankTab    // one per requested mode, then one per overlay
 	over   []bankTab    // the overlays: tabs[len(requested modes):]
 	// accesses[s] counts the accesses to s.
@@ -39,9 +38,6 @@ type bankTab struct {
 	// value[s][swWidth][sig] is the energy of a value access (sig is
 	// never 0).
 	value [NumStructures][bankWidths][bankWidths]float64
-	// full[s] is the energy of a full-width (8-byte) access:
-	// AccessCacheValue under SignExtendToCache.
-	full [NumStructures]float64
 	// widths is an overlay's software width per static instruction (nil
 	// for a requested mode), and width its entry for the current one.
 	widths []uint8
@@ -53,8 +49,7 @@ type bankTab struct {
 const bankWidths = 9
 
 // NewBank returns a bank accruing one meter per mode, in order, then one
-// software overlay per entry of overlays. signExtendToCache sets every
-// meter's SignExtendToCache.
+// software overlay per entry of overlays.
 //
 // An overlay is a GateSoftware meter that takes an instruction's operand
 // width from its own table, by static index, instead of from the caller,
@@ -62,7 +57,7 @@ const bankWidths = 9
 // GateSoftware meter accrues over a width-only rewrite's (software gating
 // never looks at a value). The caller keeps every width at most 8 and
 // calls Begin before each instruction's operand accesses.
-func NewBank(params Params, modes []GatingMode, signExtendToCache bool, overlays ...[]uint8) *Bank {
+func NewBank(params Params, modes []GatingMode, overlays ...[]uint8) *Bank {
 	all := slices.Clone(modes)
 	for range overlays {
 		all = append(all, GateSoftware)
@@ -70,7 +65,6 @@ func NewBank(params Params, modes []GatingMode, signExtendToCache bool, overlays
 	b := &Bank{
 		params: params,
 		modes:  all,
-		sext:   signExtendToCache,
 		tabs:   make([]bankTab, len(all)),
 	}
 	b.over = b.tabs[len(modes):]
@@ -89,7 +83,6 @@ func NewBank(params Params, modes []GatingMode, signExtendToCache bool, overlays
 		m := NewMeter(params, mode)
 		t := &b.tabs[i]
 		for s := Structure(0); s < NumStructures; s++ {
-			t.full[s] = m.bytesEnergy(s, 8)
 			for sw := range bankWidths {
 				for sig := 1; sig < bankWidths; sig++ {
 					t.value[s][sw][sig] = m.valueEnergy(s, activeBytesSig(mode, sw, sig))
@@ -150,22 +143,6 @@ func (b *Bank) AccessSig(s Structure, swWidth, sig int) {
 	}
 }
 
-// AccessCacheSig records a data-cache access (Meter.AccessCacheValue) of
-// a value whose SignificantBytes is sig: an operand access (AccessSig),
-// or under SignExtendToCache a full-width access on every meter.
-func (b *Bank) AccessCacheSig(s Structure, swWidth, sig int) {
-	if !b.sext {
-		b.AccessSig(s, swWidth, sig)
-		return
-	}
-	b.accesses[s]++
-	tabs := b.accrue[s]
-	for i := range tabs {
-		t := &tabs[i]
-		t.energy[s] += t.full[s]
-	}
-}
-
 // Meters returns one freshly built Meter per mode and then per overlay,
 // in NewBank order, holding the accesses and energy accrued so far (no
 // idle cycles).
@@ -173,7 +150,6 @@ func (b *Bank) Meters() []*Meter {
 	ms := make([]*Meter, len(b.modes))
 	for i, mode := range b.modes {
 		m := NewMeter(b.params, mode)
-		m.SignExtendToCache = b.sext
 		for s := range m.Accesses {
 			m.Accesses[s] = b.accesses[s]
 		}

@@ -52,28 +52,10 @@ type Meter struct {
 	Accesses [NumStructures]int64
 	Cycles   int64
 
-	// SignExtendToCache selects §2.4's memory-hierarchy approach (2):
-	// values are sign-extended to full width before entering the cache,
-	// instead of carrying size tags (approach 1, the default). Under it,
-	// cache data accesses are not gated. The paper chose approach (1)
-	// "because it yields more energy benefits" — this knob measures that
-	// claim.
-	SignExtendToCache bool
-
 	// tagE caches Gated[s]*TagOverheadBytes()/8 per structure — the
 	// per-access tag-array energy of the hardware schemes — so the hot
 	// accessors add a constant instead of recomputing the product.
 	tagE [NumStructures]float64
-}
-
-// AccessCacheValue records a data-cache access. Under the sign-extend
-// approach, stored values are full width regardless of gating.
-func (m *Meter) AccessCacheValue(s Structure, swWidth int, value int64) {
-	if m.SignExtendToCache {
-		m.AccessBytes(s, 8)
-		return
-	}
-	m.AccessValue(s, swWidth, value)
 }
 
 // NewMeter returns a meter with the given coefficients and gating mode.

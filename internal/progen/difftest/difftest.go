@@ -253,7 +253,7 @@ func checkRewrite(q *prog.Program, base *outcome, baseTiming, overlay *uarch.Res
 	if err != nil {
 		return err
 	}
-	sink, err := uarch.NewRewrite(q, cfg, params, rewriteModes, baseTiming)
+	sink, err := uarch.NewRewrite(q, params, rewriteModes, baseTiming)
 	if err != nil {
 		return err
 	}

@@ -367,6 +367,32 @@ func TestKeyDerivation(t *testing.T) {
 	if ReportKey("fig8", true, 50, nil, id) == ReportKey("fig8", true, 50, nil, Hash{1}) {
 		t.Fatal("code identity does not contribute to the report key")
 	}
+	report := ReportKey("fig8", true, 50, nil, id)
+	for name, other := range map[string]Key{
+		"experiment": ReportKey("fig9", true, 50, nil, id),
+		"threshold":  ReportKey("fig8", true, 110, nil, id),
+		"quick":      ReportKey("fig8", false, 50, nil, id),
+	} {
+		if other == report {
+			t.Errorf("report key insensitive to %s", name)
+		}
+	}
+	sweep := SweepKey("fig6", true, []float64{110, 50}, nil, id)
+	for name, other := range map[string]Key{
+		"experiment": SweepKey("fig7", true, []float64{110, 50}, nil, id),
+		"grid":       SweepKey("fig6", true, []float64{110, 50, 30}, nil, id),
+		"order":      SweepKey("fig6", true, []float64{50, 110}, nil, id),
+		"synthetics": SweepKey("fig6", true, []float64{110, 50}, []string{"syn:narrow/small/1"}, id),
+	} {
+		if other == sweep {
+			t.Errorf("sweep key insensitive to %s", name)
+		}
+	}
+	// A one-point sweep document and its single cell are distinct
+	// objects; the cell lives under the report key.
+	if SweepKey("fig4", true, []float64{65}, nil, id) == ReportKey("fig4", true, 65, nil, id) {
+		t.Error("sweep document key collides with a single-cell report key")
+	}
 	if SelfIdentity() != SelfIdentity() || SelfIdentity() == (Hash{}) {
 		t.Fatal("SelfIdentity is unstable or degenerate in-process")
 	}

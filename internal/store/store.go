@@ -138,9 +138,6 @@ func OpenDirFS(dir string, limit int64, fs FS) (*DirBackend, error) {
 	return b, nil
 }
 
-// Root returns the backend's root directory.
-func (b *DirBackend) Root() string { return b.root }
-
 // staleTempAge is how old an orphaned staging file must be before Open
 // reclaims it; younger ones may belong to another live process sharing
 // the root mid-Put.

@@ -50,9 +50,6 @@ type Config struct {
 	// WrongPathFactor scales the wasted front-end activity charged per
 	// mispredict (fraction of a full fetch-to-dispatch refill).
 	WrongPathFactor float64
-	// SignExtendToCache selects the paper's §2.4 memory approach (2):
-	// no size tags in the cache; values sign-extend to full width.
-	SignExtendToCache bool
 
 	Predictor bpred.Config
 	Memory    cache.HierarchyConfig
@@ -287,7 +284,7 @@ func NewMulti(p *prog.Program, cfg Config, params power.Params, modes []power.Ga
 	}
 	return &Sim{
 		cfg:           cfg,
-		bank:          power.NewBank(params, modes, cfg.SignExtendToCache, over...),
+		bank:          power.NewBank(params, modes, over...),
 		pred:          bpred.New(cfg.Predictor),
 		hier:          hier,
 		stat:          stat,
@@ -558,7 +555,7 @@ func (st *static) accrue(bank *power.Bank, addr, value, srcA, srcB int64) {
 		// own view of the address bytes.
 		bank.AccessValue(power.LSQ, 8, addr)
 		bank.AccessSig(power.LSQ, w, sigV)
-		bank.AccessCacheSig(power.DCache, w, sigV)
+		bank.AccessSig(power.DCache, w, sigV)
 	}
 	// Dual-operand structures are gated by the wider operand.
 	sigA, sigB := power.SignificantBytes(srcA), power.SignificantBytes(srcB)
@@ -605,8 +602,8 @@ type Rewrite struct {
 // the binary whose timing pass gave base (any of its meters' Results),
 // accruing every listed gating mode. Fed q's records, its FinishAll
 // equals FinishAll of NewMulti(q, cfg, params, modes) fed the same
-// records, bit for bit.
-func NewRewrite(q *prog.Program, cfg Config, params power.Params, modes []power.GatingMode, base *Result) (*Rewrite, error) {
+// records, bit for bit, under the cfg that timed base.
+func NewRewrite(q *prog.Program, params power.Params, modes []power.GatingMode, base *Result) (*Rewrite, error) {
 	if len(modes) == 0 {
 		return nil, fmt.Errorf("uarch: no gating modes requested")
 	}
@@ -615,7 +612,7 @@ func NewRewrite(q *prog.Program, cfg Config, params power.Params, modes []power.
 		return nil, err
 	}
 	return &Rewrite{
-		bank: power.NewBank(params, modes, cfg.SignExtendToCache),
+		bank: power.NewBank(params, modes),
 		stat: stat,
 		base: base,
 	}, nil

@@ -230,25 +230,26 @@ loop:
 }
 
 // TestSignExtendToCacheCostsEnergy measures §2.4's claim: carrying size
-// tags in the cache (approach 1, the default) saves more energy than
+// tags in the cache (approach 1, the model's) saves more energy than
 // sign-extending values to full width before they enter it (approach 2).
+// Approach 2 is an oracle here: every data-cache access of the tagged
+// run moves a full-width (8-byte) value, over the same cycles of idle.
 func TestSignExtendToCacheCostsEnergy(t *testing.T) {
 	w, _ := workload.ByName("compress")
 	p, _ := w.Build(workload.Train)
-	cfgTag := uarch.DefaultConfig()
-	cfgSext := uarch.DefaultConfig()
-	cfgSext.SignExtendToCache = true
-	tagged, err := uarch.Run(p, cfgTag, power.DefaultParams(), power.GateHWSignificance)
+	params := power.DefaultParams()
+	tagged, err := uarch.Run(p, uarch.DefaultConfig(), params, power.GateHWSignificance)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sext, err := uarch.Run(p, cfgSext, power.DefaultParams(), power.GateHWSignificance)
-	if err != nil {
-		t.Fatal(err)
+	sext := power.NewMeter(params, power.GateHWSignificance)
+	for range tagged.Energy.Accesses[power.DCache] {
+		sext.AccessBytes(power.DCache, 8)
 	}
-	if tagged.Energy.Energy[power.DCache] >= sext.Energy.Energy[power.DCache] {
+	sext.Tick(tagged.Cycles)
+	if tagged.Energy.Energy[power.DCache] >= sext.Energy[power.DCache] {
 		t.Errorf("tagged cache (%.0f) not cheaper than sign-extended cache (%.0f)",
-			tagged.Energy.Energy[power.DCache], sext.Energy.Energy[power.DCache])
+			tagged.Energy.Energy[power.DCache], sext.Energy[power.DCache])
 	}
 }
 
@@ -310,10 +311,9 @@ func TestRunModesMatchesIndependentRuns(t *testing.T) {
 
 // TestReplayModesMatchesRunModes: driving the fused timing core from a
 // captured trace must give the identical results as a live emulation, on
-// every workload and under both cache-tagging approaches.
+// every workload.
 func TestReplayModesMatchesRunModes(t *testing.T) {
-	sext := uarch.DefaultConfig()
-	sext.SignExtendToCache = true
+	cfg := uarch.DefaultConfig()
 	params := power.DefaultParams()
 	modes := power.Modes()
 	for _, w := range workload.All() {
@@ -331,19 +331,16 @@ func TestReplayModesMatchesRunModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cfg := range []uarch.Config{uarch.DefaultConfig(), sext} {
-			replayed, err := uarch.ReplayModes(tr, cfg, params, modes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			live, err := uarch.RunModes(p, cfg, params, modes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(replayed, live) {
-				t.Errorf("%s (SignExtendToCache=%v): trace-replayed results differ from live emulation",
-					w.Name, cfg.SignExtendToCache)
-			}
+		replayed, err := uarch.ReplayModes(tr, cfg, params, modes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, err := uarch.RunModes(p, cfg, params, modes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(replayed, live) {
+			t.Errorf("%s: trace-replayed results differ from live emulation", w.Name)
 		}
 	}
 }
@@ -351,11 +348,9 @@ func TestReplayModesMatchesRunModes(t *testing.T) {
 // TestOverlaysMatchRewriteRuns: a software overlay carrying a width-only
 // rewrite's widths, fed the base program's records, equals a live
 // GateSoftware run of the rewrite in every field, and leaves the
-// requested modes' results as they are without it, on every workload and
-// under both cache-tagging approaches.
+// requested modes' results as they are without it, on every workload.
 func TestOverlaysMatchRewriteRuns(t *testing.T) {
-	sext := uarch.DefaultConfig()
-	sext.SignExtendToCache = true
+	cfg := uarch.DefaultConfig()
 	params := power.DefaultParams()
 	modes := power.Modes()
 	for _, w := range workload.All() {
@@ -373,33 +368,31 @@ func TestOverlaysMatchRewriteRuns(t *testing.T) {
 			overlays = append(overlays, r.Width)
 			rewrites = append(rewrites, r.Apply())
 		}
-		for _, cfg := range []uarch.Config{uarch.DefaultConfig(), sext} {
-			sim, err := uarch.NewMulti(p, cfg, params, modes, overlays...)
+		sim, err := uarch.NewMulti(p, cfg, params, modes, overlays...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := emu.New(p)
+		m.Sink = sim
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		m.Release()
+		got := sim.FinishAll()
+		plain, err := uarch.RunModes(p, cfg, params, modes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[:len(modes)], plain) {
+			t.Errorf("%s: overlays changed the requested modes' results", w.Name)
+		}
+		for k, q := range rewrites {
+			live, err := uarch.Run(q, cfg, params, power.GateSoftware)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := emu.New(p)
-			m.Sink = sim
-			if err := m.Run(); err != nil {
-				t.Fatal(err)
-			}
-			m.Release()
-			got := sim.FinishAll()
-			plain, err := uarch.RunModes(p, cfg, params, modes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got[:len(modes)], plain) {
-				t.Errorf("%s (SignExtendToCache=%v): overlays changed the requested modes' results", w.Name, cfg.SignExtendToCache)
-			}
-			for k, q := range rewrites {
-				live, err := uarch.Run(q, cfg, params, power.GateSoftware)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got[len(modes)+k], live) {
-					t.Errorf("%s (SignExtendToCache=%v): overlay %d differs from the rewrite's live run", w.Name, cfg.SignExtendToCache, k)
-				}
+			if !reflect.DeepEqual(got[len(modes)+k], live) {
+				t.Errorf("%s: overlay %d differs from the rewrite's live run", w.Name, k)
 			}
 		}
 	}
@@ -408,11 +401,9 @@ func TestOverlaysMatchRewriteRuns(t *testing.T) {
 // TestRewriteMatchesRewriteRuns: the energy-only sink of a width-only
 // rewrite, fed the rewrite's records and given its base program's
 // ungated timing result, equals the rewrite's own fused timing pass in
-// every field of every mode, on every workload, for both VRP modes and
-// under both cache-tagging approaches.
+// every field of every mode, on every workload, for both VRP modes.
 func TestRewriteMatchesRewriteRuns(t *testing.T) {
-	sext := uarch.DefaultConfig()
-	sext.SignExtendToCache = true
+	cfg := uarch.DefaultConfig()
 	params := power.DefaultParams()
 	modes := power.Modes()
 	for _, w := range workload.All() {
@@ -420,34 +411,32 @@ func TestRewriteMatchesRewriteRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cfg := range []uarch.Config{uarch.DefaultConfig(), sext} {
-			base, err := uarch.Run(p, cfg, params, power.GateNone)
+		base, err := uarch.Run(p, cfg, params, power.GateNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []vrp.Mode{vrp.Useful, vrp.Conventional} {
+			r, err := vrp.Analyze(p, vrp.Options{Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []vrp.Mode{vrp.Useful, vrp.Conventional} {
-				r, err := vrp.Analyze(p, vrp.Options{Mode: mode})
-				if err != nil {
-					t.Fatal(err)
-				}
-				q := r.Apply()
-				sink, err := uarch.NewRewrite(q, cfg, params, modes, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m := emu.New(q)
-				m.Sink = sink
-				if err := m.Run(); err != nil {
-					t.Fatal(err)
-				}
-				m.Release()
-				live, err := uarch.RunModes(q, cfg, params, modes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := sink.FinishAll(); !reflect.DeepEqual(got, live) {
-					t.Errorf("%s %v rewrite (SignExtendToCache=%v): energy-only results differ from the rewrite's timing pass", w.Name, mode, cfg.SignExtendToCache)
-				}
+			q := r.Apply()
+			sink, err := uarch.NewRewrite(q, params, modes, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := emu.New(q)
+			m.Sink = sink
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			m.Release()
+			live, err := uarch.RunModes(q, cfg, params, modes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sink.FinishAll(); !reflect.DeepEqual(got, live) {
+				t.Errorf("%s %v rewrite: energy-only results differ from the rewrite's timing pass", w.Name, mode)
 			}
 		}
 	}
@@ -472,12 +461,12 @@ func TestOverlayValidation(t *testing.T) {
 		t.Errorf("16-byte overlay width: error %v, want a rejection", err)
 	}
 	base := simulate(t, p, power.GateNone)
-	if _, err := uarch.NewRewrite(p, cfg, params, nil, base); err == nil {
+	if _, err := uarch.NewRewrite(p, params, nil, base); err == nil {
 		t.Error("energy-only sink of no modes: no error")
 	}
 	q := p.Clone()
 	q.Ins[1].Width = isa.Width(16)
-	if _, err := uarch.NewRewrite(q, cfg, params, modes, base); err == nil || !strings.Contains(err.Error(), "operand width") {
+	if _, err := uarch.NewRewrite(q, params, modes, base); err == nil || !strings.Contains(err.Error(), "operand width") {
 		t.Errorf("energy-only sink of a 16-byte width: error %v, want a rejection", err)
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"opgate/internal/workload"
 )
 
-// DefaultThreshold is the paper's headline VRS cost threshold (nJ) —
-// the default for sessions that do not set WithThreshold.
+// DefaultThreshold is the paper's headline VRS cost threshold (nJ): the
+// threshold of every Run and RunAll call that does not pass AtThreshold.
 const DefaultThreshold = 50
 
 // Session is the single programmatic entry point to the experiment
@@ -29,18 +29,16 @@ const DefaultThreshold = 50
 // per-key with singleflight semantics, so concurrent runs coalesce
 // instead of duplicating work.
 type Session struct {
-	suite     *harness.Suite
-	threshold float64
+	suite *harness.Suite
 }
 
 // Option configures a Session at construction.
 type Option func(*Session) error
 
 // NewSession builds a session with the paper's machine parameters,
-// evaluating on ref inputs at the default VRS threshold unless options
-// say otherwise.
+// evaluating on ref inputs unless options say otherwise.
 func NewSession(opts ...Option) (*Session, error) {
-	s := &Session{suite: harness.NewSuite(false), threshold: DefaultThreshold}
+	s := &Session{suite: harness.NewSuite(false)}
 	for _, opt := range opts {
 		if err := opt(s); err != nil {
 			return nil, fmt.Errorf("opgate: %w", err)
@@ -64,30 +62,6 @@ func NewSession(opts ...Option) (*Session, error) {
 // run time; the default (false) evaluates on ref inputs like the paper.
 func WithQuick(quick bool) Option {
 	return func(s *Session) error { s.suite.Quick = quick; return nil }
-}
-
-// WithWorkers bounds the per-workload fan-out of the experiment drivers;
-// 0 means GOMAXPROCS, 1 reproduces a strictly sequential run.
-func WithWorkers(n int) Option {
-	return func(s *Session) error {
-		if n < 0 {
-			return fmt.Errorf("workers %d: must be >= 0", n)
-		}
-		s.suite.Workers = n
-		return nil
-	}
-}
-
-// WithThreshold sets the session's default VRS specialization threshold
-// (the paper sweeps 110..30 nJ); per-run AtThreshold overrides it.
-func WithThreshold(nj float64) Option {
-	return func(s *Session) error {
-		if nj <= 0 {
-			return fmt.Errorf("threshold %g: must be > 0", nj)
-		}
-		s.threshold = nj
-		return nil
-	}
 }
 
 // WithSynthetics appends generated workloads — registry names like
@@ -125,23 +99,22 @@ func WithStore(st *Store) Option {
 	}
 }
 
-// RunOption adjusts one Run/RunAll/ReportKey call.
+// RunOption adjusts one Run/RunAll call.
 type RunOption func(*runParams)
 
 type runParams struct{ threshold float64 }
 
-// AtThreshold overrides the session's VRS threshold for one call.
+// AtThreshold sets one call's VRS specialization threshold (the paper
+// sweeps 110..30 nJ) in place of DefaultThreshold; it must be > 0.
 func AtThreshold(nj float64) RunOption {
 	return func(p *runParams) { p.threshold = nj }
 }
 
 func (s *Session) params(opts []RunOption) (runParams, error) {
-	p := runParams{threshold: s.threshold}
+	p := runParams{threshold: DefaultThreshold}
 	for _, opt := range opts {
 		opt(&p)
 	}
-	// AtThreshold is the unvalidated back door around WithThreshold's
-	// check; hold it to the same rule.
 	if p.threshold <= 0 {
 		return p, fmt.Errorf("opgate: threshold %g: must be > 0", p.threshold)
 	}
@@ -163,9 +136,6 @@ func Experiments() []ExperimentInfo {
 	}
 	return infos
 }
-
-// Experiments lists the experiments this session can run.
-func (s *Session) Experiments() []ExperimentInfo { return Experiments() }
 
 // Run regenerates one experiment as a structured report. Cancelling ctx
 // stops scheduling per-workload work and returns the context's error.
@@ -195,7 +165,7 @@ func (s *Session) RunAll(ctx context.Context, opts ...RunOption) ([]*Report, err
 // cell is bit-identical to Run at that threshold.
 //
 // With a store attached the cells are content-addressed individually,
-// under the exact ReportKey a single-threshold run is filed at: a grown
+// under the exact store.ReportKey a single-threshold run is filed at: a grown
 // grid recomputes only its missing cells, and a stored cell serves
 // opgated's warm check for the matching single-threshold job (and vice
 // versa).
@@ -254,34 +224,12 @@ func (s *Session) Sweep(ctx context.Context, id string, thresholds ...float64) (
 	}, nil
 }
 
-// cellKey is the store address of one sweep cell: exactly the ReportKey
-// of a single-threshold run, so sweeps and plain runs warm each other.
+// cellKey is the store address of one sweep cell: exactly the
+// store.ReportKey of a single-threshold run, so sweeps and plain runs
+// warm each other.
 func (s *Session) cellKey(id string, threshold float64) store.Key {
 	return store.ReportKey(id, s.suite.Quick, threshold,
 		s.suite.Synthetics, store.SelfIdentity())
-}
-
-// SweepKey derives the content address a store files this session's
-// encoded sweep document under — ReportKey's dimensions with the whole
-// grid as the threshold axis. The per-cell addresses remain ReportKey;
-// this addresses the assembled grid view (opgated's sweep jobs).
-func (s *Session) SweepKey(id string, thresholds ...float64) string {
-	return string(store.SweepKey(id, s.suite.Quick, thresholds,
-		s.suite.Synthetics, store.SelfIdentity()))
-}
-
-// ReportKey derives the content address a store files this session's
-// report sequence under for one experiment ID (or "all"): the experiment,
-// input class, threshold, workload set and the running executable's
-// identity hash, so a rebuilt binary can never serve stale reports. An
-// invalid per-call threshold keys an address no Run will ever fill.
-func (s *Session) ReportKey(id string, opts ...RunOption) string {
-	p := runParams{threshold: s.threshold}
-	for _, opt := range opts {
-		opt(&p)
-	}
-	return string(store.ReportKey(id, s.suite.Quick, p.threshold,
-		s.suite.Synthetics, store.SelfIdentity()))
 }
 
 // Emulations reports how many functional emulations the session has
@@ -292,9 +240,6 @@ func (s *Session) Emulations() int64 { return s.suite.Emulations() }
 // session has performed — one per workload profiled, however many
 // thresholds were evaluated (the sweep profile-reuse probe).
 func (s *Session) TrainEmulations() int64 { return s.suite.TrainEmulations() }
-
-// Threshold returns the session's default VRS threshold.
-func (s *Session) Threshold() float64 { return s.threshold }
 
 // Synthetics returns the registered synthetic workload names.
 func (s *Session) Synthetics() []string {

@@ -12,8 +12,6 @@ import (
 // descriptive error instead of producing a half-configured session.
 func TestSessionOptionValidation(t *testing.T) {
 	for name, opt := range map[string]Option{
-		"negative-workers":  WithWorkers(-1),
-		"zero-threshold":    WithThreshold(0),
 		"unknown-synthetic": WithSynthetics("syn:nosuchfamily/small/1"),
 		"nil-store":         WithStore(nil),
 		"nil-backend":       WithStore(NewStore(nil)),
@@ -22,8 +20,7 @@ func TestSessionOptionValidation(t *testing.T) {
 			t.Errorf("%s: NewSession accepted an invalid option", name)
 		}
 	}
-	if _, err := NewSession(WithQuick(true), WithWorkers(2), WithThreshold(70),
-		WithSynthetics("syn:narrow/small/1")); err != nil {
+	if _, err := NewSession(WithQuick(true), WithSynthetics("syn:narrow/small/1")); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
 }
@@ -51,9 +48,9 @@ func TestSessionTraceNeedsStore(t *testing.T) {
 	}
 }
 
-// TestSessionRunValidatesThreshold: AtThreshold is held to the same rule
-// as WithThreshold — an invalid per-call override errors instead of
-// silently running a nonsense configuration.
+// TestSessionRunValidatesThreshold: a threshold that is not positive
+// makes Run and RunAll error instead of silently running a nonsense
+// configuration.
 func TestSessionRunValidatesThreshold(t *testing.T) {
 	sess, err := NewSession(WithQuick(true))
 	if err != nil {
@@ -76,7 +73,7 @@ func TestSessionRunAndExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	infos := sess.Experiments()
+	infos := Experiments()
 	if len(infos) == 0 || infos[0].ID != "table1" {
 		t.Fatalf("experiment listing broken: %+v", infos)
 	}
@@ -131,30 +128,5 @@ func TestSessionWithBackend(t *testing.T) {
 	}
 	if len(r1.Rows) != len(r2.Rows) {
 		t.Fatalf("backend-accelerated run diverged: %d vs %d rows", len(r1.Rows), len(r2.Rows))
-	}
-}
-
-// TestSessionReportKeyMatchesStoreDerivation: Session.ReportKey is the
-// same address opgated derives directly via store.ReportKey — the
-// consistency that lets the service look up work a session stored (and
-// vice versa). It must also be sensitive to every keyed dimension.
-func TestSessionReportKeyMatchesStoreDerivation(t *testing.T) {
-	sess, err := NewSession(WithQuick(true), WithSynthetics("syn:narrow/small/1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := sess.ReportKey("fig8", AtThreshold(70))
-	want := string(store.ReportKey("fig8", true, 70, []string{"syn:narrow/small/1"}, store.SelfIdentity()))
-	if got != want {
-		t.Fatalf("Session.ReportKey = %s, store.ReportKey = %s", got, want)
-	}
-	base := sess.ReportKey("fig8")
-	for name, other := range map[string]string{
-		"experiment": sess.ReportKey("fig9"),
-		"threshold":  sess.ReportKey("fig8", AtThreshold(110)),
-	} {
-		if other == base {
-			t.Errorf("report key insensitive to %s", name)
-		}
 	}
 }

@@ -129,12 +129,13 @@ func TestSessionSweepStoreReusesCells(t *testing.T) {
 	// identity that lets opgated's warm check serve a sweep-stored cell
 	// to a plain AtThreshold job, and vice versa. (The sweep document
 	// itself lives under a distinct key domain.)
-	if sess3.ReportKey("fig4", AtThreshold(65)) == sess3.SweepKey("fig4", 65) {
-		t.Error("sweep document key collides with a single-cell report key")
+	key := store.ReportKey("fig4", true, 65, nil, store.SelfIdentity())
+	if got := sess3.cellKey("fig4", 65); got != key {
+		t.Errorf("sweep cell key %s, single-threshold report key %s", got, key)
 	}
-	blob, ok := sess3.suite.Store.Get(store.Key(sess3.ReportKey("fig4", AtThreshold(65))))
+	blob, ok := sess3.suite.Store.Get(key)
 	if !ok {
-		t.Fatal("sweep did not store its fresh cell under the single-threshold ReportKey")
+		t.Fatal("sweep did not store its fresh cell under the single-threshold report key")
 	}
 	rs, err := DecodeReports(blob)
 	if err != nil || len(rs) != 1 {
@@ -167,26 +168,6 @@ func TestSessionSweepValidation(t *testing.T) {
 	}
 }
 
-// TestSessionSweepKey: the sweep document address is sensitive to every
-// keyed dimension, including the grid itself (order matters — the grid
-// is the document's axis).
-func TestSessionSweepKey(t *testing.T) {
-	sess, err := NewSession(WithQuick(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := sess.SweepKey("fig6", 110, 50)
-	for name, other := range map[string]string{
-		"experiment": sess.SweepKey("fig7", 110, 50),
-		"grid":       sess.SweepKey("fig6", 110, 50, 30),
-		"order":      sess.SweepKey("fig6", 50, 110),
-	} {
-		if other == base {
-			t.Errorf("sweep key insensitive to %s", name)
-		}
-	}
-}
-
 // TestWithSyntheticsDeduplicates is the dedupe bugfix's test: repeating
 // a synthetic name — within one option or across several — yields a
 // single registration, and the report key matches the deduplicated
@@ -205,7 +186,7 @@ func TestWithSyntheticsDeduplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dup.ReportKey("fig8") != single.ReportKey("fig8") {
+	if dup.cellKey("fig8", DefaultThreshold) != single.cellKey("fig8", DefaultThreshold) {
 		t.Error("duplicate registration forked the report key")
 	}
 	// Order of distinct names is preserved.
