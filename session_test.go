@@ -130,3 +130,29 @@ func TestSessionWithBackend(t *testing.T) {
 		t.Fatalf("backend-accelerated run diverged: %d vs %d rows", len(r1.Rows), len(r2.Rows))
 	}
 }
+
+// TestSessionReportKeyMatchesStoreDerivation: a session files each
+// result under the same address opgated derives directly via
+// store.ReportKey — the consistency that lets the service look up work
+// a session stored (and vice versa). The address must also be sensitive
+// to every keyed dimension.
+func TestSessionReportKeyMatchesStoreDerivation(t *testing.T) {
+	sess, err := NewSession(WithQuick(true), WithSynthetics("syn:narrow/small/1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sess.cellKey("fig8", 70)
+	want := store.ReportKey("fig8", true, 70, []string{"syn:narrow/small/1"}, store.SelfIdentity())
+	if got != want {
+		t.Fatalf("session cell key = %s, store.ReportKey = %s", got, want)
+	}
+	base := sess.cellKey("fig8", DefaultThreshold)
+	for name, other := range map[string]store.Key{
+		"experiment": sess.cellKey("fig9", DefaultThreshold),
+		"threshold":  sess.cellKey("fig8", 110),
+	} {
+		if other == base {
+			t.Errorf("report key insensitive to %s", name)
+		}
+	}
+}

@@ -168,6 +168,38 @@ func TestSessionSweepValidation(t *testing.T) {
 	}
 }
 
+// TestSessionSweepKey: the sweep document address opgated derives for a
+// session's configuration is sensitive to every keyed dimension,
+// including the grid itself (order matters — the grid is the document's
+// axis), and never collides with a cell the session files for the grid.
+func TestSessionSweepKey(t *testing.T) {
+	sess, err := NewSession(WithQuick(true), WithSynthetics("syn:narrow/small/1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepKey := func(id string, grid ...float64) store.Key {
+		return store.SweepKey(id, sess.suite.Quick, grid, sess.Synthetics(), store.SelfIdentity())
+	}
+	base := sweepKey("fig6", 110, 50)
+	for name, other := range map[string]store.Key{
+		"experiment": sweepKey("fig7", 110, 50),
+		"grid":       sweepKey("fig6", 110, 50, 30),
+		"order":      sweepKey("fig6", 50, 110),
+	} {
+		if other == base {
+			t.Errorf("sweep key insensitive to %s", name)
+		}
+	}
+	for _, th := range []float64{110, 50} {
+		if sess.cellKey("fig6", th) == base {
+			t.Errorf("sweep document key collides with its %g cell", th)
+		}
+	}
+	if sweepKey("fig4", 65) == sess.cellKey("fig4", 65) {
+		t.Error("one-point sweep document key collides with its single cell")
+	}
+}
+
 // TestWithSyntheticsDeduplicates is the dedupe bugfix's test: repeating
 // a synthetic name — within one option or across several — yields a
 // single registration, and the report key matches the deduplicated
