@@ -10,6 +10,7 @@ package opgate
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"opgate/internal/emu"
@@ -620,7 +621,11 @@ func BenchmarkSuiteParallel(b *testing.B) {
 // fresh suites. The sweep leg profiles each workload exactly once for
 // the whole paper grid (asserted via the TrainEmulations probe); the
 // perthreshold leg repays the train emulation and baseline analysis at
-// every grid point. Both report grid throughput as cells/s.
+// every grid point. The fresh leg runs Figure 15 at 40 thresholds no
+// earlier request used, on a suite one Figure 15 run has warmed: each
+// pays only the threshold's selection and labels, since the profile
+// transforms each distinct selection once and a selection's binary is
+// already simulated. All three report grid throughput as cells/s.
 func BenchmarkThresholdSweep(b *testing.B) {
 	grid := harness.Thresholds
 	b.Run("sweep", func(b *testing.B) {
@@ -652,6 +657,25 @@ func BenchmarkThresholdSweep(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(grid)*b.N)/b.Elapsed().Seconds(), "cells/s")
 		b.ReportMetric(float64(trains), "train-emus")
+	})
+	b.Run("fresh", func(b *testing.B) {
+		const fresh = 40
+		s := harness.NewSuite(true)
+		if _, err := s.RunExperiment(benchCtx, "fig15", 50); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < fresh; j++ {
+				// Spread over [20, 120) like service-mix's fresh
+				// thresholds, distinct across iterations.
+				th := 20 + 100*math.Mod(float64(i*fresh+j+1)*0.6180339887498949, 1)
+				if _, err := s.RunExperiment(benchCtx, "fig15", th); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(fresh*b.N)/b.Elapsed().Seconds(), "cells/s")
 	})
 }
 

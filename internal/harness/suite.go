@@ -102,8 +102,8 @@ type Suite struct {
 	vrps     memo[vrpKey, *vrp.Result]
 	rewrites memo[rewriteKey, []isa.Width]
 	profiles memo[string, *vrs.Profile]
-	vrss     memo[vrsKey, *vrs.Result]
 	variants memo[variantKey, variantBin]
+	ids      memo[*prog.Program, store.Hash]
 	passes   memo[binKey, traversal]
 
 	emuRuns    atomic.Int64
@@ -125,11 +125,6 @@ type vrpKey struct {
 type rewriteKey struct {
 	name string
 	opts vrp.Options
-}
-
-type vrsKey struct {
-	name      string
-	threshold float64
 }
 
 type variantKey struct {
@@ -258,33 +253,37 @@ func (s *Suite) vrsProfile(name string) (*vrs.Profile, error) {
 	})
 }
 
-// VRS returns (cached) the specialization of the evaluation binary at a
+// VRS returns the specialization of the evaluation binary at a
 // threshold, profiled on the train binary (the paper's methodology). The
 // train profile is shared across thresholds, so only the first threshold
-// of a workload pays the train emulation.
+// of a workload pays the train emulation, and the profile transforms
+// each distinct selection once (vrs.Profile.Select).
 func (s *Suite) VRS(name string, threshold float64) (*vrs.Result, error) {
-	return s.vrss.do(vrsKey{name, threshold}, func() (*vrs.Result, error) {
-		pf, err := s.vrsProfile(name)
-		if err != nil {
-			return nil, err
-		}
-		r, err := pf.Select(threshold)
-		if err != nil {
-			return nil, fmt.Errorf("harness: vrs %s@%v: %w", name, threshold, err)
-		}
-		return r, nil
-	})
+	pf, err := s.vrsProfile(name)
+	if err != nil {
+		return nil, err
+	}
+	r, err := pf.Select(threshold)
+	if err != nil {
+		return nil, fmt.Errorf("harness: vrs %s@%v: %w", name, threshold, err)
+	}
+	return r, nil
 }
 
 // variantBinary resolves (cached) a named program variant for simulation,
-// together with its identity — computed once per label, here.
+// together with its identity — hashed once per distinct program, however
+// many labels build it (every vrs<θ> of one selection shares its binary).
 func (s *Suite) variantBinary(name, variant string) (variantBin, error) {
 	return s.variants.do(variantKey{name, variant}, func() (variantBin, error) {
 		p, widthOnly, err := s.buildVariant(name, variant)
 		if err != nil {
 			return variantBin{}, err
 		}
-		return variantBin{p, binKey{name, store.ProgramIdentity(p)}, widthOnly}, nil
+		id, err := s.ids.do(p, func() (store.Hash, error) { return store.ProgramIdentity(p), nil })
+		if err != nil {
+			return variantBin{}, err
+		}
+		return variantBin{p, binKey{name, id}, widthOnly}, nil
 	})
 }
 

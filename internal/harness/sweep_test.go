@@ -236,3 +236,38 @@ func TestVariantProgramNameParsing(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedVRSBinaryUnchanged: the vrs<θ> labels of one selection share
+// one binary (vrs.Result.Apply), so nothing the evaluation does with one
+// label's binary may modify it. On every kernel the paper's thresholds
+// select one prefix, so each workload's five labels build one program;
+// after a full quick RunAll, read under the race detector in CI, each
+// still hashes to the identity it was keyed by.
+func TestSharedVRSBinaryUnchanged(t *testing.T) {
+	s := NewSuite(true)
+	var bins []variantBin
+	for _, name := range s.Names() {
+		first, err := s.variantBinary(name, vrsVariant(Thresholds[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bins = append(bins, first)
+		for _, th := range Thresholds[1:] {
+			b, err := s.variantBinary(name, vrsVariant(th))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.p != first.p {
+				t.Errorf("%s: %s and %s select alike but build two programs", name, vrsVariant(th), vrsVariant(Thresholds[0]))
+			}
+		}
+	}
+	if _, err := s.RunAll(testCtx, 50); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bins {
+		if id := store.ProgramIdentity(b.p); id != b.key.id {
+			t.Errorf("%v: a full run changed the shared binary (identity now %.12s)", b.key, id)
+		}
+	}
+}

@@ -242,12 +242,16 @@ func otherInputBytes(p *prog.Program, base *vrp.Result, useIdx, defIdx int) int 
 	return best
 }
 
-// evaluate implements §3.4's first step: with profiled value ranges in
-// hand, compute Savings·Freq − Cost − Threshold for every candidate and
-// keep the profitable ones.
-func evaluate(p *prog.Program, base *vrp.Result, cands []candidate, prof *emu.Profiler, opts Options) []Point {
+// score implements §3.4's first step up to the threshold: with profiled
+// value ranges in hand, compute Savings·Freq − Cost for every candidate.
+// It returns every candidate's point, in candidate order, and the scored
+// ones. A candidate with no table, no coverage range or a profile no
+// narrower than its static range is not scored: no threshold makes it
+// profitable, and its Benefit is 0 at every threshold.
+func score(p *prog.Program, base *vrp.Result, cands []candidate, prof *emu.Profiler, opts Options) ([]Point, []rankedIdx) {
 	counts := prof.Counts
 	points := make([]Point, 0, len(cands))
+	var scored []rankedIdx
 	for _, c := range cands {
 		pt := Point{InsIdx: c.InsIdx, Count: c.Count, Outcome: NoBenefit}
 		table := prof.Points[c.InsIdx]
@@ -275,11 +279,10 @@ func evaluate(p *prog.Program, base *vrp.Result, cands []candidate, prof *emu.Pr
 			pt.Savings += foldBonus(p, base, c.InsIdx, counts)
 		}
 		pt.Cost = float64(counts[c.InsIdx]) * guardCost(opts.Power, min, max)
-		pt.Benefit = pt.Savings*freq - pt.Cost - opts.Threshold
+		scored = append(scored, rankedIdx{len(points), pt.Savings*freq - pt.Cost})
 		points = append(points, pt)
 	}
-	sort.Slice(points, func(a, b int) bool { return points[a].Benefit > points[b].Benefit })
-	return points
+	return points, scored
 }
 
 func maxInt(a, b int) int {

@@ -2,11 +2,16 @@ package vrs
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"opgate/internal/isa"
 	"opgate/internal/prog"
 	"opgate/internal/vrp"
 )
+
+// transforms counts transform calls: the cost probe of Profile's
+// per-prefix memo.
+var transforms atomic.Int64
 
 // maxRegionIns caps the size of a cloned region (static code growth per
 // specialization point).
@@ -49,16 +54,19 @@ type chosenRegion struct {
 }
 
 // transform implements §3.4's code transformation: for each profitable
-// point (in benefit order), clone the region the point dominates, insert
-// the (x>=min && x<=max) guard selecting between the original and the
-// specialized copy, and — after rebuilding — run constant propagation and
-// dead-code elimination inside single-value clones, followed by a final
-// VRP pass that narrows the clones through the guards' branch refinement.
-func transform(p *prog.Program, base *vrp.Result, points []Point, counts []int64) (*Result, error) {
+// point in picks (in benefit order), clone the region the point
+// dominates, insert the (x>=min && x<=max) guard selecting between the
+// original and the specialized copy, and — after rebuilding — run
+// constant propagation and dead-code elimination inside single-value
+// clones, followed by a final VRP pass that narrows the clones through
+// the guards' branch refinement. It records each pick's Outcome and
+// region in place; each decision depends only on earlier picks. The
+// result's Points are left to the caller.
+func transform(p *prog.Program, base *vrp.Result, picks []*Point, counts []int64) (*Result, error) {
+	transforms.Add(1)
 	ed := prog.NewEditor(p)
 	res := &Result{
 		Original: p,
-		Points:   points,
 		GuardIns: map[int]bool{},
 		SpecIns:  map[int]bool{},
 	}
@@ -74,11 +82,7 @@ func transform(p *prog.Program, base *vrp.Result, points []Point, counts []int64
 		return false
 	}
 
-	for i := range points {
-		pt := &points[i]
-		if pt.Benefit <= 0 {
-			continue // sorted by benefit: everything after is unprofitable
-		}
+	for _, pt := range picks {
 		f := p.FuncOf(pt.InsIdx)
 		if f == nil {
 			continue

@@ -10,6 +10,13 @@
 //     specialization additionally runs constant propagation and dead-code
 //     elimination inside the clone).
 //
+// Steps 1 and 2 and the threshold-free part of step 3 — each
+// candidate's score, Savings·Freq − Cost — run once per Profile. The
+// threshold shifts every score by the same amount, so the points it
+// selects are a prefix of one ranking: Profile.Select finds the prefix by
+// binary search and transforms each distinct prefix once, however many
+// thresholds select it.
+//
 // The guard emitted before a specialized region is the paper's
 // (x>=min && x<=max) test. Because the guard is an ordinary compare+branch
 // sequence, re-running VRP on the transformed program narrows the clone
@@ -18,7 +25,11 @@
 package vrs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
+	"sync"
 
 	"opgate/internal/emu"
 	"opgate/internal/power"
@@ -98,7 +109,7 @@ type Point struct {
 type Result struct {
 	Original    *prog.Program
 	Transformed *prog.Program
-	Points      []Point
+	Points      []Point // every candidate, by descending Benefit
 
 	// Static statistics (Fig. 5).
 	StaticSpecialized int // instructions in specialized clones (incl. guards)
@@ -112,6 +123,8 @@ type Result struct {
 	// FinalVRP is the analysis of the transformed program (used by
 	// Apply and the experiments).
 	FinalVRP *vrp.Result
+
+	sel *selection // the selection this result views; nil outside Select
 }
 
 // NumSpecialized counts the points actually specialized.
@@ -126,28 +139,59 @@ func (r *Result) NumSpecialized() int {
 }
 
 // Apply returns the transformed program re-encoded with the final VRP
-// width assignment — the binary the evaluation runs.
+// width assignment — the binary the evaluation runs. Every result of one
+// selection (every threshold that selects the same points) shares one
+// binary, built on the first call; callers must not modify it.
 func (r *Result) Apply() *prog.Program {
-	return r.FinalVRP.Apply()
+	if r.sel == nil {
+		return r.FinalVRP.Apply()
+	}
+	r.sel.apply.Do(func() { r.sel.bin = r.FinalVRP.Apply() })
+	return r.sel.bin
 }
 
-// Profile is the threshold-independent front half of the VRS pipeline:
-// the baseline analysis of the reference binary, then, from one train
+// Profile is the threshold-independent part of the VRS pipeline: the
+// baseline analysis of the reference binary, then, from one train
 // emulation, the block profile (instruction counts), candidate
-// identification at the minimum possible cost and the candidates' TNV
-// value profiles. None of it depends on Options.Threshold — the
-// threshold only enters the §3.4 cost/benefit test — so one Profile
-// serves a whole threshold grid via Select.
+// identification at the minimum possible cost, the candidates' TNV value
+// profiles and their §3.4 scores, Savings·Freq − Cost. None of it
+// depends on the threshold, which shifts every score by the same amount,
+// so one Profile serves a whole threshold grid via Select.
 //
-// A Profile is immutable after NewProfile returns: Select only reads the
-// shared tables (and transforms fresh per-call state), so concurrent
-// Select calls at different thresholds are safe.
+// The scored points are ranked once, by score and then instruction index.
+// The transform walks them greedily in that order and each decision
+// depends only on earlier points, so the selection at a threshold is the
+// transform of the ranked prefix whose scores exceed it. A Profile
+// transforms each prefix at most once, on the first Select that needs it,
+// and shares the result with every threshold that selects the same
+// prefix. Everything else is fixed when NewProfile returns, and concurrent
+// Select calls at any thresholds are safe.
 type Profile struct {
 	refProg  *prog.Program
 	base     *vrp.Result
-	cands    []candidate
 	profiler *emu.Profiler
-	opts     Options // defaults applied; Threshold ignored by Select
+	points   []Point     // every candidate's point, in candidate order, before any threshold
+	ranked   []rankedIdx // the scored points: score descending, then InsIdx ascending
+	prefixes []selection // prefixes[k] transforms ranked[:k]
+}
+
+// rankedIdx is a scored point: its index in Profile.points and its
+// score, Savings·Freq − Cost.
+type rankedIdx struct {
+	at    int
+	score float64
+}
+
+// selection is the transform of one ranked prefix, built once and shared
+// by every threshold that selects it. Its result's Points carry the
+// prefix's outcomes and regions in candidate order; Select adds each
+// threshold's Benefit.
+type selection struct {
+	once  sync.Once
+	res   *Result
+	err   error
+	apply sync.Once
+	bin   *prog.Program // res.Apply(), built on first use
 }
 
 // NewProfile runs the threshold-independent stages of VRS. trainProg is
@@ -175,14 +219,24 @@ func NewProfile(trainProg, refProg *prog.Program, opts Options) (*Profile, error
 	// afterwards leaves each candidate's table as if only the candidates
 	// had been profiled.
 	static := profilable(refProg, base)
-	pf := &Profile{refProg: refProg, base: base, profiler: emu.NewProfiler(len(trainProg.Ins), static), opts: opts}
+	pf := &Profile{refProg: refProg, base: base, profiler: emu.NewProfiler(len(trainProg.Ins), static)}
 	m := emu.New(trainProg)
 	defer m.Release()
 	m.Sink = pf.profiler
 	if err := m.Run(); err != nil {
 		return nil, fmt.Errorf("vrs: train profiling run: %w", err)
 	}
-	pf.cands = findCandidates(refProg, base, static, pf.profiler.Counts, opts)
+	cands := findCandidates(refProg, base, static, pf.profiler.Counts, opts)
+
+	// Step 3 (§3.4) up to the threshold: score every candidate once.
+	pf.points, pf.ranked = score(refProg, base, cands, pf.profiler, opts)
+	slices.SortFunc(pf.ranked, func(a, b rankedIdx) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		return cmp.Compare(pf.points[a.at].InsIdx, pf.points[b.at].InsIdx)
+	})
+	pf.prefixes = make([]selection, len(pf.ranked)+1)
 	return pf, nil
 }
 
@@ -192,41 +246,57 @@ func (pf *Profile) Counts() []int64 { return pf.profiler.Counts }
 
 // NumCandidates reports how many specialization candidates survived the
 // preliminary minimum-cost filter.
-func (pf *Profile) NumCandidates() int { return len(pf.cands) }
+func (pf *Profile) NumCandidates() int { return len(pf.points) }
 
-// Select runs the cheap per-threshold back half of the pipeline — the
-// §3.4 energy cost/benefit filter and the code transformation — against
-// the shared profile. It performs no emulation; a K-threshold grid over
-// one Profile costs one train pass total.
+// Select is the per-threshold back half of the pipeline: the §3.4
+// cost/benefit filter and the code transformation, against the shared
+// profile. A point is profitable when its score minus the threshold is
+// positive; the profitable points are a prefix of the ranking, found by
+// binary search, and the prefix's transform is built once per Profile.
+// Select itself only builds the threshold's Points view. It performs no
+// emulation; a K-threshold grid over one Profile costs one train pass
+// and one transform per distinct selection.
 func (pf *Profile) Select(threshold float64) (*Result, error) {
-	opts := pf.opts
-	opts.Threshold = threshold
-	if opts.Threshold == 0 {
-		opts.Threshold = 50
+	if threshold == 0 {
+		threshold = 50
 	}
-	if len(pf.cands) == 0 {
-		// Deterministic no-op at every threshold: the transformed program
-		// is the reference binary under its baseline analysis.
-		return &Result{
-			Original:    pf.refProg,
-			Transformed: pf.refProg,
-			FinalVRP:    pf.base,
-			GuardIns:    map[int]bool{},
-			SpecIns:     map[int]bool{},
-		}, nil
+	k := sort.Search(len(pf.ranked), func(i int) bool { return !(pf.ranked[i].score-threshold > 0) })
+	sel := &pf.prefixes[k]
+	sel.once.Do(func() { sel.res, sel.err = pf.transformPrefix(k, sel) })
+	if sel.err != nil {
+		return nil, sel.err
 	}
+	r := *sel.res
+	r.Points = slices.Clone(sel.res.Points)
+	for _, rk := range pf.ranked {
+		r.Points[rk.at].Benefit = rk.score - threshold
+	}
+	// The view lists the points as a from-scratch evaluation at the
+	// threshold did: candidate order, sorted by descending Benefit.
+	sort.Slice(r.Points, func(a, b int) bool { return r.Points[a].Benefit > r.Points[b].Benefit })
+	return &r, nil
+}
 
-	// Step 3 (§3.4): evaluate profitability with the profiled ranges and
-	// transform the survivors. evaluate builds fresh Points from the
-	// candidate list, so the shared profile stays untouched.
-	points := evaluate(pf.refProg, pf.base, pf.cands, pf.profiler, opts)
-	return transform(pf.refProg, pf.base, points, pf.profiler.Counts)
+// transformPrefix transforms the first k ranked points (Select's miss
+// path).
+func (pf *Profile) transformPrefix(k int, sel *selection) (*Result, error) {
+	points := slices.Clone(pf.points)
+	picks := make([]*Point, k)
+	for i, rk := range pf.ranked[:k] {
+		picks[i] = &points[rk.at]
+	}
+	res, err := transform(pf.refProg, pf.base, picks, pf.profiler.Counts)
+	if err != nil {
+		return nil, err
+	}
+	res.Points, res.sel = points, sel
+	return res, nil
 }
 
 // Specialize runs the full VRS pipeline at opts.Threshold: NewProfile
 // followed by one Select. Callers evaluating several thresholds should
 // hold the Profile and Select per threshold instead, amortizing the train
-// emulation across the grid.
+// emulation and the transforms across the grid.
 func Specialize(trainProg, refProg *prog.Program, opts Options) (*Result, error) {
 	pf, err := NewProfile(trainProg, refProg, opts)
 	if err != nil {

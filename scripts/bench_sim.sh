@@ -6,7 +6,8 @@
 # and its meter bank (records/s at 1, 2 and 6 gating modes), the
 # figure matrices live and over a warm store (a cold run fills it
 # before timing starts), and the single-pass threshold
-# sweep (grid cells/s vs independent per-threshold runs), plus one VRP
+# sweep (grid cells/s vs independent per-threshold runs, and fresh
+# thresholds on a warm suite), plus one VRP
 # analysis of gcc's ref binary (ns/op).
 #
 #   scripts/bench_sim.sh              # default: 3 timed iterations, 3 samples

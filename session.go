@@ -236,16 +236,6 @@ func (s *Session) cellKey(id string, threshold float64) store.Key {
 // performed (the warm-store probe: zero on a fully warm run).
 func (s *Session) Emulations() int64 { return s.suite.Emulations() }
 
-// TrainEmulations reports how many VRS train profiling emulations the
-// session has performed — one per workload profiled, however many
-// thresholds were evaluated (the sweep profile-reuse probe).
-func (s *Session) TrainEmulations() int64 { return s.suite.TrainEmulations() }
-
-// Synthetics returns the registered synthetic workload names.
-func (s *Session) Synthetics() []string {
-	return append([]string(nil), s.suite.Synthetics...)
-}
-
 // StoreStats returns the attached store's counters; ok is false when the
 // session runs without a store.
 func (s *Session) StoreStats() (stats StoreStats, ok bool) {

@@ -50,7 +50,7 @@ func TestSessionSweepMatchesAtThresholdRuns(t *testing.T) {
 		}
 	}
 	// One train pass per workload for the whole five-point grid.
-	if got := swept.TrainEmulations(); got != 8 {
+	if got := swept.suite.TrainEmulations(); got != 8 {
 		t.Errorf("sweep session performed %d train emulations, want 8 (one per workload)", got)
 	}
 }
@@ -93,7 +93,7 @@ func TestSessionSweepStoreReusesCells(t *testing.T) {
 	if !first.Equal(warm) {
 		t.Error("warm sweep differs from the cold one")
 	}
-	if tr, em := sess2.TrainEmulations(), sess2.Emulations(); tr != 0 || em != 0 {
+	if tr, em := sess2.suite.TrainEmulations(), sess2.Emulations(); tr != 0 || em != 0 {
 		t.Errorf("warm sweep emulated: train=%d emu=%d, want 0/0", tr, em)
 	}
 
@@ -178,7 +178,7 @@ func TestSessionSweepKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweepKey := func(id string, grid ...float64) store.Key {
-		return store.SweepKey(id, sess.suite.Quick, grid, sess.Synthetics(), store.SelfIdentity())
+		return store.SweepKey(id, sess.suite.Quick, grid, sess.suite.Synthetics, store.SelfIdentity())
 	}
 	base := sweepKey("fig6", 110, 50)
 	for name, other := range map[string]store.Key{
@@ -211,7 +211,7 @@ func TestWithSyntheticsDeduplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dup.Synthetics(); len(got) != 1 || got[0] != name {
+	if got := dup.suite.Synthetics; len(got) != 1 || got[0] != name {
 		t.Fatalf("synthetics after duplicate registration = %v, want [%s]", got, name)
 	}
 	single, err := NewSession(WithQuick(true), WithSynthetics(name))
@@ -227,7 +227,7 @@ func TestWithSyntheticsDeduplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := two.Synthetics(); len(got) != 2 || got[0] != "syn:narrow/small/2" || got[1] != name {
+	if got := two.suite.Synthetics; len(got) != 2 || got[0] != "syn:narrow/small/2" || got[1] != name {
 		t.Fatalf("dedupe is not order-preserving: %v", got)
 	}
 }
