@@ -1,9 +1,12 @@
 package power
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -21,74 +24,186 @@ func sigValues() []int64 {
 	return vals
 }
 
-// TestBankTableMatchesMeter is the bank's exactness oracle: every
-// precomputed entry must equal, bit for bit, what Meter.AccessValue adds
+// swappedParams ungates a normally gated structure (IQ) and gates a
+// normally ungated one (L2), so structures accrued in lane 0 alone and in
+// every lane both see fixed, address and operand accesses interleaved.
+func swappedParams() Params {
+	p := DefaultParams()
+	p.Gated[IQ] = 0
+	p.Gated[L2Cache] = 0.5
+	return p
+}
+
+// TestBankTableMatchesMeter is the bank's exactness oracle: every entry
+// of the shared rows must equal, bit for bit, what Meter.AccessValue adds
 // to a fresh meter for the same access, over every mode, structure,
-// software width 0-8 and significant-byte class.
+// software width 0-8 and significant-byte class; the software row is
+// GateSoftware's, and the lanes past the requested modes hold +0.
 func TestBankTableMatchesMeter(t *testing.T) {
 	params := DefaultParams()
 	modes := Modes()
 	vals := sigValues()
-	b := NewBank(params, modes)
-	for i, mode := range modes {
-		for s := Structure(0); s < NumStructures; s++ {
-			for sw := 0; sw < bankWidths; sw++ {
-				for _, v := range vals {
-					sig := SignificantBytes(v)
+	b, err := NewBank(params, modes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(got, want float64) bool { return math.Float64bits(got) == math.Float64bits(want) }
+	for s := Structure(0); s < NumStructures; s++ {
+		for sw := 0; sw < bankWidths; sw++ {
+			for _, v := range vals {
+				j := RowBase(sw) + SignificantBytes(v)
+				row := b.rows.value[s][j]
+				for i, mode := range modes {
 					m := NewMeter(params, mode)
 					m.AccessValue(s, sw, v)
-					if got, want := b.tabs[i].value[s][sw][sig], m.Energy[s]; math.Float64bits(got) != math.Float64bits(want) {
-						t.Errorf("%v %v sw=%d v=%d: value entry %v, meter adds %v", mode, s, sw, v, got, want)
+					if !same(row[i], m.Energy[s]) {
+						t.Errorf("%v %v sw=%d v=%d: value entry %v, meter adds %v", mode, s, sw, v, row[i], m.Energy[s])
 					}
+				}
+				for i := len(modes); i < MaxMeters; i++ {
+					if !same(row[i], 0) {
+						t.Errorf("%v sw=%d v=%d: unused lane %d holds %v", s, sw, v, i, row[i])
+					}
+				}
+				m := NewMeter(params, GateSoftware)
+				m.AccessValue(s, sw, v)
+				if got := b.rows.soft[s][j]; !same(got, m.Energy[s]) {
+					t.Errorf("%v sw=%d v=%d: software entry %v, meter adds %v", s, sw, v, got, m.Energy[s])
 				}
 			}
 		}
 	}
 }
 
-// TestBankMatchesMeters: a random access sequence accrued by one bank
-// leaves every meter exactly as feeding a Meter per mode the same calls.
-// The second parameter set ungates a normally gated structure (IQ) and
-// gates a normally ungated one (L2), so structures accrued by the first
-// meter alone and by every meter both see fixed, address and operand
-// accesses interleaved.
-func TestBankMatchesMeters(t *testing.T) {
-	swapped := DefaultParams()
-	swapped.Gated[IQ] = 0
-	swapped.Gated[L2Cache] = 0.5
-	modes := Modes()
-	vals := sigValues()
-	rng := rand.New(rand.NewSource(1))
-	for pi, params := range []Params{DefaultParams(), swapped} {
-		b := NewBank(params, modes)
-		solo := make([]*Meter, len(modes))
-		for i, mode := range modes {
-			solo[i] = NewMeter(params, mode)
+// bankOracle is a bank beside its solo meters: one Meter per requested
+// mode, then one GateSoftware meter per overlay.
+type bankOracle struct {
+	bank     *Bank
+	solo     []*Meter
+	modes    int
+	overlays [][]uint8
+}
+
+const bankStatics = 64 // static instructions of an oracle's program
+
+func newBankOracle(rng *rand.Rand, params Params, modes []GatingMode, overlays int) (*bankOracle, error) {
+	o := &bankOracle{modes: len(modes)}
+	for range overlays {
+		w := make([]uint8, bankStatics)
+		for i := range w {
+			w[i] = uint8([]int{0, 1, 2, 4, 8}[rng.Intn(5)])
 		}
-		for range 20000 {
+		o.overlays = append(o.overlays, w)
+	}
+	b, err := NewBank(params, modes, o.overlays...)
+	if err != nil {
+		return nil, err
+	}
+	o.bank = b
+	for _, mode := range modes {
+		o.solo = append(o.solo, NewMeter(params, mode))
+	}
+	for range overlays {
+		o.solo = append(o.solo, NewMeter(params, GateSoftware))
+	}
+	return o, nil
+}
+
+// feed drives the bank and the solo meters through n random instructions:
+// Begin at a random static index, then up to 7 accesses of random kind
+// and structure, in any order — fixed, a value at an explicit width every
+// meter shares, or an operand at the instruction's software width, which
+// an overlay's meter takes at the overlay's own width for that index.
+func (o *bankOracle) feed(rng *rand.Rand, n int) {
+	vals := sigValues()
+	for range n {
+		idx := int32(rng.Intn(bankStatics))
+		sw := []int{0, 1, 2, 4, 8}[rng.Intn(5)]
+		o.bank.Begin(idx)
+		for range rng.Intn(8) {
 			s := Structure(rng.Intn(int(NumStructures)))
-			sw := []int{0, 1, 2, 4, 8}[rng.Intn(5)]
 			v := vals[rng.Intn(len(vals))] >> rng.Intn(64)
-			switch rng.Intn(3) {
+			kind := rng.Intn(3)
+			vw := []int{0, 1, 2, 4, 8}[rng.Intn(5)]
+			switch kind {
 			case 0:
-				b.AccessFixed(s)
-				for _, m := range solo {
-					m.AccessFixed(s)
-				}
+				o.bank.AccessFixed(s)
 			case 1:
-				b.AccessValue(s, sw, v)
-				for _, m := range solo {
-					m.AccessValue(s, sw, v)
-				}
+				o.bank.AccessValue(s, vw, v)
 			case 2:
-				b.AccessSig(s, sw, SignificantBytes(v))
-				for _, m := range solo {
-					m.AccessValue(s, sw, v)
+				o.bank.AccessSig(s, RowBase(sw), SignificantBytes(v))
+			}
+			for i, m := range o.solo {
+				switch kind {
+				case 0:
+					m.AccessFixed(s)
+				case 1:
+					m.AccessValue(s, vw, v)
+				case 2:
+					w := sw
+					if i >= o.modes {
+						w = int(o.overlays[i-o.modes][idx])
+					}
+					m.AccessValue(s, w, v)
 				}
 			}
 		}
-		if got := b.Meters(); !reflect.DeepEqual(got, solo) {
-			t.Errorf("params %d: bank meters differ from per-mode meters", pi)
+	}
+}
+
+// check reports every meter of the bank that differs from its solo meter.
+func (o *bankOracle) check(t *testing.T, what string) {
+	t.Helper()
+	got := o.bank.Meters()
+	if len(got) != len(o.solo) {
+		t.Fatalf("%s: %d meters, want %d", what, len(got), len(o.solo))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], o.solo[i]) {
+			t.Errorf("%s: meter %d (%v) differs from its solo meter", what, i, o.solo[i].Mode)
+		}
+	}
+}
+
+// TestBankMatchesMeters: a random instruction stream accrued by one bank
+// leaves every meter exactly as feeding a Meter per mode and per overlay
+// the same calls. The requested modes run over lists of every length 1-6
+// (a prefix and a suffix of Modes), lists repeating a mode (among them
+// one that differs from a shorter list only in length) and lists of 7
+// and 8 modes that fill every lane, each with 0, 1 and 2 overlays up to
+// MaxMeters, plus one mode with 7 overlays, under the default and the
+// swapped parameter sets.
+func TestBankMatchesMeters(t *testing.T) {
+	all := Modes()
+	lists := [][]GatingMode{
+		{GateCooperative, GateNone, GateCooperative, GateHWSize},
+		{GateNone, GateNone},
+		append(slices.Clone(all), GateSoftware),
+		append(slices.Clone(all), GateCooperativeSig, GateNone),
+	}
+	for n := 1; n < len(all); n++ {
+		lists = append(lists, all[:n], all[len(all)-n:])
+	}
+	lists = append(lists, all)
+	type shape struct {
+		modes    []GatingMode
+		overlays int
+	}
+	shapes := []shape{{[]GatingMode{GateNone}, 7}}
+	for _, modes := range lists {
+		for k := 0; k <= 2 && len(modes)+k <= MaxMeters; k++ {
+			shapes = append(shapes, shape{modes, k})
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for pi, params := range []Params{DefaultParams(), swappedParams()} {
+		for _, sh := range shapes {
+			o, err := newBankOracle(rng, params, sh.modes, sh.overlays)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.feed(rng, 1500)
+			o.check(t, fmt.Sprintf("params %d, modes %v + %d overlays", pi, sh.modes, sh.overlays))
 		}
 	}
 }
@@ -96,73 +211,99 @@ func TestBankMatchesMeters(t *testing.T) {
 // TestBankOverlaysMatchSoftwareMeters: an overlay fed a program's
 // accesses accrues exactly what a GateSoftware meter accrues fed the same
 // accesses at the overlay's own operand width, and the requested meters
-// are untouched by it. Each random instruction interleaves fixed,
-// explicit-width and operand accesses in any order, over both parameter
-// sets of TestBankMatchesMeters and a bank of overlays alone.
+// are untouched by it — also on a bank of overlays alone, up to the full
+// eight lanes, over both parameter sets.
 func TestBankOverlaysMatchSoftwareMeters(t *testing.T) {
-	swapped := DefaultParams()
-	swapped.Gated[IQ] = 0
-	swapped.Gated[L2Cache] = 0.5
-	vals := sigValues()
 	rng := rand.New(rand.NewSource(2))
-	const statics = 64
-	widths := func() []uint8 {
-		w := make([]uint8, statics)
-		for i := range w {
-			w[i] = uint8([]int{0, 1, 2, 4, 8}[rng.Intn(5)])
+	for _, shape := range []struct {
+		modes    []GatingMode
+		overlays int
+	}{
+		{[]GatingMode{GateNone, GateSoftware, GateCooperative}, 2},
+		{nil, 1},
+		{nil, 2},
+		{nil, MaxMeters},
+	} {
+		for pi, params := range []Params{DefaultParams(), swappedParams()} {
+			o, err := newBankOracle(rng, params, shape.modes, shape.overlays)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.feed(rng, 5000)
+			o.check(t, fmt.Sprintf("params %d, modes %v + %d overlays", pi, shape.modes, shape.overlays))
 		}
-		return w
 	}
-	for _, modes := range [][]GatingMode{{GateNone, GateSoftware, GateCooperative}, nil} {
-		for pi, params := range []Params{DefaultParams(), swapped} {
-			overlays := [][]uint8{widths(), widths()}
-			b := NewBank(params, modes, overlays...)
-			solo := make([]*Meter, len(modes)+len(overlays))
-			for i := range solo {
-				mode := GateSoftware
-				if i < len(modes) {
-					mode = modes[i]
-				}
-				solo[i] = NewMeter(params, mode)
+}
+
+// TestBankMeterLimit: a bank holds 1 to MaxMeters meters, requested
+// modes and overlays together.
+func TestBankMeterLimit(t *testing.T) {
+	params := DefaultParams()
+	w := make([]uint8, bankStatics)
+	over := func(n int) [][]uint8 {
+		o := make([][]uint8, n)
+		for i := range o {
+			o[i] = w
+		}
+		return o
+	}
+	nine := append(Modes(), GateNone, GateSoftware, GateHWSize)
+	for _, tc := range []struct {
+		modes    []GatingMode
+		overlays int
+		ok       bool
+	}{
+		{Modes(), 2, true},
+		{[]GatingMode{GateNone}, 7, true},
+		{nine[:8], 0, true},
+		{nil, 8, true},
+		{nine, 0, false},
+		{Modes(), 3, false},
+		{[]GatingMode{GateNone}, 8, false},
+		{nil, 9, false},
+		{nil, 0, false},
+	} {
+		_, err := NewBank(params, tc.modes, over(tc.overlays)...)
+		if (err == nil) != tc.ok {
+			t.Errorf("%d modes + %d overlays: error %v, want ok=%v", len(tc.modes), tc.overlays, err, tc.ok)
+		}
+	}
+}
+
+// TestBanksShareTablesConcurrently: banks built at once over a parameter
+// set no other test uses share one set of rows, and each, fed its own
+// random stream on its own goroutine, matches its solo meters (run under
+// -race to check the rows are only read).
+func TestBanksShareTablesConcurrently(t *testing.T) {
+	params := DefaultParams()
+	params.Fixed[ROB] += 0.125
+	params.Gated[LSQ] += 0.25
+	modes := []GatingMode{GateNone, GateHWSize, GateHWSignificance, GateCooperativeSig}
+	const banks = 16
+	oracles := make([]*bankOracle, banks)
+	var wg sync.WaitGroup
+	for g := range banks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + g)))
+			o, err := newBankOracle(rng, params, modes, g%3)
+			if err != nil {
+				t.Error(err)
+				return
 			}
-			for range 5000 {
-				idx := int32(rng.Intn(statics))
-				sw := []int{0, 1, 2, 4, 8}[rng.Intn(5)]
-				b.Begin(idx)
-				for range rng.Intn(8) {
-					s := Structure(rng.Intn(int(NumStructures)))
-					v := vals[rng.Intn(len(vals))] >> rng.Intn(64)
-					kind := rng.Intn(3)
-					switch kind {
-					case 0:
-						b.AccessFixed(s)
-					case 1:
-						b.AccessValue(s, 8, v)
-					case 2:
-						b.AccessSig(s, sw, SignificantBytes(v))
-					}
-					for i, m := range solo {
-						w := sw
-						if i >= len(modes) {
-							w = int(overlays[i-len(modes)][idx])
-						}
-						switch kind {
-						case 0:
-							m.AccessFixed(s)
-						case 1:
-							m.AccessValue(s, 8, v)
-						case 2:
-							m.AccessValue(s, w, v)
-						}
-					}
-				}
-			}
-			got := b.Meters()
-			for i := range got {
-				if !reflect.DeepEqual(got[i], solo[i]) {
-					t.Errorf("%d modes, params %d: meter %d (%v) differs from its solo meter", len(modes), pi, i, solo[i].Mode)
-				}
-			}
+			o.feed(rng, 2000)
+			oracles[g] = o
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for g, o := range oracles {
+		o.check(t, fmt.Sprintf("bank %d", g))
+		if o.bank.rows != oracles[0].bank.rows {
+			t.Errorf("bank %d: rows not shared with bank 0", g)
 		}
 	}
 }

@@ -44,64 +44,28 @@ func DefaultParams() Params {
 	return p
 }
 
-// Meter accumulates energy by structure.
+// Meter is one gating mode's energy and access counts by structure, as
+// a Bank accrues them (Bank.Meters), plus the idle energy of Tick.
 type Meter struct {
 	Params   Params
 	Mode     GatingMode
 	Energy   [NumStructures]float64
 	Accesses [NumStructures]int64
 	Cycles   int64
-
-	// tagE caches Gated[s]*TagOverheadBytes()/8 per structure — the
-	// per-access tag-array energy of the hardware schemes — so the hot
-	// accessors add a constant instead of recomputing the product.
-	tagE [NumStructures]float64
 }
 
 // NewMeter returns a meter with the given coefficients and gating mode.
 func NewMeter(params Params, mode GatingMode) *Meter {
-	m := &Meter{Params: params, Mode: mode}
-	for s := Structure(0); s < NumStructures; s++ {
-		m.tagE[s] = params.Gated[s] * mode.TagOverheadBytes() / 8.0
-	}
-	return m
+	return &Meter{Params: params, Mode: mode}
 }
 
-// AccessFixed records a width-independent access (fetch, predictor lookup,
-// rename table read).
-func (m *Meter) AccessFixed(s Structure) {
-	m.Accesses[s]++
-	m.Energy[s] += m.Params.Fixed[s]
-}
-
-// AccessValue records an access that moves one data value. swWidth is the
-// opcode width in bytes; value is the datum (for the hardware tags).
-func (m *Meter) AccessValue(s Structure, swWidth int, value int64) {
-	m.Accesses[s]++
-	m.Energy[s] += m.valueEnergy(s, ActiveBytes(m.Mode, swWidth, value))
-}
-
-// valueEnergy is the energy of one value access to s with k active bytes.
-// ActiveBytes always lands in [0,8], so the width profile is a direct
-// table hit. Bank precomputes its tables through this same expression, so
-// table-driven sums are bit-identical to per-meter ones.
-func (m *Meter) valueEnergy(s Structure, k int) float64 {
-	e := m.Params.Fixed[s] + m.Params.Gated[s]*widthProfileTab[k]
-	e += m.tagE[s]
-	return e
-}
-
-// AccessBytes records an access with an explicit active-byte count
-// (addresses, cache lines).
-func (m *Meter) AccessBytes(s Structure, bytes int) {
-	m.Accesses[s]++
-	m.Energy[s] += m.bytesEnergy(s, bytes)
-}
-
-// bytesEnergy is the energy AccessBytes adds for an access to s.
-func (m *Meter) bytesEnergy(s Structure, bytes int) float64 {
-	e := m.Params.Fixed[s] + m.Params.Gated[s]*WidthProfile(bytes)
-	e += m.tagE[s]
+// valueEnergy is the energy of one value access to s with k active bytes
+// (0–8) under mode: the fixed part, the gated part scaled by the width
+// profile, and the hardware schemes' per-access tag-array energy. Bank
+// tabulates every access through it.
+func valueEnergy(p Params, mode GatingMode, s Structure, k int) float64 {
+	e := p.Fixed[s] + p.Gated[s]*WidthProfile(k)
+	e += p.Gated[s] * mode.TagOverheadBytes() / 8.0
 	return e
 }
 

@@ -123,29 +123,8 @@ func (g GatingMode) TagOverheadBytes() float64 {
 // paper's Table 1 exactly: relative ALU energies at 1/2/4/8 bytes are
 // 0, 3, 5 and 6 units above the 1-byte floor, i.e. fractions 0, 1/2, 5/6
 // and 1 of the gated portion; intermediate byte counts interpolate
-// linearly. The nine possible values are precomputed once (this sits on
-// the per-access hot path of every power meter).
+// linearly.
 func WidthProfile(bytes int) float64 {
-	switch {
-	case bytes <= 1:
-		return 0
-	case bytes >= 8:
-		return 1
-	}
-	return widthProfileTab[bytes]
-}
-
-// widthProfileTab caches widthProfileSlow for byte counts 0..8.
-var widthProfileTab = func() [9]float64 {
-	var t [9]float64
-	for b := range t {
-		t[b] = widthProfileSlow(b)
-	}
-	return t
-}()
-
-// widthProfileSlow is the defining interpolation over the Table 1 anchors.
-func widthProfileSlow(bytes int) float64 {
 	switch {
 	case bytes <= 1:
 		return 0
@@ -185,12 +164,9 @@ func SignificantBytes(v int64) int {
 	return k
 }
 
-// SizeClass quantises a value's significant bytes to the 2-bit encoding
-// {1, 2, 5, 8} chosen in §4.6 from the SpecInt size distribution (the
-// 5-byte class exists because memory addresses are 33–40 bits).
-func SizeClass(v int64) int { return sizeClassOf(SignificantBytes(v)) }
-
-// sizeClassOf quantises a significant-byte count to its size class.
+// sizeClassOf quantises a significant-byte count to the 2-bit size-class
+// encoding {1, 2, 5, 8} chosen in §4.6 from the SpecInt size distribution
+// (the 5-byte class exists because memory addresses are 33–40 bits).
 func sizeClassOf(s int) int {
 	switch {
 	case s <= 1:
@@ -204,16 +180,11 @@ func sizeClassOf(s int) int {
 	}
 }
 
-// ActiveBytes computes the gated byte count for one value under a mode.
-// swWidth is the opcode width in bytes (8 when the instruction carries no
-// width or under hardware-only modes).
-func ActiveBytes(mode GatingMode, swWidth int, value int64) int {
-	return activeBytesSig(mode, swWidth, SignificantBytes(value))
-}
-
-// activeBytesSig is ActiveBytes for a value of sig significant bytes: no
-// mode looks at a value beyond its significant-byte count, which is what
-// lets Bank tabulate every access by (structure, software width, sig).
+// activeBytesSig is the gated byte count of an access under mode moving a
+// value of sig significant bytes through an opcode of swWidth bytes (8
+// when the instruction carries no width). No mode looks at a value beyond
+// its significant-byte count, which is what lets Bank tabulate every
+// access by (structure, software width, sig).
 func activeBytesSig(mode GatingMode, swWidth, sig int) int {
 	switch mode {
 	case GateNone:

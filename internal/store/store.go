@@ -202,20 +202,42 @@ func lend(b Backend, key Key) ([]byte, func(), bool) {
 func (b *DirBackend) view(key Key) ([]byte, func(), bool) {
 	path := b.objectPath(key)
 	data, release, err := b.fs.Map(path)
+	if !b.lookup(path, err) {
+		return nil, nil, false
+	}
+	return data, release, true
+}
+
+// lookup counts a read of the object at path that returned err: a miss,
+// or a hit that touches the object's recency. It reports the hit.
+func (b *DirBackend) lookup(path string, err error) bool {
 	if err != nil {
 		b.misses.Add(1)
-		return nil, nil, false
+		return false
 	}
 	now := time.Now()
 	_ = b.fs.Chtimes(path, now, now) // LRU touch; best-effort
 	b.hits.Add(1)
-	return data, release, true
+	return true
 }
 
-// Get returns a copy of the object stored under key, taken out of its
-// view. A missing object is (nil, false); read errors count as misses —
-// the store accelerates the pipeline and must never fail it.
+// smallObject is the size below which Get reads an object with one plain
+// read: there a mapping's mmap, fault and munmap cost more than they save.
+const smallObject = 64 << 10
+
+// Get returns a copy of the object stored under key, read directly when
+// it is small and taken out of its view otherwise. A missing object is
+// (nil, false); read errors count as misses — the store accelerates the
+// pipeline and must never fail it.
 func (b *DirBackend) Get(key Key) ([]byte, bool) {
+	path := b.objectPath(key)
+	if info, err := b.fs.Stat(path); err == nil && info.Size() < smallObject {
+		data, err := b.fs.ReadFile(path)
+		if !b.lookup(path, err) {
+			return nil, false
+		}
+		return data, true
+	}
 	data, release, ok := b.view(key)
 	if !ok {
 		return nil, false

@@ -295,3 +295,34 @@ func TestStoreConcurrentUnderRemoveRenameFaults(t *testing.T) {
 		t.Fatal("store unusable after the faulty run")
 	}
 }
+
+// BenchmarkDirGet reads one object back from the directory tier: a small
+// one (2 KB, a report or cell), which Get reads with one plain read, and
+// a large one (4 MB, a trace), which it copies out of a mapping.
+func BenchmarkDirGet(b *testing.B) {
+	for _, leg := range []struct {
+		name string
+		size int
+	}{
+		{"small", 2 << 10},
+		{"large", 4 << 20},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			d, err := OpenDir(b.TempDir(), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			key := deriveKey("bench", leg.name)
+			if err := d.Put(key, bytes.Repeat([]byte{0x5a}, leg.size)); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(leg.size))
+			b.ResetTimer()
+			for range b.N {
+				if data, ok := d.Get(key); !ok || len(data) != leg.size {
+					b.Fatalf("Get: %d bytes, %v", len(data), ok)
+				}
+			}
+		})
+	}
+}

@@ -157,7 +157,7 @@ type static struct {
 	lat    int64    // functional-unit latency
 	uses   [3]uint8 // registers read; unused slots hold the zero register
 	dest   uint8    // register written, or noReg
-	wbytes uint8    // operand width in bytes (the software gating width)
+	wbase  uint8    // power.RowBase of the operand width (the software gating width)
 	readsA bool     // the first operand is a register read (of SrcA)
 	readsB uint8    // register reads of SrcB (a conditional move may read it twice)
 	writes bool     // allocates a physical register
@@ -179,7 +179,7 @@ func predecode(p *prog.Program) ([]static, error) {
 			return nil, fmt.Errorf("uarch: instruction %d: operand width %d bytes", i, w)
 		}
 		st.lat = int64(isa.Latency(in.Op))
-		st.wbytes = uint8(in.Width.Bytes())
+		st.wbase = uint8(power.RowBase(in.Width.Bytes()))
 		uses, n := in.Uses()
 		for k := range st.uses {
 			st.uses[k] = isa.ZeroReg
@@ -251,10 +251,8 @@ func (c *Config) validate() error {
 // path with p's opcodes, so p's timing is its timing and the overlay's
 // Result equals a GateSoftware run of the rewrite, bit for bit. FinishAll
 // returns one Result per mode, then one per overlay, in the given order.
+// Modes and overlays together number 1 to power.MaxMeters.
 func NewMulti(p *prog.Program, cfg Config, params power.Params, modes []power.GatingMode, overlays ...[]isa.Width) (*Sim, error) {
-	if len(modes) == 0 {
-		return nil, fmt.Errorf("uarch: no gating modes requested")
-	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -270,6 +268,10 @@ func NewMulti(p *prog.Program, cfg Config, params power.Params, modes []power.Ga
 			over[k] = append(over[k], uint8(w.Bytes()))
 		}
 	}
+	bank, err := power.NewBank(params, modes, over...)
+	if err != nil {
+		return nil, err
+	}
 	hier, err := cache.NewHierarchy(cfg.Memory)
 	if err != nil {
 		return nil, err
@@ -284,7 +286,7 @@ func NewMulti(p *prog.Program, cfg Config, params power.Params, modes []power.Ga
 	}
 	return &Sim{
 		cfg:           cfg,
-		bank:          power.NewBank(params, modes, over...),
+		bank:          bank,
 		pred:          bpred.New(cfg.Predictor),
 		hier:          hier,
 		stat:          stat,
@@ -547,7 +549,7 @@ func (s *Sim) FinishAll() []*Result {
 // both calling accrue in retirement order, charge them alike. The core
 // reaches the rest only through AccessFixed (fixedOnly).
 func (st *static) accrue(bank *power.Bank, addr, value, srcA, srcB int64) {
-	w := int(st.wbytes)
+	w := int(st.wbase) // the software width's row base in the bank's tables
 	sigV := power.SignificantBytes(value)
 	if st.mem {
 		// LSQ: address CAM plus data movement. The address access is
@@ -600,19 +602,20 @@ type Rewrite struct {
 
 // NewRewrite returns the energy-only sink of q, a width-only rewrite of
 // the binary whose timing pass gave base (any of its meters' Results),
-// accruing every listed gating mode. Fed q's records, its FinishAll
-// equals FinishAll of NewMulti(q, cfg, params, modes) fed the same
-// records, bit for bit, under the cfg that timed base.
+// accruing every listed gating mode (1 to power.MaxMeters). Fed q's
+// records, its FinishAll equals FinishAll of NewMulti(q, cfg, params,
+// modes) fed the same records, bit for bit, under the cfg that timed base.
 func NewRewrite(q *prog.Program, params power.Params, modes []power.GatingMode, base *Result) (*Rewrite, error) {
-	if len(modes) == 0 {
-		return nil, fmt.Errorf("uarch: no gating modes requested")
+	bank, err := power.NewBank(params, modes)
+	if err != nil {
+		return nil, err
 	}
 	stat, err := predecode(q)
 	if err != nil {
 		return nil, err
 	}
 	return &Rewrite{
-		bank: power.NewBank(params, modes),
+		bank: bank,
 		stat: stat,
 		base: base,
 	}, nil

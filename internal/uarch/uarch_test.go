@@ -1,6 +1,7 @@
 package uarch_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -242,10 +243,14 @@ func TestSignExtendToCacheCostsEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sext := power.NewMeter(params, power.GateHWSignificance)
-	for range tagged.Energy.Accesses[power.DCache] {
-		sext.AccessBytes(power.DCache, 8)
+	bank, err := power.NewBank(params, []power.GatingMode{power.GateHWSignificance})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for range tagged.Energy.Accesses[power.DCache] {
+		bank.AccessValue(power.DCache, 8, math.MaxInt64) // all 8 bytes significant
+	}
+	sext := bank.Meters()[0]
 	sext.Tick(tagged.Cycles)
 	if tagged.Energy.Energy[power.DCache] >= sext.Energy[power.DCache] {
 		t.Errorf("tagged cache (%.0f) not cheaper than sign-extended cache (%.0f)",
@@ -444,7 +449,8 @@ func TestRewriteMatchesRewriteRuns(t *testing.T) {
 
 // TestOverlayValidation: an overlay must name one width of at most 8
 // bytes per instruction, and so must an energy-only sink's program; the
-// sink needs at least one mode.
+// sink needs at least one mode; and a simulator or sink holds at most
+// power.MaxMeters meters, modes and overlays together.
 func TestOverlayValidation(t *testing.T) {
 	p := buildLoop(t, "\tmul r2, r2, #3\n", 10)
 	cfg, params, modes := uarch.DefaultConfig(), power.DefaultParams(), []power.GatingMode{power.GateNone}
@@ -468,6 +474,32 @@ func TestOverlayValidation(t *testing.T) {
 	q.Ins[1].Width = isa.Width(16)
 	if _, err := uarch.NewRewrite(q, params, modes, base); err == nil || !strings.Contains(err.Error(), "operand width") {
 		t.Errorf("energy-only sink of a 16-byte width: error %v, want a rejection", err)
+	}
+	full := make([]isa.Width, len(p.Ins))
+	for i := range full {
+		full[i] = isa.W64
+	}
+	nine := append(power.Modes(), power.GateNone, power.GateSoftware, power.GateHWSize)
+	if _, err := uarch.NewMulti(p, cfg, params, nine[:8]); err != nil {
+		t.Errorf("8 modes: %v", err)
+	}
+	if _, err := uarch.NewMulti(p, cfg, params, power.Modes(), full, full); err != nil {
+		t.Errorf("6 modes + 2 overlays: %v", err)
+	}
+	if _, err := uarch.NewMulti(p, cfg, params, nine); err == nil {
+		t.Error("9 modes: no error")
+	}
+	if _, err := uarch.NewMulti(p, cfg, params, power.Modes(), full, full, full); err == nil {
+		t.Error("6 modes + 3 overlays: no error")
+	}
+	if _, err := uarch.NewMulti(p, cfg, params, modes, full, full, full, full, full, full, full, full); err == nil {
+		t.Error("1 mode + 8 overlays: no error")
+	}
+	if _, err := uarch.NewRewrite(p, params, nine[:8], base); err != nil {
+		t.Errorf("energy-only sink of 8 modes: %v", err)
+	}
+	if _, err := uarch.NewRewrite(p, params, nine, base); err == nil {
+		t.Error("energy-only sink of 9 modes: no error")
 	}
 }
 
