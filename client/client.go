@@ -175,8 +175,9 @@ func retryableStatus(status int) bool {
 
 // do runs one API call with the retry loop: body is re-sent verbatim on
 // every attempt, transport errors retry only when idempotent is set, and
-// response statuses retry per retryStatus (nil means never). The caller
-// owns the returned body.
+// response statuses retry per retryStatus (nil means never). Every
+// attempt asks for JSON, the form the reports endpoint negotiates. The
+// caller owns the returned body.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, idempotent bool, retryStatus func(int) bool) (*http.Response, error) {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
@@ -187,6 +188,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, idemp
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
 		}
+		req.Header.Set("Accept", "application/json")
 		resp, err := c.hc.Do(req)
 		var wait time.Duration
 		switch {
@@ -377,36 +379,7 @@ func (c *Client) Follow(ctx context.Context, id string, fn func(Job) error) (Job
 // byte-identity path (fleet forwarding replicates documents through it
 // so no re-encode can perturb them).
 func (c *Client) ReportBytes(ctx context.Context, key string) ([]byte, error) {
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		blob, err := c.reportBytesOnce(ctx, key)
-		if err == nil {
-			return blob, nil
-		}
-		var apiErr *APIError
-		if errors.As(err, &apiErr) && !retryableStatus(apiErr.Status) {
-			return nil, err
-		}
-		if ctx.Err() != nil {
-			return nil, errors.Join(ctx.Err(), err)
-		}
-		lastErr = err
-		if attempt >= c.policy.MaxAttempts {
-			return nil, lastErr
-		}
-		if err := sleep(ctx, c.policy.delay(attempt)); err != nil {
-			return nil, errors.Join(err, lastErr)
-		}
-	}
-}
-
-func (c *Client) reportBytesOnce(ctx context.Context, key string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/reports/"+key, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", "application/json")
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/reports/"+key, nil, true, retryableStatus)
 	if err != nil {
 		return nil, err
 	}

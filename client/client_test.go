@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -58,6 +59,61 @@ func TestSubmitRetries503HonoringRetryAfter(t *testing.T) {
 	}
 	if took := time.Since(start); took > 2*time.Second {
 		t.Fatalf("Retry-After: 0 was not honored: call took %s against a 10s base backoff", took)
+	}
+}
+
+// TestReportBytesRetries503HonoringRetryAfter: a report fetch refused
+// with 503 is retried after the server-stated Retry-After (0 here, against
+// a 10s computed backoff), every attempt negotiates the JSON form, and the
+// stored bytes come back verbatim; a 404 is final.
+func TestReportBytesRetries503HonoringRetryAfter(t *testing.T) {
+	const doc = `{"schema":"opgate.reports/v1"}`
+	var calls atomic.Int32
+	var mu sync.Mutex
+	var accepts []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		accepts = append(accepts, r.Header.Get("Accept"))
+		mu.Unlock()
+		if r.URL.Path != "/v1/reports/cafe0123" {
+			http.Error(w, `{"error":"no such report"}`, http.StatusNotFound)
+			return
+		}
+		if calls.Add(1) <= 2 {
+			w.Header().Set("Retry-After", "0")
+			http.Error(w, `{"error":"draining"}`, http.StatusServiceUnavailable)
+			return
+		}
+		fmt.Fprint(w, doc)
+	}))
+	defer ts.Close()
+
+	c := newClient(t, ts, WithRetryPolicy(RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Second, MaxDelay: 20 * time.Second}))
+	start := time.Now()
+	blob, err := c.ReportBytes(context.Background(), "cafe0123")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(blob) != doc || calls.Load() != 3 {
+		t.Fatalf("got %q after %d calls, want the document after 3", blob, calls.Load())
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("Retry-After: 0 was not honored: fetch took %s against a 10s base backoff", took)
+	}
+
+	var apiErr *APIError
+	if _, err := c.ReportBytes(context.Background(), "beef"); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
+		t.Fatalf("missing report: err = %v, want a 404 *APIError", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(accepts) != 4 {
+		t.Fatalf("server saw %d requests, want 3 attempts and one unretried 404", len(accepts))
+	}
+	for i, a := range accepts {
+		if a != "application/json" {
+			t.Errorf("request %d sent Accept %q, want application/json", i+1, a)
+		}
 	}
 }
 

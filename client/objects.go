@@ -13,63 +13,43 @@ import (
 // ObjectBackend is a store.Backend over a peer opgated's raw object API
 // (GET/PUT/DELETE /v1/objects/{key}) — the remote tier of a fleet
 // node's tiered store. It rides the same retry/backoff machinery as the
-// job client but with a tighter default policy and a hard per-operation
-// deadline: the store contract says a slow or broken peer must read as
-// a cache miss, never as latency the simulation pipeline can feel.
+// job client but with a tighter policy (objectRetryPolicy) and a hard
+// per-operation deadline (objectTimeout): the store contract says a slow
+// or broken peer must read as a cache miss, never as latency the
+// simulation pipeline can feel.
 // Every fault class — connection refused, timeout, 5xx, a torn response
 // body — degrades to (nil, false) from Get; Put errors are surfaced for
 // accounting but callers treat write-back as best-effort.
 type ObjectBackend struct {
-	c       *Client
-	timeout time.Duration
+	c *Client
 
 	hits, misses, puts, putErrors atomic.Int64
 }
 
-// ObjectOption configures an ObjectBackend at construction.
-type ObjectOption func(*objectConfig)
+// objectTimeout bounds each object operation. The deadline covers all
+// retry attempts of the operation, not each attempt alone.
+const objectTimeout = 2 * time.Second
 
-type objectConfig struct {
-	timeout time.Duration
-	policy  RetryPolicy
-}
-
-// ObjectTimeout bounds each object operation (default 2s). The deadline
-// covers all retry attempts of the operation, not each attempt alone.
-func ObjectTimeout(d time.Duration) ObjectOption {
-	return func(cfg *objectConfig) { cfg.timeout = d }
-}
-
-// ObjectRetryPolicy replaces the backend's default backoff shape
-// (3 attempts, 25ms base, 250ms ceiling — snappier than the job
-// client's, because a miss is always an acceptable answer).
-func ObjectRetryPolicy(p RetryPolicy) ObjectOption {
-	return func(cfg *objectConfig) { cfg.policy = p }
+// objectRetryPolicy is the object backend's backoff shape, snappier than
+// the job client's, because a miss is always an acceptable answer.
+var objectRetryPolicy = RetryPolicy{
+	MaxAttempts: 3,
+	BaseDelay:   25 * time.Millisecond,
+	MaxDelay:    250 * time.Millisecond,
 }
 
 // NewObjectBackend builds an object-tier backend for the opgated peer at
 // baseURL.
-func NewObjectBackend(baseURL string, opts ...ObjectOption) (*ObjectBackend, error) {
-	cfg := objectConfig{
-		timeout: 2 * time.Second,
-		policy: RetryPolicy{
-			MaxAttempts: 3,
-			BaseDelay:   25 * time.Millisecond,
-			MaxDelay:    250 * time.Millisecond,
-		},
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	c, err := New(baseURL, WithRetryPolicy(cfg.policy))
+func NewObjectBackend(baseURL string) (*ObjectBackend, error) {
+	c, err := New(baseURL, WithRetryPolicy(objectRetryPolicy))
 	if err != nil {
 		return nil, err
 	}
-	return &ObjectBackend{c: c, timeout: cfg.timeout}, nil
+	return &ObjectBackend{c: c}, nil
 }
 
 func (b *ObjectBackend) opCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), b.timeout)
+	return context.WithTimeout(context.Background(), objectTimeout)
 }
 
 // Get fetches the object stored under key from the peer. Anything but a

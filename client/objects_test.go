@@ -88,9 +88,7 @@ func newObjectPeer(t *testing.T, o *objectServer) (*httptest.Server, *ObjectBack
 	mux.Handle("/v1/objects/{key}", o)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
-	b, err := NewObjectBackend(ts.URL,
-		ObjectTimeout(2*time.Second),
-		ObjectRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond}))
+	b, err := NewObjectBackend(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +131,7 @@ func TestObjectBackendPeerDownIsMiss(t *testing.T) {
 	}
 	url := "http://" + l.Addr().String()
 	l.Close()
-	b, err := NewObjectBackend(url, ObjectTimeout(time.Second))
+	b, err := NewObjectBackend(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +152,7 @@ func TestObjectBackendPeerDownIsMiss(t *testing.T) {
 }
 
 // TestObjectBackendTimeoutIsMiss: a peer that accepts but never answers
-// within the deadline is a miss, bounded by ObjectTimeout.
+// within the deadline is a miss, bounded by objectTimeout.
 func TestObjectBackendTimeoutIsMiss(t *testing.T) {
 	o := newObjectServer()
 	release := make(chan struct{})
@@ -172,7 +170,7 @@ func TestObjectBackendTimeoutIsMiss(t *testing.T) {
 	}())
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { close(release) })
-	b, err := NewObjectBackend(ts.URL, ObjectTimeout(150*time.Millisecond))
+	b, err := NewObjectBackend(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +178,8 @@ func TestObjectBackendTimeoutIsMiss(t *testing.T) {
 	if _, ok := b.Get(objectKey("slow")); ok {
 		t.Fatal("hit from a hung peer")
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("hung-peer miss took %s, want ~150ms", elapsed)
+	if elapsed := time.Since(start); elapsed > objectTimeout+time.Second {
+		t.Fatalf("hung-peer miss took %s, want ~%s", elapsed, objectTimeout)
 	}
 }
 
@@ -279,8 +277,7 @@ func TestObjectBackendAsTieredRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered := store.NewTiered(local, b, 8)
-	defer tiered.Close()
+	tiered := store.NewTiered(local, b)
 
 	key := objectKey("composed")
 	if err := tiered.Put(key, []byte("shared")); err != nil {

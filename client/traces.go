@@ -7,8 +7,7 @@ import (
 )
 
 // TraceInfo is the server's description of an imported trace workload —
-// the POST /v1/traces response, and one row of GET /v1/traces joined
-// with its metadata.
+// the POST /v1/traces response.
 type TraceInfo struct {
 	Name      string `json:"name"`       // registry name, "trace:<bare>"
 	Class     string `json:"class"`      // input class the records stand in for
@@ -37,19 +36,4 @@ func (c *Client) UploadTrace(ctx context.Context, name, class string, blob []byt
 		return TraceInfo{}, err
 	}
 	return info, nil
-}
-
-// ListTraces returns the server's imported-trace index.
-func (c *Client) ListTraces(ctx context.Context) ([]TraceInfo, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/traces", nil, true, retryableStatus)
-	if err != nil {
-		return nil, err
-	}
-	var payload struct {
-		Traces []TraceInfo `json:"traces"`
-	}
-	if err := decodeInto(resp, &payload); err != nil {
-		return nil, err
-	}
-	return payload.Traces, nil
 }

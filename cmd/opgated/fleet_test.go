@@ -50,7 +50,7 @@ func newFleetRing(t *testing.T, n int) []*fleetNode {
 		node.srv = newServer(serverConfig{
 			Quick:   true,
 			Workers: 2,
-			Store:   store.NewStore(store.NewTiered(local, fl.remote(), 0)),
+			Store:   store.NewStore(store.NewTiered(local, fl.remote())),
 			Objects: local,
 			Fleet:   fl,
 		})

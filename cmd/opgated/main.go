@@ -150,7 +150,7 @@ func main() {
 			// front, ring peers behind (read-through, async write-back).
 			// /v1/objects keeps serving the *local* tier only, so peer
 			// object traffic always terminates here.
-			cfg.Store = store.NewStore(store.NewTiered(local, fl.remote(), 0))
+			cfg.Store = store.NewStore(store.NewTiered(local, fl.remote()))
 		}
 		log.Printf("opgated: fleet of %d (self %s)", len(members), *self)
 	}

@@ -95,7 +95,8 @@
 // byte-identical reports, and a restarted opgated serves its predecessor's
 // reports in either representation. The storage substrate is pluggable
 // (WithStore(NewStore(b)) over any store.Backend — a directory tier, an
-// HTTP object peer, or a store.NewTiered composition of both), and every
+// HTTP object peer, or a store.NewTiered(local, remote) composition of
+// both, with a fixed 64-entry write-back queue), and every
 // backend inherits the accelerator-only contract: a fault of any class
 // is a cache miss, never an error.
 package opgate

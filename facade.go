@@ -164,16 +164,14 @@ func Simulate(p *Program, mode GatingMode) (*uarch.Result, error) {
 }
 
 // CompareGating simulates the same program under baseline (ungated) and a
-// gated mode, returning the fractional energy and ED² savings.
+// gated mode, returning the fractional energy and ED² savings. Both modes
+// ride one emulation and one timing pass.
 func CompareGating(p *Program, mode GatingMode) (energySaving, ed2Saving float64, err error) {
-	base, err := Simulate(p, GateNone)
+	rs, err := uarch.RunModes(p, uarch.DefaultConfig(), power.DefaultParams(), []GatingMode{GateNone, mode})
 	if err != nil {
 		return 0, 0, err
 	}
-	g, err := Simulate(p, mode)
-	if err != nil {
-		return 0, 0, err
-	}
+	base, g := rs[0], rs[1]
 	_, energySaving = power.Savings(base.Energy, g.Energy)
 	ed2Saving = power.EnergyDelay2Saving(base.Energy.Total(), base.Cycles, g.Energy.Total(), g.Cycles)
 	return energySaving, ed2Saving, nil

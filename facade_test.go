@@ -1,8 +1,11 @@
 package opgate
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"opgate/internal/power"
 )
 
 const tiny = `
@@ -121,5 +124,65 @@ func TestDisassembleFacade(t *testing.T) {
 	text := Disassemble(p)
 	if !strings.Contains(text, "add") {
 		t.Errorf("disassembly missing add:\n%s", text)
+	}
+}
+
+// TestCompareGatingMatchesSoloRuns: CompareGating's one fused pass gives
+// savings bit-identical to two solo Simulate runs, on the programs the
+// examples/ gate — an assembled snippet (quickstart), the ijpeg kernel
+// under both VRP flavours (imagepipeline), a VRS-specialized m88ksim
+// (specialization) and an unmodified kernel under the hardware schemes
+// (hwsw) — at train inputs to keep the test quick.
+func TestCompareGatingMatchesSoloRuns(t *testing.T) {
+	optimize := func(p *Program, o OptimizeOptions) *Program {
+		t.Helper()
+		opt, err := Optimize(p, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return opt.Program
+	}
+	snippet, err := Assemble(tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ijpeg := buildWorkload(t, "ijpeg", Train)
+	m88k := buildWorkload(t, "m88ksim", Train)
+	spec, err := Specialize(m88k, m88k, SpecializeOptions{Threshold: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	software := []GatingMode{power.GateSoftware}
+	cases := []struct {
+		name  string
+		p     *Program
+		modes []GatingMode
+	}{
+		{"quickstart", optimize(snippet, OptimizeOptions{}), software},
+		{"ijpeg/vrp", optimize(ijpeg, OptimizeOptions{}), software},
+		{"ijpeg/vrp-conv", optimize(ijpeg, OptimizeOptions{Conventional: true}), software},
+		{"m88ksim/vrs50", spec.Program, software},
+		{"ijpeg/base", ijpeg, []GatingMode{power.GateHWSize, power.GateHWSignificance}},
+	}
+	for _, c := range cases {
+		for _, mode := range c.modes {
+			energy, ed2, err := CompareGating(c.p, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := Simulate(c.p, GateNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := Simulate(c.p, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, wantEnergy := power.Savings(base.Energy, g.Energy)
+			wantED2 := power.EnergyDelay2Saving(base.Energy.Total(), base.Cycles, g.Energy.Total(), g.Cycles)
+			if math.Float64bits(energy) != math.Float64bits(wantEnergy) || math.Float64bits(ed2) != math.Float64bits(wantED2) {
+				t.Errorf("%s mode %v: fused (%v, %v) != solo (%v, %v)", c.name, mode, energy, ed2, wantEnergy, wantED2)
+			}
+		}
 	}
 }

@@ -545,17 +545,3 @@ func b2i(b bool) int64 {
 	}
 	return 0
 }
-
-// StoreBytes pokes a memory region by virtual address before a run
-// (workload inputs).
-func (m *Machine) StoreBytes(addr int64, data []byte) error {
-	off := addr - m.P.DataBase
-	if off < 0 || off+int64(len(data)) > int64(len(m.Mem)) {
-		return fmt.Errorf("emu: write of %d bytes at %#x out of bounds", len(data), addr)
-	}
-	copy(m.Mem[off:], data)
-	if len(data) > 0 {
-		markDirty(m.img.dirty, off, int64(len(data)))
-	}
-	return nil
-}

@@ -181,7 +181,7 @@ func (r *TraceRecorder) Trace() (*Trace, error) {
 		last := len(chunks) - 1
 		chunks[last] = chunks[last].slice(0, r.fill)
 	}
-	return &Trace{p: r.p, chunks: chunks, events: r.events, bytes: r.bytes}, nil
+	return &Trace{p: r.p, chunks: chunks, events: r.events}, nil
 }
 
 // Trace is an immutable packed retirement trace: the full observable
@@ -191,14 +191,10 @@ type Trace struct {
 	p      *prog.Program
 	chunks []RecBatch
 	events int64
-	bytes  int64
 }
 
 // Len returns the number of recorded events.
 func (t *Trace) Len() int64 { return t.events }
-
-// Bytes returns the resident size of the packed trace.
-func (t *Trace) Bytes() int64 { return t.bytes }
 
 // Program returns the program the trace was captured from.
 func (t *Trace) Program() *prog.Program { return t.p }

@@ -62,14 +62,6 @@ func (v *RecordValidator) Check(recs RecBatch) error {
 	return nil
 }
 
-// TraceBytes is the resident size of a packed trace of the given length,
-// counted in whole chunks as a recorder allocates them: the measure every
-// trace byte budget is compared against.
-func TraceBytes(events int64) int64 {
-	chunks := (events + TraceChunkEvents - 1) / TraceChunkEvents
-	return chunks * TraceChunkEvents * recBytes
-}
-
 // NewTraceFromRecords rebuilds a packed trace for p from whole-trace
 // record columns (typically decoded from a persistent store). All columns
 // of recs must share one length, and every record must pass p's
@@ -90,9 +82,9 @@ func NewTraceFromRecords(p *prog.Program, recs RecBatch) (*Trace, error) {
 	}
 
 	// Chunk the columns in place, in TraceChunkEvents views with a
-	// captured trace's batch boundaries and byte accounting, so a restored
-	// trace is indistinguishable from a freshly captured one.
-	t := &Trace{p: p, events: int64(n), bytes: TraceBytes(int64(n))}
+	// captured trace's batch boundaries, so a restored trace is
+	// indistinguishable from a freshly captured one.
+	t := &Trace{p: p, events: int64(n)}
 	for off := 0; off < n; off += TraceChunkEvents {
 		t.chunks = append(t.chunks, recs.slice(off, min(off+TraceChunkEvents, n)))
 	}

@@ -14,11 +14,6 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(ctx context.Context, s *Suite, threshold float64) (*Report, error)
-	// Thresholded marks experiments whose report depends on the requested
-	// VRS threshold (the others either need no VRS at all or evaluate the
-	// paper's fixed grid). Sweep drivers pre-build the per-threshold VRS
-	// grid only for these.
-	Thresholded bool
 }
 
 // Experiments returns every experiment in the paper's presentation order.
@@ -35,42 +30,42 @@ func Experiments() []Experiment {
 	}
 	return []Experiment{
 		{"table1", "Energy savings for ALU operations (nJ), source width (row) -> dest width (column)",
-			pure((*Suite).Table1), false},
-		{"table2", "Machine parameters", pure((*Suite).Table2), false},
+			pure((*Suite).Table1)},
+		{"table2", "Machine parameters", pure((*Suite).Table2)},
 		{"table3", "Distribution of operation types (dynamic, after proposed VRP)",
-			fixed((*Suite).Table3), false},
+			fixed((*Suite).Table3)},
 		{"fig2", "Dynamic instruction distribution by width: conventional vs proposed VRP",
-			fixed((*Suite).Figure2), false},
+			fixed((*Suite).Figure2)},
 		{"fig3", "Energy savings with VRP (per processor structure, suite average)",
-			fixed((*Suite).Figure3), false},
+			fixed((*Suite).Figure3)},
 		{"fig4", "Distribution of the points profiled after specialization",
-			func(ctx context.Context, s *Suite, th float64) (*Report, error) { return s.Figure4(ctx, th) }, true},
+			func(ctx context.Context, s *Suite, th float64) (*Report, error) { return s.Figure4(ctx, th) }},
 		{"fig5", "Distribution of the specialized instructions at compile time",
-			func(ctx context.Context, s *Suite, th float64) (*Report, error) { return s.Figure5(ctx, th) }, true},
+			func(ctx context.Context, s *Suite, th float64) (*Report, error) { return s.Figure5(ctx, th) }},
 		{"fig6", "Distribution of run-time instructions: specialized vs guard comparisons",
-			func(ctx context.Context, s *Suite, th float64) (*Report, error) { return s.Figure6(ctx, th) }, true},
+			func(ctx context.Context, s *Suite, th float64) (*Report, error) { return s.Figure6(ctx, th) }},
 		{"fig7", "Run-time instructions according to width",
-			func(ctx context.Context, s *Suite, th float64) (*Report, error) { return s.Figure7(ctx, th) }, true},
+			func(ctx context.Context, s *Suite, th float64) (*Report, error) { return s.Figure7(ctx, th) }},
 		{"fig8", "Energy savings per benchmark: VRP and VRS at each threshold",
-			fixed((*Suite).Figure8), false},
+			fixed((*Suite).Figure8)},
 		{"fig9", "Energy benefits for the different parts of the processor",
-			fixed((*Suite).Figure9), false},
+			fixed((*Suite).Figure9)},
 		{"fig10", "Execution time savings (VRS variants vs baseline)",
-			fixed((*Suite).Figure10), false},
+			fixed((*Suite).Figure10)},
 		{"fig11", "Energy-Delay^2 benefits",
-			fixed((*Suite).Figure11), false},
+			fixed((*Suite).Figure11)},
 		{"fig12", "Data size distribution (significant bytes of produced values)",
-			fixed((*Suite).Figure12), false},
+			fixed((*Suite).Figure12)},
 		{"fig13", "Energy savings for the hardware approaches",
-			fixed((*Suite).Figure13), false},
+			fixed((*Suite).Figure13)},
 		{"fig14", "Energy savings for each processor part (hardware schemes)",
-			fixed((*Suite).Figure14), false},
+			fixed((*Suite).Figure14)},
 		{"fig15", "Energy-delay^2 savings for hardware and software configurations",
-			func(ctx context.Context, s *Suite, th float64) (*Report, error) { return s.Figure15(ctx, th) }, true},
+			func(ctx context.Context, s *Suite, th float64) (*Report, error) { return s.Figure15(ctx, th) }},
 		{"ablation-opcodes", "Opcode-set ablation: energy savings and 64-bit share under VRP",
-			fixed((*Suite).AblationOpcodeSets), false},
+			fixed((*Suite).AblationOpcodeSets)},
 		{"ablation-analysis", "Analysis ablation: dynamic 64-bit share",
-			fixed((*Suite).AblationAnalysis), false},
+			fixed((*Suite).AblationAnalysis)},
 	}
 }
 

@@ -180,13 +180,13 @@ func ValidThresholds(thresholds []float64) error {
 }
 
 // Sweep evaluates one experiment across a threshold grid, paying the
-// threshold-independent work once: the (workload × threshold) VRS grid is
-// pre-built over the bounded worker pool through the shared per-workload
-// train profile (one train emulation per workload, however many
-// thresholds), and the baseline/VRP artifacts every cell reads are shared
-// through the ordinary suite memos. The cells themselves are then built
-// in grid order with the exact single-threshold drivers, so each is
-// byte-identical to a plain RunExperiment at that threshold.
+// threshold-independent work once: every cell's VRS binaries come from
+// the shared per-workload train profile (one train emulation per
+// workload, however many thresholds), and the baseline/VRP artifacts
+// every cell reads are shared through the ordinary suite memos. The
+// cells are built in grid order with the exact single-threshold drivers,
+// each fanning out over its workloads, so each is byte-identical to a
+// plain RunExperiment at that threshold.
 func (s *Suite) Sweep(ctx context.Context, id string, thresholds []float64) (*SweepReport, error) {
 	e, ok := LookupExperiment(id)
 	if !ok {
@@ -194,27 +194,6 @@ func (s *Suite) Sweep(ctx context.Context, id string, thresholds []float64) (*Sw
 	}
 	if err := ValidThresholds(thresholds); err != nil {
 		return nil, fmt.Errorf("harness: sweep %s: %w", id, err)
-	}
-	if e.Thresholded {
-		// Warm the specialization grid concurrently. Threshold-independent
-		// experiments skip this: they never touch VRS at the requested
-		// threshold, and warming would add train work a plain run avoids.
-		type gridCell struct {
-			name string
-			th   float64
-		}
-		grid := make([]gridCell, 0, len(s.Names())*len(thresholds))
-		for _, name := range s.Names() {
-			for _, th := range thresholds {
-				grid = append(grid, gridCell{name, th})
-			}
-		}
-		if _, err := mapSlice(ctx, s.workers(), grid, func(c gridCell) (struct{}, error) {
-			_, err := s.VRS(c.name, c.th)
-			return struct{}{}, err
-		}); err != nil {
-			return nil, err
-		}
 	}
 	cells := make([]*Report, len(thresholds))
 	for i, th := range thresholds {

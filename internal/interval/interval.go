@@ -63,23 +63,6 @@ func (iv Interval) IsConst() (int64, bool) {
 // Contains reports whether v lies within the interval.
 func (iv Interval) Contains(v int64) bool { return iv.ok && iv.Lo <= v && v <= iv.Hi }
 
-// ContainsInterval reports whether other is a subset of iv.
-func (iv Interval) ContainsInterval(other Interval) bool {
-	if other.IsEmpty() {
-		return true
-	}
-	return iv.ok && iv.Lo <= other.Lo && other.Hi <= iv.Hi
-}
-
-// Size returns the number of values in the interval as a float64 (the count
-// can exceed int64 range for wide intervals).
-func (iv Interval) Size() float64 {
-	if !iv.ok {
-		return 0
-	}
-	return float64(iv.Hi) - float64(iv.Lo) + 1
-}
-
 // String renders the interval like the paper's <min,max> notation.
 func (iv Interval) String() string {
 	if !iv.ok {
@@ -113,25 +96,6 @@ func (iv Interval) Meet(other Interval) Interval {
 	lo, hi := max64(iv.Lo, other.Lo), min64(iv.Hi, other.Hi)
 	if lo > hi {
 		return Empty()
-	}
-	return Interval{lo, hi, true}
-}
-
-// Widen accelerates fixpoint convergence: any bound that moved since prev
-// jumps to its extreme. Standard interval widening.
-func Widen(prev, next Interval) Interval {
-	if prev.IsEmpty() {
-		return next
-	}
-	if next.IsEmpty() {
-		return prev
-	}
-	lo, hi := prev.Lo, prev.Hi
-	if next.Lo < prev.Lo {
-		lo = math.MinInt64
-	}
-	if next.Hi > prev.Hi {
-		hi = math.MaxInt64
 	}
 	return Interval{lo, hi, true}
 }

@@ -12,7 +12,6 @@ package isa
 // instruction is used, the values read at run time contain significant data
 // for all the input bytes").
 type OpcodeSet struct {
-	name    string
 	allowed [NumClasses][4]bool // class × width index (0=W8..3=W64)
 }
 
@@ -28,9 +27,6 @@ func widthIndex(w Width) int {
 		return 3
 	}
 }
-
-// Name identifies the opcode set in reports.
-func (s *OpcodeSet) Name() string { return s.name }
 
 // Supports reports whether the class can be encoded at width w.
 func (s *OpcodeSet) Supports(class Class, w Width) bool {
@@ -60,7 +56,7 @@ func (s *OpcodeSet) allow(class Class, ws ...Width) {
 // FullOpcodeSet returns an OpcodeSet with every class encodable at every
 // width — an idealised ISA used for limit studies.
 func FullOpcodeSet() *OpcodeSet {
-	s := &OpcodeSet{name: "full"}
+	s := &OpcodeSet{}
 	for c := ClassNone; c < Class(NumClasses); c++ {
 		s.allow(c, W8, W16, W32, W64)
 	}
@@ -76,7 +72,7 @@ func FullOpcodeSet() *OpcodeSet {
 //   - MSK/EXT family: all widths (already in the ISA)
 //   - MUL: doubleword only
 func PaperOpcodeSet() *OpcodeSet {
-	s := &OpcodeSet{name: "paper"}
+	s := &OpcodeSet{}
 	s.allow(ClassLoad, W8, W16, W32, W64)
 	s.allow(ClassStore, W8, W16, W32, W64)
 	s.allow(ClassAdd, W8, W16, W32, W64)
@@ -97,7 +93,7 @@ func PaperOpcodeSet() *OpcodeSet {
 // mask family are width-annotated; every computational opcode is 64-bit.
 // This models the pre-extension Alpha and is the "non" baseline of Fig. 7.
 func BaseOpcodeSet() *OpcodeSet {
-	s := &OpcodeSet{name: "base"}
+	s := &OpcodeSet{}
 	s.allow(ClassLoad, W8, W16, W32, W64)
 	s.allow(ClassStore, W8, W16, W32, W64)
 	s.allow(ClassMask, W8, W16, W32, W64)

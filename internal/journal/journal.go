@@ -541,9 +541,6 @@ func (j *Journal) Stats() Stats {
 	}
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close releases the append handle. The journal must not be used after.
 func (j *Journal) Close() error {
 	j.mu.Lock()

@@ -1,7 +1,5 @@
 package power
 
-import "fmt"
-
 // Params holds the per-structure energy coefficients (nanojoule-scale
 // arbitrary units). Access energy for s with k active bytes is
 //
@@ -154,22 +152,4 @@ func ALUSavingsTable(p Params) [4][4]float64 {
 		}
 	}
 	return t
-}
-
-// FormatALUTable renders Table 1 in the paper's layout.
-func FormatALUTable(t [4][4]float64) string {
-	hdr := [4]string{"64", "32", "16", "8"}
-	out := "Dest\\Src    64     32     16      8\n"
-	for i := 0; i < 4; i++ {
-		row := fmt.Sprintf("%4s  ", hdr[i])
-		for j := 0; j < 4; j++ {
-			if i == j {
-				row += "      -"
-				continue
-			}
-			row += fmt.Sprintf(" %6.2f", t[j][i])
-		}
-		out += row + "\n"
-	}
-	return out
 }

@@ -179,21 +179,3 @@ func TestTickChargesIdle(t *testing.T) {
 		t.Error("idle energy not charged")
 	}
 }
-
-func TestFormatALUTable(t *testing.T) {
-	out := FormatALUTable(ALUSavingsTable(DefaultParams()))
-	for _, want := range []string{"64", "32", "16", "8", "6.00", "-"} {
-		if !containsStr(out, want) {
-			t.Errorf("formatted table missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}

@@ -83,30 +83,9 @@ func (e *Editor) posOf(n *Node) int {
 	return -1
 }
 
-// InsertBefore places a new instruction immediately before anchor and
-// redirects every branch that targeted anchor to the new node, so the new
-// instruction executes on all paths that reached the anchor. The new node
-// is returned (set its Target with SetTarget if it branches).
-func (e *Editor) InsertBefore(anchor *Node, ins isa.Instruction) *Node {
-	n := &Node{Ins: ins, Callee: -1, fn: anchor.fn, origIdx: -1}
-	pos := e.posOf(anchor)
-	list := e.funcs[anchor.fn]
-	list = append(list, nil)
-	copy(list[pos+1:], list[pos:])
-	list[pos] = n
-	e.funcs[anchor.fn] = list
-	for _, nodes := range e.funcs {
-		for _, m := range nodes {
-			if m != n && m.Target == anchor {
-				m.Target = n
-			}
-		}
-	}
-	return n
-}
-
 // InsertBeforeNoRedirect places a new instruction before anchor without
 // retargeting incoming branches (used for fall-through-only sequencing).
+// The new node is returned (set its Target with SetTarget if it branches).
 func (e *Editor) InsertBeforeNoRedirect(anchor *Node, ins isa.Instruction) *Node {
 	n := &Node{Ins: ins, Callee: -1, fn: anchor.fn, origIdx: -1}
 	pos := e.posOf(anchor)
@@ -115,13 +94,6 @@ func (e *Editor) InsertBeforeNoRedirect(anchor *Node, ins isa.Instruction) *Node
 	copy(list[pos+1:], list[pos:])
 	list[pos] = n
 	e.funcs[anchor.fn] = list
-	return n
-}
-
-// Append adds a new instruction at the end of function fi.
-func (e *Editor) Append(fi int, ins isa.Instruction) *Node {
-	n := &Node{Ins: ins, Callee: -1, fn: fi, origIdx: -1}
-	e.funcs[fi] = append(e.funcs[fi], n)
 	return n
 }
 

@@ -22,15 +22,6 @@ type Loop struct {
 // Contains reports whether the loop body includes b.
 func (l *Loop) Contains(b *Block) bool { return l != nil && l.Blocks[b] }
 
-// Depth returns the nesting depth (outermost loop = 1).
-func (l *Loop) Depth() int {
-	d := 0
-	for ; l != nil; l = l.Parent {
-		d++
-	}
-	return d
-}
-
 // AffineIterator describes a loop of the paper's analysable form: an
 // iterator register x with a unique in-loop update x = x + Step, an initial
 // value Init established before the loop, and an exit test comparing x

@@ -24,9 +24,6 @@ const (
 	RegRet  isa.Reg = 0
 	RegArg0 isa.Reg = 16
 	RegArg1 isa.Reg = 17
-	RegArg2 isa.Reg = 18
-	RegArg3 isa.Reg = 19
-	RegArg4 isa.Reg = 20
 	RegArg5 isa.Reg = 21
 	RegLink isa.Reg = 26
 	RegGP   isa.Reg = 29
@@ -125,14 +122,6 @@ func (f *Func) BlockOf(idx int) *Block {
 		return nil
 	}
 	return f.blockOf[idx]
-}
-
-// EntryBlock returns the block starting at the function entry.
-func (f *Func) EntryBlock() *Block {
-	if len(f.Blocks) == 0 {
-		return nil
-	}
-	return f.Blocks[0]
 }
 
 // Analyze builds CFGs, dominators, loops and call sites for every function.
@@ -299,20 +288,6 @@ func (p *Program) resolveCalls() {
 			f.Calls = append(f.Calls, CallSite{InsIdx: i, Callee: callee})
 		}
 	}
-}
-
-// Callers returns the indices of functions that call f.
-func (p *Program) Callers(f *Func) []*Func {
-	var out []*Func
-	for _, g := range p.Funcs {
-		for _, cs := range g.Calls {
-			if cs.Callee == f.Index {
-				out = append(out, g)
-				break
-			}
-		}
-	}
-	return out
 }
 
 // Clone returns a deep copy of the program (instructions, functions, data).

@@ -99,29 +99,6 @@ func ParseFamily(s string) (Family, error) {
 	return 0, fmt.Errorf("progen: unknown family %q", s)
 }
 
-// WidthBand returns the family's target band for the dynamic 64-bit share
-// of width-bearing instructions (as emitted, before VRP re-narrowing).
-// Every generated program of the family lands inside the band regardless
-// of seed; tests and the curated suite rely on this to place workloads in
-// chosen regions of the width spectrum.
-func (f Family) WidthBand() (lo, hi float64) {
-	switch f {
-	case Narrow:
-		return 0.0, 0.35
-	case Wide:
-		return 0.65, 1.0
-	case Pointer:
-		return 0.45, 0.95
-	case Branchy:
-		return 0.05, 0.50
-	case Stream:
-		return 0.05, 0.50
-	case Churn:
-		return 0.15, 0.60
-	}
-	return 0, 1
-}
-
 // Class scales a generation: array footprints and trip counts grow with
 // the class, so dynamic lengths span roughly 10^4 (Small) to 10^6 (Large)
 // retired instructions.
@@ -135,9 +112,6 @@ const (
 
 	numClasses
 )
-
-// NumClasses is the number of size classes.
-const NumClasses = int(numClasses)
 
 var classNames = [...]string{
 	Small:  "small",

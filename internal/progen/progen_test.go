@@ -9,6 +9,29 @@ import (
 	"opgate/internal/vrp"
 )
 
+// WidthBand returns the family's target band for the dynamic 64-bit share
+// of width-bearing instructions (as emitted, before VRP re-narrowing).
+// Every generated program of the family lands inside the band regardless
+// of seed; the tests rely on this to place workloads in
+// chosen regions of the width spectrum.
+func (f Family) WidthBand() (lo, hi float64) {
+	switch f {
+	case Narrow:
+		return 0.0, 0.35
+	case Wide:
+		return 0.65, 1.0
+	case Pointer:
+		return 0.45, 0.95
+	case Branchy:
+		return 0.05, 0.50
+	case Stream:
+		return 0.05, 0.50
+	case Churn:
+		return 0.15, 0.60
+	}
+	return 0, 1
+}
+
 // seeds used by the generator tests; arbitrary but fixed.
 var testSeeds = []uint64{1, 7, 42, 0xDEADBEEF}
 

@@ -23,8 +23,8 @@ import (
 	"sort"
 )
 
-// DefaultReplicas is the virtual-point count per member used by New.
-const DefaultReplicas = 64
+// replicas is the virtual-point count per member.
+const replicas = 64
 
 // Ring is an immutable consistent-hash ring. Safe for concurrent use.
 type Ring struct {
@@ -37,20 +37,12 @@ type point struct {
 	member int // index into members
 }
 
-// New builds a ring over members with DefaultReplicas virtual points
-// each. Members must be non-empty and unique (duplicate entries would
-// silently double a node's share).
+// New builds a ring over members with replicas virtual points each.
+// Members must be non-empty and unique (duplicate entries would silently
+// double a node's share).
 func New(members []string) (*Ring, error) {
-	return NewReplicas(members, DefaultReplicas)
-}
-
-// NewReplicas is New with an explicit virtual-point count per member.
-func NewReplicas(members []string, replicas int) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("ring: no members")
-	}
-	if replicas <= 0 {
-		return nil, fmt.Errorf("ring: replicas %d: must be > 0", replicas)
 	}
 	seen := make(map[string]bool, len(members))
 	r := &Ring{

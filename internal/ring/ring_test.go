@@ -94,9 +94,6 @@ func TestRingValidation(t *testing.T) {
 	if _, err := New([]string{"a", "b", "a"}); err == nil {
 		t.Fatal("duplicate member accepted")
 	}
-	if _, err := NewReplicas([]string{"a"}, 0); err == nil {
-		t.Fatal("zero replicas accepted")
-	}
 }
 
 // TestSingleMemberOwnsEverything: the degenerate one-node fleet routes

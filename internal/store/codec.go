@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -98,6 +99,19 @@ func EncodeTrace(t *emu.Trace, identity Hash) []byte {
 
 	binary.LittleEndian.PutUint64(buf[len(buf)-codecTrailerSize:], trailerSum(buf[:len(buf)-codecTrailerSize]))
 	return buf
+}
+
+// RetagTrace returns a copy of a framed trace blob addressed to another
+// binary: the header's identity rewritten and the trailer recomputed.
+// data must have passed framing (DecodeTraceRecords); since the encoding
+// is canonical, the copy is byte-identical to EncodeTrace of the same
+// records under identity.
+func RetagTrace(data []byte, identity Hash) []byte {
+	out := bytes.Clone(data)
+	copy(out[8:40], identity[:])
+	crcOff := len(out) - codecTrailerSize
+	binary.LittleEndian.PutUint64(out[crcOff:], trailerSum(out[:crcOff]))
+	return out
 }
 
 // DecodeTrace deserializes a trace and binds it to p, refusing any input

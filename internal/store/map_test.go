@@ -208,7 +208,7 @@ func TestReadTraceAllocatesNoBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered := NewTiered(dir, newMemBackend(), 8)
+	tiered := NewTiered(dir, newMemBackend())
 	defer tiered.Close()
 	for name, s := range map[string]*Store{"dir": NewStore(dir), "tiered": NewStore(tiered)} {
 		t.Run(name, func(t *testing.T) {

@@ -392,23 +392,6 @@ func Open(dir string, limit int64) (*Store, error) {
 	return NewStore(b), nil
 }
 
-// OpenFS is Open over an explicit filesystem — the chaos-test entry point
-// (pair it with a FaultFS to inject disk misbehavior into a live store).
-func OpenFS(dir string, limit int64, fs FS) (*Store, error) {
-	b, err := OpenDirFS(dir, limit, fs)
-	if err != nil {
-		return nil, err
-	}
-	return NewStore(b), nil
-}
-
-// Dir returns the directory backend underneath, when the store is a
-// plain directory store (Open/OpenFS); nil for other backends.
-func (s *Store) Dir() *DirBackend {
-	b, _ := s.Backend.(*DirBackend)
-	return b
-}
-
 // Stats returns the backend's counters with the codec rejects folded in:
 // a raw hit the codec refused reads as the miss it effectively was.
 func (s *Store) Stats() Stats {

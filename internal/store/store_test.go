@@ -10,6 +10,23 @@ import (
 	"time"
 )
 
+// OpenFS is Open over an explicit filesystem (pair it with a FaultFS to
+// inject disk misbehavior into a live store).
+func OpenFS(dir string, limit int64, fs FS) (*Store, error) {
+	b, err := OpenDirFS(dir, limit, fs)
+	if err != nil {
+		return nil, err
+	}
+	return NewStore(b), nil
+}
+
+// Dir returns the directory backend underneath, when the store is a
+// plain directory store (Open/OpenFS); nil for other backends.
+func (s *Store) Dir() *DirBackend {
+	b, _ := s.Backend.(*DirBackend)
+	return b
+}
+
 // TestStoreRoundTrip covers the basic blob contract: miss before Put, hit
 // after, overwrite in place, stats accounting.
 func TestStoreRoundTrip(t *testing.T) {

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Tiered composes a local Backend in front of a remote one: reads are
 // read-through (local hit, else remote fetch with a best-effort local
@@ -11,16 +8,13 @@ import (
 // remote tier asynchronously. The remote tier is an accelerator for the
 // accelerator — every remote fault (unreachable peer, timeout, torn
 // response) degrades to a local miss, and a saturated write-back queue
-// drops writes rather than stalling the pipeline. Closing a Tiered is
-// optional; Flush exists so tests can drain the write-back queue.
+// drops writes rather than stalling the pipeline. A Tiered lives as long
+// as its process; Flush exists so tests can drain the write-back queue.
 type Tiered struct {
 	local  Backend
 	remote Backend
 
 	queue chan writeBack
-	wg    sync.WaitGroup
-
-	closeOnce sync.Once
 
 	localHits, remoteHits, misses atomic.Int64
 	writeBacks, wbErrors, wbDrops atomic.Int64
@@ -33,30 +27,24 @@ type writeBack struct {
 	ack  chan struct{} // Flush sentinel; nil for real writes
 }
 
-// DefaultWriteBackQueue bounds the asynchronous remote write-back queue
-// when NewTiered is given queueLen <= 0.
-const DefaultWriteBackQueue = 64
+// writeBackQueue bounds the asynchronous remote write-back queue.
+const writeBackQueue = 64
 
 // NewTiered composes local in front of remote with an asynchronous
-// write-back queue of queueLen entries (<= 0 selects
-// DefaultWriteBackQueue). A single goroutine drains the queue; a full
-// queue drops the write-back (counted) instead of blocking Put.
-func NewTiered(local, remote Backend, queueLen int) *Tiered {
-	if queueLen <= 0 {
-		queueLen = DefaultWriteBackQueue
-	}
+// write-back queue of writeBackQueue entries. A single goroutine drains
+// the queue; a full queue drops the write-back (counted) instead of
+// blocking Put.
+func NewTiered(local, remote Backend) *Tiered {
 	t := &Tiered{
 		local:  local,
 		remote: remote,
-		queue:  make(chan writeBack, queueLen),
+		queue:  make(chan writeBack, writeBackQueue),
 	}
-	t.wg.Add(1)
 	go t.writeBackLoop()
 	return t
 }
 
 func (t *Tiered) writeBackLoop() {
-	defer t.wg.Done()
 	for wb := range t.queue {
 		if wb.ack != nil {
 			close(wb.ack)
@@ -135,15 +123,6 @@ func (t *Tiered) Flush() {
 	ack := make(chan struct{})
 	t.queue <- writeBack{ack: ack}
 	<-ack
-}
-
-// Close stops the write-back goroutine after draining the queue. Put
-// after Close panics; Close is for owners that know writes have stopped.
-func (t *Tiered) Close() {
-	t.closeOnce.Do(func() {
-		close(t.queue)
-		t.wg.Wait()
-	})
 }
 
 // Stats merges both tiers' traffic into one snapshot: Hits/Misses

@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+// Close drains the write-back queue and stops its goroutine. Put after
+// Close panics.
+func (t *Tiered) Close() {
+	t.Flush()
+	close(t.queue)
+}
+
 // memBackend is an in-memory Backend test double whose fault behavior is
 // scriptable: failGets makes every Get miss, failPuts makes every Put
 // error.
@@ -93,7 +100,7 @@ func (m *memBackend) has(key Key) bool {
 // the remote tier so the next read is local.
 func TestTieredReadThroughAndWriteBack(t *testing.T) {
 	local, remote := newMemBackend(), newMemBackend()
-	tr := NewTiered(local, remote, 8)
+	tr := NewTiered(local, remote)
 	defer tr.Close()
 
 	key := deriveKey("tiered", "wb")
@@ -138,7 +145,7 @@ func TestTieredRemoteFaultIsLocalMiss(t *testing.T) {
 	local, remote := newMemBackend(), newMemBackend()
 	remote.setFailGets(true)
 	remote.setFailPuts(true)
-	tr := NewTiered(local, remote, 8)
+	tr := NewTiered(local, remote)
 	defer tr.Close()
 
 	key := deriveKey("tiered", "fault")
@@ -190,12 +197,12 @@ func (g *gatedBackend) Put(key Key, data []byte) error {
 func TestTieredWriteBackOverflowDrops(t *testing.T) {
 	local, remote := newMemBackend(), newMemBackend()
 	gated := &gatedBackend{Backend: remote, gate: make(chan struct{})}
-	tr := NewTiered(local, gated, 1)
+	tr := NewTiered(local, gated)
 
-	// The loop wedges on the first write-back it dequeues; one more fits
-	// in the 1-slot queue. Of 4 puts at least 2 must drop, and none may
-	// block.
-	const puts = 4
+	// The loop wedges on the first write-back it dequeues; writeBackQueue
+	// more fit in the queue. Of writeBackQueue+4 puts at least 3 must
+	// drop, and none may block.
+	const puts = writeBackQueue + 4
 	for i := 0; i < puts; i++ {
 		if err := tr.Put(deriveKey("ovf", fmt.Sprint(i)), []byte("x")); err != nil {
 			t.Fatal(err)
@@ -204,7 +211,7 @@ func TestTieredWriteBackOverflowDrops(t *testing.T) {
 	close(gated.gate)
 	tr.Close() // drains what was queued
 	st := tr.Stats()
-	if st.WriteBackDrops < puts-2 {
+	if st.WriteBackDrops < puts-writeBackQueue-1 {
 		t.Fatalf("full queue dropped only %d of %d oversubscribed write-backs", st.WriteBackDrops, puts)
 	}
 	if st.WriteBacks+st.WriteBackDrops != puts {
@@ -221,7 +228,7 @@ func TestTieredWriteBackOverflowDrops(t *testing.T) {
 // still reclassified as a miss.
 func TestStoreOverTieredBackend(t *testing.T) {
 	local, remote := newMemBackend(), newMemBackend()
-	tiered := NewTiered(local, remote, 8)
+	tiered := NewTiered(local, remote)
 	defer tiered.Close()
 	s := NewStore(tiered)
 
@@ -280,7 +287,7 @@ func TestTieredViewAccounting(t *testing.T) {
 				t.Fatal(err)
 			}
 			remote := newMemBackend()
-			tiered := NewTiered(local, remote, 8)
+			tiered := NewTiered(local, remote)
 			defer tiered.Close()
 			s := NewStore(tiered)
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"opgate/internal/emu"
+	"opgate/internal/store"
 	"opgate/internal/tracework"
 )
 
@@ -14,9 +15,10 @@ import (
 // exact surface opgated's upload API and ogtrace import expose to
 // untrusted input. The invariants: Ingest never panics; anything it
 // rejects is an error; anything it accepts yields a skeleton whose
-// canonical re-encoding is a fixed point of ingestion (same identity,
-// same bytes) and whose trace replays exactly the advertised number of
-// events without faulting. Seed corpus under
+// canonical blob is a fixed point of ingestion (same identity, same
+// bytes), equals a full re-encoding of the records under the skeleton
+// identity, and replays exactly the advertised number of events without
+// faulting. Seed corpus under
 // testdata/fuzz/FuzzTraceIngest, regenerable with
 // `go test ./internal/tracework -run TestFuzzIngestCorpusSeeds -regen-corpus`.
 func FuzzTraceIngest(f *testing.F) {
@@ -38,8 +40,15 @@ func FuzzTraceIngest(f *testing.F) {
 		if !bytes.Equal(re.Canonical, ing.Canonical) {
 			t.Fatal("canonical encoding is not a fixed point")
 		}
+		if want := oracleCanonical(t, data); !bytes.Equal(ing.Canonical, want) {
+			t.Fatal("canonical blob differs from re-encoding the records under the skeleton identity")
+		}
+		tr, err := store.DecodeTrace(ing.Canonical, ing.Program, ing.Identity)
+		if err != nil {
+			t.Fatalf("canonical blob does not decode against its skeleton: %v", err)
+		}
 		var replayed int
-		ing.Trace.Replay(emu.FuncSink(func(emu.Event) { replayed++ }))
+		tr.Replay(emu.FuncSink(func(emu.Event) { replayed++ }))
 		if replayed != ing.Events {
 			t.Fatalf("replay delivered %d events, ingestion advertises %d", replayed, ing.Events)
 		}

@@ -10,9 +10,9 @@
 //
 // The split of responsibilities:
 //
-//   - Ingest is pure: bytes in, validated (records, skeleton, identity,
-//     canonical re-encoding) artifacts out. ogtrace and opgated both
-//     call it; the fuzz target hammers it.
+//   - Ingest is pure: bytes in, validated (skeleton, identity, canonical
+//     blob) artifacts out. ogtrace and opgated both call it; the fuzz
+//     target hammers it.
 //   - Library binds ingested artifacts to a store: the canonical blob
 //     lands under the exact store.TraceKey the harness already probes
 //     (workload "trace:<name>", variant "base", the import's input
@@ -39,20 +39,16 @@ import (
 	"opgate/internal/workload"
 )
 
-// Ingested is the result of validating one trace blob: the decoded
-// record columns, the skeleton program synthesized from them, the
-// skeleton's content identity, the records re-bound to the skeleton,
-// and the canonical re-encoding under that identity. The identity the
-// incoming blob declared is irrelevant — an external trace carries the
-// identity of the binary it was captured from, which the importer does
-// not have; the skeleton's own identity is the address everything is
-// stored and looked up under. Records and Trace share storage (the trace
-// adopts the decoded columns), so both are read-only.
+// Ingested is the result of validating one trace blob: the skeleton
+// program synthesized from its records, the skeleton's content identity,
+// and the canonical blob under that identity. The identity the incoming
+// blob declared is irrelevant — an external trace carries the identity
+// of the binary it was captured from, which the importer does not have;
+// the skeleton's own identity is the address everything is stored and
+// looked up under.
 type Ingested struct {
-	Records   emu.RecBatch
 	Program   *prog.Program
 	Identity  store.Hash
-	Trace     *emu.Trace
 	Canonical []byte
 	Events    int
 	StaticIns int
@@ -62,34 +58,42 @@ type Ingested struct {
 // (magic, version, length, checksum), record sanity, skeleton
 // synthesis, and re-validation of the records against the skeleton. It
 // never panics on arbitrary input. The returned Canonical blob is the
-// bit-exact form the library stores: re-ingesting it yields the same
-// identity and the same canonical bytes (ingestion is idempotent).
+// bit-exact form the library stores — the input with the skeleton's
+// identity in its header — so re-ingesting it yields the same identity
+// and the same canonical bytes (ingestion is idempotent).
 func Ingest(data []byte) (*Ingested, error) {
+	p, id, events, err := skeleton(data)
+	if err != nil {
+		return nil, err
+	}
+	return &Ingested{
+		Program:   p,
+		Identity:  id,
+		Canonical: store.RetagTrace(data, id),
+		Events:    events,
+		StaticIns: len(p.Ins),
+	}, nil
+}
+
+// skeleton decodes a trace blob's records, synthesizes the skeleton
+// program they describe and checks the skeleton accepts every record.
+// It returns the skeleton, its identity and the record count.
+func skeleton(data []byte) (*prog.Program, store.Hash, int, error) {
 	recs, _, err := store.DecodeTraceRecords(data)
 	if err != nil {
-		return nil, fmt.Errorf("tracework: %w", err)
+		return nil, store.Hash{}, 0, fmt.Errorf("tracework: %w", err)
 	}
 	p, err := emu.NewProgramFromTrace(recs)
 	if err != nil {
-		return nil, fmt.Errorf("tracework: %w", err)
+		return nil, store.Hash{}, 0, fmt.Errorf("tracework: %w", err)
 	}
-	id := store.ProgramIdentity(p)
-	tr, err := emu.NewTraceFromRecords(p, recs)
-	if err != nil {
+	if err := emu.NewRecordValidator(p).Check(recs); err != nil {
 		// Unreachable when NewProgramFromTrace succeeds — the skeleton is
 		// built to match every record — but a codec or synthesis bug must
 		// surface as an error, not a corrupt registration.
-		return nil, fmt.Errorf("tracework: skeleton does not accept its own records: %w", err)
+		return nil, store.Hash{}, 0, fmt.Errorf("tracework: skeleton does not accept its own records: %w", err)
 	}
-	return &Ingested{
-		Records:   recs,
-		Program:   p,
-		Identity:  id,
-		Trace:     tr,
-		Canonical: store.EncodeTrace(tr, id),
-		Events:    recs.Len(),
-		StaticIns: len(p.Ins),
-	}, nil
+	return p, store.ProgramIdentity(p), recs.Len(), nil
 }
 
 // NotImportedError reports a "trace:" workload lookup for a (name,
@@ -193,8 +197,9 @@ func (l *Library) Lookup(name string, class workload.InputClass) (*Meta, error) 
 }
 
 // Skeleton resolves an imported trace to its skeleton program and
-// identity, re-synthesizing the skeleton from the stored blob and
-// verifying it still hashes to the registered identity. The harness
+// identity, re-synthesizing the skeleton from the stored blob (no
+// re-encoding: the blob is already canonical) and verifying it still
+// hashes to the registered identity. The harness
 // calls this in place of Workload.Build for "trace:" names; the
 // returned pair makes the ordinary store.ReadTrace path hit the
 // canonical blob.
@@ -213,14 +218,14 @@ func (l *Library) Skeleton(name string, class workload.InputClass) (*prog.Progra
 		// as not-imported so the remedy (re-import) is the same.
 		return nil, store.Hash{}, &NotImportedError{Name: name, Class: class.String()}
 	}
-	ing, err := Ingest(data)
+	p, id, _, err := skeleton(data)
 	if err != nil {
 		return nil, store.Hash{}, fmt.Errorf("tracework: %s stored blob no longer ingests: %w", name, err)
 	}
-	if ing.Identity.String() != m.Identity {
-		return nil, store.Hash{}, fmt.Errorf("tracework: %s skeleton identity drifted (%s != %s)", name, ing.Identity, m.Identity)
+	if id.String() != m.Identity {
+		return nil, store.Hash{}, fmt.Errorf("tracework: %s skeleton identity drifted (%s != %s)", name, id, m.Identity)
 	}
-	return ing.Program, ing.Identity, nil
+	return p, id, nil
 }
 
 // Entry is one row of the best-effort name index.

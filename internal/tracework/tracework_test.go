@@ -3,6 +3,10 @@ package tracework_test
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"opgate/internal/asm"
@@ -86,8 +90,12 @@ func TestIngestRoundTrip(t *testing.T) {
 		t.Error("skeleton identity equals native identity; expected a distinct content address")
 	}
 	// Replay is column-exact: same event count, same widths and values.
+	tr, err := store.DecodeTrace(ing.Canonical, ing.Program, ing.Identity)
+	if err != nil {
+		t.Fatalf("canonical blob does not decode against its skeleton: %v", err)
+	}
 	var got []emu.Event
-	ing.Trace.Replay(emu.FuncSink(func(ev emu.Event) { got = append(got, ev) }))
+	tr.Replay(emu.FuncSink(func(ev emu.Event) { got = append(got, ev) }))
 	if len(got) != nativeRecs.Len() {
 		t.Fatalf("replay delivered %d events, native trace has %d", len(got), nativeRecs.Len())
 	}
@@ -198,3 +206,92 @@ func TestLibrary(t *testing.T) {
 type eventCounter int
 
 func (c *eventCounter) ConsumeRecs(b emu.RecBatch) { *c += eventCounter(len(b.Idx)) }
+
+// oracleCanonical is the canonical blob built the long way: decode the
+// records, synthesize the skeleton, rebuild a trace over it and encode
+// that trace under the skeleton's identity.
+func oracleCanonical(t *testing.T, data []byte) []byte {
+	t.Helper()
+	recs, _, err := store.DecodeTraceRecords(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := emu.NewProgramFromTrace(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := emu.NewTraceFromRecords(p, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store.EncodeTrace(tr, store.ProgramIdentity(p))
+}
+
+// exportBlob writes what `ogtrace export` writes for a registry workload:
+// the captured trace encoded under the built binary's identity.
+func exportBlob(t *testing.T, name string, class workload.InputClass) []byte {
+	t.Helper()
+	w, err := workload.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.Build(class)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := emu.NewTraceRecorder(p)
+	m := emu.New(p)
+	defer m.Release()
+	m.Sink = rec
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := rec.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store.EncodeTrace(tr, store.ProgramIdentity(p))
+}
+
+// TestCanonicalMatchesReencoding: the canonical blob Ingest builds by
+// rewriting the header identity and trailer of its input is byte-equal
+// to re-encoding the decoded records under the skeleton identity, over
+// every accepted entry of the committed FuzzTraceIngest corpus and a
+// native export of a registry workload.
+func TestCanonicalMatchesReencoding(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzTraceIngest", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := map[string][]byte{"export syn:narrow/small/5": exportBlob(t, "syn:narrow/small/5", workload.Train)}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A corpus file is "go test fuzz v1" and one []byte("...") line.
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != 2 || !strings.HasPrefix(lines[1], "[]byte(") {
+			t.Fatalf("%s: unexpected corpus file format", f)
+		}
+		s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		blobs[f] = []byte(s)
+	}
+	accepted := 0
+	for name, data := range blobs {
+		ing, err := tracework.Ingest(data)
+		if err != nil {
+			continue
+		}
+		accepted++
+		if !bytes.Equal(ing.Canonical, oracleCanonical(t, data)) {
+			t.Errorf("%s: canonical blob differs from the re-encoding", name)
+		}
+	}
+	if accepted < 3 {
+		t.Fatalf("only %d inputs ingested; want the export and the corpus's valid seeds", accepted)
+	}
+}

@@ -8,6 +8,16 @@ import (
 	"opgate/internal/store"
 )
 
+// openFaultStore opens a directory store at dir whose disk I/O goes
+// through fs.
+func openFaultStore(dir string, limit int64, fs store.FS) (*Store, error) {
+	b, err := store.OpenDirFS(dir, limit, fs)
+	if err != nil {
+		return nil, err
+	}
+	return store.NewStore(b), nil
+}
+
 // chaosRun runs one quick-mode experiment on a fresh session bound to st
 // (nil = storeless) and returns the session and the canonical report
 // encoding — the byte-identity probe used throughout this file.
@@ -58,7 +68,7 @@ func TestSessionChaosStoreFaultsAreInvisible(t *testing.T) {
 			dir := t.TempDir()
 			ffs := store.NewFaultFS()
 			tc.arm(ffs)
-			st, err := store.OpenFS(dir, tc.limit, ffs)
+			st, err := openFaultStore(dir, tc.limit, ffs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +87,7 @@ func TestSessionChaosStoreFaultsAreInvisible(t *testing.T) {
 			// The fault clears: a fresh handle over the same (possibly
 			// littered) directory repopulates, still byte-identical.
 			ffs.Clear()
-			repop, err := store.OpenFS(dir, tc.limit, ffs)
+			repop, err := openFaultStore(dir, tc.limit, ffs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +102,7 @@ func TestSessionChaosStoreFaultsAreInvisible(t *testing.T) {
 			}
 
 			// And the run after that is fully warm: zero emulations.
-			warm, err := store.OpenFS(dir, tc.limit, ffs)
+			warm, err := openFaultStore(dir, tc.limit, ffs)
 			if err != nil {
 				t.Fatal(err)
 			}
