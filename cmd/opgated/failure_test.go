@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -272,20 +273,32 @@ func TestFollowDisconnectReleasesHandler(t *testing.T) {
 // cancellation via Cancel.
 func TestClientEndToEnd(t *testing.T) {
 	block := make(chan struct{})
+	// followed holds the fig2 job until Follow has seen its first frame,
+	// so the stream cannot open on the job's terminal frame.
+	followed := make(chan struct{})
+	var release sync.Once
 	cfg := serverConfig{
 		Quick: true, Workers: 2, Queue: 8,
 		hookJobStart: func(ctx context.Context, j *job) {
-			if j.experiment == "fig4" {
-				select {
-				case <-block:
-				case <-ctx.Done():
-				}
+			var hold chan struct{}
+			switch j.experiment {
+			case "fig4":
+				hold = block
+			case "fig2":
+				hold = followed
+			default:
+				return
+			}
+			select {
+			case <-hold:
+			case <-ctx.Done():
 			}
 		},
 	}
 	ts := httptest.NewServer(newServer(cfg))
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { close(block) })
+	t.Cleanup(func() { release.Do(func() { close(followed) }) })
 
 	c, err := client.New(ts.URL)
 	if err != nil {
@@ -312,6 +325,7 @@ func TestClientEndToEnd(t *testing.T) {
 	var statuses []string
 	last, err := c.Follow(ctx, j.ID, func(f client.Job) error {
 		statuses = append(statuses, f.Status)
+		release.Do(func() { close(followed) })
 		return nil
 	})
 	if err != nil {

@@ -22,9 +22,16 @@ const MaxMeters = 8
 // 8-lane row, built through valueEnergy and shared by every bank of the
 // same parameters and requested modes (bankRows). Each access adds one
 // row lane by lane, so every meter adds what the tests' per-access oracle
-// adds, in the same order: the sums are bit-identical. Lanes past the
-// requested modes hold +0, which leaves a sum's bits alone (no sum is
-// -0); an overlay's lane then adds its own entry.
+// adds, in the same order: the sums are bit-identical.
+//
+// Charge takes a whole retirement's value-driven accesses in one call:
+// first every requested lane, access by access, then every overlay's
+// lane, access by access, from the overlay's own width. Each lane's sum
+// in each structure is its own accumulator, so only the order of the
+// additions within a lane matters, and within every lane that order is
+// the per-access one. The requested rows hold +0 in the overlay lanes,
+// and adding +0 leaves a sum's bits alone (no sum is -0), so the
+// requested lanes' additions leave every overlay lane's sum as it is.
 //
 // Access counts are mode-independent and kept once. So is the energy of
 // an ungated structure (Gated[s] == 0): every access to it adds exactly
@@ -40,30 +47,34 @@ type Bank struct {
 	accesses [NumStructures]int64
 }
 
-// overlay is a software overlay's lane, widths and current RowBase (Begin).
+// overlay is a software overlay's lane and its operand width per static
+// instruction.
 type overlay struct {
 	lane   int
 	widths []uint8
-	base   int
 }
 
 // bankWidths is the span of the rows' software-width and significant-byte
-// axes (0–8).
+// axes (0–8); an access at software width sw moving sig significant bytes
+// reads row sw*bankWidths+sig.
 const bankWidths = 9
 
-// RowBase returns the offset of software width swWidth in a bank's rows:
-// an access at swWidth moving sig significant bytes reads row
-// RowBase(swWidth)+sig (AccessSig).
-func RowBase(swWidth int) int { return swWidth * bankWidths }
+// rowSpan is the number of rows per structure, bankWidths² padded to a
+// power of two so that a row index masked by rowMask needs no bounds
+// check; the padding rows are never read.
+const (
+	rowSpan = 128
+	rowMask = rowSpan - 1
+)
 
 // bankRows are the energy rows of one parameter set and requested-mode
 // list, read-only once built (sharedRows).
 type bankRows struct {
-	// value[s][RowBase(sw)+sig][i] is what requested mode i adds for an
-	// access to s (sig is never 0), +0 past the requested modes; soft is
-	// GateSoftware's entry, which each overlay reads at its own width.
-	value [NumStructures][bankWidths * bankWidths][MaxMeters]float64
-	soft  [NumStructures][bankWidths * bankWidths]float64
+	// value[s][sw*bankWidths+sig][i] is what requested mode i adds for
+	// an access to s (sig is never 0), +0 past the requested modes; soft
+	// is GateSoftware's entry, which each overlay reads at its own width.
+	value [NumStructures][rowSpan][MaxMeters]float64
+	soft  [NumStructures][rowSpan]float64
 }
 
 // rowsCache maps a rowsKey to its *bankRows; the module's callers use the
@@ -87,7 +98,7 @@ func sharedRows(params Params, modes []GatingMode) *bankRows {
 	for s := Structure(0); s < NumStructures; s++ {
 		for sw := range bankWidths {
 			for sig := 1; sig < bankWidths; sig++ {
-				j := RowBase(sw) + sig
+				j := sw*bankWidths + sig
 				r.soft[s][j] = valueEnergy(params, GateSoftware, s, activeBytesSig(GateSoftware, sw, sig))
 				for i, mode := range modes {
 					r.value[s][j][i] = valueEnergy(params, mode, s, activeBytesSig(mode, sw, sig))
@@ -107,7 +118,7 @@ func sharedRows(params Params, modes []GatingMode) *bankRows {
 // so over a program's accesses it accrues, bit for bit, what a
 // GateSoftware meter accrues over a width-only rewrite's (software gating
 // never looks at a value). The caller keeps every width at most 8 and
-// calls Begin before each instruction's operand accesses.
+// passes Charge each retirement's static index.
 func NewBank(params Params, modes []GatingMode, overlays ...[]uint8) (*Bank, error) {
 	if n := len(modes) + len(overlays); n == 0 || n > MaxMeters {
 		return nil, fmt.Errorf("power: %d meters, a bank holds 1 to %d", n, MaxMeters)
@@ -118,15 +129,6 @@ func NewBank(params Params, modes []GatingMode, overlays ...[]uint8) (*Bank, err
 		b.modes = append(b.modes, GateSoftware)
 	}
 	return b, nil
-}
-
-// Begin opens static instruction idx: each overlay takes its width for
-// idx as the operand width of the accesses that follow.
-func (b *Bank) Begin(idx int32) {
-	for i := range b.over {
-		o := &b.over[i]
-		o.base = RowBase(int(o.widths[idx]))
-	}
 }
 
 // AccessFixed records a width-independent access (fetch, predictor
@@ -144,30 +146,89 @@ func (b *Bank) AccessFixed(s Structure) {
 	}
 }
 
-// AccessValue records on every meter, overlays included, an access
-// moving value at a width of swWidth bytes that no opcode narrows, such
-// as an address.
-func (b *Bank) AccessValue(s Structure, swWidth int, value int64) {
-	b.accesses[s]++
-	j := RowBase(swWidth) + SignificantBytes(value)
-	a := &b.acc[s]
-	addRow(a, &b.rows.value[s][j])
-	for i := range b.over {
-		a[b.over[i].lane] += b.rows.soft[s][j]
-	}
+// Shape is the energy shape of a static instruction, decoded once: the
+// value-driven accesses each of its retirements makes (Charge) and the
+// software operand width they move.
+type Shape struct {
+	Width  uint8 // software operand width in bytes, at most 8
+	ReadsB uint8 // register reads of SrcB (a conditional move may read it twice)
+	Mem    bool  // accesses memory: the LSQ (address, then data) and the data cache
+	ReadsA bool  // reads the first operand (SrcA) from a register
+	Writes bool  // writes a register: the register file, rename buffer and result bus
+	FU     bool  // occupies a functional unit
 }
 
-// AccessSig records an operand access of the current instruction
-// (Begin) moving a value whose SignificantBytes is sig, through an opcode
-// whose width has row base base (RowBase) on every requested meter and
-// of the overlay's own width on every overlay.
-func (b *Bank) AccessSig(s Structure, base, sig int) {
-	b.accesses[s]++
-	a := &b.acc[s]
-	addRow(a, &b.rows.value[s][base+sig])
-	for i := range b.over {
-		o := &b.over[i]
-		a[o.lane] += b.rows.soft[s][o.base+sig]
+// Charge records every value-driven access of one retirement of static
+// instruction idx, of shape sh, on every meter: a memory access's LSQ
+// address (a full-width value no opcode narrows), its LSQ data and its
+// data-cache access; the instruction queue; the register reads of SrcA
+// and SrcB and the register write; the rename buffer, the result bus and
+// the functional unit. The requested meters take each access at sh's
+// width, each overlay at its own width for idx. An access moves the
+// significant bytes of value, except that the register reads move srcA
+// and srcB, and the dual-operand structures (instruction queue,
+// functional unit) the wider of the two.
+func (b *Bank) Charge(idx int32, sh Shape, addr, value, srcA, srcB int64) {
+	acc, n, rows := &b.acc, &b.accesses, &b.rows.value
+	sigV := uint(SignificantBytes(value))
+	sigA, sigB := uint(SignificantBytes(srcA)), uint(SignificantBytes(srcB))
+	sigAB := max(sigA, sigB)
+	ja := 8*bankWidths + uint(SignificantBytes(addr))
+	w := uint(sh.Width) * bankWidths
+	if sh.Mem {
+		n[LSQ] += 2
+		n[DCache]++
+		addRow(&acc[LSQ], &rows[LSQ][ja&rowMask])
+		addRow(&acc[LSQ], &rows[LSQ][(w+sigV)&rowMask])
+		addRow(&acc[DCache], &rows[DCache][(w+sigV)&rowMask])
+	}
+	n[IQ]++
+	addRow(&acc[IQ], &rows[IQ][(w+sigAB)&rowMask])
+	if sh.ReadsA {
+		n[RegFile]++
+		addRow(&acc[RegFile], &rows[RegFile][(w+sigA)&rowMask])
+	}
+	for range sh.ReadsB {
+		n[RegFile]++
+		addRow(&acc[RegFile], &rows[RegFile][(w+sigB)&rowMask])
+	}
+	if sh.Writes {
+		n[RegFile]++
+		n[RenameBuf]++
+		n[ResultBus]++
+		addRow(&acc[RegFile], &rows[RegFile][(w+sigV)&rowMask])
+		addRow(&acc[RenameBuf], &rows[RenameBuf][(w+sigV)&rowMask])
+		addRow(&acc[ResultBus], &rows[ResultBus][(w+sigV)&rowMask])
+	}
+	if sh.FU {
+		n[FU]++
+		addRow(&acc[FU], &rows[FU][(w+sigAB)&rowMask])
+	}
+
+	soft := &b.rows.soft
+	for _, o := range b.over {
+		l := o.lane & (MaxMeters - 1)
+		w := uint(o.widths[idx]) * bankWidths
+		if sh.Mem {
+			acc[LSQ][l] += soft[LSQ][ja&rowMask]
+			acc[LSQ][l] += soft[LSQ][(w+sigV)&rowMask]
+			acc[DCache][l] += soft[DCache][(w+sigV)&rowMask]
+		}
+		acc[IQ][l] += soft[IQ][(w+sigAB)&rowMask]
+		if sh.ReadsA {
+			acc[RegFile][l] += soft[RegFile][(w+sigA)&rowMask]
+		}
+		for range sh.ReadsB {
+			acc[RegFile][l] += soft[RegFile][(w+sigB)&rowMask]
+		}
+		if sh.Writes {
+			acc[RegFile][l] += soft[RegFile][(w+sigV)&rowMask]
+			acc[RenameBuf][l] += soft[RenameBuf][(w+sigV)&rowMask]
+			acc[ResultBus][l] += soft[ResultBus][(w+sigV)&rowMask]
+		}
+		if sh.FU {
+			acc[FU][l] += soft[FU][(w+sigAB)&rowMask]
+		}
 	}
 }
 

@@ -51,7 +51,7 @@ func TestBankTableMatchesMeter(t *testing.T) {
 	for s := Structure(0); s < NumStructures; s++ {
 		for sw := 0; sw < bankWidths; sw++ {
 			for _, v := range vals {
-				j := RowBase(sw) + SignificantBytes(v)
+				j := sw*bankWidths + SignificantBytes(v)
 				row := b.rows.value[s][j]
 				for i, mode := range modes {
 					m := NewMeter(params, mode)
@@ -91,7 +91,7 @@ func newBankOracle(rng *rand.Rand, params Params, modes []GatingMode, overlays i
 	for range overlays {
 		w := make([]uint8, bankStatics)
 		for i := range w {
-			w[i] = uint8([]int{0, 1, 2, 4, 8}[rng.Intn(5)])
+			w[i] = uint8(swWidths[rng.Intn(len(swWidths))])
 		}
 		o.overlays = append(o.overlays, w)
 	}
@@ -109,45 +109,65 @@ func newBankOracle(rng *rand.Rand, params Params, modes []GatingMode, overlays i
 	return o, nil
 }
 
-// feed drives the bank and the solo meters through n random instructions:
-// Begin at a random static index, then up to 7 accesses of random kind
-// and structure, in any order — fixed, a value at an explicit width every
-// meter shares, or an operand at the instruction's software width, which
-// an overlay's meter takes at the overlay's own width for that index.
-func (o *bankOracle) feed(rng *rand.Rand, n int) {
-	vals := sigValues()
-	for range n {
-		idx := int32(rng.Intn(bankStatics))
-		sw := []int{0, 1, 2, 4, 8}[rng.Intn(5)]
-		o.bank.Begin(idx)
-		for range rng.Intn(8) {
-			s := Structure(rng.Intn(int(NumStructures)))
-			v := vals[rng.Intn(len(vals))] >> rng.Intn(64)
-			kind := rng.Intn(3)
-			vw := []int{0, 1, 2, 4, 8}[rng.Intn(5)]
-			switch kind {
-			case 0:
-				o.bank.AccessFixed(s)
-			case 1:
-				o.bank.AccessValue(s, vw, v)
-			case 2:
-				o.bank.AccessSig(s, RowBase(sw), SignificantBytes(v))
-			}
-			for i, m := range o.solo {
-				switch kind {
-				case 0:
-					m.AccessFixed(s)
-				case 1:
-					m.AccessValue(s, vw, v)
-				case 2:
-					w := sw
-					if i >= o.modes {
-						w = int(o.overlays[i-o.modes][idx])
+// swWidths are the software operand widths an opcode can carry.
+var swWidths = []int{0, 1, 2, 4, 8}
+
+// shapes returns every retirement shape at software width sw: each
+// combination of a memory access, a SrcA read, 0-2 SrcB reads, a register
+// write and a functional-unit access.
+func shapes(sw int) []Shape {
+	var out []Shape
+	for _, mem := range []bool{false, true} {
+		for _, readsA := range []bool{false, true} {
+			for readsB := range uint8(3) {
+				for _, writes := range []bool{false, true} {
+					for _, fu := range []bool{false, true} {
+						out = append(out, Shape{Width: uint8(sw), ReadsB: readsB, Mem: mem, ReadsA: readsA, Writes: writes, FU: fu})
 					}
-					m.AccessValue(s, w, v)
 				}
 			}
 		}
+	}
+	return out
+}
+
+// randValue returns a random value of a random significant-byte class.
+func randValue(rng *rand.Rand, vals []int64) int64 {
+	return vals[rng.Intn(len(vals))] >> rng.Intn(64)
+}
+
+// charge charges one retirement of static instruction idx and shape sh
+// with random values to the bank, and to each solo meter through the
+// per-access oracle (Meter.charge): a requested mode's meter at sh's
+// width, an overlay's at the overlay's own width for idx.
+func (o *bankOracle) charge(rng *rand.Rand, idx int32, sh Shape) {
+	vals := sigValues()
+	addr, value := randValue(rng, vals), randValue(rng, vals)
+	srcA, srcB := randValue(rng, vals), randValue(rng, vals)
+	o.bank.Charge(idx, sh, addr, value, srcA, srcB)
+	for i, m := range o.solo {
+		w := int(sh.Width)
+		if i >= o.modes {
+			w = int(o.overlays[i-o.modes][idx])
+		}
+		m.charge(sh, w, addr, value, srcA, srcB)
+	}
+}
+
+// feed drives the bank and the solo meters through n random retirements:
+// a random shape at a random static index and software width, each
+// preceded by up to 3 fixed accesses to random structures.
+func (o *bankOracle) feed(rng *rand.Rand, n int) {
+	for range n {
+		for range rng.Intn(4) {
+			s := Structure(rng.Intn(int(NumStructures)))
+			o.bank.AccessFixed(s)
+			for _, m := range o.solo {
+				m.AccessFixed(s)
+			}
+		}
+		all := shapes(swWidths[rng.Intn(len(swWidths))])
+		o.charge(rng, int32(rng.Intn(bankStatics)), all[rng.Intn(len(all))])
 	}
 }
 
@@ -165,14 +185,14 @@ func (o *bankOracle) check(t *testing.T, what string) {
 	}
 }
 
-// TestBankMatchesMeters: a random instruction stream accrued by one bank
+// TestBankMatchesMeters: a random retirement stream accrued by one bank
 // leaves every meter exactly as feeding a Meter per mode and per overlay
-// the same calls. The requested modes run over lists of every length 1-6
-// (a prefix and a suffix of Modes), lists repeating a mode (among them
-// one that differs from a shorter list only in length) and lists of 7
-// and 8 modes that fill every lane, each with 0, 1 and 2 overlays up to
-// MaxMeters, plus one mode with 7 overlays, under the default and the
-// swapped parameter sets.
+// the same accesses one by one. The requested modes run over lists of
+// every length 1-6 (a prefix and a suffix of Modes), lists repeating a
+// mode (among them one that differs from a shorter list only in length)
+// and lists of 7 and 8 modes that fill every lane, each with 0, 1 and 2
+// overlays up to MaxMeters, plus one mode with 7 overlays, under the
+// default and the swapped parameter sets.
 func TestBankMatchesMeters(t *testing.T) {
 	all := Modes()
 	lists := [][]GatingMode{
@@ -204,6 +224,47 @@ func TestBankMatchesMeters(t *testing.T) {
 			}
 			o.feed(rng, 1500)
 			o.check(t, fmt.Sprintf("params %d, modes %v + %d overlays", pi, sh.modes, sh.overlays))
+		}
+	}
+}
+
+// TestBankChargeMatchesMeters is the per-retirement oracle: every
+// retirement shape (memory access or not, SrcA read or not, 0-2 SrcB
+// reads, register write or not, functional unit or not) at every software
+// width, with random values and static indices, leaves every meter of
+// the bank, after every retirement, exactly as the per-access oracle
+// leaves its solo meter. Overlays draw random widths per static index, so
+// an overlay charged at the requested width, an address charged at the
+// instruction's width, a SrcB read charged once or a functional unit
+// charged by the result's width all show.
+func TestBankChargeMatchesMeters(t *testing.T) {
+	all := Modes()
+	rng := rand.New(rand.NewSource(3))
+	for pi, params := range []Params{DefaultParams(), swappedParams()} {
+		for _, sh := range []struct {
+			modes    []GatingMode
+			overlays int
+		}{
+			{all, 2},
+			{[]GatingMode{GateNone}, 7},
+			{append(slices.Clone(all), GateCooperativeSig, GateSoftware), 0},
+			{nil, 1},
+		} {
+			o, err := newBankOracle(rng, params, sh.modes, sh.overlays)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sw := range swWidths {
+				for _, shape := range shapes(sw) {
+					for range 4 {
+						o.charge(rng, int32(rng.Intn(bankStatics)), shape)
+						o.check(t, fmt.Sprintf("params %d, modes %v + %d overlays, %+v", pi, sh.modes, sh.overlays, shape))
+						if t.Failed() {
+							return
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -74,7 +74,8 @@ func phaseListFromSeed(seed uint64) []progen.Family {
 	n := 2 + int(seed>>62)%2
 	fams := make([]progen.Family, n)
 	for i := range fams {
-		fams[i] = progen.Family(int(seed>>(8*i)) % progen.NumFamilies)
+		// Reduce unsigned: int(seed) is negative when bit 63 is set.
+		fams[i] = progen.Family((seed >> (8 * i)) % uint64(progen.NumFamilies))
 	}
 	return fams
 }

@@ -16,8 +16,8 @@
 // only through fixed-cost accesses. Its pass is therefore not a timing
 // pass: an energy-only sink (NewRewrite) takes those from the base
 // binary's Result and charges the rewrite's own records only the
-// value-driven accesses, through the same function the core calls
-// (accrue).
+// value-driven accesses, through the same bank call the core makes
+// (power.Bank.Charge).
 package uarch
 
 import (
@@ -151,20 +151,17 @@ const (
 
 // static is the predecoded form of one static instruction: everything
 // the core needs per retirement, resolved once at construction so the
-// per-record loop reads only this entry and the record columns.
+// per-record loop reads only this entry and the record columns. Its
+// power.Shape is what the bank charges per retirement; Writes also
+// allocates a physical register, and Mem issues a data-cache access.
 type static struct {
-	line   int64    // I-cache line holding the instruction
-	lat    int64    // functional-unit latency
-	uses   [3]uint8 // registers read; unused slots hold the zero register
-	dest   uint8    // register written, or noReg
-	wbase  uint8    // power.RowBase of the operand width (the software gating width)
-	readsA bool     // the first operand is a register read (of SrcA)
-	readsB uint8    // register reads of SrcB (a conditional move may read it twice)
-	writes bool     // allocates a physical register
-	mul    bool     // issues to the multiply/divide unit
-	mem    bool
+	line int64    // I-cache line holding the instruction
+	lat  int64    // functional-unit latency
+	uses [3]uint8 // registers read; unused slots hold the zero register
+	dest uint8    // register written, or noReg
+	power.Shape
+	mul    bool // issues to the multiply/divide unit
 	store  bool
-	fu     bool // charges a functional-unit access
 	branch uint8
 }
 
@@ -179,16 +176,16 @@ func predecode(p *prog.Program) ([]static, error) {
 			return nil, fmt.Errorf("uarch: instruction %d: operand width %d bytes", i, w)
 		}
 		st.lat = int64(isa.Latency(in.Op))
-		st.wbase = uint8(power.RowBase(in.Width.Bytes()))
+		st.Width = uint8(in.Width.Bytes())
 		uses, n := in.Uses()
 		for k := range st.uses {
 			st.uses[k] = isa.ZeroReg
 			if k < n && uses[k] != isa.ZeroReg {
 				st.uses[k] = uint8(uses[k])
 				if k == 0 {
-					st.readsA = true
+					st.ReadsA = true
 				} else {
-					st.readsB++
+					st.ReadsB++
 				}
 			}
 		}
@@ -196,12 +193,12 @@ func predecode(p *prog.Program) ([]static, error) {
 		if d, ok := in.Dest(); ok {
 			st.dest = uint8(d)
 		}
-		st.writes = st.dest != noReg || in.Op == isa.OpJSR
+		st.Writes = st.dest != noReg || in.Op == isa.OpJSR
 		class := isa.ClassOf(in.Op)
 		st.mul = class == isa.ClassMul
-		st.mem = isa.IsMem(in.Op)
+		st.Mem = isa.IsMem(in.Op)
 		st.store = in.Op == isa.OpST
-		st.fu = class != isa.ClassBranch && class != isa.ClassNone &&
+		st.FU = class != isa.ClassBranch && class != isa.ClassNone &&
 			class != isa.ClassLoad && class != isa.ClassStore && in.Op != isa.OpHALT
 		switch {
 		case isa.IsCondBranch(in.Op):
@@ -395,7 +392,7 @@ func (s *Sim) ConsumeRecs(b emu.RecBatch) {
 		}
 		// Physical registers: a writer needs a free register, available
 		// when the (PhysRegs-NumRegs)-back writer retired.
-		if st.writes {
+		if st.Writes {
 			if w := s.physRing[s.physPos]; dispatch <= w {
 				dispatch = w + 1
 			}
@@ -446,7 +443,7 @@ func (s *Sim) ConsumeRecs(b emu.RecBatch) {
 
 		// --- Execute / memory ---------------------------------------------
 		done := issue + st.lat
-		if st.mem {
+		if st.Mem {
 			lat, l2 := s.hier.DataAccess(addrs[i], st.store)
 			done = issue + int64(lat)
 			if l2 {
@@ -456,8 +453,7 @@ func (s *Sim) ConsumeRecs(b emu.RecBatch) {
 		bank.AccessFixed(power.ROB)
 
 		// --- Energy: the value-driven accesses ------------------------------
-		bank.Begin(idx) // the overlays' operand width for the accesses below
-		st.accrue(bank, addrs[i], values[i], srcAs[i], srcBs[i])
+		bank.Charge(idx, st.Shape, addrs[i], values[i], srcAs[i], srcBs[i])
 
 		// --- Branch resolution ----------------------------------------------
 		if st.branch != brNone {
@@ -501,7 +497,7 @@ func (s *Sim) ConsumeRecs(b emu.RecBatch) {
 		if s.windowPos++; s.windowPos == len(s.windowRing) {
 			s.windowPos = 0
 		}
-		if st.writes {
+		if st.Writes {
 			s.physRing[s.physPos] = retire
 			if s.physPos++; s.physPos == len(s.physRing) {
 				s.physPos = 0
@@ -539,50 +535,10 @@ func (s *Sim) FinishAll() []*Result {
 	return s.results
 }
 
-// accrue charges bank with every value-driven access of one retirement
-// of st: the LSQ and data cache of a memory access, then the
-// instruction queue, the register reads and write, the rename buffer,
-// the result bus and the functional unit, each at the instruction's
-// software width and the significant bytes of the value it moves. No
-// other code reaches these structures, and each keeps its own
-// accumulator, so the timing core and the energy-only sink (Rewrite),
-// both calling accrue in retirement order, charge them alike. The core
-// reaches the rest only through AccessFixed (fixedOnly).
-func (st *static) accrue(bank *power.Bank, addr, value, srcA, srcB int64) {
-	w := int(st.wbase) // the software width's row base in the bank's tables
-	sigV := power.SignificantBytes(value)
-	if st.mem {
-		// LSQ: address CAM plus data movement. The address access is
-		// a full-width (8-byte) value access, gated by each meter's
-		// own view of the address bytes.
-		bank.AccessValue(power.LSQ, 8, addr)
-		bank.AccessSig(power.LSQ, w, sigV)
-		bank.AccessSig(power.DCache, w, sigV)
-	}
-	// Dual-operand structures are gated by the wider operand.
-	sigA, sigB := power.SignificantBytes(srcA), power.SignificantBytes(srcB)
-	sigAB := max(sigA, sigB)
-	bank.AccessSig(power.IQ, w, sigAB)
-	if st.readsA {
-		bank.AccessSig(power.RegFile, w, sigA)
-	}
-	for k := uint8(0); k < st.readsB; k++ {
-		bank.AccessSig(power.RegFile, w, sigB)
-	}
-	if st.writes {
-		bank.AccessSig(power.RegFile, w, sigV)
-		bank.AccessSig(power.RenameBuf, w, sigV)
-		bank.AccessSig(power.ResultBus, w, sigV)
-	}
-	if st.fu {
-		bank.AccessSig(power.FU, w, sigAB)
-	}
-}
-
 // fixedOnly are the structures the timing core reaches only through
-// AccessFixed, outside accrue. Each access adds one mode-independent
-// constant, so their access counts and energy depend on the retired path
-// and the cycle count alone.
+// AccessFixed: every structure but the value-driven ones (Charge). Each
+// access adds one mode-independent constant, so their access counts and
+// energy depend on the retired path and the cycle count alone.
 var fixedOnly = [...]power.Structure{power.ICache, power.L2Cache, power.Rename, power.ROB, power.BPred}
 
 // Rewrite is the energy-only sink of a width-only rewrite (vrp.Result.Apply)
@@ -591,7 +547,7 @@ var fixedOnly = [...]power.Structure{power.ICache, power.L2Cache, power.Rename, 
 // the base's fixedOnly structures are its structures, access for access.
 // Rewrite therefore runs no timing core: it holds no cache hierarchy,
 // predictor or issue, window and register rings, and charges only the
-// value-driven accesses (accrue) of the rewrite's own records, at the
+// value-driven accesses (Charge) of the rewrite's own records, at the
 // rewrite's widths and values.
 type Rewrite struct {
 	bank    *power.Bank
@@ -627,7 +583,7 @@ func (r *Rewrite) ConsumeRecs(b emu.RecBatch) {
 	n := len(b.Idx)
 	addrs, values, srcAs, srcBs := b.Addr[:n], b.Value[:n], b.SrcA[:n], b.SrcB[:n]
 	for i, idx := range b.Idx {
-		r.stat[idx].accrue(r.bank, addrs[i], values[i], srcAs[i], srcBs[i])
+		r.bank.Charge(idx, r.stat[idx].Shape, addrs[i], values[i], srcAs[i], srcBs[i])
 	}
 }
 

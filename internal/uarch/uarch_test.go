@@ -247,8 +247,12 @@ func TestSignExtendToCacheCostsEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One 8-byte memory retirement per data-cache access of the tagged
+	// run: its data-cache access moves a value with all 8 bytes
+	// significant at software width 8.
+	sextLoad := power.Shape{Width: 8, Mem: true}
 	for range tagged.Energy.Accesses[power.DCache] {
-		bank.AccessValue(power.DCache, 8, math.MaxInt64) // all 8 bytes significant
+		bank.Charge(0, sextLoad, 0, math.MaxInt64, 0, 0)
 	}
 	sext := bank.Meters()[0]
 	sext.Tick(tagged.Cycles)

@@ -3,7 +3,9 @@
 # simulation-substrate benchmarks: emulated MIPS, trace capture/replay
 # throughput, the trace codec (encode/decode MB/s) and a warm store read
 # (read MB/s), the fused timing core
-# and its meter bank (records/s at 1, 2 and 6 gating modes), the
+# and its meter bank (records/s at 1, 2 and 6 gating modes, at the two
+# three-mode groups base-trio and opt-trio, at 6 modes plus one software
+# overlay, and through the energy-only sink of a width-only rewrite), the
 # figure matrices live and over a warm store (a cold run fills it
 # before timing starts), and the single-pass threshold
 # sweep (grid cells/s vs independent per-threshold runs, and fresh
